@@ -1,8 +1,8 @@
 """Angular-momentum numerical kernel.
 
-Wigner d-matrices (stable recurrence and large-j asymptotics), Clebsch-Gordan
-coefficients, banded operator matrices over the j ladder, and transforms
-between j-space amplitudes and polar-angle wavefunctions.
+Wigner d-matrices (stable recurrence and large-j asymptotics), banded
+operator matrices over the j ladder from closed-form ladder coefficients, and
+transforms between j-space amplitudes and polar-angle wavefunctions.
 
 Conventions: basis states |jmk> with wavefunction
 ``<a,b,g|jmk> = sqrt(j+1/2) d^j_{mk}(b) exp(i m a + i k g) / 2 pi``,
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError, ResolutionError, SingularityError, TruncationWarning
 
@@ -28,7 +30,6 @@ __all__ = [
     "wigner_d_exact",
     "wigner_d_semiclassical",
     "wigner_d_table",
-    "clebsch_gordan",
     "cos2beta_matrix",
     "direction_cosine_matrices",
     "synthesize_beta",
@@ -40,12 +41,39 @@ __all__ = [
 # quadrature grid
 # ---------------------------------------------------------------------------
 
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending.
+
+    numpy's ``leggauss`` with its dense O(n^3) eigensolve of the Legendre
+    companion matrix replaced by a tridiagonal O(n^2) one on the same matrix;
+    the Newton step, the weight formula and the symmetrization are numpy's.
+    (``scipy.special.roots_legendre`` has better weights near x = +-1, which
+    moves high-order results by a few 1e-9.)
+    """
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2.0 * np.arange(order) + 1.0)
+    x = eigvalsh_tridiagonal(np.zeros(order), np.arange(1, order) * scl[:-1] * scl[1:])
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @dataclass(frozen=True)
 class AngularGrid:
     """Gauss-Legendre grid in cos(beta) for integrals against sin(beta) d(beta).
 
     ``sum(weights * f(nodes))`` approximates ``int_0^pi f(b) sin(b) db`` and is
-    exact for f polynomial in cos(b) up to degree ``2*order - 1``.
+    exact for f polynomial in cos(b) up to degree ``2*order - 1``.  The arrays
+    are read-only: ``for_jmax`` hands the same grid to every caller.
     """
 
     nodes: np.ndarray
@@ -56,11 +84,15 @@ class AngularGrid:
     def gauss_legendre(cls, order: int) -> "AngularGrid":
         if order < 1:
             raise DomainError(f"grid order must be >= 1, got {order}")
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _leggauss(order)
         beta = np.arccos(x)[::-1].copy()
-        return cls(nodes=beta, weights=w[::-1].copy(), order=order)
+        weights = w[::-1].copy()
+        beta.flags.writeable = False
+        weights.flags.writeable = False
+        return cls(nodes=beta, weights=weights, order=order)
 
     @classmethod
+    @lru_cache(maxsize=32)
     def for_jmax(cls, jmax: int) -> "AngularGrid":
         # order 2*jmax + 16: exact for the d*d*cos^2 integrands plus margin
         return cls.gauss_legendre(2 * jmax + 16)
@@ -234,92 +266,6 @@ def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan coefficients
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _lf(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-def _cg_args_valid(j1, m1, j2, m2, J, M) -> bool:
-    return (M == m1 + m2 and abs(j1 - j2) <= J <= j1 + j2
-            and abs(m1) <= j1 and abs(m2) <= j2 and abs(M) <= J)
-
-
-def _cg_lgamma(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """Racah sum with log-factorial accumulation; relative error grows like an
-    ulp of lgamma(2j), roughly 1e-11 at j ~ 2000."""
-    pref = 0.5 * (
-        math.log(2 * J + 1.0)
-        + _lf(j1 + j2 - J) + _lf(j1 - j2 + J) + _lf(-j1 + j2 + J) - _lf(j1 + j2 + J + 1)
-        + _lf(J + M) + _lf(J - M)
-        + _lf(j1 - m1) + _lf(j1 + m1) + _lf(j2 - m2) + _lf(j2 + m2)
-    )
-    t_min = max(0, j2 - J - m1, j1 - J + m2)
-    t_max = min(j1 + j2 - J, j1 - m1, j2 + m2)
-    terms = []
-    for t in range(t_min, t_max + 1):
-        logden = (
-            _lf(t) + _lf(j1 + j2 - J - t) + _lf(j1 - m1 - t)
-            + _lf(j2 + m2 - t) + _lf(J - j2 + m1 + t) + _lf(J - j1 - m2 + t)
-        )
-        val = math.exp(pref - logden)
-        terms.append(-val if t % 2 else val)
-    return math.fsum(terms)
-
-
-def _cg_exact_int(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """Racah sum over exact integer factorials; one rounding at the end."""
-    f = math.factorial
-    pref_num = (2 * J + 1) * f(j1 + j2 - J) * f(j1 - j2 + J) * f(-j1 + j2 + J) \
-        * f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
-    pref_den = f(j1 + j2 + J + 1)
-    t_min = max(0, j2 - J - m1, j1 - J + m2)
-    t_max = min(j1 + j2 - J, j1 - m1, j2 + m2)
-    dens = [f(t) * f(j1 + j2 - J - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
-            * f(J - j2 + m1 + t) * f(J - j1 - m2 + t)
-            for t in range(t_min, t_max + 1)]
-    s_den = 1
-    for d in dens:
-        s_den *= d
-    s_num = 0
-    for i, t in enumerate(range(t_min, t_max + 1)):
-        prod = s_den // dens[i]
-        s_num += -prod if t % 2 else prod
-    if s_num == 0:
-        return 0.0
-    sign = 1.0 if s_num > 0 else -1.0
-    vsq_num = pref_num * s_num * s_num
-    vsq_den = pref_den * s_den * s_den
-    shift = max(vsq_den.bit_length() - vsq_num.bit_length() + 64, 0)
-    q = (vsq_num << shift) // vsq_den
-    return sign * math.sqrt(math.ldexp(float(q), -shift))
-
-
-def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
-
-    Closed Racah sum with O(1) memory: log-factorial accumulation where that
-    is accurate to 1e-12, exact integer factorials beyond.  Triangle or
-    projection violations return 0 rather than raising.
-    """
-    if not _cg_args_valid(j1, m1, j2, m2, J, M):
-        return 0.0
-    if j1 + j2 + J <= 400:
-        return _cg_lgamma(j1, m1, j2, m2, J, M)
-    return _cg_exact_int(j1, m1, j2, m2, J, M)
-
-
-def _cg_fast(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
-    """Operator-assembly path: always log-factorial (ample for the 1e-8
-    quadrature-oracle tolerance that is normative for assembled bands)."""
-    if not _cg_args_valid(j1, m1, j2, m2, J, M):
-        return 0.0
-    return _cg_lgamma(j1, m1, j2, m2, J, M)
-
-
-# ---------------------------------------------------------------------------
 # banded operators over the j ladder
 # ---------------------------------------------------------------------------
 
@@ -384,60 +330,66 @@ class BandedHermitian:
         return dense
 
 
-def _rank_weight(j: int, jp: int) -> float:
-    return math.sqrt((2 * j + 1.0) / (2 * jp + 1.0))
+def _cos_ladder(jlo: int, jhi: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(beta) over the j ladder at fixed (m, k), for j = jlo..jhi.
+
+    Returns ``<j|cos b|j> = m k / (j (j+1))`` (0 at j = 0) and
+    ``<j+1|cos b|j> = sqrt(((j+1)^2 - m^2)((j+1)^2 - k^2)) / ((j+1) sqrt((2j+1)(2j+3)))``;
+    ``jlo`` must be at least max(|m|, |k|).
+    """
+    j = np.arange(jlo, jhi + 1, dtype=float)
+    jj = j * (j + 1.0)
+    same = np.divide(float(m * k), jj, out=np.zeros_like(j), where=jj > 0)
+    j1 = j + 1.0
+    up = np.sqrt((j1 * j1 - m * m) * (j1 * j1 - k * k)) \
+        / (j1 * np.sqrt((2.0 * j + 1.0) * (2.0 * j + 3.0)))
+    return same, up
 
 
 def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedHermitian:
     """Banded matrix of cos^2(beta) over |j m k>, bandwidth 2.
 
-    Rank-2 tensor algebra: cos^2 = 1/3 + (2/3) * (rank-2, M=K=0 component); each
-    element is a product of two Clebsch-Gordan factors with a
-    sqrt((2j+1)/(2j'+1)) weight.  Selection rules |dj| <= 2, dm = dk = 0.
+    The square of the tridiagonal cos(beta) ladder, summed over the full
+    ladder j >= max(|m|, |k|): the elements are exact, not those of a
+    truncated product.  Selection rules |dj| <= 2, dm = dk = 0.
     """
-    if jmin < max(abs(m), abs(k)):
-        raise DomainError(f"jmin={jmin} below max(|m|,|k|)={max(abs(m), abs(k))}")
+    j0 = max(abs(m), abs(k))
+    if jmin < j0:
+        raise DomainError(f"jmin={jmin} below max(|m|,|k|)={j0}")
     if jmax < jmin:
         raise DomainError("jmax < jmin")
-    n = jmax - jmin + 1
-    diags = [np.zeros(max(n - d, 0)) for d in range(3)]
-    for j in range(jmin, jmax + 1):
-        i = j - jmin
-        for d in range(3):
-            jp = j + d
-            if jp > jmax:
-                continue
-            val = (2.0 / 3.0) * _rank_weight(j, jp) \
-                * _cg_fast(j, m, 2, 0, jp, m) * _cg_fast(j, k, 2, 0, jp, k)
-            if d == 0:
-                val += 1.0 / 3.0
-            diags[d][i] = val
-    return BandedHermitian(jmin=jmin, jmax=jmax, bandwidth=2,
-                           diagonals=tuple(diags), m=m, k=k)
+    lo = max(jmin - 1, j0)
+    same, up = _cos_ladder(lo, jmax, m, k)
+    below = up[:1] if lo < jmin else np.zeros(1)  # <jmin|cos|jmin-1>; 0 at j0
+    same, up = same[jmin - lo:], up[jmin - lo:]
+    down = np.concatenate([below, up[:-1]])
+    diags = (same * same + down * down + up * up,
+             up[:-1] * (same[:-1] + same[1:]),
+             up[:-2] * up[1:-1])
+    return BandedHermitian(jmin=jmin, jmax=jmax, bandwidth=2, diagonals=diags, m=m, k=k)
 
 
-def _cosine_element(axis: str, jp: int, mp: int, j: int, m: int, k: int) -> complex:
-    """<j' m' k| c_axis |j m k> from rank-1 Clebsch-Gordan products."""
-    if abs(m) > j or abs(k) > j or abs(mp) > jp or abs(k) > jp:
-        return 0.0
-    ck = _cg_fast(j, k, 1, 0, jp, k)
-    if ck == 0.0:
-        return 0.0
-    w = _rank_weight(j, jp)
-    if axis == "z":
-        if mp != m:
-            return 0.0
-        return w * ck * _cg_fast(j, m, 1, 0, jp, m)
-    dm = mp - m
-    if dm not in (1, -1):
-        return 0.0
-    cm = _cg_fast(j, m, 1, dm, jp, mp)
-    if axis == "x":
-        coef = -1.0 / math.sqrt(2.0) if dm == 1 else 1.0 / math.sqrt(2.0)
-        return coef * w * ck * cm
-    if axis == "y":
-        return (1j / math.sqrt(2.0)) * w * ck * cm
-    raise DomainError(f"unknown axis {axis!r}")
+def _cg_rank1(j: np.ndarray, mu: int, q: int, dj: int) -> np.ndarray:
+    """<j mu; 1 q | j+dj mu+q> in closed form over the j array; 0 where forbidden."""
+    jp = j + dj
+    ok = (abs(mu) <= j) & (abs(mu + q) <= jp) & (j + jp >= 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dj == 1:
+            num = 2 * (j + 1 - mu) * (j + 1 + mu) if q == 0 \
+                else (j + q * mu + 1) * (j + q * mu + 2)
+            val = np.sqrt(num / ((2 * j + 1) * (2 * j + 2)))
+        elif dj == 0:
+            num = mu if q == 0 else -q * np.sqrt((j + q * mu + 1) * (j - q * mu) / 2)
+            val = num / np.sqrt(j * (j + 1))
+        else:
+            num = 2 * (j - mu) * (j + mu) if q == 0 else (j - q * mu) * (j - q * mu - 1)
+            val = (-1.0 if q == 0 else 1.0) * np.sqrt(num / (2 * j * (2 * j + 1)))
+    return np.where(ok, val, 0.0)
+
+
+_AXIS_COEF = {"x": {1: -math.sqrt(0.5), -1: math.sqrt(0.5)},
+              "y": {1: 1j * math.sqrt(0.5), -1: 1j * math.sqrt(0.5)},
+              "z": {0: 1.0}}
 
 
 class DirectionCosineOperator:
@@ -445,7 +397,9 @@ class DirectionCosineOperator:
 
     Selection rules dj in {0, +-1}, dk = 0, dm = 0 (z) or +-1 (x, y).  Acts on
     a sector mapping m -> amplitude vector over j = 0..jmax (entries below
-    max(|m|, |k|) must be zero).
+    max(|m|, |k|) must be zero).  Each (m, dm) pair keeps three diagonals,
+    ``<j+dj, m+dm, k| c |j m k>`` for dj = -1, 0, +1 over j = 0..jmax, from
+    the rank-1 Clebsch-Gordan closed forms.
     """
 
     def __init__(self, axis: str, jmin: int, jmax: int, k: int):
@@ -457,34 +411,37 @@ class DirectionCosineOperator:
         self.jmin = jmin
         self.jmax = jmax
         self.k = k
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        self._diags: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+    def _diagonals(self, m: int, dm: int) -> tuple[np.ndarray, ...]:
+        key = (m, dm)
+        diags = self._diags.get(key)
+        if diags is None:
+            j = np.arange(self.jmax + 1, dtype=float)
+            coef = _AXIS_COEF[self.axis][dm]
+            diags = tuple(
+                coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
+                * _cg_rank1(j, self.k, 0, dj) * _cg_rank1(j, m, dm, dj)
+                for dj in (-1, 0, 1))
+            self._diags[key] = diags
+        return diags
 
     def entry(self, jp: int, mp: int, j: int, m: int) -> complex:
         if not (self.jmin <= j <= self.jmax and self.jmin <= jp <= self.jmax):
             return 0.0
-        return _cosine_element(self.axis, jp, mp, j, m, self.k)
-
-    def _block(self, m: int, dm: int) -> np.ndarray:
-        """Dense (small-banded) block mapping sector m to sector m+dm."""
-        key = (m, dm)
-        blk = self._blocks.get(key)
-        if blk is None:
-            n = self.jmax + 1
-            blk = np.zeros((n, n), dtype=complex)
-            for j in range(self.jmax + 1):
-                for jp in (j - 1, j, j + 1):
-                    if 0 <= jp <= self.jmax:
-                        blk[jp, j] = _cosine_element(self.axis, jp, m + dm, j, m, self.k)
-            self._blocks[key] = blk
-        return blk
+        if mp - m not in _AXIS_COEF[self.axis] or abs(jp - j) > 1:
+            return 0.0
+        return self._diagonals(m, mp - m)[jp - j + 1][j].item()
 
     def apply(self, sectors: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Apply the operator to {m: amplitudes over j=0..jmax}."""
         out: dict[int, np.ndarray] = {}
-        steps = (0,) if self.axis == "z" else (1, -1)
         for m, vec in sectors.items():
-            for dm in steps:
-                contrib = self._block(m, dm) @ vec
+            for dm in _AXIS_COEF[self.axis]:
+                down, same, up = self._diagonals(m, dm)
+                contrib = same * vec
+                contrib[:-1] += down[1:] * vec[1:]
+                contrib[1:] += up[:-1] * vec[:-1]
                 tgt = m + dm
                 if tgt in out:
                     out[tgt] = out[tgt] + contrib
@@ -502,14 +459,24 @@ def direction_cosine_matrices(jmin: int, jmax: int, k: int):
 # beta-grid transforms
 # ---------------------------------------------------------------------------
 
-def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid):
+def _table_for(table: np.ndarray | None, m: int, k: int, jmax: int,
+               grid: AngularGrid) -> np.ndarray:
+    """Rows j = max(|m|,|k|)..jmax of ``table``, or a new table when it is None."""
+    if table is None:
+        return wigner_d_table(m, k, grid.nodes, jmax)
+    return table[: jmax - max(abs(m), abs(k)) + 1]
+
+
+def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid,
+                    table: np.ndarray | None = None):
     """Polar-angle wavefunction of a (m, k) sector.
 
     ``coeffs`` are amplitudes over j = max(|m|,|k|) .. jmax (jmax inferred from
     the length).  Returns ``(psi, prob)`` on the grid nodes with
     ``psi(b) = sum_j c_j sqrt(j+1/2) d^j_{mk}(b)`` and
     ``prob(b) = sin(b) |psi(b)|^2`` normalized so that int prob db = 1 for a
-    normalized sector.
+    normalized sector.  ``table`` is an optional ``wigner_d_table`` of this
+    (m, k) on the grid nodes reaching at least jmax.
     """
     coeffs = np.asarray(coeffs)
     j0 = max(abs(m), abs(k))
@@ -517,25 +484,22 @@ def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid):
     if grid.order < 2 * jmax:
         raise ResolutionError(
             f"grid order {grid.order} cannot resolve j up to {jmax} (need >= {2 * jmax})")
-    psi = np.zeros(grid.nodes.size, dtype=complex)
-    for j, row in _wigner_d_rows(m, k, grid.nodes, jmax):
-        c = coeffs[j - j0]
-        if c != 0.0:
-            psi += (c * math.sqrt(j + 0.5)) * row
+    scaled = coeffs * np.sqrt(np.arange(j0, jmax + 1) + 0.5)
+    re, im = np.stack([scaled.real, scaled.imag]) @ _table_for(table, m, k, jmax, grid)
+    psi = re + 1j * im
     prob = np.sin(grid.nodes) * np.abs(psi) ** 2
     return psi, prob
 
 
-def _project_general(psi: np.ndarray, m: int, k: int, jmax: int, grid: AngularGrid) -> np.ndarray:
+def _project_general(psi: np.ndarray, m: int, k: int, jmax: int, grid: AngularGrid,
+                     table: np.ndarray | None = None) -> np.ndarray:
     """Quadrature projection of psi(beta) onto sqrt(j+1/2) d^j_{mk}."""
     j0 = max(abs(m), abs(k))
     if jmax < j0:
         raise DomainError(f"jmax={jmax} below max(|m|,|k|)={j0}")
     wpsi = grid.weights * psi
-    coeffs = np.empty(jmax - j0 + 1, dtype=complex)
-    for j, row in _wigner_d_rows(m, k, grid.nodes, jmax):
-        coeffs[j - j0] = math.sqrt(j + 0.5) * np.dot(row, wpsi)
-    return coeffs
+    proj = _table_for(table, m, k, jmax, grid) @ np.stack([wpsi.real, wpsi.imag], axis=1)
+    return np.sqrt(np.arange(j0, jmax + 1) + 0.5) * (proj[:, 0] + 1j * proj[:, 1])
 
 
 def project_beta(psi: np.ndarray, k0: int, jmax: int, grid: AngularGrid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Collisional decoherence: quantum-jump Monte Carlo and a dense Lindblad oracle.
+"""Collisional decoherence: quantum-jump Monte Carlo.
 
 Gas collisions diffuse the rotor angular momentum through the three
 direction-cosine operators c_x, c_y, c_z of the symmetry axis.  Because
@@ -20,11 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import angular, observables
 from .errors import DomainError, TruncationError
-from .pulse import PulseSpec, apply_pulse, prepare_for_pulses, pulse_margin
+from .pulse import PulseSpec, apply_pulse
 from .rotor import RotorState, SpectrumModel, free_propagate
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "apply_jump",
     "run_trajectory",
     "run_ensemble",
-    "lindblad_oracle",
 ]
 
 # nitrogen gas at 5e-9 mbar, room temperature (named preset; the collision-rate
@@ -272,103 +270,3 @@ def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
         hist[c] = hist.get(c, 0) + 1
     return EnsembleResult(times=times, mean_alignment=mean, stderr=stderr,
                           n_trajectories=n, jump_count_histogram=hist)
-
-
-# ---------------------------------------------------------------------------
-# dense Lindblad oracle
-# ---------------------------------------------------------------------------
-
-def _dense_basis(jmax: int, k: int) -> list[tuple[int, int]]:
-    return [(j, m) for j in range(abs(k), jmax + 1) for m in range(-j, j + 1)]
-
-
-def dense_cosine_matrices(jmax: int, k: int) -> list[np.ndarray]:
-    """Dense c_x, c_y, c_z over the (j, m) basis at fixed k (oracle use)."""
-    basis = _dense_basis(jmax, k)
-    index = {bm: i for i, bm in enumerate(basis)}
-    ops = angular.direction_cosine_matrices(abs(k), jmax, k)
-    mats = []
-    for op in ops:
-        mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (j, m), col in index.items():
-            targets = [(m,)] if op.axis == "z" else [(m + 1,), (m - 1,)]
-            for (mp,) in targets:
-                for jp in (j - 1, j, j + 1):
-                    if abs(k) <= jp <= jmax and abs(mp) <= jp:
-                        val = op.entry(jp, mp, j, m)
-                        if val != 0.0:
-                            mat[index[(jp, mp)], col] = val
-        mats.append(mat)
-    return mats
-
-
-def state_to_dense(state: RotorState, k0: int, jmax: int) -> np.ndarray:
-    basis = _dense_basis(jmax, k0)
-    index = {bm: i for i, bm in enumerate(basis)}
-    vec = np.zeros(len(basis), dtype=complex)
-    for m, amps in state.sectors[k0].items():
-        for j in range(max(abs(m), abs(k0)), min(state.jmax, jmax) + 1):
-            vec[index[(j, m)]] = amps[j]
-    return vec
-
-
-def lindblad_oracle(initial: RotorState, spectrum: SpectrumModel, gamma: float,
-                    t_end: float, observation_times,
-                    rtol: float = 1e-7, atol: float = 1e-9):
-    """Direct master-equation integration at small jmax (dense, k0 = 0 sector).
-
-    d rho / dt = -i [H, rho] + gamma (sum_l c_l rho c_l - rho), integrated
-    adaptively in the interaction picture of the diagonal H.  Returns
-    (alignment series, trace series, min sampled eigenvalue).
-    """
-    if not initial.is_pure:
-        raise DomainError("oracle takes a pure initial component")
-    (k0,) = initial.sectors.keys()
-    jmax = initial.jmax
-    if jmax > 24:
-        raise DomainError("dense oracle limited to jmax <= 24")
-    basis = _dense_basis(jmax, k0)
-    dim = len(basis)
-    eps = np.array([spectrum.coeff(j, k0) for j, m in basis])
-    cs = [np.asarray(c) for c in dense_cosine_matrices(jmax, k0)]
-    cos2 = np.zeros((dim, dim), dtype=complex)
-    index = {bm: i for i, bm in enumerate(basis)}
-    for (j, m), col in index.items():
-        mat = angular.cos2beta_matrix(max(abs(m), abs(k0)), jmax, m, k0)
-        for jp in range(max(abs(m), abs(k0)), jmax + 1):
-            val = mat.entry(jp, j)
-            if val != 0.0:
-                cos2[index[(jp, m)], col] = val
-
-    psi0 = state_to_dense(initial, k0, jmax)
-    rho0 = np.outer(psi0, psi0.conj())
-    omega = math.pi * eps  # phases per unit t/T_rev
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        # interaction picture: c_l(t) = e^{iHt} c_l e^{-iHt} as phase masks;
-        # sum_l c_l^2 = 1 reduces the anticommutator to -rho
-        phase = np.exp(1j * omega * t)
-        acc = -rho
-        for c in cs:
-            ct = (phase[:, None] * c) * phase.conj()[None, :]
-            acc = acc + ct @ rho @ ct.conj().T
-        return (gamma * acc).reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, t_end), rho0.reshape(-1).astype(complex),
-                    t_eval=np.asarray(observation_times), rtol=rtol, atol=atol,
-                    method="DOP853")
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
-    align = np.empty(len(sol.t))
-    trace = np.empty(len(sol.t))
-    min_eig = np.inf
-    for i, t in enumerate(sol.t):
-        rho_int = sol.y[:, i].reshape(dim, dim)
-        phase = np.exp(-1j * omega * t)
-        rho = (phase[:, None] * rho_int) * phase.conj()[None, :]
-        trace[i] = float(np.real(np.trace(rho)))
-        align[i] = float(np.real(np.trace(cos2 @ rho)))
-        if i % max(len(sol.t) // 8, 1) == 0:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))
-    return align, trace, min_eig

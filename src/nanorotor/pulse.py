@@ -211,9 +211,10 @@ def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
     if grid.order < 2 * max(jmax_in, jmax_out):
         raise ResolutionError(
             f"grid order {grid.order} insufficient for jmax {max(jmax_in, jmax_out)}")
-    psi, _ = angular.synthesize_beta(vec, m, k, grid)
+    table = angular.wigner_d_table(m, k, grid.nodes, max(jmax_in, jmax_out))
+    psi, _ = angular.synthesize_beta(vec, m, k, grid, table=table)
     psi = psi * np.exp(1j * math.sqrt(2.0) * phi * np.cos(grid.nodes) ** 2)
-    out = angular._project_general(psi, m, k, jmax_out, grid)
+    out = angular._project_general(psi, m, k, jmax_out, grid, table=table)
     norm_in = float(np.sum(np.abs(vec) ** 2))
     norm_out = float(np.sum(np.abs(out) ** 2))
     if norm_in > 0 and norm_out < norm_in * (1.0 - 1e-6):
@@ -221,19 +222,6 @@ def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
             f"pulse projection lost {norm_in - norm_out:.3e} of the norm; "
             f"increase jmax (pulse scatters ~sqrt(2) phi in j)")
     return out
-
-
-_GRID_CACHE: dict[int, angular.AngularGrid] = {}
-
-
-def _cached_grid(jmax: int) -> angular.AngularGrid:
-    grid = _GRID_CACHE.get(jmax)
-    if grid is None:
-        grid = angular.AngularGrid.for_jmax(jmax)
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[jmax] = grid
-    return grid
 
 
 _MATRIX_CACHE: dict[tuple, PulseMatrix] = {}
@@ -265,7 +253,7 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     worst_defect = 0.0
     worst_boundary = 0.0
     band = pulse_bandwidth(phi)
-    grid = _cached_grid(out.jmax) if spec.method == "exact" else None
+    grid = angular.AngularGrid.for_jmax(out.jmax) if spec.method == "exact" else None
     for k0, ms in out.sectors.items():
         for m in ms:
             j0 = max(abs(m), abs(k0))

@@ -205,34 +205,28 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
         jj = j * (j + 1.0)
         kvals = np.arange(j + 1, dtype=float)
         diag = half_is * (jj - kvals**2) + ratio * kvals**2
-
-        def ladder(k: int) -> float:
-            return quarter_id * math.sqrt((jj - k * (k + 1.0)) * (jj - (k + 1.0) * (k + 2.0)))
-
+        # <k|H|k+2> for k = 0..j-2
+        ladder = quarter_id * np.sqrt((jj - kvals[:-2] * (kvals[:-2] + 1.0))
+                                      * (jj - (kvals[:-2] + 1.0) * (kvals[:-2] + 2.0)))
         levels: dict[int, list[float]] = {}
         wmin: dict[int, float] = {}
         odd_shift = quarter_id * jj  # <j 1|H|j -1>
-        blocks = [
-            (list(range(0, j + 1, 2)), 0.0),
-            (list(range(2, j + 1, 2)), 0.0),
-            (list(range(1, j + 1, 2)), +odd_shift),
-            (list(range(1, j + 1, 2)), -odd_shift),
-        ]
-        for ks, shift in blocks:
-            nsel = sum(1 for k in ks if k <= kmax)
-            if not ks or nsel == 0:
+        for start, shift in ((0, 0.0), (2, 0.0), (1, +odd_shift), (1, -odd_shift)):
+            nsel = max(0, (min(j, kmax) - start) // 2 + 1)
+            if nsel == 0:
                 continue
-            d = diag[ks].copy()
+            d = diag[start::2].copy()
             d[0] += shift
-            e = np.array([ladder(k) * (math.sqrt(2.0) if k == 0 else 1.0)
-                          for k in ks[:-1]])
-            if len(ks) == 1:
+            e = ladder[start::2].copy()
+            if start == 0 and e.size:
+                e[0] *= math.sqrt(2.0)
+            if d.size == 1:
                 vals, vecs = d, np.ones((1, 1))
             else:
                 vals, vecs = eigh_tridiagonal(d, e, select="i",
                                               select_range=(0, nsel - 1))
             for idx in range(min(nsel, len(vals))):
-                k_label = ks[idx]
+                k_label = start + 2 * idx
                 levels.setdefault(k_label, []).append(float(vals[idx]))
                 w = float(np.abs(vecs[idx, idx]) ** 2)
                 wmin[k_label] = min(wmin.get(k_label, 1.0), w)
@@ -312,10 +306,6 @@ def estimate_jmax(mode: str, param: float, k0: int = 0) -> int:
     return truncation_jmax(w, j_offset=j0)
 
 
-def _grid_for(jmax: int) -> angular.AngularGrid:
-    return angular.AngularGrid.for_jmax(jmax)
-
-
 def prepare_aligned_state(mode: str, param: float, k0: int = 0,
                           jmax: int | None = None) -> RotorState:
     """Aligned initial state with m = k = k0.
@@ -344,7 +334,7 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     elif mode == "gaussian_beta":
         if param <= 0:
             raise DomainError("sigma_beta must be positive")
-        grid = _grid_for(jmax)
+        grid = angular.AngularGrid.for_jmax(jmax)
         psi = np.exp(-np.sin(grid.nodes) ** 2 / (4.0 * param * param))
         psi[grid.nodes > math.pi / 2.0] = 0.0  # single-pole branch
         psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))

@@ -2,16 +2,21 @@
 
 Nothing here shares code with the library paths it checks: the Wigner
 d-oracle is the explicit finite sum evaluated in extended precision, the
-Clebsch-Gordan oracles are sympy's exact coefficients and a brute-force
-two-spin diagonalization, and operator elements come from direct quadrature.
+Clebsch-Gordan oracles are the closed Racah sum, sympy's exact coefficients
+and a brute-force two-spin diagonalization, operator elements come from
+Racah-sum products or direct quadrature, and the Lindblad oracle integrates
+the master equation densely with operators built from the Racah sums.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from nanorotor import angular
+from nanorotor.errors import DomainError
 
 
 def wigner_d_sum(j: int, m: int, k: int, beta: float, dps: int | None = None) -> float:
@@ -83,3 +88,206 @@ def quadrature_element(f, jp: int, j: int, m: int, k: int,
     j0 = max(abs(m), abs(k))
     w = math.sqrt((j + 0.5) * (jp + 0.5))
     return w * float(np.sum(grid.weights * tab[jp - j0] * f(grid.nodes) * tab[j - j0]))
+
+
+# ---------------------------------------------------------------------------
+# Clebsch-Gordan coefficients by the Racah sum
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _lf(n: int) -> float:
+    return math.lgamma(n + 1)
+
+
+def _cg_args_valid(j1, m1, j2, m2, J, M) -> bool:
+    return (M == m1 + m2 and abs(j1 - j2) <= J <= j1 + j2
+            and abs(m1) <= j1 and abs(m2) <= j2 and abs(M) <= J)
+
+
+def _cg_lgamma(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
+    """Racah sum with log-factorial accumulation; relative error grows like an
+    ulp of lgamma(2j), roughly 1e-11 at j ~ 2000."""
+    pref = 0.5 * (
+        math.log(2 * J + 1.0)
+        + _lf(j1 + j2 - J) + _lf(j1 - j2 + J) + _lf(-j1 + j2 + J) - _lf(j1 + j2 + J + 1)
+        + _lf(J + M) + _lf(J - M)
+        + _lf(j1 - m1) + _lf(j1 + m1) + _lf(j2 - m2) + _lf(j2 + m2)
+    )
+    t_min = max(0, j2 - J - m1, j1 - J + m2)
+    t_max = min(j1 + j2 - J, j1 - m1, j2 + m2)
+    terms = []
+    for t in range(t_min, t_max + 1):
+        logden = (
+            _lf(t) + _lf(j1 + j2 - J - t) + _lf(j1 - m1 - t)
+            + _lf(j2 + m2 - t) + _lf(J - j2 + m1 + t) + _lf(J - j1 - m2 + t)
+        )
+        val = math.exp(pref - logden)
+        terms.append(-val if t % 2 else val)
+    return math.fsum(terms)
+
+
+def _cg_exact_int(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
+    """Racah sum over exact integer factorials; one rounding at the end."""
+    f = math.factorial
+    pref_num = (2 * J + 1) * f(j1 + j2 - J) * f(j1 - j2 + J) * f(-j1 + j2 + J) \
+        * f(J + M) * f(J - M) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+    pref_den = f(j1 + j2 + J + 1)
+    t_min = max(0, j2 - J - m1, j1 - J + m2)
+    t_max = min(j1 + j2 - J, j1 - m1, j2 + m2)
+    dens = [f(t) * f(j1 + j2 - J - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
+            * f(J - j2 + m1 + t) * f(J - j1 - m2 + t)
+            for t in range(t_min, t_max + 1)]
+    s_den = 1
+    for d in dens:
+        s_den *= d
+    s_num = 0
+    for i, t in enumerate(range(t_min, t_max + 1)):
+        prod = s_den // dens[i]
+        s_num += -prod if t % 2 else prod
+    if s_num == 0:
+        return 0.0
+    sign = 1.0 if s_num > 0 else -1.0
+    vsq_num = pref_num * s_num * s_num
+    vsq_den = pref_den * s_den * s_den
+    shift = max(vsq_den.bit_length() - vsq_num.bit_length() + 64, 0)
+    q = (vsq_num << shift) // vsq_den
+    return sign * math.sqrt(math.ldexp(float(q), -shift))
+
+
+def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, J: int, M: int) -> float:
+    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
+
+    Closed Racah sum with O(1) memory: log-factorial accumulation where that
+    is accurate to 1e-12, exact integer factorials beyond.  Triangle or
+    projection violations return 0 rather than raising.
+    """
+    if not _cg_args_valid(j1, m1, j2, m2, J, M):
+        return 0.0
+    if j1 + j2 + J <= 400:
+        return _cg_lgamma(j1, m1, j2, m2, J, M)
+    return _cg_exact_int(j1, m1, j2, m2, J, M)
+
+
+def cos2_element(jp: int, j: int, m: int, k: int) -> float:
+    """<j' m k| cos^2 beta |j m k> from two rank-2 Racah-sum coefficients:
+    cos^2 = 1/3 + (2/3) * (rank-2, M=K=0 component)."""
+    if abs(jp - j) > 2:
+        return 0.0
+    val = (2.0 / 3.0) * math.sqrt((2 * j + 1.0) / (2 * jp + 1.0)) \
+        * clebsch_gordan(j, m, 2, 0, jp, m) * clebsch_gordan(j, k, 2, 0, jp, k)
+    return val + (1.0 / 3.0 if jp == j else 0.0)
+
+
+def cosine_element(axis: str, jp: int, mp: int, j: int, m: int, k: int) -> complex:
+    """<j' m' k| c_axis |j m k> from rank-1 Racah-sum coefficients."""
+    if abs(m) > j or abs(k) > j or abs(mp) > jp or abs(k) > jp:
+        return 0.0
+    ck = clebsch_gordan(j, k, 1, 0, jp, k)
+    if ck == 0.0:
+        return 0.0
+    w = math.sqrt((2 * j + 1.0) / (2 * jp + 1.0))
+    if axis == "z":
+        if mp != m:
+            return 0.0
+        return w * ck * clebsch_gordan(j, m, 1, 0, jp, m)
+    dm = mp - m
+    if dm not in (1, -1):
+        return 0.0
+    cm = clebsch_gordan(j, m, 1, dm, jp, mp)
+    if axis == "x":
+        coef = -1.0 / math.sqrt(2.0) if dm == 1 else 1.0 / math.sqrt(2.0)
+        return coef * w * ck * cm
+    return (1j / math.sqrt(2.0)) * w * ck * cm
+
+
+# ---------------------------------------------------------------------------
+# dense Lindblad oracle
+# ---------------------------------------------------------------------------
+
+def _dense_basis(jmax: int, k: int) -> list[tuple[int, int]]:
+    return [(j, m) for j in range(abs(k), jmax + 1) for m in range(-j, j + 1)]
+
+
+def dense_cosine_matrices(jmax: int, k: int) -> list[np.ndarray]:
+    """Dense c_x, c_y, c_z over the (j, m) basis at fixed k."""
+    basis = _dense_basis(jmax, k)
+    index = {bm: i for i, bm in enumerate(basis)}
+    mats = []
+    for axis in ("x", "y", "z"):
+        mat = np.zeros((len(basis), len(basis)), dtype=complex)
+        for (j, m), col in index.items():
+            for mp in ((m,) if axis == "z" else (m + 1, m - 1)):
+                for jp in (j - 1, j, j + 1):
+                    if abs(k) <= jp <= jmax and abs(mp) <= jp:
+                        mat[index[(jp, mp)], col] = cosine_element(axis, jp, mp, j, m, k)
+        mats.append(mat)
+    return mats
+
+
+def state_to_dense(state, k0: int, jmax: int) -> np.ndarray:
+    basis = _dense_basis(jmax, k0)
+    index = {bm: i for i, bm in enumerate(basis)}
+    vec = np.zeros(len(basis), dtype=complex)
+    for m, amps in state.sectors[k0].items():
+        for j in range(max(abs(m), abs(k0)), min(state.jmax, jmax) + 1):
+            vec[index[(j, m)]] = amps[j]
+    return vec
+
+
+def lindblad_oracle(initial, spectrum, gamma: float,
+                    t_end: float, observation_times,
+                    rtol: float = 1e-7, atol: float = 1e-9):
+    """Direct master-equation integration at small jmax (dense, k0 = 0 sector).
+
+    d rho / dt = -i [H, rho] + gamma (sum_l c_l rho c_l - rho), integrated
+    adaptively in the interaction picture of the diagonal H.  Returns
+    (alignment series, trace series, min sampled eigenvalue).
+    """
+    if not initial.is_pure:
+        raise DomainError("oracle takes a pure initial component")
+    (k0,) = initial.sectors.keys()
+    jmax = initial.jmax
+    if jmax > 24:
+        raise DomainError("dense oracle limited to jmax <= 24")
+    basis = _dense_basis(jmax, k0)
+    dim = len(basis)
+    eps = np.array([spectrum.coeff(j, k0) for j, m in basis])
+    cs = [np.asarray(c) for c in dense_cosine_matrices(jmax, k0)]
+    cos2 = np.zeros((dim, dim), dtype=complex)
+    index = {bm: i for i, bm in enumerate(basis)}
+    for (j, m), col in index.items():
+        for jp in range(max(abs(m), abs(k0), j - 2), min(j + 2, jmax) + 1):
+            cos2[index[(jp, m)], col] = cos2_element(jp, j, m, k0)
+
+    psi0 = state_to_dense(initial, k0, jmax)
+    rho0 = np.outer(psi0, psi0.conj())
+    omega = math.pi * eps  # phases per unit t/T_rev
+
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
+        # interaction picture: c_l(t) = e^{iHt} c_l e^{-iHt} as phase masks;
+        # sum_l c_l^2 = 1 reduces the anticommutator to -rho
+        phase = np.exp(1j * omega * t)
+        acc = -rho
+        for c in cs:
+            ct = (phase[:, None] * c) * phase.conj()[None, :]
+            acc = acc + ct @ rho @ ct.conj().T
+        return (gamma * acc).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, t_end), rho0.reshape(-1).astype(complex),
+                    t_eval=np.asarray(observation_times), rtol=rtol, atol=atol,
+                    method="DOP853")
+    if not sol.success:
+        raise RuntimeError(f"oracle integration failed: {sol.message}")
+    align = np.empty(len(sol.t))
+    trace = np.empty(len(sol.t))
+    min_eig = np.inf
+    for i, t in enumerate(sol.t):
+        rho_int = sol.y[:, i].reshape(dim, dim)
+        phase = np.exp(-1j * omega * t)
+        rho = (phase[:, None] * rho_int) * phase.conj()[None, :]
+        trace[i] = float(np.real(np.trace(rho)))
+        align[i] = float(np.real(np.trace(cos2 @ rho)))
+        if i % max(len(sol.t) // 8, 1) == 0:
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))
+    return align, trace, min_eig

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from nanorotor import (angular, decoherence, eightstate, observables, pulse,
                        rotor)
 
@@ -260,7 +261,7 @@ def test_criterion_8_decoherence(fig1_state, nanorod):
     sp = rotor.rotational_energies(16, 0, model, "symmetric")
     tobs = tuple(np.linspace(0.0, 1.0, 50))
     gamma = 0.5
-    align, trace, min_eig = decoherence.lindblad_oracle(small, sp, gamma, 1.0, tobs)
+    align, trace, min_eig = oracles.lindblad_oracle(small, sp, gamma, 1.0, tobs)
     assert np.max(np.abs(trace - 1.0)) < 1e-8
     assert min_eig > -1e-8
     cfg = decoherence.TrajectoryConfig(gamma=gamma, t_end=1.0,
@@ -316,7 +317,6 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
     assert abs(total - 1.0) < 1e-10
 
     # operator matrices vs quadrature oracle at jmax <= 80
-    import oracles
     grid = angular.AngularGrid.for_jmax(82)
     mat = angular.cos2beta_matrix(2, 80, 2, -1)
     worst = 0.0

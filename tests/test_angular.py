@@ -130,20 +130,20 @@ def test_semiclassical_error_decreases_with_j():
 # ---------------------------------------------------------------------------
 
 def test_cg_scalar_coupling():
-    assert angular.clebsch_gordan(7, 3, 0, 0, 7, 3) == pytest.approx(1.0, rel=1e-14)
+    assert oracles.clebsch_gordan(7, 3, 0, 0, 7, 3) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_cg_two_spin_brute_force():
     expected = oracles.cg_two_spin_brute(1, 1, 2, 0, 0)
     assert expected == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
-    assert angular.clebsch_gordan(1, 0, 1, 0, 2, 0) == pytest.approx(expected, rel=1e-12)
+    assert oracles.clebsch_gordan(1, 0, 1, 0, 2, 0) == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(-12, 12), st.integers(-12, 12))
 def test_cg_orthogonality_sum(j1, j2, m1, m2):
     if abs(m1) > j1 or abs(m2) > j2:
         return
-    total = sum(angular.clebsch_gordan(j1, m1, j2, m2, J, m1 + m2) ** 2
+    total = sum(oracles.clebsch_gordan(j1, m1, j2, m2, J, m1 + m2) ** 2
                 for J in range(abs(j1 - j2), j1 + j2 + 1))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_cg_orthogonality_sum(j1, j2, m1, m2):
 ])
 def test_cg_against_sympy(j1, m1, j2, m2, J):
     expected = oracles.cg_sympy(j1, m1, j2, m2, J, m1 + m2)
-    assert angular.clebsch_gordan(j1, m1, j2, m2, J, m1 + m2) == \
+    assert oracles.clebsch_gordan(j1, m1, j2, m2, J, m1 + m2) == \
         pytest.approx(expected, abs=1e-13)
 
 
@@ -161,14 +161,14 @@ def test_cg_large_j_rank2():
     # the production regime: rank-2 couplings at large j against exact sympy
     for j in (500, 2000):
         for jp in (j, j + 1, j + 2):
-            got = angular.clebsch_gordan(j, 3, 2, 0, jp, 3)
+            got = oracles.clebsch_gordan(j, 3, 2, 0, jp, 3)
             expected = oracles.cg_sympy(j, 3, 2, 0, jp, 3)
             assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_cg_violations_return_zero():
-    assert angular.clebsch_gordan(1, 0, 1, 0, 5, 0) == 0.0
-    assert angular.clebsch_gordan(1, 1, 1, 1, 2, 0) == 0.0
+    assert oracles.clebsch_gordan(1, 0, 1, 0, 5, 0) == 0.0
+    assert oracles.clebsch_gordan(1, 1, 1, 1, 2, 0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,24 @@ def test_grid_invariants():
     assert grid.weights.sum() == pytest.approx(2.0, rel=1e-12)
     assert np.all(np.diff(grid.nodes) > 0)
     assert grid.nodes[0] > 0 and grid.nodes[-1] < math.pi
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 17, 200, 760, 1200])
+def test_grid_matches_numpy_leggauss(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    grid = angular.AngularGrid.gauss_legendre(order)
+    assert np.max(np.abs(grid.nodes - np.arccos(x)[::-1])) <= 1e-15
+    assert np.max(np.abs(grid.weights - w[::-1])) <= 1e-12
+
+
+def test_grid_for_jmax_is_shared_and_read_only():
+    grid = angular.AngularGrid.for_jmax(40)
+    assert angular.AngularGrid.for_jmax(40) is grid
+    assert grid.order == 2 * 40 + 16
+    with pytest.raises(ValueError):
+        grid.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.weights[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +215,20 @@ def test_cos2beta_matrix_vs_quadrature(m, k):
         for jp in range(j, min(j + 3, jmax + 1)):
             expected = oracles.quadrature_element(cos2, jp, j, m, k, grid)
             assert mat.entry(jp, j) == pytest.approx(expected, abs=1e-8)
+
+
+# (jmin, jmax, m, k): jmin = j0, jmin > j0, j0 = 0, one-row and two-row
+# bands, m k < 0, and j large enough for the Racah sum's exact-integer path
+@pytest.mark.parametrize("jmin,jmax,m,k", [
+    (0, 60, 0, 0), (3, 50, 3, 2), (9, 70, 3, -2), (4, 40, -4, 1), (5, 5, 2, -5),
+    (0, 0, 0, 0), (6, 7, 6, -1), (0, 1, 0, 0), (2, 3, 0, 0), (195, 215, 4, 3),
+])
+def test_cos2beta_matrix_vs_racah_oracle(jmin, jmax, m, k):
+    mat = angular.cos2beta_matrix(jmin, jmax, m, k)
+    for d in range(3):
+        expected = [oracles.cos2_element(j + d, j, m, k) for j in range(jmin, jmax + 1 - d)]
+        assert mat.diagonals[d].shape == (len(expected),)
+        assert np.max(np.abs(mat.diagonals[d] - expected), initial=0.0) <= 1e-12
 
 
 def test_cos2beta_trivial_cases():
@@ -257,6 +289,48 @@ def test_direction_cosines_vs_quadrature():
                         assert got == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("jmin,jmax,k", [
+    (0, 30, 0), (2, 24, 2), (3, 24, -3), (5, 20, 1), (0, 0, 0), (1, 2, -1),
+    (120, 122, 3),
+])
+def test_direction_cosines_vs_racah_oracle(jmin, jmax, k):
+    ops = angular.direction_cosine_matrices(jmin, jmax, k)
+    ms = sorted({0, 1, -1, 2, -3, jmax, -jmax, jmax - 1, 1 - jmax})
+    for op in ops:
+        for m in ms:
+            for mp in (m - 1, m, m + 1):
+                for j in range(jmin, jmax + 1):
+                    for jp in range(max(jmin, j - 1), min(jmax, j + 1) + 1):
+                        expected = oracles.cosine_element(op.axis, jp, mp, j, m, k)
+                        assert abs(op.entry(jp, mp, j, m) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 2, -1])
+def test_direction_cosine_apply_matches_dense_oracle(k):
+    jmax = 9
+    rng = np.random.default_rng(5)
+    basis = [(j, m) for j in range(abs(k), jmax + 1) for m in range(-j, j + 1)]
+    index = {bm: i for i, bm in enumerate(basis)}
+    sectors = {}
+    for m in (-3, 0, 2):
+        vec = np.zeros(jmax + 1, dtype=complex)
+        lo = max(abs(m), abs(k))
+        vec[lo:] = rng.normal(size=jmax + 1 - lo) + 1j * rng.normal(size=jmax + 1 - lo)
+        sectors[m] = vec
+    dense_in = np.zeros(len(basis), dtype=complex)
+    for m, vec in sectors.items():
+        for j in range(max(abs(m), abs(k)), jmax + 1):
+            dense_in[index[(j, m)]] = vec[j]
+    ops = angular.direction_cosine_matrices(abs(k), jmax, k)
+    for op, dense in zip(ops, oracles.dense_cosine_matrices(jmax, k)):
+        expected = dense @ dense_in
+        got = np.zeros_like(expected)
+        for m, vec in op.apply(sectors).items():
+            for j in range(max(abs(m), abs(k)), jmax + 1):
+                got[index[(j, m)]] = vec[j]
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
 def test_direction_cosine_trivial_elements():
     ops = angular.direction_cosine_matrices(0, 5, 0)
     assert ops[2].entry(0, 0, 0, 0) == 0.0
@@ -305,6 +379,24 @@ def test_synthesize_norm_random_state():
     _, prob = angular.synthesize_beta(c, 1, 1, grid)
     assert float(np.sum(grid.weights * prob / np.sin(grid.nodes))) == \
         pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("m,k", [(0, 0), (2, -1), (-3, 3)])
+def test_transforms_match_row_by_row_sums(m, k):
+    # one table and one matrix product against the row-by-row reference
+    rng = np.random.default_rng(7)
+    j0, jmax = max(abs(m), abs(k)), 40
+    grid = angular.AngularGrid.for_jmax(jmax)
+    tab = angular.wigner_d_table(m, k, grid.nodes, jmax + 5)
+    c = rng.normal(size=jmax - j0 + 1) + 1j * rng.normal(size=jmax - j0 + 1)
+    psi_ref = sum(c[i] * math.sqrt(j0 + i + 0.5) * tab[i] for i in range(c.size))
+    proj_ref = np.array([math.sqrt(j0 + i + 0.5) * np.dot(tab[i], grid.weights * psi_ref)
+                         for i in range(c.size)])
+    for table in (None, tab):
+        psi, _ = angular.synthesize_beta(c, m, k, grid, table=table)
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-12
+        proj = angular._project_general(psi_ref, m, k, jmax, grid, table=table)
+        assert np.max(np.abs(proj - proj_ref)) <= 1e-12
 
 
 def test_synthesize_resolution_error():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,3 +189,28 @@ def test_thread_env_var_default(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((tmp_path / "env_manifest.json").read_text())
     assert manifest["threads"] == 2
+
+
+def test_fig2c_manifest_keeps_jump_histogram(tmp_path):
+    # the gamma = 0 vacuum pass runs under the same phi tag and must not
+    # replace the histogram of the gamma > 0 ensemble
+    n = 20
+    code = cli.main(["fig2c", "--out", str(tmp_path / "c"), "--sweep.phi", "[3.14159265]",
+                     "--ensemble.n", str(n), "--state.sigma_j_sq", "100"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "c_manifest.json").read_text())
+    (hist,) = manifest["diagnostics"]["jump_histograms"].values()
+    assert sum(hist.values()) == n
+    assert any(int(jumps) > 0 and count > 0 for jumps, count in hist.items())
+    assert (tmp_path / "c_vacuum.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about a quarter second of every run's start-up
+    probe = "import sys, nanorotor.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

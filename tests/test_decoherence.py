@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from nanorotor import decoherence as dec
 from nanorotor import observables, pulse, rotor
 from nanorotor.errors import DomainError
@@ -150,8 +151,8 @@ def test_jumped_trajectory_degrades_revival(small_state, small_spectrum):
 
 def test_oracle_gamma_zero_is_unitary(small_state, small_spectrum):
     tobs = np.linspace(0.0, 0.5, 6)
-    align, trace, min_eig = dec.lindblad_oracle(small_state, small_spectrum,
-                                                0.0, 0.5, tobs)
+    align, trace, min_eig = oracles.lindblad_oracle(small_state, small_spectrum,
+                                                    0.0, 0.5, tobs)
     expected = [observables.alignment(
         rotor.free_propagate(small_state, float(t), small_spectrum)) for t in tobs]
     assert np.max(np.abs(align - np.array(expected))) < 1e-8
@@ -163,8 +164,8 @@ def test_oracle_gamma_zero_is_unitary(small_state, small_spectrum):
 def test_unraveling_matches_oracle(small_state, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 21))
     gamma = 0.5
-    align, trace, min_eig = dec.lindblad_oracle(small_state, small_spectrum,
-                                                gamma, 1.0, tobs)
+    align, trace, min_eig = oracles.lindblad_oracle(small_state, small_spectrum,
+                                                    gamma, 1.0, tobs)
     assert np.max(np.abs(trace - 1.0)) < 1e-8
     assert min_eig > -1e-8
     cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0, observation_times=tobs, seed=77)
@@ -179,7 +180,7 @@ def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_spectrum):
     # correlated checkpoints); average the RMS error over independent batches
     tobs = tuple(np.linspace(0.0, 1.0, 21))
     gamma = 0.5
-    align, _, _ = dec.lindblad_oracle(small_state, small_spectrum, gamma, 1.0, tobs)
+    align, _, _ = oracles.lindblad_oracle(small_state, small_spectrum, gamma, 1.0, tobs)
 
     def rms(n, seed):
         cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0,
