@@ -10,7 +10,7 @@ spread, intrinsic spin, shape asymmetry, collisional decoherence).
 __version__ = "0.1.0"
 
 from . import angular, decoherence, eightstate, observables, pulse, rotor
-from .angular import AngularGrid, BandedHermitian
+from .angular import AngularGrid, BandedOperator
 from .observables import TimeSeries, alignment
 from .pulse import PulseSpec
 from .rotor import InertiaModel, RotorState, SpectrumModel
@@ -18,6 +18,6 @@ from .rotor import InertiaModel, RotorState, SpectrumModel
 __all__ = [
     "__version__",
     "angular", "rotor", "pulse", "eightstate", "decoherence", "observables",
-    "AngularGrid", "BandedHermitian", "InertiaModel", "RotorState",
+    "AngularGrid", "BandedOperator", "InertiaModel", "RotorState",
     "SpectrumModel", "PulseSpec", "TimeSeries", "alignment",
 ]

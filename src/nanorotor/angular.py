@@ -25,7 +25,7 @@ from .errors import DomainError, ResolutionError, SingularityError, TruncationWa
 
 __all__ = [
     "AngularGrid",
-    "BandedHermitian",
+    "BandedOperator",
     "DirectionCosineOperator",
     "wigner_d_exact",
     "wigner_d_semiclassical",
@@ -114,30 +114,18 @@ def _check_jmk(j: int, m: int, k: int) -> None:
         raise DomainError(f"|m|,|k| must not exceed j: j={j}, m={m}, k={k}")
 
 
-def _d_start_log(m: int, k: int, beta: float) -> tuple[float, float]:
-    """Starting value of d^{j0}_{mk} at j0 = max(|m|,|k|) as (sign, log|value|)."""
+def _d_start(m: int, k: int) -> tuple[float, float, int, int]:
+    """Start value of the j recurrence at j0 = max(|m|,|k|) as (sign, lbin, p, q):
+    ``d^{j0}_{mk}(b) = sign exp(lbin + p log cos(b/2) + q log sin(b/2))``."""
     j0 = max(abs(m), abs(k))
-    lc = math.log(math.cos(beta / 2.0))
-    ls = math.log(math.sin(beta / 2.0))
     if abs(k) >= abs(m):
-        if k >= 0:  # k = j0
-            sign = 1.0
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(j0 - m + 1) - math.lgamma(j0 + m + 1))
-            logv = lbin + (j0 + m) * lc + (j0 - m) * ls
-        else:  # k = -j0
-            sign = -1.0 if (j0 + m) % 2 else 1.0
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(j0 + m + 1) - math.lgamma(j0 - m + 1))
-            logv = lbin + (j0 - m) * lc + (j0 + m) * ls
+        p, q = (j0 + m, j0 - m) if k >= 0 else (j0 - m, j0 + m)
+        odd = k < 0 and q % 2
     else:
-        if m >= 0:  # m = j0
-            sign = -1.0 if (j0 - k) % 2 else 1.0
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(j0 - k + 1) - math.lgamma(j0 + k + 1))
-            logv = lbin + (j0 + k) * lc + (j0 - k) * ls
-        else:  # m = -j0
-            sign = 1.0
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(j0 + k + 1) - math.lgamma(j0 - k + 1))
-            logv = lbin + (j0 - k) * lc + (j0 + k) * ls
-    return sign, logv
+        p, q = (j0 + k, j0 - k) if m >= 0 else (j0 - k, j0 + k)
+        odd = m >= 0 and q % 2
+    lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(p + 1) - math.lgamma(q + 1))
+    return (-1.0 if odd else 1.0), lbin, p, q
 
 
 def _recurrence_r(j: int, m: int, k: int) -> float:
@@ -172,7 +160,8 @@ def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
         scale = 0
         jc = 1
     else:
-        sign, logv = _d_start_log(m, k, beta)
+        sign, lbin, p, q = _d_start(m, k)
+        logv = lbin + p * math.log(math.cos(beta / 2.0)) + q * math.log(math.sin(beta / 2.0))
         scale = min(0, int(math.floor(logv / math.log(2.0))))
         start = sign * math.exp(logv - scale * math.log(2.0))
         if j == j0:
@@ -230,13 +219,7 @@ def _wigner_d_rows(m: int, k: int, betas: np.ndarray, jmax: int):
     else:
         lc = np.log(np.cos(betas / 2.0))
         ls = np.log(np.sin(betas / 2.0))
-        sign, _ = _d_start_log(m, k, 1.0)  # sign is angle independent
-        if abs(k) >= abs(m):
-            p, q = (j0 + m, j0 - m) if k >= 0 else (j0 - m, j0 + m)
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(p + 1) - math.lgamma(q + 1))
-        else:
-            p, q = (j0 + k, j0 - k) if m >= 0 else (j0 - k, j0 + k)
-            lbin = 0.5 * (math.lgamma(2 * j0 + 1) - math.lgamma(p + 1) - math.lgamma(q + 1))
+        sign, lbin, p, q = _d_start(m, k)
         prev = sign * np.exp(lbin + p * lc + q * ls)
         yield j0, prev
         if jmax == j0:
@@ -269,64 +252,63 @@ def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
 # banded operators over the j ladder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandedHermitian:
-    """Hermitian operator over j = jmin..jmax at fixed (m, k), banded in j.
+@dataclass(frozen=True, eq=False)
+class BandedOperator:
+    """Square operator over j = jmin..jmax, banded in j.
 
-    ``diagonals[d]`` holds the entries <j m k| A |j+d m k> for offsets
-    d = 0..bandwidth; lower triangle is implied by hermiticity.
+    ``diagonals[d]`` holds <j| A |j+d> for j = jmin..jmax-d when d >= 0 and
+    <j-d| A |j> for j = jmin..jmax+d when d < 0; offsets that are absent are
+    zero.  A symmetric operator binds d and -d to the same array.  The arrays
+    are read-only: the memo caches hand one operator to every caller.
     """
 
     jmin: int
     jmax: int
-    bandwidth: int
-    diagonals: tuple[np.ndarray, ...]
-    m: int
-    k: int
+    diagonals: dict[int, np.ndarray]
 
     def __post_init__(self):
-        n = self.jmax - self.jmin + 1
-        if len(self.diagonals) != self.bandwidth + 1:
-            raise DomainError("need one diagonal per offset 0..bandwidth")
-        for d, arr in enumerate(self.diagonals):
-            if arr.shape != (max(n - d, 0),):
+        for d, arr in self.diagonals.items():
+            if arr.shape != (max(self.size - abs(d), 0),):
                 raise DomainError(f"diagonal {d} has wrong length")
+            arr.flags.writeable = False
+
+    @classmethod
+    def symmetric(cls, jmin: int, jmax: int, upper: dict[int, np.ndarray]) -> "BandedOperator":
+        """The operator with diagonals ``upper[d]`` at offsets d and -d."""
+        diagonals = {}
+        for d, arr in upper.items():
+            diagonals[d] = arr
+            if d:
+                diagonals[-d] = arr
+        return cls(jmin, jmax, diagonals)
 
     @property
     def size(self) -> int:
         return self.jmax - self.jmin + 1
 
     def entry(self, j1: int, j2: int) -> complex:
-        """Matrix element <j1 m k| A |j2 m k>; zero outside the band."""
-        d = j2 - j1
-        if abs(d) > self.bandwidth:
-            return 0.0
-        if d >= 0:
-            return complex(self.diagonals[d][j1 - self.jmin])
-        return complex(np.conj(self.diagonals[-d][j2 - self.jmin]))
+        """Matrix element <j1| A |j2>; zero outside the band."""
+        diag = self.diagonals.get(j2 - j1)
+        return 0.0 if diag is None else complex(diag[min(j1, j2) - self.jmin])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product; ``vec`` is indexed j = jmin..jmax."""
         out = self.diagonals[0] * vec
-        for d in range(1, self.bandwidth + 1):
-            diag = self.diagonals[d]
-            if diag.size == 0:
-                continue
-            out[:-d] += diag * vec[d:]
-            out[d:] += np.conj(diag) * vec[:-d]
+        for d, diag in self.diagonals.items():  # d = 0 first, then +d before -d
+            if d > 0:
+                out[:-d] += diag * vec[d:]
+            elif d < 0:
+                out[-d:] += diag * vec[:d]
         return out
 
     def expectation(self, vec: np.ndarray) -> float:
         return float(np.real(np.vdot(vec, self.apply(vec))))
 
     def to_dense(self) -> np.ndarray:
-        n = self.size
-        dense = np.zeros((n, n), dtype=complex)
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(n - d)
-            dense[idx, idx + d] = self.diagonals[d]
-            if d:
-                dense[idx + d, idx] = np.conj(self.diagonals[d])
+        dense = np.zeros((self.size, self.size), dtype=complex)
+        for d, diag in self.diagonals.items():
+            idx = np.arange(diag.size)
+            dense[idx + max(-d, 0), idx + max(d, 0)] = diag
         return dense
 
 
@@ -346,7 +328,7 @@ def _cos_ladder(jlo: int, jhi: int, m: int, k: int) -> tuple[np.ndarray, np.ndar
     return same, up
 
 
-def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedHermitian:
+def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
     """Banded matrix of cos^2(beta) over |j m k>, bandwidth 2.
 
     The square of the tridiagonal cos(beta) ladder, summed over the full
@@ -363,10 +345,9 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedHermitian:
     below = up[:1] if lo < jmin else np.zeros(1)  # <jmin|cos|jmin-1>; 0 at j0
     same, up = same[jmin - lo:], up[jmin - lo:]
     down = np.concatenate([below, up[:-1]])
-    diags = (same * same + down * down + up * up,
-             up[:-1] * (same[:-1] + same[1:]),
-             up[:-2] * up[1:-1])
-    return BandedHermitian(jmin=jmin, jmax=jmax, bandwidth=2, diagonals=diags, m=m, k=k)
+    return BandedOperator.symmetric(jmin, jmax, {0: same * same + down * down + up * up,
+                                                 1: up[:-1] * (same[:-1] + same[1:]),
+                                                 2: up[:-2] * up[1:-1]})
 
 
 def _cg_rank1(j: np.ndarray, mu: int, q: int, dj: int) -> np.ndarray:
@@ -392,14 +373,24 @@ _AXIS_COEF = {"x": {1: -math.sqrt(0.5), -1: math.sqrt(0.5)},
               "z": {0: 1.0}}
 
 
+@lru_cache(maxsize=1024)
+def _cosine_block(axis: str, jmax: int, k: int, m: int, dm: int) -> BandedOperator:
+    """``<j', m+dm, k| c_axis |j m k>`` over j, j' = 0..jmax from the rank-1
+    Clebsch-Gordan closed forms: offsets j - j' = -1, 0, +1."""
+    j = np.arange(jmax + 1, dtype=float)
+    coef = _AXIS_COEF[axis][dm]
+    down, same, up = (coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
+                      * _cg_rank1(j, k, 0, dj) * _cg_rank1(j, m, dm, dj)
+                      for dj in (-1, 0, 1))
+    return BandedOperator(0, jmax, {0: same, 1: down[1:], -1: up[:-1]})
+
+
 class DirectionCosineOperator:
     """One component of the body-axis direction cosine at fixed k.
 
     Selection rules dj in {0, +-1}, dk = 0, dm = 0 (z) or +-1 (x, y).  Acts on
     a sector mapping m -> amplitude vector over j = 0..jmax (entries below
-    max(|m|, |k|) must be zero).  Each (m, dm) pair keeps three diagonals,
-    ``<j+dj, m+dm, k| c |j m k>`` for dj = -1, 0, +1 over j = 0..jmax, from
-    the rank-1 Clebsch-Gordan closed forms.
+    max(|m|, |k|) must be zero); each (m, dm) pair is one tridiagonal block.
     """
 
     def __init__(self, axis: str, jmin: int, jmax: int, k: int):
@@ -411,42 +402,22 @@ class DirectionCosineOperator:
         self.jmin = jmin
         self.jmax = jmax
         self.k = k
-        self._diags: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-    def _diagonals(self, m: int, dm: int) -> tuple[np.ndarray, ...]:
-        key = (m, dm)
-        diags = self._diags.get(key)
-        if diags is None:
-            j = np.arange(self.jmax + 1, dtype=float)
-            coef = _AXIS_COEF[self.axis][dm]
-            diags = tuple(
-                coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
-                * _cg_rank1(j, self.k, 0, dj) * _cg_rank1(j, m, dm, dj)
-                for dj in (-1, 0, 1))
-            self._diags[key] = diags
-        return diags
 
     def entry(self, jp: int, mp: int, j: int, m: int) -> complex:
         if not (self.jmin <= j <= self.jmax and self.jmin <= jp <= self.jmax):
             return 0.0
-        if mp - m not in _AXIS_COEF[self.axis] or abs(jp - j) > 1:
+        if mp - m not in _AXIS_COEF[self.axis]:
             return 0.0
-        return self._diagonals(m, mp - m)[jp - j + 1][j].item()
+        return _cosine_block(self.axis, self.jmax, self.k, m, mp - m).entry(jp, j)
 
     def apply(self, sectors: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Apply the operator to {m: amplitudes over j=0..jmax}."""
         out: dict[int, np.ndarray] = {}
         for m, vec in sectors.items():
             for dm in _AXIS_COEF[self.axis]:
-                down, same, up = self._diagonals(m, dm)
-                contrib = same * vec
-                contrib[:-1] += down[1:] * vec[1:]
-                contrib[1:] += up[:-1] * vec[:-1]
+                contrib = _cosine_block(self.axis, self.jmax, self.k, m, dm).apply(vec)
                 tgt = m + dm
-                if tgt in out:
-                    out[tgt] = out[tgt] + contrib
-                else:
-                    out[tgt] = contrib
+                out[tgt] = out[tgt] + contrib if tgt in out else contrib
         return out
 
 

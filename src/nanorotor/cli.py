@@ -105,9 +105,8 @@ class OutputWriter:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, threads, diagnostics):
-    """Ensemble alignment series at one phi; the jump histogram goes into
-    ``diagnostics["jump_histograms"]`` under the phi tag unless diagnostics is None."""
+def _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid):
+    """The state padded for the pulses at this phi, and its trajectory config."""
     spec = pulse.PulseSpec(phi=phi, schedule=tuple(cfg.pulse.schedule_t),
                            method=cfg.pulse.method)
     prepared = pulse.prepare_for_pulses(state, spec)
@@ -116,21 +115,34 @@ def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, threads, diagnosti
     tc = decoherence.TrajectoryConfig(gamma=gamma, t_end=float(tgrid[-1]),
                                       observation_times=tuple(tgrid),
                                       seed=cfg.ensemble.seed, pulse=spec)
+    return prepared, tc
+
+
+def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, threads, diagnostics,
+                     point=None):
+    """Ensemble alignment series at one phi.  The jump histogram goes into
+    ``diagnostics["jump_histograms"]`` under ``point``, the sweep point's tag
+    (default: the phi tag), unless diagnostics is None."""
+    prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
     res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n,
                                    parallelism=threads)
     if diagnostics is not None:
-        diagnostics.setdefault("jump_histograms", {})[_phi_tag(phi)] = \
+        diagnostics.setdefault("jump_histograms", {})[point or _phi_tag(phi)] = \
             {str(k): v for k, v in sorted(res.jump_count_histogram.items())}
     return res
 
 
-def _state_and_spectrum(cfg, model, phis, extra_kmax=0):
+def _state_and_extent(cfg, phis):
+    """The prepared state, and the jmax and kmax its spectrum must cover
+    to take the scheduled pulses at every phi."""
     state = prepare_state(cfg)
-    margin = max((pulse.pulse_margin(p) for p in phis), default=0)
-    jmax_total = state.jmax + margin * len(cfg.pulse.schedule_t)
-    kmax = max((abs(k) for k in state.sectors), default=0)
-    spectrum = build_spectrum(cfg, model, jmax_total, max(kmax, extra_kmax))
-    return state, spectrum
+    jmax = state.jmax + pulse.pulse_headroom(phis, len(cfg.pulse.schedule_t))
+    return state, jmax, max((abs(k) for k in state.sectors), default=0)
+
+
+def _state_and_spectrum(cfg, model, phis):
+    state, jmax, kmax = _state_and_extent(cfg, phis)
+    return state, build_spectrum(cfg, model, jmax, kmax)
 
 
 def scenario_params(cfg, writer, diagnostics):
@@ -173,12 +185,7 @@ def scenario_evolve(cfg, writer, diagnostics, gamma, threads, per_trajectory=Fal
             header.append("stderr")
         writer.write_csv(suffix, header, cols)
         if per_trajectory:
-            spec = pulse.PulseSpec(phi=phi, schedule=tuple(cfg.pulse.schedule_t),
-                                   method=cfg.pulse.method)
-            prepared = pulse.prepare_for_pulses(state, spec)
-            tc = decoherence.TrajectoryConfig(gamma=gamma, t_end=float(tgrid[-1]),
-                                              observation_times=tuple(tgrid),
-                                              seed=cfg.ensemble.seed, pulse=spec)
+            prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
             for i in range(min(cfg.ensemble.n, 8)):
                 series = decoherence.run_trajectory(prepared, spectrum, tc, i)
                 writer.write_csv(f"{suffix}_traj{i}", ["t_over_Trev", "value"],
@@ -257,8 +264,8 @@ def scenario_sweep_sigma(cfg, writer, diagnostics, gamma, threads):
                 "state.mode": "gaussian_beta",
                 "state.sigma_beta": sb, "state.sigma_k": sk})
             state, spectrum = _state_and_spectrum(sub, model, [phi])
-            res = _ensemble_series(state, spectrum, sub, gamma, phi, tgrid,
-                                   threads, diagnostics)
+            res = _ensemble_series(state, spectrum, sub, gamma, phi, tgrid, threads,
+                                   diagnostics, f"sb{_phi_tag(sb)}_sk{_phi_tag(sk)}")
             values.append(res.mean_alignment[-1])
         writer.write_csv(f"_sb{_phi_tag(sb)}", ["sigma_k", "value"],
                          [np.array(sigma_ks, dtype=float), np.array(values)])
@@ -271,10 +278,7 @@ def scenario_sweep_asymmetry(cfg, writer, diagnostics, threads):
     bs = sorted(set(np.logspace(sw.b_log10_min, sw.b_log10_max, sw.b_points))
                 | set(sw.b_include))
     phis = cfgmod.resolve_phi_list(cfg)
-    base_state = prepare_state(cfg)
-    margin = max((pulse.pulse_margin(p) for p in phis), default=0)
-    jmax_total = base_state.jmax + margin * len(cfg.pulse.schedule_t)
-    kmax = max(abs(k) for k in base_state.sectors)
+    base_state, jmax_total, kmax = _state_and_extent(cfg, phis)
     # dense sampling around the revival only
     tgrid = np.unique(np.concatenate([
         np.array([0.0]), np.round(np.linspace(0.95, 1.08, 521), 12)]))
@@ -286,8 +290,8 @@ def scenario_sweep_asymmetry(cfg, writer, diagnostics, threads):
         spectrum = rotor.rotational_energies(jmax_total, kmax, model_b, "asymmetric")
         min_dominant = min(min_dominant, float(spectrum.dominant_weight.min()))
         for phi in phis:
-            res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid,
-                                   threads, diagnostics)
+            res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, threads,
+                                   diagnostics, f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
             series = observables.TimeSeries(res.times, res.mean_alignment)
             t_peak, value = observables.find_revival_peak(series, 1.0 + 10 * b, 0.05 + 20 * b)
             peak_rows[phi].append(value)

@@ -8,14 +8,17 @@ and resource estimates only, it never runs physics.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from . import pulse as pulse_mod
 from . import rotor as rotor_mod
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 SCENARIOS = ("evolve", "sweep_phi", "sweep_sigma", "sweep_asymmetry",
              "decohere", "fractional", "params")
@@ -120,33 +123,40 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_SECTION_TYPES = {
-    "rotor": RotorConfig, "state": StateConfig, "pulse": PulseConfig,
-    "gamma": GammaConfig, "times": TimesConfig, "ensemble": EnsembleConfig,
-    "sweep": SweepConfig, "spectrum": SpectrumConfig, "output": OutputConfig,
-}
+def _is_a(value, tp) -> bool:
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_is_a(v, typing.get_args(tp)[0]) for v in value)
+    if tp in (int, float) and isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
+
+
+def _typed(key: str, value, hint):
+    """``value`` checked against the field annotation ``hint``; a JSON object
+    given for a config section becomes that section."""
+    for tp in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
+        if dataclasses.is_dataclass(tp) and isinstance(value, dict):
+            section = tp()
+            hints = typing.get_type_hints(tp)
+            for sub, subval in value.items():
+                path = f"{key}.{sub}" if key else sub
+                if sub not in hints:
+                    raise ConfigError(f"unknown key {path}")
+                setattr(section, sub, _typed(path, subval, hints[sub]))
+            return section
+        if _is_a(value, tp):
+            return value
+    expected = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ConfigError(f"{key or 'config'}: expected {expected}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON dict; accepts a run manifest ({"config": ...})."""
-    if "config" in data and "scenario" not in data:
+    if isinstance(data, dict) and "config" in data and "scenario" not in data:
         data = data["config"]
-    cfg = ExperimentConfig()
-    for key, value in data.items():
-        if key == "scenario":
-            cfg.scenario = value
-        elif key in _SECTION_TYPES:
-            section = _SECTION_TYPES[key]()
-            for sub, subval in value.items():
-                if not hasattr(section, sub):
-                    raise ConfigError(f"unknown key {key}.{sub}")
-                if key == "pulse" and sub == "laser" and isinstance(subval, dict):
-                    subval = LaserConfig(**subval)
-                setattr(section, sub, subval)
-            setattr(cfg, key, section)
-        else:
-            raise ConfigError(f"unknown key {key}")
-    return cfg
+    return _typed("", data, ExperimentConfig)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -158,15 +168,14 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, Any]) -> Experim
     """Apply dotted-path overrides (``pulse.phi`` -> cfg.pulse.phi)."""
     cfg = copy.deepcopy(cfg)
     for path, value in overrides.items():
-        parts = path.split(".")
+        *parents, name = path.split(".")
         target = cfg
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                raise ConfigError(f"unknown key {path}")
-            target = getattr(target, part)
-        if not hasattr(target, parts[-1]):
+        for part in parents:
+            target = getattr(target, part, None)
+        hints = typing.get_type_hints(type(target)) if dataclasses.is_dataclass(target) else {}
+        if name not in hints:
             raise ConfigError(f"unknown key {path}")
-        setattr(target, parts[-1], value)
+        setattr(target, name, _typed(path, value, hints[name]))
     return cfg
 
 
@@ -187,11 +196,15 @@ def resolve_phi_list(cfg: ExperimentConfig) -> list[float]:
 
 def resolve_inertia(cfg: ExperimentConfig) -> rotor_mod.InertiaModel:
     r = cfg.rotor
-    if r.semi_axes_nm is not None:
-        axes = tuple(a * 1e-9 for a in r.semi_axes_nm)
-        return rotor_mod.inertia_from_ellipsoid(axes, r.density_kg_m3)
-    return rotor_mod.inertia_from_parameters(r.inertia_ratio, r.b_asym or 0.0,
-                                             t_rev=r.t_rev_s)
+    try:
+        if r.semi_axes_nm is not None:
+            axes = tuple(a * 1e-9 for a in r.semi_axes_nm)
+            return rotor_mod.inertia_from_ellipsoid(axes, r.density_kg_m3)
+        return rotor_mod.inertia_from_parameters(r.inertia_ratio, r.b_asym or 0.0,
+                                                 t_rev=r.t_rev_s)
+    except DomainError as exc:
+        key = "rotor.semi_axes_nm" if r.semi_axes_nm is not None else "rotor"
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def resolve_gamma(cfg: ExperimentConfig, t_rev: float | None) -> float:
@@ -298,8 +311,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             kmax0 = int(math.ceil(4.0 * s.sigma_k)) if s.sigma_k > 0 else abs(s.k0)
             base_jmax = rotor_mod.estimate_jmax("gaussian_beta", s.sigma_beta, kmax0)
         phis = resolve_phi_list(cfg)
-        margin = max((pulse_mod.pulse_margin(ph) for ph in phis), default=0)
-        jmax = (s.jmax or base_jmax) + margin * len(p.schedule_t)
+        jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(phis, len(p.schedule_t))
         report.jmax_estimate = base_jmax
         report.grid_order = 2 * jmax + 16
         nsec = (2 * int(math.ceil(4.0 * s.sigma_k)) + 1) if s.sigma_k > 0 else 1

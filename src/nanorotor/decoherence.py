@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,18 +100,9 @@ def sample_jump_times(gamma: float, t_end: float,
     return np.sort(rng.random(n)) * t_end
 
 
-_COSINE_CACHE: dict[tuple[int, int], tuple] = {}
-
-
+@lru_cache(maxsize=64)
 def _cosine_ops(jmax: int, k0: int):
-    key = (jmax, k0)
-    ops = _COSINE_CACHE.get(key)
-    if ops is None:
-        ops = angular.direction_cosine_matrices(abs(k0), jmax, k0)
-        if len(_COSINE_CACHE) > 64:
-            _COSINE_CACHE.clear()
-        _COSINE_CACHE[key] = ops
-    return ops
+    return angular.direction_cosine_matrices(abs(k0), jmax, k0)
 
 
 def jump_probabilities(state: RotorState, k0: int) -> tuple[np.ndarray, list]:
@@ -150,42 +142,44 @@ def apply_jump(state: RotorState, rng: np.random.Generator) -> RotorState:
     return out
 
 
-def _run_single(initial: RotorState, spectrum: SpectrumModel,
-                config: TrajectoryConfig, index: int) -> tuple[np.ndarray, int]:
-    """One trajectory: interleave free flight, scheduled pulses and jumps.
-
-    Event order at equal times: jumps, then pulses, then observations.
-    Deterministic given (config.seed, index).
-    """
-    rng = _trajectory_rng(config.seed, index)
-    k0s = list(initial.sectors)
-    if len(k0s) > 1:
-        # mixtures are sampled: the trajectory draws its k0 first
-        w = np.array([initial.weights[k] for k in k0s])
-        k0 = k0s[int(rng.choice(len(k0s), p=w / w.sum()))]
-        state = RotorState(sectors={k0: {m: v.copy() for m, v in initial.sectors[k0].items()}},
-                           weights={k0: 1.0}, jmax=initial.jmax, time=initial.time)
-    else:
-        state = initial.copy()
-
-    jumps = sample_jump_times(config.gamma, config.t_end, rng)
+def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
+                jumps=(), rng: np.random.Generator | None = None) -> np.ndarray:
+    """Interleave free flight with jumps at the given times, the scheduled
+    pulses and the observations.  Event order at equal times: jumps, then
+    pulses, then observations."""
     events = [(t, 0, None) for t in jumps]
     if config.pulse is not None and config.pulse.phi != 0.0:
-        events += [(t, 1, config.pulse) for t in config.pulse.schedule]
+        events += [(t, 1, None) for t in config.pulse.schedule]
     events += [(t, 2, i) for i, t in enumerate(config.observation_times)]
     events.sort(key=lambda e: (e[0], e[1]))
 
     out = np.empty(len(config.observation_times))
-    for t, kind, payload in events:
+    for t, kind, i in events:
         if t > state.time:
             state = free_propagate(state, t - state.time, spectrum)
         if kind == 0:
             state = apply_jump(state, rng)
         elif kind == 1:
-            state = apply_pulse(state, payload)
+            state = apply_pulse(state, config.pulse)
         else:
-            out[payload] = observables.alignment(state)
-    return out, len(jumps)
+            out[i] = observables.alignment(state)
+    return out
+
+
+def _run_single(initial: RotorState, spectrum: SpectrumModel,
+                config: TrajectoryConfig, index: int) -> tuple[np.ndarray, int]:
+    """One trajectory: draw k0 (mixtures are sampled) and the jump times, then
+    run the events.  Deterministic given (config.seed, index)."""
+    rng = _trajectory_rng(config.seed, index)
+    k0s = list(initial.sectors)
+    state = initial
+    if len(k0s) > 1:
+        w = np.array([initial.weights[k] for k in k0s])
+        k0 = k0s[int(rng.choice(len(k0s), p=w / w.sum()))]
+        state = RotorState(sectors={k0: initial.sectors[k0]}, weights={k0: 1.0},
+                           jmax=initial.jmax, time=initial.time)
+    jumps = sample_jump_times(config.gamma, config.t_end, rng)
+    return _run_events(state, spectrum, config, jumps, rng), len(jumps)
 
 
 def run_trajectory(initial: RotorState, spectrum: SpectrumModel,
@@ -193,25 +187,6 @@ def run_trajectory(initial: RotorState, spectrum: SpectrumModel,
     """Alignment time series of a single stochastic trajectory."""
     series, _ = _run_single(initial, spectrum, config, index)
     return series
-
-
-def _deterministic_mixture(initial: RotorState, spectrum: SpectrumModel,
-                           config: TrajectoryConfig) -> np.ndarray:
-    state = initial.copy()
-    out = np.empty(len(config.observation_times))
-    events = []
-    if config.pulse is not None and config.pulse.phi != 0.0:
-        events += [(t, 1, config.pulse) for t in config.pulse.schedule]
-    events += [(t, 2, i) for i, t in enumerate(config.observation_times)]
-    events.sort(key=lambda e: (e[0], e[1]))
-    for t, kind, payload in events:
-        if t > state.time:
-            state = free_propagate(state, t - state.time, spectrum)
-        if kind == 1:
-            state = apply_pulse(state, payload)
-        else:
-            out[payload] = observables.alignment(state)
-    return out
 
 
 def _ensemble_worker(args):
@@ -239,7 +214,7 @@ def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
         raise DomainError("n must be >= 1")
     times = np.asarray(config.observation_times)
     if config.gamma == 0.0:
-        series = _deterministic_mixture(initial, spectrum, config)
+        series = _run_events(initial, spectrum, config)
         return EnsembleResult(times=times, mean_alignment=series,
                               stderr=np.zeros_like(series), n_trajectories=n,
                               jump_count_histogram={0: n})

@@ -38,7 +38,7 @@ class TimeSeries:
 
 
 @lru_cache(maxsize=512)
-def _cos2_matrix(jmin: int, jmax: int, m: int, k: int) -> angular.BandedHermitian:
+def _cos2_matrix(jmin: int, jmax: int, m: int, k: int) -> angular.BandedOperator:
     return angular.cos2beta_matrix(jmin, jmax, m, k)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.constants as const
@@ -72,6 +73,7 @@ def phase_from_laser(power: float, waist: float, duration: float,
     return delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * const.hbar)
 
 
+@lru_cache(maxsize=256)
 def pulse_bandwidth(phi: float) -> int:
     """j-bandwidth at which the stationary-phase elements fall below 1e-14.
 
@@ -87,47 +89,8 @@ def pulse_bandwidth(phi: float) -> int:
     return band
 
 
-@dataclass(frozen=True)
-class PulseMatrix:
-    """Complex symmetric banded matrix of the pulse in the |jmk> basis."""
-
-    jmin: int
-    jmax: int
-    bandwidth: int
-    diagonals: tuple[np.ndarray, ...]
-    m: int
-    k: int
-    phi: float
-
-    @property
-    def size(self) -> int:
-        return self.jmax - self.jmin + 1
-
-    def entry(self, j1: int, j2: int) -> complex:
-        d = abs(j2 - j1)
-        if d > self.bandwidth:
-            return 0.0
-        return complex(self.diagonals[d][min(j1, j2) - self.jmin])
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = self.diagonals[0] * vec
-        for d in range(1, self.bandwidth + 1):
-            diag = self.diagonals[d]
-            if diag.size == 0:
-                continue
-            out[:-d] += diag * vec[d:]   # upper triangle
-            out[d:] += diag * vec[:-d]   # symmetric (not conjugated) lower
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        dense = np.zeros((n, n), dtype=complex)
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(n - d)
-            dense[idx, idx + d] = self.diagonals[d]
-            if d:
-                dense[idx + d, idx] = self.diagonals[d]
-        return dense
+# pulse matrices are complex symmetric operators of the shared banded type
+PulseMatrix = angular.BandedOperator
 
 
 def _phase_elements(dj: int, jsum: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:
@@ -174,20 +137,12 @@ def phase_matrix_semiclassical(jmin: int, jmax: int, m: int, k: int,
         raise DomainError(f"jmin={jmin} below max(|m|,|k|)={max(abs(m), abs(k))}")
     n = jmax - jmin + 1
     if phi == 0.0:
-        diags = [np.ones(n, dtype=complex)] + [
-            np.zeros(max(n - d, 0), dtype=complex) for d in range(1, _MIN_BANDWIDTH + 1)]
-        return PulseMatrix(jmin, jmax, _MIN_BANDWIDTH, tuple(diags), m, k, phi)
-    band = min(pulse_bandwidth(phi), n - 1)
-    diags = []
-    for d in range(band + 1):
-        nd = max(n - d, 0)
-        if d % 2:
-            diags.append(np.zeros(nd, dtype=complex))
-            continue
-        js = np.arange(jmin, jmin + nd, dtype=float)
-        jsum = 2.0 * js + d + 1.0
-        diags.append(_phase_elements(d, jsum, m, k, phi))
-    return PulseMatrix(jmin, jmax, band, tuple(diags), m, k, phi)
+        return PulseMatrix(jmin, jmax, {0: np.ones(n, dtype=complex)})
+    diags = {}
+    for d in range(0, min(pulse_bandwidth(phi), n - 1) + 1, 2):
+        jsum = 2.0 * np.arange(jmin, jmin + n - d, dtype=float) + d + 1.0
+        diags[d] = _phase_elements(d, jsum, m, k, phi)
+    return PulseMatrix.symmetric(jmin, jmax, diags)
 
 
 def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
@@ -224,18 +179,9 @@ def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
     return out
 
 
-_MATRIX_CACHE: dict[tuple, PulseMatrix] = {}
-
-
+@lru_cache(maxsize=256)
 def _cached_matrix(jmin: int, jmax: int, m: int, k: int, phi: float) -> PulseMatrix:
-    key = (jmin, jmax, m, k, phi)
-    mat = _MATRIX_CACHE.get(key)
-    if mat is None:
-        mat = phase_matrix_semiclassical(jmin, jmax, m, k, phi)
-        if len(_MATRIX_CACHE) > 256:
-            _MATRIX_CACHE.clear()
-        _MATRIX_CACHE[key] = mat
-    return mat
+    return phase_matrix_semiclassical(jmin, jmax, m, k, phi)
 
 
 def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
@@ -286,12 +232,15 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     return out
 
 
-def pulse_margin(phi: float) -> int:
-    """Extra j headroom a state should carry before this pulse is applied."""
-    return max(pulse_bandwidth(phi), int(math.ceil(math.sqrt(2.0) * abs(phi))) + 8)
+def pulse_headroom(phis: list[float], n_pulses: int) -> int:
+    """Extra j headroom a state needs before ``n_pulses`` pulses of the largest
+    of ``phis``: per pulse, the matrix bandwidth or the sqrt(2) phi spread in j
+    plus 8, whichever is larger."""
+    margin = max((max(pulse_bandwidth(p), int(math.ceil(math.sqrt(2.0) * abs(p))) + 8)
+                  for p in phis), default=0)
+    return margin * n_pulses
 
 
 def prepare_for_pulses(state: RotorState, spec: PulseSpec) -> RotorState:
     """Zero-pad the state so scheduled pulses keep boundary weight negligible."""
-    margin = pulse_margin(spec.phi) * max(len(spec.schedule), 1)
-    return extend_state(state, state.jmax + margin)
+    return extend_state(state, state.jmax + pulse_headroom([spec.phi], len(spec.schedule)))

@@ -44,13 +44,19 @@ def test_extended_precision_sum_oracle(j, m, k, beta):
     expected = oracles.wigner_d_sum(j, m, k, beta)
     got = angular.wigner_d_exact(j, m, k, beta)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-280)
+    row = angular.wigner_d_table(m, k, np.array([beta]), j)[-1, 0]
+    assert row == pytest.approx(expected, rel=1e-10, abs=1e-280)
 
 
 def test_large_mk_underflow_regime():
-    # start value far below the float64 floor; recurrence must recover scale
-    val = angular.wigner_d_exact(3000, 800, 780, 0.25)
-    expected = oracles.wigner_d_sum(3000, 800, 780, 0.25)
-    assert val == pytest.approx(expected, rel=1e-10, abs=1e-290)
+    # the start value at j0 = 500 is e^-798, below the float64 floor: the
+    # scalar recurrence renormalizes and recovers the scale, while the plain
+    # float64 table underflows to zero
+    val = angular.wigner_d_exact(1500, 500, -490, 0.9)
+    expected = oracles.wigner_d_sum(1500, 500, -490, 0.9)
+    assert expected == pytest.approx(-0.028662178387592, rel=1e-12)
+    assert val == pytest.approx(expected, rel=1e-10)
+    assert angular.wigner_d_table(500, -490, np.array([0.9]), 1500)[-1, 0] == 0.0
 
 
 def test_invalid_quantum_numbers():
@@ -352,7 +358,7 @@ def test_direction_cosines_complete():
             assert acc == pytest.approx(1.0, abs=1e-10)
 
 
-def test_banded_hermitian_apply_matches_dense():
+def test_banded_operator_apply_matches_dense():
     rng = np.random.default_rng(3)
     mat = angular.cos2beta_matrix(2, 40, 1, 2)
     vec = rng.normal(size=mat.size) + 1j * rng.normal(size=mat.size)

@@ -85,6 +85,19 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "sigma_j_sq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("state.sigma_j_sq", "abc"),
+    ("times.n_points", "2.5"),
+    ("pulse.schedule_t", "0.1"),
+    ("rotor.semi_axes_nm", "[25,2.75,2.75]"),
+])
+def test_exit_code_2_names_the_key(tmp_path, capsys, key, value):
+    # wrong JSON types and a non-prolate geometry are config errors, not
+    # tracebacks or numerical failures
+    assert cli.main(["fig1", "--out", str(tmp_path / "x"), f"--{key}", value]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_exit_code_2_on_unknown_scenario(tmp_path):
     assert cli.main(["not_a_thing", "--out", str(tmp_path / "x")]) == 2
 
@@ -203,6 +216,18 @@ def test_fig2c_manifest_keeps_jump_histogram(tmp_path):
     assert sum(hist.values()) == n
     assert any(int(jumps) > 0 and count > 0 for jumps, count in hist.items())
     assert (tmp_path / "c_vacuum.csv").exists()
+
+
+def test_sweep_sigma_keeps_one_histogram_per_point(tmp_path):
+    n = 8
+    code = cli.main(["fig2a", "--out", str(tmp_path / "a"), "--sweep.sigma_beta", "[0.1]",
+                     "--sweep.sigma_k", "[0.0,1.0]", "--gamma.dimensionless", "0.5",
+                     "--ensemble.n", str(n)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "a_manifest.json").read_text())
+    hists = manifest["diagnostics"]["jump_histograms"]
+    assert sorted(hists) == ["sb0p1_sk0", "sb0p1_sk1"]
+    assert all(sum(h.values()) == n for h in hists.values())
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -64,6 +64,18 @@ def test_a_coefficient_at_zero_mk():
     assert mat.entry(5, 5) == pytest.approx(np.exp(1j * x) * jv(0, x), rel=1e-12)
 
 
+def test_matrix_keeps_even_offsets_shared_with_their_mirror():
+    mat = pulse.phase_matrix_semiclassical(3, 70, 2, 3, math.pi)
+    band = pulse.pulse_bandwidth(math.pi)
+    assert sorted(d for d in mat.diagonals if d >= 0) == list(range(0, band + 1, 2))
+    assert all(mat.diagonals[d] is mat.diagonals[-d] for d in mat.diagonals)
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=mat.size) + 1j * rng.normal(size=mat.size)
+    dense = mat.to_dense()
+    assert np.array_equal(dense, dense.T)
+    assert np.max(np.abs(mat.apply(vec) - dense @ vec)) <= 1e-13
+
+
 def test_negative_phi_rejected():
     with pytest.raises(DomainError):
         pulse.phase_matrix_semiclassical(0, 10, 0, 0, -0.5)
