@@ -24,7 +24,7 @@ from . import __version__
 from . import config as cfgmod
 from . import decoherence, observables, pulse, rotor
 from .angular import AngularGrid
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, DomainError, SimulationError
 
 THREADS_ENV = "NANOROTOR_THREADS"
 EIGHTH = 0.125
@@ -160,9 +160,12 @@ def scenario_params(cfg, writer, diagnostics):
     })
     if cfg.rotor.variant_minor_axis_nm is not None and cfg.rotor.semi_axes_nm:
         axes = sorted(cfg.rotor.semi_axes_nm, reverse=True)  # [long, minor, minor]
-        vm = rotor.inertia_from_ellipsoid(
-            (axes[1] * 1e-9, cfg.rotor.variant_minor_axis_nm * 1e-9, axes[0] * 1e-9),
-            cfg.rotor.density_kg_m3)
+        try:
+            vm = rotor.inertia_from_ellipsoid(
+                (axes[1] * 1e-9, cfg.rotor.variant_minor_axis_nm * 1e-9, axes[0] * 1e-9),
+                cfg.rotor.density_kg_m3)
+        except DomainError as exc:
+            raise ConfigError(f"rotor.variant_minor_axis_nm: {exc}") from exc
         diagnostics["variant_b_asym"] = abs(vm.b_asym)
         diagnostics["variant_mass_amu"] = vm.mass_amu
     return 0

@@ -281,6 +281,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             problems.append(f"pulse.schedule_t: {t} outside [0, 8]")
     if p.method not in ("exact", "semiclassical"):
         problems.append(f"pulse.method: unknown value {p.method!r}")
+    if p.method == "semiclassical":
+        for key, val in (("pulse.phi", p.phi), ("sweep.phi", cfg.sweep.phi)):
+            if any(v < 0 for v in (val if isinstance(val, list) else [val or 0.0])):
+                problems.append(f"{key}: must be >= 0 with the semiclassical pulse")
 
     g = cfg.gamma
     if g.hz is not None and g.dimensionless is not None:

@@ -15,6 +15,7 @@ fixed per release.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -142,19 +143,34 @@ def apply_jump(state: RotorState, rng: np.random.Generator) -> RotorState:
     return out
 
 
-def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
-                jumps=(), rng: np.random.Generator | None = None) -> np.ndarray:
-    """Interleave free flight with jumps at the given times, the scheduled
-    pulses and the observations.  Event order at equal times: jumps, then
-    pulses, then observations."""
-    events = [(t, 0, None) for t in jumps]
+def _merge(jumps, events: list) -> list:
+    """Jumps at the given times merged into time-ordered (t, kind, index)
+    events.  Order at equal times: jumps (kind 0), then pulses (1), then
+    observations (2); events of one kind keep their order."""
+    merged = [(t, 0, None) for t in jumps] + events
+    merged.sort(key=lambda e: (e[0], e[1]))
+    return merged
+
+
+def _schedule(config: TrajectoryConfig) -> list:
+    """The jump-free events: the scheduled pulses and the observations."""
+    events = []
     if config.pulse is not None and config.pulse.phi != 0.0:
         events += [(t, 1, None) for t in config.pulse.schedule]
     events += [(t, 2, i) for i, t in enumerate(config.observation_times)]
-    events.sort(key=lambda e: (e[0], e[1]))
+    return _merge((), events)
 
-    out = np.empty(len(config.observation_times))
-    for t, kind, i in events:
+
+def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
+                events: list, out: np.ndarray, rng: np.random.Generator | None = None,
+                keep: dict | None = None) -> np.ndarray:
+    """Run time-ordered events from state: free flight up to each event, then
+    the jump, pulse or observation (written to ``out[i]``).  ``keep`` maps
+    event positions to the state reached before them (before the free flight;
+    position ``len(events)`` is the final state) and is filled in place."""
+    for n, (t, kind, i) in enumerate(events):
+        if keep is not None and n in keep:
+            keep[n] = state
         if t > state.time:
             state = free_propagate(state, t - state.time, spectrum)
         if kind == 0:
@@ -163,41 +179,79 @@ def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryCo
             state = apply_pulse(state, config.pulse)
         else:
             out[i] = observables.alignment(state)
+    if keep is not None and len(events) in keep:
+        keep[len(events)] = state
     return out
 
 
-def _run_single(initial: RotorState, spectrum: SpectrumModel,
-                config: TrajectoryConfig, index: int) -> tuple[np.ndarray, int]:
-    """One trajectory: draw k0 (mixtures are sampled) and the jump times, then
-    run the events.  Deterministic given (config.seed, index)."""
+def _draw(initial: RotorState, config: TrajectoryConfig, index: int):
+    """The random inputs of trajectory ``index``, in stream order: its k0
+    (mixtures are sampled), its jump times, and the generator that goes on to
+    pick the jump channels.  Deterministic given (config.seed, index)."""
     rng = _trajectory_rng(config.seed, index)
     k0s = list(initial.sectors)
-    state = initial
+    k0 = k0s[0]
     if len(k0s) > 1:
         w = np.array([initial.weights[k] for k in k0s])
         k0 = k0s[int(rng.choice(len(k0s), p=w / w.sum()))]
-        state = RotorState(sectors={k0: initial.sectors[k0]}, weights={k0: 1.0},
-                           jmax=initial.jmax, time=initial.time)
-    jumps = sample_jump_times(config.gamma, config.t_end, rng)
-    return _run_events(state, spectrum, config, jumps, rng), len(jumps)
+    return k0, sample_jump_times(config.gamma, config.t_end, rng), rng
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """The jump-free pass of each drawn k0 component.  Until its first jump a
+    trajectory is a function of its k0 alone, so it starts from the state
+    this pass reached before the first event at or after that jump."""
+
+    events: list
+    times: list
+    series: dict  # k0 -> jump-free alignment series
+    states: dict  # k0 -> {event position: state before that event}
+
+
+def _skeleton(initial: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
+              draws: list) -> _Skeleton:
+    events = _schedule(config)
+    times = [t for t, _, _ in events]
+    starts: dict[int, dict] = {}
+    for k0, jumps, _ in draws:
+        keep = starts.setdefault(k0, {})
+        if len(jumps):
+            keep[bisect.bisect_left(times, jumps[0])] = None
+    series = {}
+    for k0, keep in starts.items():
+        state = initial
+        if len(initial.sectors) > 1:
+            state = RotorState(sectors={k0: initial.sectors[k0]}, weights={k0: 1.0},
+                               jmax=initial.jmax, time=initial.time)
+        series[k0] = _run_events(state, spectrum, config, events,
+                                 np.empty(len(config.observation_times)), keep=keep)
+    return _Skeleton(events, times, series, starts)
+
+
+def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
+            k0: int, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One trajectory's series: the skeleton's own if it makes no jump, else
+    the events from its first jump on, run from the skeleton's state there."""
+    out = skeleton.series[k0].copy()
+    if len(jumps):
+        start = bisect.bisect_left(skeleton.times, jumps[0])
+        _run_events(skeleton.states[k0][start], spectrum, config,
+                    _merge(jumps, skeleton.events[start:]), out, rng)
+    return out
 
 
 def run_trajectory(initial: RotorState, spectrum: SpectrumModel,
                    config: TrajectoryConfig, index: int = 0) -> np.ndarray:
     """Alignment time series of a single stochastic trajectory."""
-    series, _ = _run_single(initial, spectrum, config, index)
-    return series
+    draw = _draw(initial, config, index)
+    return _resume(_skeleton(initial, spectrum, config, [draw]), spectrum, config, *draw)
 
 
 def _ensemble_worker(args):
-    initial, spectrum, config, indices = args
-    rows = []
-    counts = []
-    for i in indices:
-        series, njump = _run_single(initial, spectrum, config, i)
-        rows.append(series)
-        counts.append(njump)
-    return rows, counts
+    skeleton, spectrum, config, draws = args
+    rows = [_resume(skeleton, spectrum, config, *draw) for draw in draws]
+    return rows, [len(jumps) for _, jumps, _ in draws]
 
 
 def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
@@ -207,27 +261,32 @@ def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
 
     With gamma = 0 the ensemble is deterministic and computed directly from
     the mixture, bit-identical to the jump-free pipeline for any n and thread
-    count.  Aggregation is index-ordered, so results do not depend on the
-    execution schedule.
+    count.  Otherwise the random draws and the jump-free skeleton are made
+    here, once, and every trajectory (in this process or in a pool worker)
+    runs from its first jump on.  Aggregation is index-ordered, so results do
+    not depend on the execution schedule.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     times = np.asarray(config.observation_times)
     if config.gamma == 0.0:
-        series = _run_events(initial, spectrum, config)
+        series = _run_events(initial, spectrum, config, _schedule(config),
+                             np.empty(times.size))
         return EnsembleResult(times=times, mean_alignment=series,
                               stderr=np.zeros_like(series), n_trajectories=n,
                               jump_count_histogram={0: n})
-    all_rows: list[np.ndarray | None] = [None] * n
-    all_counts = [0] * n
+    draws = [_draw(initial, config, i) for i in range(n)]
+    skeleton = _skeleton(initial, spectrum, config, draws)
     if parallelism <= 1 or n < 4:
-        rows, counts = _ensemble_worker((initial, spectrum, config, range(n)))
-        all_rows, all_counts = rows, counts
+        all_rows, all_counts = _ensemble_worker((skeleton, spectrum, config, draws))
     else:
+        all_rows: list[np.ndarray | None] = [None] * n
+        all_counts = [0] * n
         chunks = np.array_split(np.arange(n), parallelism * 4)
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = [(chunk, pool.submit(_ensemble_worker,
-                                           (initial, spectrum, config, list(chunk))))
+                                           (skeleton, spectrum, config,
+                                            [draws[i] for i in chunk])))
                        for chunk in chunks if len(chunk)]
             for chunk, fut in futures:
                 rows, counts = fut.result()

@@ -85,16 +85,24 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "sigma_j_sq" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [
-    ("state.sigma_j_sq", "abc"),
-    ("times.n_points", "2.5"),
-    ("pulse.schedule_t", "0.1"),
-    ("rotor.semi_axes_nm", "[25,2.75,2.75]"),
+def _exit2(key, value, preset="fig1", *extra):
+    return pytest.param([preset, f"--{key}", value, *extra], key, id=f"{key}-{value}")
+
+
+@pytest.mark.parametrize("argv,key", [
+    _exit2("state.sigma_j_sq", "abc"),
+    _exit2("times.n_points", "2.5"),
+    _exit2("pulse.schedule_t", "0.1"),
+    _exit2("rotor.semi_axes_nm", "[25,2.75,2.75]"),
+    _exit2("pulse.phi", "-1.0", "fig1", "--times.n_points", "8"),
+    _exit2("sweep.phi", "[-1.0]", "fig2c", "--ensemble.n", "2"),
+    _exit2("rotor.variant_minor_axis_nm", "30", "params"),
 ])
-def test_exit_code_2_names_the_key(tmp_path, capsys, key, value):
-    # wrong JSON types and a non-prolate geometry are config errors, not
+def test_exit_code_2_names_the_key(tmp_path, capsys, argv, key):
+    # wrong JSON types, a negative semiclassical phase and non-prolate
+    # geometry (the rotor's or the params variant's) are config errors, not
     # tracebacks or numerical failures
-    assert cli.main(["fig1", "--out", str(tmp_path / "x"), f"--{key}", value]) == 2
+    assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
 
 

@@ -146,6 +146,83 @@ def test_jumped_trajectory_degrades_revival(small_state, small_spectrum):
 
 
 # ---------------------------------------------------------------------------
+# the jump-free skeleton: trajectories resume from their first jump
+# ---------------------------------------------------------------------------
+
+_RESUME_TOBS = (0.1, 0.25, 0.5, 0.75, 1.0)
+
+_RESUME_CASES = {
+    # name: (jump times, pulse schedule, sigma_k mixture)
+    "jump_before_first_observation": ((0.05,), (0.125,), False),
+    "jump_at_pulse_time": ((0.125,), (0.125,), False),
+    "jump_at_observation_time": ((0.5,), (0.125,), False),
+    "two_jumps_after_last_pulse": ((0.6, 0.8), (0.125,), False),
+    "two_pulses": ((0.3, 0.375), (0.125, 0.375), False),
+    "mixture_nonzero_k0": ((0.2, 0.5), (0.125,), True),
+}
+
+
+@pytest.mark.parametrize("method", ["semiclassical", "exact"])
+@pytest.mark.parametrize("case", sorted(_RESUME_CASES))
+def test_resumed_run_equals_full_pass(case, method):
+    jumps, schedule, mixture = _RESUME_CASES[case]
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=schedule, method=method)
+    base = (rotor.prepare_mixture(0.3, 1.0) if mixture
+            else rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16))
+    state = pulse.prepare_for_pulses(base, spec)
+    k0 = 2 if mixture else 0
+    spectrum = rotor.rotational_energies(
+        state.jmax, max(state.sectors), rotor.inertia_from_parameters(41.8, 0.0),
+        "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=_RESUME_TOBS,
+                               pulse=spec)
+    # the full pass from t = 0 on the pure k0 component, events ordered by
+    # (time, kind) with jumps, then pulses, then observations at equal times
+    component = rotor.RotorState(sectors={k0: state.sectors[k0]}, weights={k0: 1.0},
+                                 jmax=state.jmax)
+    events = sorted([(t, 0, None) for t in jumps] + [(t, 1, None) for t in schedule]
+                    + [(t, 2, i) for i, t in enumerate(_RESUME_TOBS)],
+                    key=lambda e: (e[0], e[1]))
+    full = dec._run_events(component, spectrum, cfg, events, np.empty(len(_RESUME_TOBS)),
+                           dec._trajectory_rng(21, 0))
+    jump_free = dec._run_events(component, spectrum, cfg, [e for e in events if e[1]],
+                                np.empty(len(_RESUME_TOBS)))
+
+    draw = (k0, np.array(jumps), dec._trajectory_rng(21, 0))
+    skeleton = dec._skeleton(state, spectrum, cfg, [draw])
+    resumed = dec._resume(skeleton, spectrum, cfg, *draw)
+    assert resumed.tobytes() == full.tobytes()
+    assert skeleton.series[k0].tobytes() == jump_free.tobytes()
+    assert not np.array_equal(full, jump_free)  # the jumps change the series
+
+
+def test_ensemble_is_index_ordered_mean_of_trajectories():
+    # gamma > 0 on a sigma_k mixture with two scheduled pulses: the ensemble
+    # (one skeleton shared by all trajectories, serial or pooled) equals the
+    # mean of trajectories each run on its own
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125, 0.375))
+    state = pulse.prepare_for_pulses(rotor.prepare_mixture(0.3, 1.0), spec)
+    spectrum = rotor.rotational_energies(
+        state.jmax, max(state.sectors), rotor.inertia_from_parameters(41.8, 0.0),
+        "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+                               seed=31, pulse=spec)
+    n = 16
+    rows = np.vstack([dec.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
+    draws = [dec._draw(state, cfg, i) for i in range(n)]
+    counts = [len(jumps) for _, jumps, _ in draws]
+    assert len({k0 for k0, _, _ in draws}) > 1 and 0 in counts and max(counts) > 1
+
+    serial = dec.run_ensemble(state, spectrum, cfg, n, parallelism=1)
+    pooled = dec.run_ensemble(state, spectrum, cfg, n, parallelism=2)
+    for res in (serial, pooled):
+        assert res.mean_alignment.tobytes() == rows.mean(axis=0).tobytes()
+        assert res.stderr.tobytes() == (rows.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
+        assert res.jump_count_histogram == {c: counts.count(c) for c in set(counts)}
+
+
+# ---------------------------------------------------------------------------
 # Lindblad oracle
 # ---------------------------------------------------------------------------
 
