@@ -1,8 +1,8 @@
 """Angular-momentum numerical kernel.
 
-Wigner d-matrices (stable recurrence and large-j asymptotics), banded
-operator matrices over the j ladder from closed-form ladder coefficients, and
-transforms between j-space amplitudes and polar-angle wavefunctions.
+Wigner d-matrices from a stable recurrence, banded operator matrices over
+the j ladder from closed-form ladder coefficients, and transforms between
+j-space amplitudes and polar-angle wavefunctions.
 
 Conventions: basis states |jmk> with wavefunction
 ``<a,b,g|jmk> = sqrt(j+1/2) d^j_{mk}(b) exp(i m a + i k g) / 2 pi``,
@@ -21,14 +21,13 @@ import numpy as np
 from numpy.polynomial.legendre import legder, legval
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import DomainError, ResolutionError, SingularityError, TruncationWarning
+from .errors import DomainError, ResolutionError, TruncationWarning
 
 __all__ = [
     "AngularGrid",
     "BandedOperator",
     "DirectionCosineOperator",
     "wigner_d_exact",
-    "wigner_d_semiclassical",
     "wigner_d_table",
     "cos2beta_matrix",
     "direction_cosine_matrices",
@@ -190,15 +189,6 @@ def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
     if scale < -1100 and abs(curr) < 1.0:
         return 0.0
     return math.ldexp(curr, scale)
-
-
-def wigner_d_semiclassical(j: int, m: int, k: int, beta: float) -> float:
-    """Large-j asymptotic d^j_{mk}(beta), valid for |m|,|k| << j away from the poles."""
-    if beta <= 0.0 or beta >= math.pi:
-        raise SingularityError(f"asymptotic d-function diverges at beta={beta}")
-    jh = j + 0.5
-    phase = jh * beta + (m - k) * math.pi / 2.0 - math.pi / 4.0
-    return math.cos(phase) / math.sqrt(math.pi / 2.0 * jh * math.sin(beta))
 
 
 def _wigner_d_rows(m: int, k: int, betas: np.ndarray, jmax: int):

@@ -26,7 +26,6 @@ from . import decoherence, observables, pulse, rotor
 from .angular import AngularGrid
 from .errors import ConfigError, DomainError, SimulationError
 
-THREADS_ENV = "NANOROTOR_THREADS"
 EIGHTH = 0.125
 
 
@@ -118,14 +117,12 @@ def _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid):
     return prepared, tc
 
 
-def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, threads, diagnostics,
-                     point=None):
+def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point=None):
     """Ensemble alignment series at one phi.  The jump histogram goes into
     ``diagnostics["jump_histograms"]`` under ``point``, the sweep point's tag
     (default: the phi tag), unless diagnostics is None."""
     prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
-    res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n,
-                                   parallelism=threads)
+    res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n)
     if diagnostics is not None:
         diagnostics.setdefault("jump_histograms", {})[point or _phi_tag(phi)] = \
             {str(k): v for k, v in sorted(res.jump_count_histogram.items())}
@@ -171,15 +168,14 @@ def scenario_params(cfg, writer, diagnostics):
     return 0
 
 
-def scenario_evolve(cfg, writer, diagnostics, gamma, threads, per_trajectory=False):
+def scenario_evolve(cfg, writer, diagnostics, gamma, per_trajectory=False):
     model = cfgmod.resolve_inertia(cfg)
     phis = cfgmod.resolve_phi_list(cfg)
     state, spectrum = _state_and_spectrum(cfg, model, phis)
     tgrid = build_time_grid(cfg.times)
     multi = len(phis) > 1
     for phi in phis:
-        res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid,
-                               threads, diagnostics)
+        res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics)
         suffix = f"_phi{_phi_tag(phi)}" if multi else ""
         cols = [res.times, res.mean_alignment]
         header = ["t_over_Trev", "value"]
@@ -222,22 +218,20 @@ def scenario_fractional(cfg, writer, diagnostics):
     return 0
 
 
-def scenario_sweep_phi(cfg, writer, diagnostics, gamma, threads):
+def scenario_sweep_phi(cfg, writer, diagnostics, gamma):
     model = cfgmod.resolve_inertia(cfg)
     phis = cfg.sweep.phi or [i * math.pi / 8 for i in range(17)]
     state, spectrum = _state_and_spectrum(cfg, model, phis)
     tgrid = np.array([0.0, 1.0])
     values, errors, vacuum = [], [], []
     for phi in phis:
-        res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid,
-                               threads, diagnostics)
+        res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics)
         values.append(res.mean_alignment[-1])
         errors.append(res.stderr[-1])
         if gamma > 0:
             # the jump-free reference makes no jumps: keep its {0: n} out of
             # the histogram just recorded under the same phi tag
-            res0 = _ensemble_series(state, spectrum, cfg, 0.0, phi, tgrid,
-                                    threads, None)
+            res0 = _ensemble_series(state, spectrum, cfg, 0.0, phi, tgrid, None)
             vacuum.append(res0.mean_alignment[-1])
     phis_arr = np.array(phis)
     cols = [phis_arr, np.array(values)]
@@ -253,7 +247,7 @@ def scenario_sweep_phi(cfg, writer, diagnostics, gamma, threads):
     return 0
 
 
-def scenario_sweep_sigma(cfg, writer, diagnostics, gamma, threads):
+def scenario_sweep_sigma(cfg, writer, diagnostics, gamma):
     model = cfgmod.resolve_inertia(cfg)
     phis = cfgmod.resolve_phi_list(cfg)
     phi = phis[0] if phis else math.pi
@@ -267,15 +261,15 @@ def scenario_sweep_sigma(cfg, writer, diagnostics, gamma, threads):
                 "state.mode": "gaussian_beta",
                 "state.sigma_beta": sb, "state.sigma_k": sk})
             state, spectrum = _state_and_spectrum(sub, model, [phi])
-            res = _ensemble_series(state, spectrum, sub, gamma, phi, tgrid, threads,
-                                   diagnostics, f"sb{_phi_tag(sb)}_sk{_phi_tag(sk)}")
+            res = _ensemble_series(state, spectrum, sub, gamma, phi, tgrid, diagnostics,
+                                   f"sb{_phi_tag(sb)}_sk{_phi_tag(sk)}")
             values.append(res.mean_alignment[-1])
         writer.write_csv(f"_sb{_phi_tag(sb)}", ["sigma_k", "value"],
                          [np.array(sigma_ks, dtype=float), np.array(values)])
     return 0
 
 
-def scenario_sweep_asymmetry(cfg, writer, diagnostics, threads):
+def scenario_sweep_asymmetry(cfg, writer, diagnostics):
     model = cfgmod.resolve_inertia(cfg)
     sw = cfg.sweep
     bs = sorted(set(np.logspace(sw.b_log10_min, sw.b_log10_max, sw.b_points))
@@ -293,8 +287,8 @@ def scenario_sweep_asymmetry(cfg, writer, diagnostics, threads):
         spectrum = rotor.rotational_energies(jmax_total, kmax, model_b, "asymmetric")
         min_dominant = min(min_dominant, float(spectrum.dominant_weight.min()))
         for phi in phis:
-            res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, threads,
-                                   diagnostics, f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
+            res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
+                                   f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
             series = observables.TimeSeries(res.times, res.mean_alignment)
             t_peak, value = observables.find_revival_peak(series, 1.0 + 10 * b, 0.05 + 20 * b)
             peak_rows[phi].append(value)
@@ -316,9 +310,6 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
         for p in report.problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    threads = cfg.ensemble.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     t_start = _time.time()
     writer = OutputWriter(cfg.output.prefix)
     diagnostics: dict = {}
@@ -328,18 +319,17 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
         if cfg.scenario == "params":
             code = scenario_params(cfg, writer, diagnostics)
         elif cfg.scenario == "evolve":
-            code = scenario_evolve(cfg, writer, diagnostics, gamma, threads)
+            code = scenario_evolve(cfg, writer, diagnostics, gamma)
         elif cfg.scenario == "decohere":
-            code = scenario_evolve(cfg, writer, diagnostics, gamma, threads,
-                                   per_trajectory=True)
+            code = scenario_evolve(cfg, writer, diagnostics, gamma, per_trajectory=True)
         elif cfg.scenario == "fractional":
             code = scenario_fractional(cfg, writer, diagnostics)
         elif cfg.scenario == "sweep_phi":
-            code = scenario_sweep_phi(cfg, writer, diagnostics, gamma, threads)
+            code = scenario_sweep_phi(cfg, writer, diagnostics, gamma)
         elif cfg.scenario == "sweep_sigma":
-            code = scenario_sweep_sigma(cfg, writer, diagnostics, gamma, threads)
+            code = scenario_sweep_sigma(cfg, writer, diagnostics, gamma)
         elif cfg.scenario == "sweep_asymmetry":
-            code = scenario_sweep_asymmetry(cfg, writer, diagnostics, threads)
+            code = scenario_sweep_asymmetry(cfg, writer, diagnostics)
         else:
             print(f"config error: scenario {cfg.scenario}", file=sys.stderr)
             return 2
@@ -353,7 +343,6 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
         "config": cfg.to_dict(),
         "version": __version__,
         "seed": cfg.ensemble.seed,
-        "threads": threads,
         "diagnostics": diagnostics,
         "wall_time_s": _time.time() - t_start,
     })
@@ -382,7 +371,8 @@ def parse_args(argv):
         description="Nanorotor alignment interferometry simulator")
     parser.add_argument("scenario", help="scenario name, preset name, config or manifest path")
     parser.add_argument("--out", help="output path prefix")
-    parser.add_argument("--threads", type=int, help="worker processes for ensembles")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for old command lines and ignored: ensembles run serially")
     parser.add_argument("--seed", type=int, help="master RNG seed")
     parser.add_argument("--validate-only", action="store_true",
                         help="validate and report estimates without running")
@@ -418,8 +408,6 @@ def main(argv=None) -> int:
             return 2
         if args.out:
             overrides["output.prefix"] = args.out
-        if args.threads is not None:
-            overrides["ensemble.threads"] = args.threads
         if args.seed is not None:
             overrides["ensemble.seed"] = args.seed
         cfg = cfgmod.apply_overrides(cfg, overrides)

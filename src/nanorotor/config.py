@@ -267,6 +267,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             problems.append("state.sigma_beta: must be positive (degenerate Gaussian rejected)")
     if s.sigma_k < 0:
         problems.append("state.sigma_k: must be >= 0")
+    if s.jmax is not None and s.jmax < abs(s.k0):
+        problems.append("state.jmax: must be >= |state.k0|")
 
     p = cfg.pulse
     if p.phi is not None and p.laser is not None:
@@ -298,8 +300,19 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("times.t_end: must be positive")
     if t.n_points < 2:
         problems.append("times.n_points: must be >= 2")
+    if t.refine_halfwidth < 0:
+        problems.append("times.refine_halfwidth: must be >= 0")
     if cfg.ensemble.n < 1:
         problems.append("ensemble.n: must be >= 1")
+    if cfg.ensemble.seed < 0:
+        problems.append("ensemble.seed: must be >= 0")
+    sw = cfg.sweep
+    if sw.b_points < 0:
+        problems.append("sweep.b_points: must be >= 0")
+    if any(v <= 0 for v in sw.sigma_beta or ()):
+        problems.append("sweep.sigma_beta: every entry must be positive")
+    if any(v < 0 for v in sw.sigma_k or ()):
+        problems.append("sweep.sigma_k: every entry must be >= 0")
     if cfg.spectrum.method not in ("symmetric", "asymmetric"):
         problems.append(f"spectrum.method: unknown value {cfg.spectrum.method!r}")
 

