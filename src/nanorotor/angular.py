@@ -27,7 +27,6 @@ __all__ = [
     "AngularGrid",
     "BandedOperator",
     "DirectionCosineOperator",
-    "wigner_d_exact",
     "wigner_d_table",
     "cos2beta_matrix",
     "direction_cosine_matrices",
@@ -106,13 +105,6 @@ class AngularGrid:
 # Wigner d-functions
 # ---------------------------------------------------------------------------
 
-def _check_jmk(j: int, m: int, k: int) -> None:
-    if j < 0:
-        raise DomainError(f"j must be >= 0, got {j}")
-    if abs(m) > j or abs(k) > j:
-        raise DomainError(f"|m|,|k| must not exceed j: j={j}, m={m}, k={k}")
-
-
 def _d_start(m: int, k: int) -> tuple[float, float, int, int]:
     """Start value of the j recurrence at j0 = max(|m|,|k|) as (sign, lbin, p, q):
     ``d^{j0}_{mk}(b) = sign exp(lbin + p log cos(b/2) + q log sin(b/2))``."""
@@ -129,66 +121,6 @@ def _d_start(m: int, k: int) -> tuple[float, float, int, int]:
 
 def _recurrence_r(j: int, m: int, k: int) -> float:
     return math.sqrt(float(j * j - m * m) * float(j * j - k * k))
-
-
-def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
-    """d^j_{mk}(beta) by the three-term recurrence in j, upward from max(|m|,|k|).
-
-    Stable to j of a few thousand; the running pair is renormalized every 64
-    steps so starting values far below the floating-point floor (large |m|,|k|
-    at extreme angles) are still propagated.  A result whose true magnitude
-    underflows float64 is returned as 0.0.
-    """
-    _check_jmk(j, m, k)
-    if beta == 0.0:
-        return 1.0 if m == k else 0.0
-    if beta == math.pi:
-        if m == -k:
-            return -1.0 if (j - k) % 2 else 1.0
-        return 0.0
-    if not 0.0 < beta < math.pi:
-        raise DomainError(f"beta must lie in [0, pi], got {beta}")
-
-    j0 = max(abs(m), abs(k))
-    cosb = math.cos(beta)
-
-    if j0 == 0:
-        if j == 0:
-            return 1.0
-        prev, curr = 1.0, cosb  # d^0 and d^1 for m = k = 0
-        scale = 0
-        jc = 1
-    else:
-        sign, lbin, p, q = _d_start(m, k)
-        logv = lbin + p * math.log(math.cos(beta / 2.0)) + q * math.log(math.sin(beta / 2.0))
-        scale = min(0, int(math.floor(logv / math.log(2.0))))
-        start = sign * math.exp(logv - scale * math.log(2.0))
-        if j == j0:
-            return math.ldexp(start, scale) if scale > -1100 else 0.0
-        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
-        nxt = num * start / (j0 * _recurrence_r(j0 + 1, m, k))
-        prev, curr = start, nxt
-        jc = j0 + 1
-
-    steps = 0
-    while jc < j:
-        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
-        new = (num * curr - (jc + 1) * _recurrence_r(jc, m, k) * prev) / (jc * _recurrence_r(jc + 1, m, k))
-        prev, curr = curr, new
-        jc += 1
-        steps += 1
-        if steps % 64 == 0 and scale < 0:
-            mag = max(abs(prev), abs(curr))
-            if mag > 1.0:
-                e = min(int(math.floor(math.log2(mag))), -scale)
-                prev = math.ldexp(prev, -e)
-                curr = math.ldexp(curr, -e)
-                scale += e
-    if scale == 0:
-        return curr
-    if scale < -1100 and abs(curr) < 1.0:
-        return 0.0
-    return math.ldexp(curr, scale)
 
 
 def _wigner_d_rows(m: int, k: int, betas: np.ndarray, jmax: int):
@@ -293,13 +225,6 @@ class BandedOperator:
 
     def expectation(self, vec: np.ndarray) -> float:
         return float(np.real(np.vdot(vec, self.apply(vec))))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.size, self.size), dtype=complex)
-        for d, diag in self.diagonals.items():
-            idx = np.arange(diag.size)
-            dense[idx + max(-d, 0), idx + max(d, 0)] = diag
-        return dense
 
 
 def _cos_ladder(jlo: int, jhi: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:

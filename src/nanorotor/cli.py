@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -24,7 +25,7 @@ from . import __version__
 from . import config as cfgmod
 from . import decoherence, observables, pulse, rotor
 from .angular import AngularGrid
-from .errors import ConfigError, DomainError, SimulationError
+from .errors import ConfigError, SimulationError
 
 EIGHTH = 0.125
 
@@ -142,9 +143,12 @@ def _state_and_spectrum(cfg, model, phis):
     return state, build_spectrum(cfg, model, jmax, kmax)
 
 
-def scenario_params(cfg, writer, diagnostics):
-    model = cfgmod.resolve_inertia(cfg)
-    report = cfgmod.validate(cfg)
+# Each scenario takes the config, its validation report (the resolved rotor
+# model, pulse phases and jump rate), the output writer and the diagnostics
+# dict that goes into the manifest.
+
+def scenario_params(cfg, report, writer, diagnostics):
+    model = report.model
     diagnostics.update({
         "mass_amu": model.mass_amu if model.mass else None,
         "t_rev_ms": model.t_rev * 1e3,
@@ -155,23 +159,15 @@ def scenario_params(cfg, writer, diagnostics):
         "grid_order": report.grid_order,
         "memory_bytes": report.memory_bytes,
     })
-    if cfg.rotor.variant_minor_axis_nm is not None and cfg.rotor.semi_axes_nm:
-        axes = sorted(cfg.rotor.semi_axes_nm, reverse=True)  # [long, minor, minor]
-        try:
-            vm = rotor.inertia_from_ellipsoid(
-                (axes[1] * 1e-9, cfg.rotor.variant_minor_axis_nm * 1e-9, axes[0] * 1e-9),
-                cfg.rotor.density_kg_m3)
-        except DomainError as exc:
-            raise ConfigError(f"rotor.variant_minor_axis_nm: {exc}") from exc
-        diagnostics["variant_b_asym"] = abs(vm.b_asym)
-        diagnostics["variant_mass_amu"] = vm.mass_amu
+    if report.variant is not None:
+        diagnostics["variant_b_asym"] = abs(report.variant.b_asym)
+        diagnostics["variant_mass_amu"] = report.variant.mass_amu
     return 0
 
 
-def scenario_evolve(cfg, writer, diagnostics, gamma, per_trajectory=False):
-    model = cfgmod.resolve_inertia(cfg)
-    phis = cfgmod.resolve_phi_list(cfg)
-    state, spectrum = _state_and_spectrum(cfg, model, phis)
+def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
+    gamma, phis = report.gamma, report.phis
+    state, spectrum = _state_and_spectrum(cfg, report.model, phis)
     tgrid = build_time_grid(cfg.times)
     multi = len(phis) > 1
     for phi in phis:
@@ -192,9 +188,8 @@ def scenario_evolve(cfg, writer, diagnostics, gamma, per_trajectory=False):
     return 0
 
 
-def scenario_fractional(cfg, writer, diagnostics):
-    model = cfgmod.resolve_inertia(cfg)
-    state, spectrum = _state_and_spectrum(cfg, model, [])
+def scenario_fractional(cfg, report, writer, diagnostics):
+    state, spectrum = _state_and_spectrum(cfg, report.model, [])
     # window masses are sensitive to edge cells; use a well-converged grid
     grid = AngularGrid.gauss_legendre(max(2 * state.jmax + 16, 1201))
     fractions = (0.125, 0.25, 0.5)
@@ -218,10 +213,10 @@ def scenario_fractional(cfg, writer, diagnostics):
     return 0
 
 
-def scenario_sweep_phi(cfg, writer, diagnostics, gamma):
-    model = cfgmod.resolve_inertia(cfg)
-    phis = cfg.sweep.phi or [i * math.pi / 8 for i in range(17)]
-    state, spectrum = _state_and_spectrum(cfg, model, phis)
+def scenario_sweep_phi(cfg, report, writer, diagnostics):
+    gamma = report.gamma
+    phis = cfgmod.sweep_values(cfg, "phi")
+    state, spectrum = _state_and_spectrum(cfg, report.model, phis)
     tgrid = np.array([0.0, 1.0])
     values, errors, vacuum = [], [], []
     for phi in phis:
@@ -247,21 +242,18 @@ def scenario_sweep_phi(cfg, writer, diagnostics, gamma):
     return 0
 
 
-def scenario_sweep_sigma(cfg, writer, diagnostics, gamma):
-    model = cfgmod.resolve_inertia(cfg)
-    phis = cfgmod.resolve_phi_list(cfg)
-    phi = phis[0] if phis else math.pi
-    sigma_betas = cfg.sweep.sigma_beta or [0.003, 0.03, 0.1]
-    sigma_ks = cfg.sweep.sigma_k or [0.0, 1.0, 2.0, 4.0]
+def scenario_sweep_sigma(cfg, report, writer, diagnostics):
+    phi = report.phis[0]
+    sigma_ks = cfgmod.sweep_values(cfg, "sigma_k")
     tgrid = np.array([0.0, 1.0])
-    for sb in sigma_betas:
+    for sb in cfgmod.sweep_values(cfg, "sigma_beta"):
         values = []
         for sk in sigma_ks:
             sub = cfgmod.apply_overrides(cfg, {
                 "state.mode": "gaussian_beta",
                 "state.sigma_beta": sb, "state.sigma_k": sk})
-            state, spectrum = _state_and_spectrum(sub, model, [phi])
-            res = _ensemble_series(state, spectrum, sub, gamma, phi, tgrid, diagnostics,
+            state, spectrum = _state_and_spectrum(sub, report.model, [phi])
+            res = _ensemble_series(state, spectrum, sub, report.gamma, phi, tgrid, diagnostics,
                                    f"sb{_phi_tag(sb)}_sk{_phi_tag(sk)}")
             values.append(res.mean_alignment[-1])
         writer.write_csv(f"_sb{_phi_tag(sb)}", ["sigma_k", "value"],
@@ -269,12 +261,12 @@ def scenario_sweep_sigma(cfg, writer, diagnostics, gamma):
     return 0
 
 
-def scenario_sweep_asymmetry(cfg, writer, diagnostics):
-    model = cfgmod.resolve_inertia(cfg)
+def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
+    model = report.model
     sw = cfg.sweep
     bs = sorted(set(np.logspace(sw.b_log10_min, sw.b_log10_max, sw.b_points))
                 | set(sw.b_include))
-    phis = cfgmod.resolve_phi_list(cfg)
+    phis = report.phis
     base_state, jmax_total, kmax = _state_and_extent(cfg, phis)
     # dense sampling around the revival only
     tgrid = np.unique(np.concatenate([
@@ -303,36 +295,33 @@ def scenario_sweep_asymmetry(cfg, writer, diagnostics):
     return 0
 
 
+SCENARIO_RUNNERS = {
+    "params": scenario_params,
+    "evolve": scenario_evolve,
+    "decohere": functools.partial(scenario_evolve, per_trajectory=True),
+    "fractional": scenario_fractional,
+    "sweep_phi": scenario_sweep_phi,
+    "sweep_sigma": scenario_sweep_sigma,
+    "sweep_asymmetry": scenario_sweep_asymmetry,
+}
+
+
+def _report_problems(report: cfgmod.ValidationReport) -> int:
+    for p in report.problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return 2
+
+
 def run(cfg: cfgmod.ExperimentConfig) -> int:
-    """Execute a validated config; returns the exit code."""
+    """Validate the config once and execute it; returns the exit code."""
     report = cfgmod.validate(cfg)
     if not report.ok:
-        for p in report.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
+        return _report_problems(report)
     t_start = _time.time()
     writer = OutputWriter(cfg.output.prefix)
     diagnostics: dict = {}
     try:
-        model = cfgmod.resolve_inertia(cfg)
-        gamma = cfgmod.resolve_gamma(cfg, model.t_rev if model.mass else cfg.rotor.t_rev_s)
-        if cfg.scenario == "params":
-            code = scenario_params(cfg, writer, diagnostics)
-        elif cfg.scenario == "evolve":
-            code = scenario_evolve(cfg, writer, diagnostics, gamma)
-        elif cfg.scenario == "decohere":
-            code = scenario_evolve(cfg, writer, diagnostics, gamma, per_trajectory=True)
-        elif cfg.scenario == "fractional":
-            code = scenario_fractional(cfg, writer, diagnostics)
-        elif cfg.scenario == "sweep_phi":
-            code = scenario_sweep_phi(cfg, writer, diagnostics, gamma)
-        elif cfg.scenario == "sweep_sigma":
-            code = scenario_sweep_sigma(cfg, writer, diagnostics, gamma)
-        elif cfg.scenario == "sweep_asymmetry":
-            code = scenario_sweep_asymmetry(cfg, writer, diagnostics)
-        else:
-            print(f"config error: scenario {cfg.scenario}", file=sys.stderr)
-            return 2
+        code = SCENARIO_RUNNERS[cfg.scenario](cfg, report, writer, diagnostics)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -414,19 +403,17 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if not args.validate_only:
+        return run(cfg)
     report = cfgmod.validate(cfg)
-    if args.validate_only:
-        if report.ok:
-            print(json.dumps({
-                "ok": True, "jmax_estimate": report.jmax_estimate,
-                "grid_order": report.grid_order,
-                "memory_bytes": report.memory_bytes,
-                "time_forecast_s": report.time_forecast_s}, indent=2))
-            return 0
-        for p in report.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
-    return run(cfg)
+    if not report.ok:
+        return _report_problems(report)
+    print(json.dumps({
+        "ok": True, "jmax_estimate": report.jmax_estimate,
+        "grid_order": report.grid_order,
+        "memory_bytes": report.memory_bytes,
+        "time_forecast_s": report.time_forecast_s}, indent=2))
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Experiment configuration: dataclasses, JSON I/O, validation, estimates.
 
 Configs are plain JSON with a fixed schema; CLI flags override file keys by
-dotted path (``--pulse.phi 3.14159``).  ``validate`` performs static checks
-and resource estimates only, it never runs physics.
+dotted path (``--pulse.phi 3.14159``).  ``validate`` performs static checks,
+runs the resolvers and makes resource estimates; it never runs physics.
 """
 
 from __future__ import annotations
@@ -16,12 +16,20 @@ import typing
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from . import decoherence
 from . import pulse as pulse_mod
 from . import rotor as rotor_mod
 from .errors import ConfigError, DomainError
 
 SCENARIOS = ("evolve", "sweep_phi", "sweep_sigma", "sweep_asymmetry",
              "decohere", "fractional", "params")
+
+# what a sweep list left at None stands for: the values of the paper's figures
+SWEEP_DEFAULTS = {
+    "phi": [i * math.pi / 8 for i in range(17)],
+    "sigma_beta": [0.003, 0.03, 0.1],
+    "sigma_k": [0.0, 1.0, 2.0, 4.0],
+}
 
 
 @dataclass
@@ -129,7 +137,7 @@ def _is_a(value, tp) -> bool:
     if tp in (int, float) and isinstance(value, bool):
         return False
     if tp is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and math.isfinite(value)
     return isinstance(value, tp)
 
 
@@ -179,18 +187,29 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, Any]) -> Experim
     return cfg
 
 
+def sweep_values(cfg: ExperimentConfig, name: str) -> list[float]:
+    """The sweep list ``cfg.sweep.<name>``, or its default when not given."""
+    values = getattr(cfg.sweep, name)
+    return SWEEP_DEFAULTS[name] if values is None else values
+
+
 def resolve_phi_list(cfg: ExperimentConfig) -> list[float]:
     p = cfg.pulse
     if p.phi is not None and p.laser is not None:
         raise ConfigError("pulse: give exactly one of phi or laser, not both")
     if p.laser is not None:
         ls = p.laser
-        return [pulse_mod.phase_from_laser(ls.power_w, ls.waist_m,
-                                           ls.duration_s, ls.delta_alpha)]
+        try:
+            return [pulse_mod.phase_from_laser(ls.power_w, ls.waist_m,
+                                               ls.duration_s, ls.delta_alpha)]
+        except DomainError as exc:
+            raise ConfigError(f"pulse.laser: {exc}") from exc
     if p.phi is None:
         return [0.0]
     if isinstance(p.phi, (int, float)):
         return [float(p.phi)]
+    if not p.phi:
+        raise ConfigError("pulse.phi: the list must not be empty")
     return [float(x) for x in p.phi]
 
 
@@ -207,22 +226,46 @@ def resolve_inertia(cfg: ExperimentConfig) -> rotor_mod.InertiaModel:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def resolve_gamma(cfg: ExperimentConfig, t_rev: float | None) -> float:
+def resolve_variant(cfg: ExperimentConfig) -> rotor_mod.InertiaModel | None:
+    """The params scenario's variant: the rotor's geometry with one minor
+    semi-axis set to ``rotor.variant_minor_axis_nm``."""
+    r = cfg.rotor
+    if r.variant_minor_axis_nm is None or not r.semi_axes_nm:
+        return None
+    axes = sorted(r.semi_axes_nm, reverse=True)  # [long, minor, minor]
+    try:
+        return rotor_mod.inertia_from_ellipsoid(
+            (axes[1] * 1e-9, r.variant_minor_axis_nm * 1e-9, axes[0] * 1e-9),
+            r.density_kg_m3)
+    except DomainError as exc:
+        raise ConfigError(f"rotor.variant_minor_axis_nm: {exc}") from exc
+
+
+def resolve_gamma(cfg: ExperimentConfig, model: rotor_mod.InertiaModel) -> float:
+    """The jump rate per revival time; ``gamma.hz`` needs the rotor's T_rev."""
     g = cfg.gamma
     if g.hz is not None and g.dimensionless is not None:
         raise ConfigError("gamma: give one of hz or dimensionless, not both")
     if g.dimensionless is not None:
         return float(g.dimensionless)
     if g.hz is not None:
+        t_rev = model.t_rev if model.mass else cfg.rotor.t_rev_s
         if not t_rev:
             raise ConfigError("gamma.hz needs a physical rotor (t_rev) to convert")
-        return float(g.hz) * t_rev
+        return decoherence.gamma_dimensionless(float(g.hz), t_rev)
     return 0.0
 
 
 @dataclass
 class ValidationReport:
+    """Problems found, and for a valid config what the run needs: the rotor
+    models, the pulse phases, the jump rate and the resource estimates."""
+
     problems: list[str]
+    model: rotor_mod.InertiaModel | None = None
+    variant: rotor_mod.InertiaModel | None = None
+    phis: list[float] | None = None
+    gamma: float | None = None
     jmax_estimate: int | None = None
     grid_order: int | None = None
     memory_bytes: int | None = None
@@ -234,7 +277,7 @@ class ValidationReport:
 
 
 def validate(cfg: ExperimentConfig) -> ValidationReport:
-    """Static validation and resource forecast; runs no physics."""
+    """Static validation, the resolvers and a resource forecast; runs no physics."""
     problems: list[str] = []
     if cfg.scenario not in SCENARIOS:
         problems.append(f"scenario: unknown value {cfg.scenario!r}")
@@ -267,17 +310,18 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             problems.append("state.sigma_beta: must be positive (degenerate Gaussian rejected)")
     if s.sigma_k < 0:
         problems.append("state.sigma_k: must be >= 0")
-    if s.jmax is not None and s.jmax < abs(s.k0):
-        problems.append("state.jmax: must be >= |state.k0|")
+    if s.sigma_k > 0 and s.mode != "gaussian_beta":
+        problems.append("state.sigma_k: a k0 mixture needs state.mode gaussian_beta")
+    # the widest k0 mixture the run prepares spans |k0| <= k_cutoff(sigma_k)
+    sigma_ks = sweep_values(cfg, "sigma_k") if cfg.scenario == "sweep_sigma" else [s.sigma_k]
+    sigma_k_max = max(sigma_ks, default=0.0)
+    if s.k0 != 0 and sigma_k_max > 0:
+        problems.append("state.k0: must be 0 in a k0 mixture (sigma_k > 0)")
+    kmax = max(rotor_mod.k_cutoff(sigma_k_max), abs(s.k0))
+    if s.jmax is not None and s.jmax < kmax:
+        problems.append(f"state.jmax: must be >= {kmax}, the largest |k0| the run prepares")
 
     p = cfg.pulse
-    if p.phi is not None and p.laser is not None:
-        problems.append("pulse: exactly one of phi or laser")
-    if p.laser is not None:
-        ls = p.laser
-        if min(ls.power_w, ls.waist_m, ls.duration_s, ls.delta_alpha) <= 0 \
-                and ls.power_w != 0.0:
-            problems.append("pulse.laser: parameters must be positive")
     for t in p.schedule_t:
         if not 0.0 <= t <= 8.0:
             problems.append(f"pulse.schedule_t: {t} outside [0, 8]")
@@ -289,8 +333,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
                 problems.append(f"{key}: must be >= 0 with the semiclassical pulse")
 
     g = cfg.gamma
-    if g.hz is not None and g.dimensionless is not None:
-        problems.append("gamma: one of hz or dimensionless")
     for name, val in (("gamma.hz", g.hz), ("gamma.dimensionless", g.dimensionless)):
         if val is not None and val < 0:
             problems.append(f"{name}: must be >= 0")
@@ -307,8 +349,13 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.ensemble.seed < 0:
         problems.append("ensemble.seed: must be >= 0")
     sw = cfg.sweep
+    for name in SWEEP_DEFAULTS:
+        if getattr(sw, name) == []:
+            problems.append(f"sweep.{name}: the list must not be empty")
     if sw.b_points < 0:
         problems.append("sweep.b_points: must be >= 0")
+    if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
+        problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")
     if any(v < 0 for v in sw.sigma_k or ()):
@@ -319,23 +366,39 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     report = ValidationReport(problems=problems)
     if problems:
         return report
+    try:
+        report.model = resolve_inertia(cfg)
+        report.variant = resolve_variant(cfg)
+        report.gamma = resolve_gamma(cfg, report.model)
+    except ConfigError as exc:
+        problems.append(str(exc))
+    try:
+        report.phis = resolve_phi_list(cfg)
+    except ConfigError as exc:
+        problems.append(str(exc))
+    if cfg.scenario == "sweep_sigma":
+        for sb in sweep_values(cfg, "sigma_beta"):
+            try:
+                rotor_mod.estimate_jmax("gaussian_beta", sb)
+            except DomainError as exc:
+                problems.append(f"sweep.sigma_beta: {exc}")
+    if problems:
+        return report
 
     # resource estimates from the truncation rule plus pulse headroom
+    kcut = rotor_mod.k_cutoff(s.sigma_k)
+    key, param = (("state.sigma_j_sq", s.sigma_j_sq) if s.mode == "gaussian_j"
+                  else ("state.sigma_beta", s.sigma_beta))
     try:
-        if s.mode == "gaussian_j":
-            base_jmax = rotor_mod.estimate_jmax("gaussian_j", s.sigma_j_sq, s.k0)
-        else:
-            kmax0 = int(math.ceil(4.0 * s.sigma_k)) if s.sigma_k > 0 else abs(s.k0)
-            base_jmax = rotor_mod.estimate_jmax("gaussian_beta", s.sigma_beta, kmax0)
-        phis = resolve_phi_list(cfg)
-        jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(phis, len(p.schedule_t))
-        report.jmax_estimate = base_jmax
-        report.grid_order = 2 * jmax + 16
-        nsec = (2 * int(math.ceil(4.0 * s.sigma_k)) + 1) if s.sigma_k > 0 else 1
-        report.memory_bytes = int(nsec * (jmax + 1) * 16 * 4
-                                  + report.grid_order * 16 * 6)
-        n_eval = t.n_points * (1 + t.refine_factor * 0.2) * max(cfg.ensemble.n, 1) * nsec
-        report.time_forecast_s = float(n_eval * jmax * 2e-8 + 0.5)
-    except Exception as exc:  # estimation must never hard-fail validation
-        problems.append(f"estimate: {exc}")
+        base_jmax = rotor_mod.estimate_jmax(s.mode, param, max(kcut, abs(s.k0)))
+    except DomainError as exc:
+        problems.append(f"{key}: {exc}")
+        return report
+    jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(report.phis, len(p.schedule_t))
+    report.jmax_estimate = base_jmax
+    report.grid_order = 2 * jmax + 16
+    nsec = 2 * kcut + 1
+    report.memory_bytes = int(nsec * (jmax + 1) * 16 * 4 + report.grid_order * 16 * 6)
+    n_eval = t.n_points * (1 + t.refine_factor * 0.2) * max(cfg.ensemble.n, 1) * nsec
+    report.time_forecast_s = float(n_eval * jmax * 2e-8 + 0.5)
     return report

@@ -1,8 +1,7 @@
-"""Alignment signal, orientational distributions, revival peaks, overlaps."""
+"""Alignment signal, orientational distributions, revival peaks, interference fits."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +16,6 @@ __all__ = [
     "alignment",
     "beta_distribution",
     "find_revival_peak",
-    "overlap",
     "fit_interference_curve",
 ]
 
@@ -28,7 +26,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -89,45 +86,6 @@ def find_revival_peak(series: TimeSeries, window_center: float,
     t_peak = -b / (2.0 * a)
     c = v1 - a * t1 * t1 - b * t1
     return float(t_peak), float(a * t_peak * t_peak + b * t_peak + c)
-
-
-def overlap(state_a: RotorState, state_b: RotorState) -> complex:
-    """Inner product of two pure states with matching sector layout.
-
-    Missing sectors count as zero.  For mixtures use :func:`fidelity`.
-    """
-    if not (state_a.is_pure and state_b.is_pure):
-        raise DomainError("overlap is defined for pure states; use fidelity for mixtures")
-    acc = 0.0 + 0.0j
-    for k0, ms_a in state_a.sectors.items():
-        ms_b = state_b.sectors.get(k0)
-        if ms_b is None:
-            continue
-        for m, va in ms_a.items():
-            vb = ms_b.get(m)
-            if vb is None:
-                continue
-            n = min(va.size, vb.size)
-            acc += np.vdot(va[:n], vb[:n])
-    return complex(acc)
-
-
-def fidelity(state_a: RotorState, state_b: RotorState) -> float:
-    """Uhlmann fidelity for k0-block-diagonal mixtures of pure components."""
-    acc = 0.0
-    for k0, ms_a in state_a.sectors.items():
-        if k0 not in state_b.sectors:
-            continue
-        ms_b = state_b.sectors[k0]
-        inner = 0.0 + 0.0j
-        for m, va in ms_a.items():
-            vb = ms_b.get(m)
-            if vb is None:
-                continue
-            n = min(va.size, vb.size)
-            inner += np.vdot(va[:n], vb[:n])
-        acc += math.sqrt(state_a.weights[k0] * state_b.weights[k0]) * abs(inner)
-    return acc * acc
 
 
 def fit_interference_curve(phis: np.ndarray, values: np.ndarray):

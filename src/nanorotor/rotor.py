@@ -30,6 +30,7 @@ __all__ = [
     "rotational_energies",
     "prepare_aligned_state",
     "prepare_mixture",
+    "k_cutoff",
     "free_propagate",
     "truncation_jmax",
     "estimate_jmax",
@@ -44,6 +45,9 @@ SILICON_NANOROD_SEMI_AXES = (2.75e-9, 2.75e-9, 25.0e-9)  # meters
 
 TAIL_MASS = 1e-10       # cumulative-weight target of the truncation rule
 GUARD_BAND = 8          # extra j levels beyond the tail cutoff
+# widest weight profile a state may span: its grid (order 2 jmax + 16) and
+# Wigner tables would not fit in memory long before this
+J_SPAN_LIMIT = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +167,6 @@ class SpectrumModel:
     phase_coeffs: np.ndarray
     dominant_weight: np.ndarray
 
-    def coeff(self, j: int, k: int) -> float:
-        return float(self.phase_coeffs[j, abs(k)])
-
     def covers(self, jmax: int, kmax: int) -> bool:
         return self.jmax >= jmax and self.kmax >= kmax
 
@@ -269,9 +270,6 @@ class RotorState:
         return math.sqrt(sum(float(np.sum(np.abs(v) ** 2))
                              for v in self.sectors[k0].values()))
 
-    def k0_values(self) -> list[int]:
-        return sorted(self.sectors)
-
     @property
     def is_pure(self) -> bool:
         return len(self.sectors) == 1
@@ -288,18 +286,24 @@ def truncation_jmax(weights: np.ndarray, j_offset: int = 0) -> int:
     return jcut + GUARD_BAND
 
 
+def _profile_js(j0: int, span: int) -> np.ndarray:
+    if span > J_SPAN_LIMIT:
+        raise DomainError(f"the weight profile spans more than {J_SPAN_LIMIT} j levels")
+    return np.arange(j0, j0 + span)
+
+
 def estimate_jmax(mode: str, param: float, k0: int = 0) -> int:
     """Truncation-rule jmax from the analytic weight profiles (no projection)."""
     j0 = abs(k0)
     if mode == "gaussian_j":
         sigma_sq = param
-        js = np.arange(j0, j0 + int(8 * math.sqrt(sigma_sq)) + 64)
+        js = _profile_js(j0, int(8 * math.sqrt(sigma_sq)) + 64)
         w = np.exp(-js.astype(float) ** 2 / sigma_sq)
     elif mode == "gaussian_beta":
         # the small-angle weight profile; beyond sigma ~ 0.6 the state is
         # essentially isotropic and its j-content is bounded by that profile
         sigma = min(param, 0.6)
-        js = np.arange(j0, j0 + int(6.0 / sigma) + 64)
+        js = _profile_js(j0, int(6.0 / sigma) + 64)
         w = (js + 0.5) * np.exp(-2.0 * (js + 0.5) ** 2 * sigma * sigma)
     else:
         raise DomainError(f"unknown state mode {mode!r}")
@@ -349,18 +353,23 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     return RotorState(sectors={k0: {k0: full}}, weights={k0: 1.0}, jmax=jmax)
 
 
+def k_cutoff(sigma_k: float) -> int:
+    """Largest |k0| kept in a mixture of width sigma_k: four widths, rounded up."""
+    return math.ceil(4.0 * sigma_k)
+
+
 def prepare_mixture(sigma_beta: float, sigma_k: float,
                     jmax: int | None = None) -> RotorState:
     """Classical mixture over integer k0 with Gaussian weights of width sigma_k.
 
     Components are gaussian_beta aligned states; the k0 grid is truncated at
-    |k0| <= ceil(4 sigma_k) and the weights renormalized.
+    |k0| <= k_cutoff(sigma_k) and the weights renormalized.
     """
     if sigma_k < 0:
         raise DomainError("sigma_k must be >= 0")
     if sigma_k == 0:
         return prepare_aligned_state("gaussian_beta", sigma_beta, k0=0, jmax=jmax)
-    kcut = math.ceil(4.0 * sigma_k)
+    kcut = k_cutoff(sigma_k)
     k0s = np.arange(-kcut, kcut + 1)
     w = np.exp(-k0s.astype(float) ** 2 / (2.0 * sigma_k ** 2))
     w /= w.sum()

@@ -6,6 +6,11 @@ Clebsch-Gordan oracles are the closed Racah sum, sympy's exact coefficients
 and a brute-force two-spin diagonalization, operator elements come from
 Racah-sum products or direct quadrature, and the Lindblad oracle integrates
 the master equation densely with operators built from the Racah sums.
+
+Reference code that only the tests call lives here too: the asymptotic
+d-function, the fractional-revival resummation, the scalar Wigner-d
+recurrence (it starts from the library's ``_d_start`` and steps with its
+``_recurrence_r``, and is checked against the sum) and state overlaps.
 """
 
 import math
@@ -16,6 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nanorotor import angular
+from nanorotor.angular import _d_start, _recurrence_r
 from nanorotor.errors import DomainError, SingularityError
 
 
@@ -23,21 +29,24 @@ def wigner_d_sum(j: int, m: int, k: int, beta: float, dps: int | None = None) ->
     """Explicit Wigner sum formula in extended precision.
 
     The alternating terms reach ~4^j before cancelling, so working precision
-    must grow linearly with j.
+    must grow linearly with j.  Each term is the one before times a ratio of
+    integers and tan^2(beta/2); only the first term takes factorials.
     """
     if dps is None:
         dps = 60 + int(0.7 * j)
+    f = mp.factorial
     with mp.workdps(dps):
         b = mp.mpf(beta)
         c, s = mp.cos(b / 2), mp.sin(b / 2)
-        pref = mp.sqrt(mp.factorial(j + m) * mp.factorial(j - m)
-                       * mp.factorial(j + k) * mp.factorial(j - k))
+        t0, t1 = max(0, m - k), min(j + m, j - k)
+        term = (mp.sqrt(f(j + m) * f(j - m) * f(j + k) * f(j - k))
+                / (f(j + m - t0) * f(j - k - t0) * f(t0) * f(t0 + k - m))
+                * c ** (2 * j + m - k - 2 * t0) * s ** (2 * t0 + k - m))
+        tan_sq = (s / c) ** 2
         total = mp.mpf(0)
-        for t in range(max(0, m - k), min(j + m, j - k) + 1):
-            den = (mp.factorial(j + m - t) * mp.factorial(j - k - t)
-                   * mp.factorial(t) * mp.factorial(t + k - m))
-            term = pref / den * c ** (2 * j + m - k - 2 * t) * s ** (2 * t + k - m)
+        for t in range(t0, t1 + 1):
             total += -term if t % 2 else term
+            term *= mp.mpf((j + m - t) * (j - k - t)) / ((t + 1) * (t + 1 + k - m)) * tan_sq
         return float(total)
 
 
@@ -78,6 +87,15 @@ def cg_two_spin_brute(j1: int, j2: int, J: int, M: int, m1: int) -> float:
     if vec[top] < 0:
         vec = -vec
     return float(vec[basis.index((m1, M - m1))])
+
+
+def to_dense(op: angular.BandedOperator) -> np.ndarray:
+    """The full complex matrix of a banded operator."""
+    dense = np.zeros((op.size, op.size), dtype=complex)
+    for d, diag in op.diagonals.items():
+        idx = np.arange(diag.size)
+        dense[idx + max(-d, 0), idx + max(d, 0)] = diag
+    return dense
 
 
 def quadrature_element(f, jp: int, j: int, m: int, k: int,
@@ -251,7 +269,7 @@ def lindblad_oracle(initial, spectrum, gamma: float,
         raise DomainError("dense oracle limited to jmax <= 24")
     basis = _dense_basis(jmax, k0)
     dim = len(basis)
-    eps = np.array([spectrum.coeff(j, k0) for j, m in basis])
+    eps = np.array([spectrum.phase_coeffs[j, abs(k0)] for j, m in basis])
     cs = [np.asarray(c) for c in dense_cosine_matrices(jmax, k0)]
     cos2 = np.zeros((dim, dim), dtype=complex)
     index = {bm: i for i, bm in enumerate(basis)}
@@ -341,3 +359,117 @@ def resum_check(t_fraction: float, damping: float,
             weights.append(complex(np.sum(u[win]) * db))
     order = np.argsort(locs)
     return np.array(locs)[order], np.array(weights)[order]
+
+
+# ---------------------------------------------------------------------------
+# reference Wigner-d recurrence
+# ---------------------------------------------------------------------------
+
+def _check_jmk(j: int, m: int, k: int) -> None:
+    if j < 0:
+        raise DomainError(f"j must be >= 0, got {j}")
+    if abs(m) > j or abs(k) > j:
+        raise DomainError(f"|m|,|k| must not exceed j: j={j}, m={m}, k={k}")
+
+
+def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
+    """d^j_{mk}(beta) by the three-term recurrence in j, upward from max(|m|,|k|).
+
+    Stable to j of a few thousand; the running pair is renormalized every 64
+    steps so starting values far below the floating-point floor (large |m|,|k|
+    at extreme angles) are still propagated.  A result whose true magnitude
+    underflows float64 is returned as 0.0.
+    """
+    _check_jmk(j, m, k)
+    if beta == 0.0:
+        return 1.0 if m == k else 0.0
+    if beta == math.pi:
+        if m == -k:
+            return -1.0 if (j - k) % 2 else 1.0
+        return 0.0
+    if not 0.0 < beta < math.pi:
+        raise DomainError(f"beta must lie in [0, pi], got {beta}")
+
+    j0 = max(abs(m), abs(k))
+    cosb = math.cos(beta)
+
+    if j0 == 0:
+        if j == 0:
+            return 1.0
+        prev, curr = 1.0, cosb  # d^0 and d^1 for m = k = 0
+        scale = 0
+        jc = 1
+    else:
+        sign, lbin, p, q = _d_start(m, k)
+        logv = lbin + p * math.log(math.cos(beta / 2.0)) + q * math.log(math.sin(beta / 2.0))
+        scale = min(0, int(math.floor(logv / math.log(2.0))))
+        start = sign * math.exp(logv - scale * math.log(2.0))
+        if j == j0:
+            return math.ldexp(start, scale) if scale > -1100 else 0.0
+        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
+        nxt = num * start / (j0 * _recurrence_r(j0 + 1, m, k))
+        prev, curr = start, nxt
+        jc = j0 + 1
+
+    steps = 0
+    while jc < j:
+        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
+        new = (num * curr - (jc + 1) * _recurrence_r(jc, m, k) * prev) / (jc * _recurrence_r(jc + 1, m, k))
+        prev, curr = curr, new
+        jc += 1
+        steps += 1
+        if steps % 64 == 0 and scale < 0:
+            mag = max(abs(prev), abs(curr))
+            if mag > 1.0:
+                e = min(int(math.floor(math.log2(mag))), -scale)
+                prev = math.ldexp(prev, -e)
+                curr = math.ldexp(curr, -e)
+                scale += e
+    if scale == 0:
+        return curr
+    if scale < -1100 and abs(curr) < 1.0:
+        return 0.0
+    return math.ldexp(curr, scale)
+
+
+# ---------------------------------------------------------------------------
+# state overlaps
+# ---------------------------------------------------------------------------
+
+def overlap(state_a, state_b) -> complex:
+    """Inner product of two pure states with matching sector layout.
+
+    Missing sectors count as zero.  For mixtures use :func:`fidelity`.
+    """
+    if not (state_a.is_pure and state_b.is_pure):
+        raise DomainError("overlap is defined for pure states; use fidelity for mixtures")
+    acc = 0.0 + 0.0j
+    for k0, ms_a in state_a.sectors.items():
+        ms_b = state_b.sectors.get(k0)
+        if ms_b is None:
+            continue
+        for m, va in ms_a.items():
+            vb = ms_b.get(m)
+            if vb is None:
+                continue
+            n = min(va.size, vb.size)
+            acc += np.vdot(va[:n], vb[:n])
+    return complex(acc)
+
+
+def fidelity(state_a, state_b) -> float:
+    """Uhlmann fidelity for k0-block-diagonal mixtures of pure components."""
+    acc = 0.0
+    for k0, ms_a in state_a.sectors.items():
+        if k0 not in state_b.sectors:
+            continue
+        ms_b = state_b.sectors[k0]
+        inner = 0.0 + 0.0j
+        for m, va in ms_a.items():
+            vb = ms_b.get(m)
+            if vb is None:
+                continue
+            n = min(va.size, vb.size)
+            inner += np.vdot(va[:n], vb[:n])
+        acc += math.sqrt(state_a.weights[k0] * state_b.weights[k0]) * abs(inner)
+    return acc * acc

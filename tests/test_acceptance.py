@@ -135,7 +135,7 @@ def test_criterion_4_eight_state_model():
     for phi in np.arange(0.0, 2 * math.pi + 1e-9, math.pi / 4):
         final = interferometer(state, float(phi), "exact")
         ref = rotor.extend_state(state, final.jmax)
-        ov = abs(observables.overlap(ref, final)) ** 2
+        ov = abs(oracles.overlap(ref, final)) ** 2
         devs.append(abs(ov - math.cos(phi / 2) ** 2))
     print(f"\nCRITERION 4: model amplitude dev = {worst:.2e}, "
           f"max overlap dev over phi = {max(devs):.4f}")

@@ -85,11 +85,13 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "sigma_j_sq" in capsys.readouterr().err
 
 
-def _exit2(key, value, preset="fig1", *extra):
-    return pytest.param([preset, f"--{key}", value, *extra], key, id=f"{key}-{value}")
+def _exit2(key, value, preset="fig1", *extra, id=None):
+    return pytest.param([preset, f"--{key}", value, *extra], key, id=id or f"{key}-{value}")
 
 
-@pytest.mark.parametrize("argv,key", [
+DIRECT_ROTOR = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "100")
+
+EXIT2_CASES = [
     _exit2("state.sigma_j_sq", "abc"),
     _exit2("times.n_points", "2.5"),
     _exit2("pulse.schedule_t", "0.1"),
@@ -104,13 +106,64 @@ def _exit2(key, value, preset="fig1", *extra):
     _exit2("sweep.b_points", "-1", "fig2b"),
     _exit2("sweep.sigma_beta", "[-0.1]", "fig2a", "--sweep.sigma_k", "[0.0]"),
     _exit2("sweep.sigma_k", "[-1.0]", "fig2a", "--sweep.sigma_beta", "[0.1]"),
-])
+    # a sigma_k mixture spans |k0| <= 8, beyond jmax
+    _exit2("state.jmax", "2", "fig2a", "--sweep.sigma_beta", "[0.1]", "--sweep.sigma_k",
+           "[2.0]", id="state.jmax-2-below-the-mixture"),
+    _exit2("sweep.sigma_beta", "[]", "fig2a"),
+    _exit2("sweep.sigma_k", "[]", "fig2a"),
+    _exit2("sweep.phi", "[]", "fig2c"),
+    _exit2("pulse.phi", "[]"),
+    _exit2("sweep.b_points", "0", "fig2b", "--sweep.b_include", "[]"),
+    _exit2("state.sigma_k", "1.0", "evolve", *DIRECT_ROTOR),
+    _exit2("state.k0", "2", "evolve", *DIRECT_ROTOR[:2], "--state.mode", "gaussian_beta",
+           "--state.sigma_beta", "0.1", "--state.sigma_k", "1.0"),
+    _exit2("state.k0", "2", "fig2a", "--sweep.sigma_beta", "[0.1]",
+           id="state.k0-2-in-the-sigma-sweep"),
+    _exit2("gamma.hz", "1.0", "evolve", *DIRECT_ROTOR),
+    _exit2("state.sigma_j_sq", "1e400"),
+    _exit2("state.sigma_j_sq", "NaN"),
+    # widths whose weight profile would span more j levels than any grid holds
+    _exit2("state.sigma_j_sq", "1e16"),
+    _exit2("state.sigma_beta", "1e-12", "fig2a"),
+    _exit2("sweep.sigma_beta", "[1e-12]", "fig2a", "--sweep.sigma_k", "[0.0]"),
+    pytest.param(["params", "--pulse.laser.power_w", "0", "--pulse.laser.waist_m", "0"],
+                 "pulse.laser", id="pulse.laser-zero"),
+]
+
+
+@pytest.mark.parametrize("argv,key", EXIT2_CASES)
 def test_exit_code_2_names_the_key(tmp_path, capsys, argv, key):
     # wrong JSON types, out-of-range values, a negative semiclassical phase
     # and non-prolate geometry (the rotor's or the params variant's) are
     # config errors, not tracebacks, zero states or numerical failures
     assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", EXIT2_CASES)
+def test_validate_only_names_the_same_key(capsys, argv, key):
+    # --validate-only applies the rules the run applies
+    assert cli.main([*argv, "--validate-only"]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["params"], ["fig1", "--times.n_points", "8"]])
+def test_a_run_validates_once(tmp_path, monkeypatch, argv):
+    calls = []
+    real = cfgmod.validate
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cfgmod, "validate", counted)
+    assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == 1
+
+
+def test_every_scenario_has_a_runner():
+    assert sorted(cli.SCENARIO_RUNNERS) == sorted(cfgmod.SCENARIOS)
 
 
 def test_exit_code_2_on_unknown_scenario(tmp_path):

