@@ -13,11 +13,11 @@ from . import angular, decoherence, eightstate, observables, pulse, rotor
 from .angular import AngularGrid, BandedOperator
 from .observables import TimeSeries, alignment
 from .pulse import PulseSpec
-from .rotor import InertiaModel, RotorState, SpectrumModel
+from .rotor import InertiaModel, Mixture, RotorState, SpectrumModel
 
 __all__ = [
     "__version__",
     "angular", "rotor", "pulse", "eightstate", "decoherence", "observables",
-    "AngularGrid", "BandedOperator", "InertiaModel", "RotorState",
+    "AngularGrid", "BandedOperator", "InertiaModel", "Mixture", "RotorState",
     "SpectrumModel", "PulseSpec", "TimeSeries", "alignment",
 ]

@@ -55,17 +55,15 @@ def build_time_grid(times: cfgmod.TimesConfig) -> np.ndarray:
     return grid
 
 
-def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.RotorState:
+def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.Mixture:
     s = cfg.state
     if s.sigma_k > 0:
         return rotor.prepare_mixture(s.sigma_beta, s.sigma_k, jmax=s.jmax)
-    if s.mode == "gaussian_j":
-        return rotor.prepare_aligned_state("gaussian_j", s.sigma_j_sq, s.k0, jmax=s.jmax)
-    return rotor.prepare_aligned_state("gaussian_beta", s.sigma_beta, s.k0, jmax=s.jmax)
+    param = s.sigma_j_sq if s.mode == "gaussian_j" else s.sigma_beta
+    return rotor.Mixture.pure(rotor.prepare_aligned_state(s.mode, param, s.k0, jmax=s.jmax))
 
 
 def build_spectrum(cfg, model, jmax, kmax):
-    kmax = max(kmax, cfg.spectrum.kmax or 0)
     return rotor.rotational_energies(jmax, kmax, model, cfg.spectrum.method)
 
 
@@ -106,11 +104,12 @@ class OutputWriter:
 # ---------------------------------------------------------------------------
 
 def _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid):
-    """The state padded for the pulses at this phi, and its trajectory config."""
+    """The mixture with each component padded for the pulses at this phi, and
+    its trajectory config."""
     spec = pulse.PulseSpec(phi=phi, schedule=tuple(cfg.pulse.schedule_t),
                            method=cfg.pulse.method)
-    prepared = pulse.prepare_for_pulses(state, spec)
-    if not spectrum.covers(prepared.jmax, max(abs(k) for k in prepared.sectors)):
+    prepared = state.map(lambda c: pulse.prepare_for_pulses(c, spec))
+    if not spectrum.covers(prepared.jmax, prepared.kmax):
         raise ConfigError("internal: spectrum does not cover pulse headroom")
     tc = decoherence.TrajectoryConfig(gamma=gamma, t_end=float(tgrid[-1]),
                                       observation_times=tuple(tgrid),
@@ -131,11 +130,11 @@ def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point
 
 
 def _state_and_extent(cfg, phis):
-    """The prepared state, and the jmax and kmax its spectrum must cover
+    """The prepared mixture, and the jmax and kmax its spectrum must cover
     to take the scheduled pulses at every phi."""
     state = prepare_state(cfg)
     jmax = state.jmax + pulse.pulse_headroom(phis, len(cfg.pulse.schedule_t))
-    return state, jmax, max((abs(k) for k in state.sectors), default=0)
+    return state, jmax, state.kmax
 
 
 def _state_and_spectrum(cfg, model, phis):
@@ -196,8 +195,8 @@ def scenario_fractional(cfg, report, writer, diagnostics):
     halfwidths = {0.125: math.pi / 16, 0.25: math.pi / 8, 0.5: math.pi / 4}
     window_rows = []
     for frac in fractions:
-        evolved = rotor.free_propagate(state, frac, spectrum)
-        prob = observables.beta_distribution(evolved, grid)
+        evolved = state.map(lambda c: rotor.free_propagate(c, frac, spectrum))
+        prob = evolved.mean(lambda c: observables.beta_distribution(c, grid))
         writer.write_csv(f"_beta_t{_phi_tag(frac)}", ["beta", "prob"],
                          [grid.nodes, prob])
         centers = {0.125: [1, 3, 5, 7], 0.25: [2, 6], 0.5: [4]}[frac]
@@ -207,7 +206,7 @@ def scenario_fractional(cfg, report, writer, diagnostics):
             mass = grid.window_mass(prob / np.sin(grid.nodes),
                                     center - hw, center + hw)
             window_rows.append((frac, center, mass))
-        diagnostics[f"alignment_t{frac}"] = observables.alignment(evolved)
+        diagnostics[f"alignment_t{frac}"] = evolved.mean(observables.alignment)
     writer.write_csv("_windows", ["t_over_Trev", "window_center", "mass"],
                      [np.array([r[i] for r in window_rows]) for i in range(3)])
     return 0

@@ -105,7 +105,7 @@ class SweepConfig:
 @dataclass
 class SpectrumConfig:
     method: str = "symmetric"
-    kmax: int | None = None
+    kmax: int | None = None  # no reader: old manifests carry null, validate rejects a value
 
 
 @dataclass
@@ -320,6 +320,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     kmax = max(rotor_mod.k_cutoff(sigma_k_max), abs(s.k0))
     if s.jmax is not None and s.jmax < kmax:
         problems.append(f"state.jmax: must be >= {kmax}, the largest |k0| the run prepares")
+    if s.jmax is not None and s.jmax > rotor_mod.J_SPAN_LIMIT:
+        problems.append(f"state.jmax: must not exceed {rotor_mod.J_SPAN_LIMIT}")
 
     p = cfg.pulse
     for t in p.schedule_t:
@@ -331,6 +333,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         for key, val in (("pulse.phi", p.phi), ("sweep.phi", cfg.sweep.phi)):
             if any(v < 0 for v in (val if isinstance(val, list) else [val or 0.0])):
                 problems.append(f"{key}: must be >= 0 with the semiclassical pulse")
+    if cfg.scenario == "sweep_sigma" and isinstance(p.phi, list) and len(p.phi) > 1:
+        problems.append("pulse.phi: sweep_sigma runs one phase, not a list of several")
 
     g = cfg.gamma
     for name, val in (("gamma.hz", g.hz), ("gamma.dimensionless", g.dimensionless)):
@@ -362,6 +366,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("sweep.sigma_k: every entry must be >= 0")
     if cfg.spectrum.method not in ("symmetric", "asymmetric"):
         problems.append(f"spectrum.method: unknown value {cfg.spectrum.method!r}")
+    if cfg.spectrum.kmax is not None:
+        problems.append("spectrum.kmax: must be null; the spectrum covers the state's "
+                        "largest |k0|")
 
     report = ValidationReport(problems=problems)
     if problems:

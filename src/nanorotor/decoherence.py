@@ -19,15 +19,14 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import angular, observables
 from .errors import DomainError, TruncationError
 from .pulse import PulseSpec, apply_pulse
-from .rotor import RotorState, SpectrumModel, free_propagate
+from .rotor import Mixture, RotorState, SpectrumModel, free_propagate
 
 __all__ = [
     "TrajectoryConfig",
@@ -102,46 +101,37 @@ def sample_jump_times(gamma: float, t_end: float,
     return np.sort(rng.random(n)) * t_end
 
 
-@lru_cache(maxsize=64)
-def _cosine_ops(jmax: int, k0: int):
-    return angular.direction_cosine_matrices(abs(k0), jmax, k0)
-
-
-def jump_probabilities(state: RotorState, k0: int) -> tuple[np.ndarray, list]:
-    """Channel probabilities <c_l^2> for one k0 component, plus the applied vectors."""
-    ops = _cosine_ops(state.jmax, k0)
-    sectors = state.sectors[k0]
+def jump_probabilities(state: RotorState) -> tuple[np.ndarray, list]:
+    """Channel probabilities <c_l^2> of a pure component, plus the applied vectors."""
+    ops = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)
     probs = np.empty(3)
     applied = []
     for i, op in enumerate(ops):
-        new = op.apply(sectors)
+        new = op.apply(state.sectors)
         probs[i] = sum(float(np.sum(np.abs(v) ** 2)) for v in new.values())
         applied.append(new)
     return probs, applied
 
 
 def apply_jump(state: RotorState, rng: np.random.Generator) -> RotorState:
-    """One collisional jump on a pure state: pick l with probability <c_l^2>,
-    apply c_l and renormalize.  Conserves k0 exactly; m changes by at most 1.
+    """One collisional jump on a pure component: pick l with probability
+    <c_l^2>, apply c_l and renormalize.  Conserves k0 exactly; m changes by at
+    most 1.
     """
-    if not state.is_pure:
-        raise DomainError("jumps act on pure components")
-    (k0,) = state.sectors.keys()
     band = 1  # c_l couple j to j +- 1
-    for vec in state.sectors[k0].values():
+    for vec in state.sectors.values():
         if float(np.sum(np.abs(vec[-band:]) ** 2)) > _BOUNDARY_TOL:
             raise TruncationError(
                 "state weight at the j truncation boundary exceeds tolerance; "
                 "raise jmax before sampling jumps")
-    probs, applied = jump_probabilities(state, k0)
+    probs, applied = jump_probabilities(state)
     pick = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
     pick = min(pick, 2)
     new_sectors = applied[pick]
     norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in new_sectors.values()))
-    out = state.copy()
-    out.sectors[k0] = {m: v / norm for m, v in new_sectors.items()
-                       if float(np.sum(np.abs(v) ** 2)) > 1e-32 * norm ** 2}
-    return out
+    return replace(state, sectors={m: v / norm for m, v in new_sectors.items()
+                                   if float(np.sum(np.abs(v) ** 2)) > 1e-32 * norm ** 2},
+                   diagnostics=dict(state.diagnostics))
 
 
 def _merge(jumps, events: list) -> list:
@@ -185,24 +175,24 @@ def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryCo
     return out
 
 
-def _draw(initial: RotorState, config: TrajectoryConfig, index: int):
-    """The random inputs of trajectory ``index``, in stream order: its k0
-    (mixtures are sampled), its jump times, and the generator that goes on to
-    pick the jump channels.  Deterministic given (config.seed, index)."""
+def _draw(initial: Mixture, config: TrajectoryConfig, index: int):
+    """The random inputs of trajectory ``index``, in stream order: its
+    component (sampled by weight when there are several), its jump times, and
+    the generator that goes on to pick the jump channels.  Deterministic
+    given (config.seed, index)."""
     rng = _trajectory_rng(config.seed, index)
-    k0s = list(initial.sectors)
-    k0 = k0s[0]
-    if len(k0s) > 1:
-        w = np.array([initial.weights[k] for k in k0s])
-        k0 = k0s[int(rng.choice(len(k0s), p=w / w.sum()))]
-    return k0, sample_jump_times(config.gamma, config.t_end, rng), rng
+    pick = 0
+    if len(initial.components) > 1:
+        w = np.array(initial.weights)
+        pick = int(rng.choice(len(w), p=w / w.sum()))
+    return initial.components[pick], sample_jump_times(config.gamma, config.t_end, rng), rng
 
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The jump-free pass of each drawn k0 component.  Until its first jump a
-    trajectory is a function of its k0 alone, so it starts from the state
-    this pass reached before the first event at or after that jump."""
+    """The jump-free pass of each component that runs.  Until its first jump a
+    trajectory is a function of its component alone, so it starts from the
+    state this pass reached before the first event at or after that jump."""
 
     events: list
     times: list
@@ -210,65 +200,61 @@ class _Skeleton:
     states: dict  # k0 -> {event position: state before that event}
 
 
-def _skeleton(initial: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
+def _skeleton(components, spectrum: SpectrumModel, config: TrajectoryConfig,
               draws: list) -> _Skeleton:
+    """The jump-free pass of each of ``components``, keeping the states the
+    jumping ``draws`` resume from."""
     events = _schedule(config)
     times = [t for t, _, _ in events]
-    starts: dict[int, dict] = {}
-    for k0, jumps, _ in draws:
-        keep = starts.setdefault(k0, {})
+    starts: dict[int, dict] = {c.k0: {} for c in components}
+    for component, jumps, _ in draws:
         if len(jumps):
-            keep[bisect.bisect_left(times, jumps[0])] = None
-    series = {}
-    for k0, keep in starts.items():
-        state = initial
-        if len(initial.sectors) > 1:
-            state = RotorState(sectors={k0: initial.sectors[k0]}, weights={k0: 1.0},
-                               jmax=initial.jmax, time=initial.time)
-        series[k0] = _run_events(state, spectrum, config, events,
-                                 np.empty(len(config.observation_times)), keep=keep)
+            starts[component.k0][bisect.bisect_left(times, jumps[0])] = None
+    series = {c.k0: _run_events(c, spectrum, config, events,
+                                np.empty(len(config.observation_times)), keep=starts[c.k0])
+              for c in components}
     return _Skeleton(events, times, series, starts)
 
 
 def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
-            k0: int, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            component: RotorState, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One trajectory's series: the skeleton's own if it makes no jump, else
     the events from its first jump on, run from the skeleton's state there."""
-    out = skeleton.series[k0].copy()
+    out = skeleton.series[component.k0].copy()
     if len(jumps):
         start = bisect.bisect_left(skeleton.times, jumps[0])
-        _run_events(skeleton.states[k0][start], spectrum, config,
+        _run_events(skeleton.states[component.k0][start], spectrum, config,
                     _merge(jumps, skeleton.events[start:]), out, rng)
     return out
 
 
-def run_trajectory(initial: RotorState, spectrum: SpectrumModel,
+def run_trajectory(initial: Mixture, spectrum: SpectrumModel,
                    config: TrajectoryConfig, index: int = 0) -> np.ndarray:
     """Alignment time series of a single stochastic trajectory."""
     draw = _draw(initial, config, index)
-    return _resume(_skeleton(initial, spectrum, config, [draw]), spectrum, config, *draw)
+    return _resume(_skeleton([draw[0]], spectrum, config, [draw]), spectrum, config, *draw)
 
 
-def run_ensemble(initial: RotorState, spectrum: SpectrumModel,
+def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                  config: TrajectoryConfig, n: int) -> EnsembleResult:
     """Average n trajectories (mixture weights included).
 
-    With gamma = 0 the ensemble is deterministic and computed directly from
-    the mixture, bit-identical to the jump-free pipeline for any n.
-    Otherwise the random draws and the jump-free skeleton are made once, and
-    every trajectory runs from its first jump on, in index order.
+    With gamma = 0 the ensemble is deterministic: the weighted sum of each
+    component's jump-free pass, for any n.  Otherwise the random draws and
+    the jump-free skeleton of each drawn component are made once, and every
+    trajectory runs from its first jump on, in index order.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     times = np.asarray(config.observation_times)
     if config.gamma == 0.0:
-        series = _run_events(initial, spectrum, config, _schedule(config),
-                             np.empty(times.size))
-        return EnsembleResult(times=times, mean_alignment=series,
-                              stderr=np.zeros_like(series), n_trajectories=n,
+        skeleton = _skeleton(initial.components, spectrum, config, [])
+        mean = initial.mean(lambda c: skeleton.series[c.k0])
+        return EnsembleResult(times=times, mean_alignment=mean,
+                              stderr=np.zeros_like(mean), n_trajectories=n,
                               jump_count_histogram={0: n})
     draws = [_draw(initial, config, i) for i in range(n)]
-    skeleton = _skeleton(initial, spectrum, config, draws)
+    skeleton = _skeleton({c.k0: c for c, _, _ in draws}.values(), spectrum, config, draws)
     data = np.vstack([_resume(skeleton, spectrum, config, *draw) for draw in draws])
     mean = data.mean(axis=0)
     if n > 1:

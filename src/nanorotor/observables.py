@@ -40,26 +40,20 @@ def _cos2_matrix(jmin: int, jmax: int, m: int, k: int) -> angular.BandedOperator
 
 
 def alignment(state: RotorState) -> float:
-    """Mixture-weighted <cos^2 beta>; 1 = aligned, 0 = antialigned, 1/3 = isotropic."""
+    """<cos^2 beta> of a pure component; 1 = aligned, 0 = antialigned, 1/3 = isotropic."""
     total = 0.0
-    for k0, ms in state.sectors.items():
-        w = state.weights[k0]
-        for m, vec in ms.items():
-            j0 = max(abs(m), abs(k0))
-            mat = _cos2_matrix(j0, state.jmax, m, k0)
-            total += w * mat.expectation(vec[j0:])
+    for m, vec in state.sectors.items():
+        j0 = max(abs(m), abs(state.k0))
+        total += _cos2_matrix(j0, state.jmax, m, state.k0).expectation(vec[j0:])
     return total
 
 
 def beta_distribution(state: RotorState, grid: angular.AngularGrid) -> np.ndarray:
-    """Mixture-weighted polar-angle density prob(beta) = sin(beta) <|psi|^2> on the grid."""
+    """Polar-angle density prob(beta) = sin(beta) <|psi|^2> of a pure component on the grid."""
     prob = np.zeros(grid.nodes.size)
-    for k0, ms in state.sectors.items():
-        w = state.weights[k0]
-        for m, vec in ms.items():
-            j0 = max(abs(m), abs(k0))
-            _, p = angular.synthesize_beta(vec[j0:], m, k0, grid)
-            prob += w * p
+    for m, vec in state.sectors.items():
+        j0 = max(abs(m), abs(state.k0))
+        prob += angular.synthesize_beta(vec[j0:], m, state.k0, grid)[1]
     return prob
 
 

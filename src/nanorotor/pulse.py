@@ -185,50 +185,44 @@ def _cached_matrix(jmin: int, jmax: int, m: int, k: int, phi: float) -> PulseMat
 
 
 def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
-    """Apply one phase pulse to every (k0, m) sector of a rotor state.
+    """Apply one phase pulse to every m sector of a pure component.
 
-    The semiclassical matrices depend on (m, k); each pure component is
-    renormalized afterwards and the pre-normalization norm defect is logged and
-    recorded in the state diagnostics.  Mixture weights are unchanged (the
-    pulse is diagonal in k).
+    The semiclassical matrices depend on (m, k0); the component is
+    renormalized afterwards and the pre-normalization norm defect is logged
+    and recorded in the state diagnostics.
     """
     out = state.copy()
     phi = spec.phi
     if phi == 0.0:
         return out
-    worst_defect = 0.0
-    worst_boundary = 0.0
+    k0 = out.k0
+    boundary = 0.0
     band = pulse_bandwidth(phi)
     grid = angular.AngularGrid.for_jmax(out.jmax) if spec.method == "exact" else None
-    for k0, ms in out.sectors.items():
-        for m in ms:
-            j0 = max(abs(m), abs(k0))
-            vec = ms[m]
-            worst_boundary = max(worst_boundary, boundary_weight(vec, band))
-            if spec.method == "exact":
-                new_sec = phase_apply_exact(vec[j0:], m, k0, phi, grid)
-            else:
-                mat = _cached_matrix(j0, out.jmax, m, k0, phi)
-                new_sec = mat.apply(vec[j0:])
-            full = np.zeros_like(vec)
-            full[j0:] = new_sec
-            ms[m] = full
-        norm = out.component_norm(k0)
-        defect = abs(1.0 - norm)
-        worst_defect = max(worst_defect, defect)
-        if norm > 0:
-            for m in ms:
-                ms[m] = ms[m] / norm
-    if worst_defect > 1e-12:
-        log.debug("pulse norm defect %.3e (phi=%.4f, method=%s)",
-                  worst_defect, phi, spec.method)
-    out.diagnostics = dict(out.diagnostics)
+    for m, vec in state.sectors.items():
+        j0 = max(abs(m), abs(k0))
+        boundary = max(boundary, boundary_weight(vec, band))
+        if spec.method == "exact":
+            new_sec = phase_apply_exact(vec[j0:], m, k0, phi, grid)
+        else:
+            mat = _cached_matrix(j0, out.jmax, m, k0, phi)
+            new_sec = mat.apply(vec[j0:])
+        full = np.zeros_like(vec)
+        full[j0:] = new_sec
+        out.sectors[m] = full
+    norm = out.norm()
+    defect = abs(1.0 - norm)
+    if norm > 0:
+        for m in out.sectors:
+            out.sectors[m] = out.sectors[m] / norm
+    if defect > 1e-12:
+        log.debug("pulse norm defect %.3e (phi=%.4f, method=%s)", defect, phi, spec.method)
     out.diagnostics["pulse_norm_defect"] = max(
-        worst_defect, out.diagnostics.get("pulse_norm_defect", 0.0))
+        defect, out.diagnostics.get("pulse_norm_defect", 0.0))
     # boundary rows violate the unbounded-ladder assumption of the banded
     # matrices; flag the weight sitting there so runs can audit it
     out.diagnostics["pulse_boundary_weight"] = max(
-        worst_boundary, out.diagnostics.get("pulse_boundary_weight", 0.0))
+        boundary, out.diagnostics.get("pulse_boundary_weight", 0.0))
     return out
 
 

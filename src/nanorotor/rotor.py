@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.constants as const
@@ -25,6 +25,7 @@ __all__ = [
     "InertiaModel",
     "SpectrumModel",
     "RotorState",
+    "Mixture",
     "inertia_from_ellipsoid",
     "inertia_from_parameters",
     "rotational_energies",
@@ -245,34 +246,64 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
 
 @dataclass
 class RotorState:
-    """Sparse rotor state: classical mixture over k0 of pure (m, j) components.
+    """One pure rotor component: fixed k0, amplitudes over (m, j).
 
-    ``sectors[k0][m]`` is a complex amplitude vector over j = 0..jmax (entries
-    below max(|m|, |k0|) are zero).  Each k0 component is a normalized pure
-    state; ``weights[k0]`` are the classical mixture probabilities.  ``time``
-    is t / T_rev.  Values are treated as immutable; operations return copies.
+    ``sectors[m]`` is a complex amplitude vector over j = 0..jmax (entries
+    below max(|m|, |k0|) are zero); together the sectors form a normalized
+    pure state.  ``time`` is t / T_rev.  Values are treated as immutable;
+    operations return copies.
     """
 
-    sectors: dict[int, dict[int, np.ndarray]]
-    weights: dict[int, float]
+    k0: int
+    sectors: dict[int, np.ndarray]
     jmax: int
     time: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
     def copy(self) -> "RotorState":
-        return RotorState(
-            sectors={k0: {m: vec.copy() for m, vec in ms.items()}
-                     for k0, ms in self.sectors.items()},
-            weights=dict(self.weights), jmax=self.jmax, time=self.time,
-            diagnostics=dict(self.diagnostics))
+        return replace(self, sectors={m: vec.copy() for m, vec in self.sectors.items()},
+                       diagnostics=dict(self.diagnostics))
 
-    def component_norm(self, k0: int) -> float:
-        return math.sqrt(sum(float(np.sum(np.abs(v) ** 2))
-                             for v in self.sectors[k0].values()))
+    def norm(self) -> float:
+        return math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in self.sectors.values()))
+
+
+@dataclass(frozen=True)
+class Mixture:
+    """Classical mixture over k0 of pure components, in ascending k0.
+
+    The only type that carries the k0 weights.  Kernels act on one component;
+    ``mean`` is the one place a mixture's expectation value is formed: the
+    weighted sum of per-component results, accumulated from zero in component
+    order.
+    """
+
+    components: tuple[RotorState, ...]
+    weights: tuple[float, ...]
+
+    @classmethod
+    def pure(cls, state: RotorState) -> "Mixture":
+        return cls((state,), (1.0,))
 
     @property
-    def is_pure(self) -> bool:
-        return len(self.sectors) == 1
+    def jmax(self) -> int:
+        return max(c.jmax for c in self.components)
+
+    @property
+    def kmax(self) -> int:
+        """The largest |k0| of the components."""
+        return max(abs(c.k0) for c in self.components)
+
+    def map(self, fn) -> "Mixture":
+        """The mixture of ``fn`` applied to each component, weights unchanged."""
+        return Mixture(tuple(fn(c) for c in self.components), self.weights)
+
+    def mean(self, fn):
+        """Weighted sum of ``fn`` over the components (floats or arrays)."""
+        total = 0.0
+        for w, c in zip(self.weights, self.components):
+            total += w * fn(c)
+        return total
 
 
 def truncation_jmax(weights: np.ndarray, j_offset: int = 0) -> int:
@@ -350,7 +381,7 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     amps = amps / np.linalg.norm(amps)
     full = np.zeros(jmax + 1, dtype=complex)
     full[j0:] = amps
-    return RotorState(sectors={k0: {k0: full}}, weights={k0: 1.0}, jmax=jmax)
+    return RotorState(k0=k0, sectors={k0: full}, jmax=jmax)
 
 
 def k_cutoff(sigma_k: float) -> int:
@@ -359,16 +390,17 @@ def k_cutoff(sigma_k: float) -> int:
 
 
 def prepare_mixture(sigma_beta: float, sigma_k: float,
-                    jmax: int | None = None) -> RotorState:
+                    jmax: int | None = None) -> Mixture:
     """Classical mixture over integer k0 with Gaussian weights of width sigma_k.
 
-    Components are gaussian_beta aligned states; the k0 grid is truncated at
-    |k0| <= k_cutoff(sigma_k) and the weights renormalized.
+    Components are gaussian_beta aligned states in ascending k0; the k0 grid
+    is truncated at |k0| <= k_cutoff(sigma_k) and the weights renormalized.
+    sigma_k = 0 gives the k0 = 0 state with weight 1.
     """
     if sigma_k < 0:
         raise DomainError("sigma_k must be >= 0")
     if sigma_k == 0:
-        return prepare_aligned_state("gaussian_beta", sigma_beta, k0=0, jmax=jmax)
+        return Mixture.pure(prepare_aligned_state("gaussian_beta", sigma_beta, jmax=jmax))
     kcut = k_cutoff(sigma_k)
     k0s = np.arange(-kcut, kcut + 1)
     w = np.exp(-k0s.astype(float) ** 2 / (2.0 * sigma_k ** 2))
@@ -376,47 +408,29 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
     if jmax is None:
         jmax = max(estimate_jmax("gaussian_beta", sigma_beta, k0=int(k))
                    for k in k0s)
-    sectors = {}
-    weights = {}
-    for k0, wk in zip(k0s, w):
-        comp = prepare_aligned_state("gaussian_beta", sigma_beta, k0=int(k0), jmax=jmax)
-        sectors[int(k0)] = comp.sectors[int(k0)]
-        weights[int(k0)] = float(wk)
-    return RotorState(sectors=sectors, weights=weights, jmax=jmax)
+    return Mixture(
+        tuple(prepare_aligned_state("gaussian_beta", sigma_beta, k0=int(k0), jmax=jmax)
+              for k0 in k0s),
+        tuple(float(wk) for wk in w))
 
 
 def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel) -> RotorState:
     """Multiply every amplitude by its spectral phase over dt = t/T_rev."""
-    kneed = max((abs(k0) for k0 in state.sectors), default=0)
-    if not spectrum.covers(state.jmax, kneed):
+    k = abs(state.k0)
+    if not spectrum.covers(state.jmax, k):
         raise CoverageError(
             f"spectrum (jmax={spectrum.jmax}, kmax={spectrum.kmax}) does not cover "
-            f"state (jmax={state.jmax}, |k0|<={kneed})")
-    out = state.copy()
-    phase_cache: dict[int, np.ndarray] = {}
-    for k0, ms in out.sectors.items():
-        ph = phase_cache.get(abs(k0))
-        if ph is None:
-            eps = spectrum.phase_coeffs[: state.jmax + 1, abs(k0)]
-            ph = np.exp(-1j * math.pi * np.mod(eps * dt, 2.0))
-            phase_cache[abs(k0)] = ph
-        for m in ms:
-            ms[m] = ms[m] * ph
-    out.time = state.time + dt
-    return out
+            f"state (jmax={state.jmax}, |k0|={k})")
+    eps = spectrum.phase_coeffs[: state.jmax + 1, k]
+    ph = np.exp(-1j * math.pi * np.mod(eps * dt, 2.0))
+    return replace(state, sectors={m: vec * ph for m, vec in state.sectors.items()},
+                   time=state.time + dt, diagnostics=dict(state.diagnostics))
 
 
 def extend_state(state: RotorState, new_jmax: int) -> RotorState:
-    """Zero-pad all sectors up to new_jmax (headroom for pulses and jumps)."""
+    """Zero-pad every sector up to new_jmax (headroom for pulses and jumps)."""
     if new_jmax < state.jmax:
         raise DomainError("cannot shrink a state")
-    if new_jmax == state.jmax:
-        return state.copy()
-    out = state.copy()
-    for k0, ms in out.sectors.items():
-        for m in ms:
-            vec = np.zeros(new_jmax + 1, dtype=complex)
-            vec[: state.jmax + 1] = ms[m]
-            ms[m] = vec
-    out.jmax = new_jmax
-    return out
+    return replace(state, sectors={m: np.pad(vec, (0, new_jmax - state.jmax))
+                                   for m, vec in state.sectors.items()},
+                   jmax=new_jmax, diagnostics=dict(state.diagnostics))

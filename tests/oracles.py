@@ -242,11 +242,13 @@ def dense_cosine_matrices(jmax: int, k: int) -> list[np.ndarray]:
     return mats
 
 
-def state_to_dense(state, k0: int, jmax: int) -> np.ndarray:
+def state_to_dense(state, jmax: int) -> np.ndarray:
+    """A pure component as a vector over the dense (j, m) basis at its k0."""
+    k0 = state.k0
     basis = _dense_basis(jmax, k0)
     index = {bm: i for i, bm in enumerate(basis)}
     vec = np.zeros(len(basis), dtype=complex)
-    for m, amps in state.sectors[k0].items():
+    for m, amps in state.sectors.items():
         for j in range(max(abs(m), abs(k0)), min(state.jmax, jmax) + 1):
             vec[index[(j, m)]] = amps[j]
     return vec
@@ -255,15 +257,14 @@ def state_to_dense(state, k0: int, jmax: int) -> np.ndarray:
 def lindblad_oracle(initial, spectrum, gamma: float,
                     t_end: float, observation_times,
                     rtol: float = 1e-7, atol: float = 1e-9):
-    """Direct master-equation integration at small jmax (dense, k0 = 0 sector).
+    """Direct master-equation integration at small jmax (dense, the k0 sector
+    of the pure initial component).
 
     d rho / dt = -i [H, rho] + gamma (sum_l c_l rho c_l - rho), integrated
     adaptively in the interaction picture of the diagonal H.  Returns
     (alignment series, trace series, min sampled eigenvalue).
     """
-    if not initial.is_pure:
-        raise DomainError("oracle takes a pure initial component")
-    (k0,) = initial.sectors.keys()
+    k0 = initial.k0
     jmax = initial.jmax
     if jmax > 24:
         raise DomainError("dense oracle limited to jmax <= 24")
@@ -277,7 +278,7 @@ def lindblad_oracle(initial, spectrum, gamma: float,
         for jp in range(max(abs(m), abs(k0), j - 2), min(j + 2, jmax) + 1):
             cos2[index[(jp, m)], col] = cos2_element(jp, j, m, k0)
 
-    psi0 = state_to_dense(initial, k0, jmax)
+    psi0 = state_to_dense(initial, jmax)
     rho0 = np.outer(psi0, psi0.conj())
     omega = math.pi * eps  # phases per unit t/T_rev
 
@@ -437,39 +438,29 @@ def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def overlap(state_a, state_b) -> complex:
-    """Inner product of two pure states with matching sector layout.
-
-    Missing sectors count as zero.  For mixtures use :func:`fidelity`.
+    """Inner product of two pure components; missing sectors count as zero,
+    and components of different k0 are orthogonal.  For mixtures use
+    :func:`fidelity`.
     """
-    if not (state_a.is_pure and state_b.is_pure):
-        raise DomainError("overlap is defined for pure states; use fidelity for mixtures")
     acc = 0.0 + 0.0j
-    for k0, ms_a in state_a.sectors.items():
-        ms_b = state_b.sectors.get(k0)
-        if ms_b is None:
+    if state_a.k0 != state_b.k0:
+        return complex(acc)
+    for m, va in state_a.sectors.items():
+        vb = state_b.sectors.get(m)
+        if vb is None:
             continue
-        for m, va in ms_a.items():
-            vb = ms_b.get(m)
-            if vb is None:
-                continue
-            n = min(va.size, vb.size)
-            acc += np.vdot(va[:n], vb[:n])
+        n = min(va.size, vb.size)
+        acc += np.vdot(va[:n], vb[:n])
     return complex(acc)
 
 
-def fidelity(state_a, state_b) -> float:
-    """Uhlmann fidelity for k0-block-diagonal mixtures of pure components."""
+def fidelity(mix_a, mix_b) -> float:
+    """Uhlmann fidelity of two k0-block-diagonal mixtures of pure components."""
     acc = 0.0
-    for k0, ms_a in state_a.sectors.items():
-        if k0 not in state_b.sectors:
+    comps_b = {c.k0: (w, c) for w, c in zip(mix_b.weights, mix_b.components)}
+    for w_a, comp_a in zip(mix_a.weights, mix_a.components):
+        if comp_a.k0 not in comps_b:
             continue
-        ms_b = state_b.sectors[k0]
-        inner = 0.0 + 0.0j
-        for m, va in ms_a.items():
-            vb = ms_b.get(m)
-            if vb is None:
-                continue
-            n = min(va.size, vb.size)
-            inner += np.vdot(va[:n], vb[:n])
-        acc += math.sqrt(state_a.weights[k0] * state_b.weights[k0]) * abs(inner)
+        w_b, comp_b = comps_b[comp_a.k0]
+        acc += math.sqrt(w_a * w_b) * abs(overlap(comp_a, comp_b))
     return acc * acc

@@ -33,8 +33,7 @@ def interferometer(state, phi, method, t_final=1.0, model=None, b=0.0,
                                              rotor.SILICON_DENSITY)
     if b:
         model = rotor.inertia_from_parameters(model.ratio, b, t_rev=model.t_rev)
-    kmax = max(abs(k) for k in st.sectors)
-    sp = rotor.rotational_energies(st.jmax, kmax, model, spectrum_method)
+    sp = rotor.rotational_energies(st.jmax, abs(st.k0), model, spectrum_method)
     st = rotor.free_propagate(st, 0.125, sp)
     st = pulse.apply_pulse(st, spec)
     return rotor.free_propagate(st, t_final - 0.125, sp)
@@ -233,10 +232,9 @@ def test_criterion_7_imperfection_trends(nanorod):
     def antialign(sb, sk):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            state = (rotor.prepare_mixture(sb, sk) if sk > 0
-                     else rotor.prepare_aligned_state("gaussian_beta", sb))
-        return observables.alignment(
-            interferometer(state, math.pi, "exact", model=nanorod))
+            mixture = rotor.prepare_mixture(sb, sk)
+        return mixture.mean(lambda c: observables.alignment(
+            interferometer(c, math.pi, "exact", model=nanorod)))
 
     rows = {}
     for sb in (0.003, 0.03, 0.1):
@@ -266,7 +264,7 @@ def test_criterion_8_decoherence(fig1_state, nanorod):
     assert min_eig > -1e-8
     cfg = decoherence.TrajectoryConfig(gamma=gamma, t_end=1.0,
                                        observation_times=tobs, seed=404)
-    ens = decoherence.run_ensemble(small, sp, cfg, 2000)
+    ens = decoherence.run_ensemble(rotor.Mixture.pure(small), sp, cfg, 2000)
     z = np.abs((ens.mean_alignment[1:] - align[1:]) / ens.stderr[1:])
     # jump counts Poisson with mean gamma * t_end, from the same ensemble
     hist = ens.jump_count_histogram
@@ -286,7 +284,7 @@ def test_criterion_8_decoherence(fig1_state, nanorod):
     sp1 = rotor.rotational_energies(fig1_state.jmax, 0, nanorod, "symmetric")
     cfg_op = decoherence.TrajectoryConfig(gamma=g_op, t_end=1.0,
                                           observation_times=(0.0, 1.0), seed=7)
-    ens_op = decoherence.run_ensemble(fig1_state, sp1, cfg_op, 400)
+    ens_op = decoherence.run_ensemble(rotor.Mixture.pure(fig1_state), sp1, cfg_op, 400)
     a_vacuum = observables.alignment(fig1_state)  # phi=0, exact revival
     reduction = a_vacuum - ens_op.mean_alignment[-1]
     print(f"\nCRITERION 8: max |z| vs oracle = {np.max(z):.2f} (50 checkpoints), "
@@ -306,7 +304,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
     # unitarity of free propagation
     sp = rotor.rotational_energies(fig1_state.jmax, 0, nanorod, "symmetric")
     out = rotor.free_propagate(fig1_state, 0.377, sp)
-    norm_dev = abs(out.component_norm(0) - 1.0)
+    norm_dev = abs(out.norm() - 1.0)
     assert norm_dev < 1e-12
 
     # direction-cosine completeness
@@ -336,7 +334,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
 
     # bitwise order independence: the ensemble is the index-ordered mean of
     # trajectories each run on its own
-    small = rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)
+    small = rotor.Mixture.pure(rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16))
     sps_ = rotor.rotational_energies(16, 0, rotor.inertia_from_parameters(41.8, 0.0),
                                      "symmetric")
     cfg = decoherence.TrajectoryConfig(gamma=0.6, t_end=1.0,

@@ -444,7 +444,7 @@ def test_synthesize_aligned_packet_concentrates_at_pole():
     from nanorotor import rotor
     st = rotor.prepare_aligned_state("gaussian_j", 800.0)
     grid = angular.AngularGrid.for_jmax(st.jmax)
-    _, prob = angular.synthesize_beta(st.sectors[0][0], 0, 0, grid)
+    _, prob = angular.synthesize_beta(st.sectors[0], 0, 0, grid)
     dens = prob / np.sin(grid.nodes)
     peak = grid.nodes[np.argmax(prob)]
     assert peak < 0.2

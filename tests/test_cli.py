@@ -128,6 +128,14 @@ EXIT2_CASES = [
     _exit2("sweep.sigma_beta", "[1e-12]", "fig2a", "--sweep.sigma_k", "[0.0]"),
     pytest.param(["params", "--pulse.laser.power_w", "0", "--pulse.laser.waist_m", "0"],
                  "pulse.laser", id="pulse.laser-zero"),
+    # spectrum.kmax has no reader: any value but null is rejected
+    _exit2("spectrum.kmax", "100000", "fig1", "--times.n_points", "8"),
+    _exit2("spectrum.kmax", "-5", "fig1", "--times.n_points", "8"),
+    # a jmax beyond the state-width ceiling would not fit in memory
+    _exit2("state.jmax", "1000000000000", "fig1", "--times.n_points", "8"),
+    # sweep_sigma runs one phase; a list would silently drop all but the first
+    _exit2("pulse.phi", "[1.0,2.0]", "fig2a", "--sweep.sigma_beta", "[0.1]",
+           "--sweep.sigma_k", "[0.0]"),
 ]
 
 

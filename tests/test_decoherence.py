@@ -6,13 +6,18 @@ from scipy import stats as sps
 
 import oracles
 from nanorotor import decoherence as dec
-from nanorotor import observables, pulse, rotor
+from nanorotor import angular, observables, pulse, rotor
 from nanorotor.errors import DomainError
 
 
 @pytest.fixture(scope="module")
 def small_state():
     return rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)
+
+
+@pytest.fixture(scope="module")
+def small_mixture(small_state):
+    return rotor.Mixture.pure(small_state)
 
 
 @pytest.fixture(scope="module")
@@ -63,35 +68,35 @@ def test_times_sorted_within_range():
 # ---------------------------------------------------------------------------
 
 def test_channel_probabilities_sum_to_one(small_state):
-    probs, _ = dec.jump_probabilities(small_state, 0)
+    probs, _ = dec.jump_probabilities(small_state)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     # z-channel probability is the alignment itself
     assert probs[2] == pytest.approx(observables.alignment(small_state), abs=1e-10)
 
 
 def test_z_jump_keeps_m_and_sharpens_alignment(small_state):
-    ops = dec._cosine_ops(small_state.jmax, 0)
-    applied = ops[2].apply(small_state.sectors[0])
+    ops = angular.direction_cosine_matrices(0, small_state.jmax, 0)
+    applied = ops[2].apply(small_state.sectors)
     p = sum(float(np.sum(np.abs(v) ** 2)) for v in applied.values())
     jumped = small_state.copy()
-    jumped.sectors[0] = {m: v / math.sqrt(p) for m, v in applied.items()}
-    assert list(jumped.sectors[0]) == [0]
+    jumped.sectors = {m: v / math.sqrt(p) for m, v in applied.items()}
+    assert list(jumped.sectors) == [0]
     assert observables.alignment(jumped) >= observables.alignment(small_state)
 
 
 def test_jump_conserves_k0_and_norm(small_state):
     rng = dec._trajectory_rng(4, 0)
     out = dec.apply_jump(small_state, rng)
-    assert list(out.sectors) == [0]
-    assert out.component_norm(0) == pytest.approx(1.0, abs=1e-12)
-    assert all(abs(m) <= 1 for m in out.sectors[0])
+    assert out.k0 == 0
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert all(abs(m) <= 1 for m in out.sectors)
 
 
 def test_jump_rejects_boundary_weight():
     state = rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)
     vec = np.zeros(17, dtype=complex)
     vec[16] = 1.0
-    state.sectors[0][0] = vec
+    state.sectors[0] = vec
     with pytest.raises(Exception):
         dec.apply_jump(state, dec._trajectory_rng(0, 0))
 
@@ -100,28 +105,28 @@ def test_jump_rejects_boundary_weight():
 # trajectories and ensembles
 # ---------------------------------------------------------------------------
 
-def test_gamma_zero_matches_deterministic(small_state, small_spectrum):
+def test_gamma_zero_matches_deterministic(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 11))
     cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs,
                                seed=5, pulse=pulse.PulseSpec(phi=math.pi))
-    tr = dec.run_trajectory(small_state, small_spectrum, cfg)
-    ens = dec.run_ensemble(small_state, small_spectrum, cfg, 7)
+    tr = dec.run_trajectory(small_mixture, small_spectrum, cfg)
+    ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 7)
     assert np.array_equal(tr, ens.mean_alignment)
     assert ens.jump_count_histogram == {0: 7}
 
 
-def test_trajectory_deterministic_per_index(small_state, small_spectrum):
+def test_trajectory_deterministic_per_index(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 9))
     cfg = dec.TrajectoryConfig(gamma=0.7, t_end=1.0, observation_times=tobs, seed=9)
-    a = dec.run_trajectory(small_state, small_spectrum, cfg, index=5)
-    b = dec.run_trajectory(small_state, small_spectrum, cfg, index=5)
+    a = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
+    b = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
     assert np.array_equal(a, b)
 
 
-def test_jumped_trajectory_degrades_revival(small_state, small_spectrum):
+def test_jumped_trajectory_degrades_revival(small_mixture, small_spectrum):
     tobs = (0.0, 1.0)
     cfg0 = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs, seed=1)
-    clean = dec.run_trajectory(small_state, small_spectrum, cfg0)
+    clean = dec.run_trajectory(small_mixture, small_spectrum, cfg0)
     assert clean[1] == pytest.approx(clean[0], abs=1e-10)
     # find a seed whose trajectory has at least one mid-flight jump
     cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=tobs, seed=2)
@@ -129,7 +134,7 @@ def test_jumped_trajectory_degrades_revival(small_state, small_spectrum):
         rng = dec._trajectory_rng(2, idx)
         jumps = dec.sample_jump_times(1.0, 1.0, rng)
         if jumps.size and 0.1 < jumps[0] < 0.9:
-            series = dec.run_trajectory(small_state, small_spectrum, cfg, idx)
+            series = dec.run_trajectory(small_mixture, small_spectrum, cfg, idx)
             assert series[1] < clean[1] - 0.01
             return
     pytest.fail("no jumping trajectory found in 20 indices")
@@ -158,18 +163,16 @@ def test_resumed_run_equals_full_pass(case, method):
     jumps, schedule, mixture = _RESUME_CASES[case]
     spec = pulse.PulseSpec(phi=math.pi / 2, schedule=schedule, method=method)
     base = (rotor.prepare_mixture(0.3, 1.0) if mixture
-            else rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16))
-    state = pulse.prepare_for_pulses(base, spec)
+            else rotor.Mixture.pure(rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)))
+    state = base.map(lambda c: pulse.prepare_for_pulses(c, spec))
     k0 = 2 if mixture else 0
     spectrum = rotor.rotational_energies(
-        state.jmax, max(state.sectors), rotor.inertia_from_parameters(41.8, 0.0),
-        "symmetric")
+        state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
     cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=_RESUME_TOBS,
                                pulse=spec)
     # the full pass from t = 0 on the pure k0 component, events ordered by
     # (time, kind) with jumps, then pulses, then observations at equal times
-    component = rotor.RotorState(sectors={k0: state.sectors[k0]}, weights={k0: 1.0},
-                                 jmax=state.jmax)
+    (component,) = [c for c in state.components if c.k0 == k0]
     events = sorted([(t, 0, None) for t in jumps] + [(t, 1, None) for t in schedule]
                     + [(t, 2, i) for i, t in enumerate(_RESUME_TOBS)],
                     key=lambda e: (e[0], e[1]))
@@ -178,8 +181,8 @@ def test_resumed_run_equals_full_pass(case, method):
     jump_free = dec._run_events(component, spectrum, cfg, [e for e in events if e[1]],
                                 np.empty(len(_RESUME_TOBS)))
 
-    draw = (k0, np.array(jumps), dec._trajectory_rng(21, 0))
-    skeleton = dec._skeleton(state, spectrum, cfg, [draw])
+    draw = (component, np.array(jumps), dec._trajectory_rng(21, 0))
+    skeleton = dec._skeleton([component], spectrum, cfg, [draw])
     resumed = dec._resume(skeleton, spectrum, cfg, *draw)
     assert resumed.tobytes() == full.tobytes()
     assert skeleton.series[k0].tobytes() == jump_free.tobytes()
@@ -191,10 +194,9 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
     # (one skeleton shared by all trajectories) equals the mean of
     # trajectories each run on its own, so no trajectory depends on another
     spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125, 0.375))
-    state = pulse.prepare_for_pulses(rotor.prepare_mixture(0.3, 1.0), spec)
+    state = rotor.prepare_mixture(0.3, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
-        state.jmax, max(state.sectors), rotor.inertia_from_parameters(41.8, 0.0),
-        "symmetric")
+        state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
     cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
                                observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=31, pulse=spec)
@@ -202,12 +204,33 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
     rows = np.vstack([dec.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
     draws = [dec._draw(state, cfg, i) for i in range(n)]
     counts = [len(jumps) for _, jumps, _ in draws]
-    assert len({k0 for k0, _, _ in draws}) > 1 and 0 in counts and max(counts) > 1
+    assert len({c.k0 for c, _, _ in draws}) > 1 and 0 in counts and max(counts) > 1
 
     res = dec.run_ensemble(state, spectrum, cfg, n)
     assert res.mean_alignment.tobytes() == rows.mean(axis=0).tobytes()
     assert res.stderr.tobytes() == (rows.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
     assert res.jump_count_histogram == {c: counts.count(c) for c in set(counts)}
+
+
+@pytest.mark.parametrize("method", ["exact", "semiclassical"])
+def test_mixture_is_weighted_sum_of_components(method):
+    # at gamma = 0 a sigma_k mixture's series is the weighted sum of its
+    # components' series, accumulated from zero in ascending k0, byte for byte
+    spec = pulse.PulseSpec(phi=math.pi / 2, method=method)
+    mix = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
+    spectrum = rotor.rotational_energies(
+        mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 9)),
+                               pulse=spec)
+    k0s = [c.k0 for c in mix.components]
+    assert len(k0s) > 1 and k0s == sorted(k0s)
+    expected = 0.0
+    for w, comp in zip(mix.weights, mix.components):
+        one = dec.run_ensemble(rotor.Mixture.pure(comp), spectrum, cfg, 1)
+        expected += w * one.mean_alignment
+    res = dec.run_ensemble(mix, spectrum, cfg, 3)
+    assert res.mean_alignment.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +249,7 @@ def test_oracle_gamma_zero_is_unitary(small_state, small_spectrum):
 
 
 @pytest.mark.slow
-def test_unraveling_matches_oracle(small_state, small_spectrum):
+def test_unraveling_matches_oracle(small_state, small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 21))
     gamma = 0.5
     align, trace, min_eig = oracles.lindblad_oracle(small_state, small_spectrum,
@@ -234,13 +257,13 @@ def test_unraveling_matches_oracle(small_state, small_spectrum):
     assert np.max(np.abs(trace - 1.0)) < 1e-8
     assert min_eig > -1e-8
     cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0, observation_times=tobs, seed=77)
-    ens = dec.run_ensemble(small_state, small_spectrum, cfg, 500)
+    ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 500)
     z = (ens.mean_alignment[1:] - align[1:]) / ens.stderr[1:]
     assert np.max(np.abs(z)) < 3.5
 
 
 @pytest.mark.slow
-def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_spectrum):
+def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_mixture, small_spectrum):
     # a single ensemble pair gives a noisy ratio (few effective dof across
     # correlated checkpoints); average the RMS error over independent batches
     tobs = tuple(np.linspace(0.0, 1.0, 21))
@@ -250,7 +273,7 @@ def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_spectrum):
     def rms(n, seed):
         cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0,
                                    observation_times=tobs, seed=seed)
-        ens = dec.run_ensemble(small_state, small_spectrum, cfg, n)
+        ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, n)
         return float(np.sqrt(np.mean((ens.mean_alignment[1:] - align[1:]) ** 2)))
 
     e500 = np.mean([rms(500, 500 + i) for i in range(8)])
@@ -274,10 +297,10 @@ def test_gamma_conversion_preset():
     assert g == pytest.approx(0.29, abs=0.01)
 
 
-def test_ensemble_n1_equals_first_trajectory(small_state, small_spectrum):
+def test_ensemble_n1_equals_first_trajectory(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 7))
     cfg = dec.TrajectoryConfig(gamma=0.8, t_end=1.0, observation_times=tobs, seed=13)
-    single = dec.run_trajectory(small_state, small_spectrum, cfg, index=0)
-    ens = dec.run_ensemble(small_state, small_spectrum, cfg, 1)
+    single = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=0)
+    ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 1)
     assert np.array_equal(single, ens.mean_alignment)
     assert np.all(ens.stderr == 0.0)

@@ -122,7 +122,7 @@ def test_model_matches_full_simulation():
 
     def synth(state, betas):
         tab = angular.wigner_d_table(0, 0, betas, st0.jmax)
-        return (state.sectors[0][0] * scale) @ tab
+        return (state.sectors[0] * scale) @ tab
 
     def extract(ell, n):
         cn = n * math.pi / 8

@@ -121,9 +121,9 @@ def test_spectrum_rejects_bad_kmax():
 
 def test_gaussian_j_state():
     st = rotor.prepare_aligned_state("gaussian_j", 800.0)
-    assert st.component_norm(0) == pytest.approx(1.0, abs=1e-12)
+    assert st.norm() == pytest.approx(1.0, abs=1e-12)
     assert 120 <= st.jmax <= 160
-    amps = st.sectors[0][0]
+    amps = st.sectors[0]
     assert abs(amps[10] / amps[0]) == pytest.approx(math.exp(-100.0 / 1600.0), rel=1e-10)
     # frozen evaluation of the initial alignment for this packet
     assert observables.alignment(st) == pytest.approx(0.98563, abs=2e-4)
@@ -131,7 +131,7 @@ def test_gaussian_j_state():
 
 def test_gaussian_beta_state_tail_capture():
     st = rotor.prepare_aligned_state("gaussian_beta", 0.003)
-    amps = st.sectors[0][0]
+    amps = st.sectors[0]
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
     # truncation rule: cutting the guard band must cost less than 1e-10
     w = np.abs(amps) ** 2
@@ -151,11 +151,11 @@ def test_prepare_warns_below_truncation_rule():
 def test_mixture_weights():
     st = rotor.prepare_mixture(0.01, 3.0)
     assert len(st.weights) == 25
-    assert sorted(st.weights) == list(range(-12, 13))
-    assert sum(st.weights.values()) == pytest.approx(1.0, abs=1e-12)
-    for k0 in st.weights:
-        assert st.weights[k0] == pytest.approx(st.weights[-k0], rel=1e-12)
-        assert st.component_norm(k0) == pytest.approx(1.0, abs=1e-10)
+    assert [c.k0 for c in st.components] == list(range(-12, 13))
+    assert sum(st.weights) == pytest.approx(1.0, abs=1e-12)
+    for w, w_mirror, comp in zip(st.weights, st.weights[::-1], st.components):
+        assert w == pytest.approx(w_mirror, rel=1e-12)
+        assert comp.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_k_cutoff_is_four_widths_rounded_up():
@@ -164,8 +164,8 @@ def test_k_cutoff_is_four_widths_rounded_up():
 
 def test_mixture_sigma_k_zero():
     st = rotor.prepare_mixture(0.01, 0.0)
-    assert list(st.weights) == [0]
-    assert st.weights[0] == 1.0
+    assert [c.k0 for c in st.components] == [0]
+    assert st.weights == (1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def sym_spectrum(fig1_state):
 
 def test_zero_dt_is_identity(fig1_state, sym_spectrum):
     out = rotor.free_propagate(fig1_state, 0.0, sym_spectrum)
-    assert np.array_equal(out.sectors[0][0], fig1_state.sectors[0][0])
+    assert np.array_equal(out.sectors[0], fig1_state.sectors[0])
 
 
 @given(st.floats(-3.0, 3.0))
@@ -194,7 +194,7 @@ def test_unitarity(dt):
     m = rotor.inertia_from_parameters(41.8, 0.0)
     sp = rotor.rotational_energies(state.jmax, 0, m, "symmetric")
     out = rotor.free_propagate(state, dt, sp)
-    assert out.component_norm(0) == pytest.approx(1.0, abs=1e-12)
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
     assert out.time == pytest.approx(dt)
 
 
@@ -205,12 +205,12 @@ def test_composition(dt1, dt2):
     sp = rotor.rotational_energies(64, 0, m, "symmetric")
     once = rotor.free_propagate(state, dt1 + dt2, sp)
     twice = rotor.free_propagate(rotor.free_propagate(state, dt1, sp), dt2, sp)
-    assert np.max(np.abs(once.sectors[0][0] - twice.sectors[0][0])) < 1e-12
+    assert np.max(np.abs(once.sectors[0] - twice.sectors[0])) < 1e-12
 
 
 def test_full_revival(fig1_state, sym_spectrum):
     out = rotor.free_propagate(fig1_state, 1.0, sym_spectrum)
-    assert np.max(np.abs(out.sectors[0][0] - fig1_state.sectors[0][0])) < 1e-10
+    assert np.max(np.abs(out.sectors[0] - fig1_state.sectors[0])) < 1e-10
 
 
 def test_mixture_revival_of_observables():
@@ -219,9 +219,9 @@ def test_mixture_revival_of_observables():
         st_mix = rotor.prepare_mixture(0.05, 2.0)
     m = rotor.inertia_from_parameters(41.8, 0.0)
     sp = rotor.rotational_energies(st_mix.jmax, 8, m, "symmetric")
-    a0 = observables.alignment(st_mix)
-    out = rotor.free_propagate(st_mix, 1.0, sp)
-    assert observables.alignment(out) == pytest.approx(a0, abs=1e-10)
+    a0 = st_mix.mean(observables.alignment)
+    out = st_mix.map(lambda c: rotor.free_propagate(c, 1.0, sp))
+    assert out.mean(observables.alignment) == pytest.approx(a0, abs=1e-10)
 
 
 def test_half_revival_antialigned(fig1_state, sym_spectrum):
@@ -270,6 +270,6 @@ def test_spectrum_coverage_error(fig1_state):
 def test_extend_state(fig1_state):
     out = rotor.extend_state(fig1_state, fig1_state.jmax + 20)
     assert out.jmax == fig1_state.jmax + 20
-    assert out.component_norm(0) == pytest.approx(1.0, abs=1e-12)
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         rotor.extend_state(fig1_state, fig1_state.jmax - 1)
