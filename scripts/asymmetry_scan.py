@@ -2,7 +2,10 @@
 """Scan the revival peak against the shape-asymmetry parameter.
 
 Finer-grained than the fig2b preset: reports the peak alignment, the nominal
-revival-time alignment, and the peak-time shift for each b on a log grid.
+revival-time alignment, and the peak-time shift for each b on a log grid,
+with the spectrum's smallest dominant weight and the number of j values
+whose asymmetric levels needed more than the first cut (the strongly mixed
+regime shows in both).
 
 Usage: python scripts/asymmetry_scan.py [--sigma-beta 0.003] [--points 12]
 """
@@ -26,7 +29,8 @@ def run(argv=None):
     base = rotor.inertia_from_ellipsoid(rotor.SILICON_NANOROD_SEMI_AXES,
                                         rotor.SILICON_DENSITY)
     print(f"# sigma_beta={args.sigma_beta}  jmax={state.jmax}")
-    print("b_asym,peak_alignment,t_peak_shift,alignment_at_Trev")
+    print("b_asym,peak_alignment,t_peak_shift,alignment_at_Trev,"
+          "min_dominant_weight,widened_j")
     for b in np.logspace(np.log10(args.b_min), np.log10(args.b_max), args.points):
         model = rotor.inertia_from_parameters(base.ratio, float(b), t_rev=base.t_rev)
         sp = rotor.rotational_energies(state.jmax, 0, model, "asymmetric")
@@ -36,7 +40,8 @@ def run(argv=None):
         series = observables.TimeSeries(ts, vals)
         t_peak, a_peak = observables.find_revival_peak(series, 1.004, 0.0044)
         a_nominal = float(vals[np.argmin(np.abs(ts - 1.0))])
-        print(f"{b:.6e},{a_peak:.6f},{t_peak - 1.0:.6e},{a_nominal:.6f}")
+        print(f"{b:.6e},{a_peak:.6f},{t_peak - 1.0:.6e},{a_nominal:.6f},"
+              f"{sp.dominant_weight.min():.6f},{sp.widened_j}")
     return 0
 
 

@@ -118,12 +118,13 @@ def _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid):
 
 
 def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point=None):
-    """Ensemble alignment series at one phi.  The jump histogram goes into
-    ``diagnostics["jump_histograms"]`` under ``point``, the sweep point's tag
-    (default: the phi tag), unless diagnostics is None."""
+    """Ensemble alignment series at one phi.  Where gamma > 0 the jump
+    histogram goes into ``diagnostics["jump_histograms"]`` under ``point``,
+    the sweep point's tag (default: the phi tag); without jumps it would
+    read {0: n}."""
     prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
     res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n)
-    if diagnostics is not None:
+    if gamma > 0:
         diagnostics.setdefault("jump_histograms", {})[point or _phi_tag(phi)] = \
             {str(k): v for k, v in sorted(res.jump_count_histogram.items())}
     return res
@@ -223,9 +224,7 @@ def scenario_sweep_phi(cfg, report, writer, diagnostics):
         values.append(res.mean_alignment[-1])
         errors.append(res.stderr[-1])
         if gamma > 0:
-            # the jump-free reference makes no jumps: keep its {0: n} out of
-            # the histogram just recorded under the same phi tag
-            res0 = _ensemble_series(state, spectrum, cfg, 0.0, phi, tgrid, None)
+            res0 = _ensemble_series(state, spectrum, cfg, 0.0, phi, tgrid, diagnostics)
             vacuum.append(res0.mean_alignment[-1])
     phis_arr = np.array(phis)
     cols = [phis_arr, np.array(values)]
@@ -272,11 +271,12 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
         np.array([0.0]), np.round(np.linspace(0.95, 1.08, 521), 12)]))
     peak_rows = {phi: [] for phi in phis}
     tpeaks = []
-    min_dominant = 1.0
+    min_dominant, widened = 1.0, 0
     for b in bs:
         model_b = rotor.inertia_from_parameters(model.ratio, b, t_rev=model.t_rev)
-        spectrum = rotor.rotational_energies(jmax_total, kmax, model_b, "asymmetric")
+        spectrum = build_spectrum(cfg, model_b, jmax_total, kmax)
         min_dominant = min(min_dominant, float(spectrum.dominant_weight.min()))
+        widened = max(widened, spectrum.widened_j)
         for phi in phis:
             res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
                                    f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
@@ -291,6 +291,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
                          [bs_arr, np.array(peak_rows[phi])])
     writer.write_csv("_tpeak", ["b_asym", "t_peak"], [bs_arr, np.array(tpeaks)])
     diagnostics["min_dominant_weight"] = min_dominant
+    diagnostics["spectrum_widened_j"] = widened
     return 0
 
 

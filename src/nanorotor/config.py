@@ -366,6 +366,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("sweep.sigma_k: every entry must be >= 0")
     if cfg.spectrum.method not in ("symmetric", "asymmetric"):
         problems.append(f"spectrum.method: unknown value {cfg.spectrum.method!r}")
+    elif cfg.scenario == "sweep_asymmetry" and cfg.spectrum.method != "asymmetric":
+        problems.append("spectrum.method: sweep_asymmetry sweeps the asymmetric spectrum; "
+                        "set it to 'asymmetric'")
     if cfg.spectrum.kmax is not None:
         problems.append("spectrum.kmax: must be null; the spectrum covers the state's "
                         "largest |k0|")
@@ -401,7 +404,16 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     except DomainError as exc:
         problems.append(f"{key}: {exc}")
         return report
-    jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(report.phis, len(p.schedule_t))
+    # the phases the run pulses with: a sweep_phi run takes them from sweep.phi
+    if cfg.scenario == "sweep_phi":
+        phi_key, phis = "sweep.phi", sweep_values(cfg, "phi")
+    else:
+        phi_key, phis = ("pulse.laser" if p.laser is not None else "pulse.phi"), report.phis
+    jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(phis, len(p.schedule_t))
+    if jmax > rotor_mod.J_SPAN_LIMIT:
+        problems.append(f"{phi_key}: the pulse headroom takes jmax to {jmax}, beyond "
+                        f"{rotor_mod.J_SPAN_LIMIT}")
+        return report
     report.jmax_estimate = base_jmax
     report.grid_order = 2 * jmax + 16
     nsec = 2 * kcut + 1

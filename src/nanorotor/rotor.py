@@ -3,8 +3,9 @@
 Time is handled dimensionless throughout: the internal clock is t / T_rev with
 T_rev = 2 pi I / hbar, and free evolution multiplies each |jmk> amplitude by
 ``exp(-i pi eps(j, k) t/T_rev)``.  For a symmetric top
-``eps(j, k) = j(j+1) + (I/I_c - 1) k^2``; the asymmetric spectrum replaces the
-k^2 term by per-j diagonalization of the rigid-rotor Hamiltonian.
+``eps(j, k) = j(j+1) + (I/I_c - 1) k^2``; the asymmetric spectrum takes eps
+from the levels of the rigid-rotor Hamiltonian's Wang blocks, each level
+solved for every j at once.
 Physical seconds appear only at the CLI boundary.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.constants as const
-from scipy.linalg import eigh_tridiagonal
 
 from . import angular
 from .errors import CoverageError, DomainError, LevelAssignmentError, TruncationWarning
@@ -157,7 +157,8 @@ class SpectrumModel:
     ``phase_coeffs[j, |k|]`` multiplies -i pi t/T_rev in the propagator.
     ``dominant_weight[j, |k|]`` records, for the asymmetric method, the weight
     of the labeling |k| component in the corresponding eigenvector (symmetric
-    method: 1 everywhere).
+    method: 1 everywhere).  ``widened_j`` counts the j values whose asymmetric
+    levels needed more than the first cut of their Wang blocks.
     """
 
     kind: str
@@ -167,6 +168,7 @@ class SpectrumModel:
     kmax: int
     phase_coeffs: np.ndarray
     dominant_weight: np.ndarray
+    widened_j: int = 0
 
     def covers(self, jmax: int, kmax: int) -> bool:
         return self.jmax >= jmax and self.kmax >= kmax
@@ -177,14 +179,16 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     """Phase-coefficient table eps(j, k) for j <= jmax, |k| <= kmax.
 
     symmetric: closed form j(j+1) + (I/I_c - 1) k^2.
-    asymmetric: per-j diagonalization of the rigid-rotor Hamiltonian in the
-    symmetric-top k basis (diagonal from (1/I_a + 1/I_b)/2, Delta k = +-2
-    couplings proportional to (1/I_a - 1/I_b)/4 with the standard ladder
-    factors), eigenvalues attributed to |k| labels by their order inside each
-    Wang symmetry block, and the Wang-doublet mean returned for |k| > 0.
-    Order-based labels connect adiabatically to the symmetric limit even where
-    the eigenvectors are strongly k-mixed; ``dominant_weight`` records the
-    mixing so callers can decide how far to trust the labels.
+    asymmetric: the rigid-rotor Hamiltonian in the symmetric-top k basis
+    (diagonal from (1/I_a + 1/I_b)/2, Delta k = +-2 couplings proportional to
+    (1/I_a - 1/I_b)/4 with the standard ladder factors) splits into four
+    tridiagonal Wang blocks per j.  Eigenvalues are attributed to |k| labels
+    by their order inside each block, and the Wang-doublet mean is returned
+    for |k| > 0.  Order-based labels connect adiabatically to the symmetric
+    limit even where the eigenvectors are strongly k-mixed;
+    ``dominant_weight`` records the mixing so callers can decide how far to
+    trust the labels.  Each level is solved for every j at once on a cut of
+    its block that a full-block Sturm count certifies (``_block_levels``).
     """
     if kmax > jmax:
         raise DomainError("kmax must not exceed jmax")
@@ -203,41 +207,218 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     inertia = model.inertia
     half_is = 0.5 * inertia * (1.0 / model.i_a + 1.0 / model.i_b)
     quarter_id = 0.25 * inertia * (1.0 / model.i_a - 1.0 / model.i_b)
-    for j in range(jmax + 1):
+    levels: dict[int, list[np.ndarray]] = {}
+    widened = np.zeros(jmax + 1, dtype=bool)
+    for start, sign in ((0, 0), (2, 0), (1, +1), (1, -1)):
+        block = _WangBlock(start, sign, half_is, ratio, quarter_id)
+        # the idx-th level of the block carries the label k = start + 2 idx
+        for k_label in range(start, kmax + 1, 2):
+            vals, w, grown = _block_levels(block, (k_label - start) // 2,
+                                           np.arange(k_label, jmax + 1))
+            levels.setdefault(k_label, []).append(vals)
+            weights[k_label:, k_label] = np.minimum(weights[k_label:, k_label], w)
+            widened[k_label:] |= grown
+    for k, vals in levels.items():
+        coeffs[k:, k] = np.mean(vals, axis=0)
+    bad = np.argwhere(~np.isfinite(coeffs))
+    if bad.size:
+        raise LevelAssignmentError(f"no level attributed to (j={bad[0][0]}, k={bad[0][1]})")
+    return SpectrumModel("asymmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights,
+                         int(widened.sum()))
+
+
+# ---------------------------------------------------------------------------
+# asymmetric levels: Sturm-Newton on a certified cut of each Wang block
+# ---------------------------------------------------------------------------
+#
+# The idx-th level of a Wang block (idx = 0 the lowest) is found for every j
+# at once.  The block is first cut to its leading idx + SPECTRUM_CUT rows:
+# Sturm counts (the number of negative LDL^T pivots, Barth, Martin &
+# Wilkinson, Numer. Math. 9, 386 (1967)) isolate the root, and Newton on the
+# twisted pivot gamma_idx(lambda) polishes it, with bisection whenever a step
+# leaves the bracket.  By Cauchy interlacing the cut's root lies at or above
+# the block's, so one full-block Sturm count just below it certifies the cut:
+# it must find exactly idx levels there.  The j values that fail are solved
+# again on twice the cut, until their block is complete.  The weight of row
+# idx in the eigenvector is the residue 1/|gamma_idx'| at the root (the fact
+# behind Golub-Welsch quadrature weights, Math. Comp. 23, 221 (1969)).
+
+SPECTRUM_CUT = 16       # rows past the labelling row in a block's first cut
+CERTIFY_ULPS = 64       # the full block is counted this many ulps below a cut root
+_SECTIONS = 15          # Sturm counts per bracketing step
+_NEWTON_STEPS = 40      # Newton iterations before pure bisection takes over
+_ROWS_PER_PASS = 64     # block rows built at once by the streamed full count
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+@dataclass(frozen=True)
+class _WangBlock:
+    """One Wang symmetry block at any j: rows k = start, start + 2, ..., <= j.
+
+    The odd blocks (start 1) differ by the sign of the <j 1|H|j -1> term on
+    their first row; the first coupling of the start-0 block carries sqrt(2).
+    """
+
+    start: int
+    sign: int
+    half_is: float
+    ratio: float
+    quarter_id: float
+
+    def rows(self, j: np.ndarray, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows first..stop-1 (axis 0) of each j's block (axis 1): the
+        diagonal and the squared coupling to the row before (0 on row 0).
+        Rows past the end of a block read d = inf and 0, so no level is
+        ever counted there."""
+        k = self.start + 2.0 * np.arange(first, stop)[:, None]
         jj = j * (j + 1.0)
-        kvals = np.arange(j + 1, dtype=float)
-        diag = half_is * (jj - kvals**2) + ratio * kvals**2
-        # <k|H|k+2> for k = 0..j-2
-        ladder = quarter_id * np.sqrt((jj - kvals[:-2] * (kvals[:-2] + 1.0))
-                                      * (jj - (kvals[:-2] + 1.0) * (kvals[:-2] + 2.0)))
-        levels: dict[int, list[float]] = {}
-        wmin: dict[int, float] = {}
-        odd_shift = quarter_id * jj  # <j 1|H|j -1>
-        for start, shift in ((0, 0.0), (2, 0.0), (1, +odd_shift), (1, -odd_shift)):
-            nsel = max(0, (min(j, kmax) - start) // 2 + 1)
-            if nsel == 0:
-                continue
-            d = diag[start::2].copy()
-            d[0] += shift
-            e = ladder[start::2].copy()
-            if start == 0 and e.size:
-                e[0] *= math.sqrt(2.0)
-            if d.size == 1:
-                vals, vecs = d, np.ones((1, 1))
-            else:
-                vals, vecs = eigh_tridiagonal(d, e, select="i",
-                                              select_range=(0, nsel - 1))
-            for idx in range(min(nsel, len(vals))):
-                k_label = start + 2 * idx
-                levels.setdefault(k_label, []).append(float(vals[idx]))
-                w = float(np.abs(vecs[idx, idx]) ** 2)
-                wmin[k_label] = min(wmin.get(k_label, 1.0), w)
-        for k in range(min(j, kmax) + 1):
-            if k not in levels:
-                raise LevelAssignmentError(f"no level attributed to (j={j}, k={k})")
-            coeffs[j, k] = float(np.mean(levels[k]))
-            weights[j, k] = wmin[k]
-    return SpectrumModel("asymmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights)
+        d = self.half_is * (jj - k * k) + self.ratio * k * k
+        c2 = self.quarter_id ** 2 * (jj - (k - 2.0) * (k - 1.0)) * (jj - (k - 1.0) * k)
+        if first == 0:
+            d[0] += self.sign * self.quarter_id * jj
+            c2[0] = 0.0
+            if self.start == 0 and stop > 1:
+                c2[1] *= 2.0
+        inside = k <= j
+        return np.where(inside, d, np.inf), np.where(inside, c2, 0.0)
+
+    def pivmin(self, jmax: float) -> float:
+        """Smallest pivot magnitude, as in LAPACK's dstebz: the underflow
+        threshold times the largest squared coupling (the first one)."""
+        return _TINY * max(1.0, 2.0 * (self.quarter_id * jmax * (jmax + 1.0)) ** 2)
+
+
+def _pivots(d, c2, x, pivmin, q=1.0, slope=False):
+    """LDL^T pivots of T - x down the rows of (d, c2), continuing from the
+    pivot q of the row before: the last pivot, its x-derivative (when
+    ``slope``) and the number of negative pivots, the levels below x."""
+    dq, count = 0.0, 0
+    for d_i, c2_i in zip(d, c2):
+        t = c2_i / q
+        if slope:
+            dq = -1.0 + t * (dq / q)
+        q = d_i - x - t
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count = count + (q < 0)
+    return q, dq, count
+
+
+def _twisted(d, c2, r, x, pivmin):
+    """gamma_r(x), the pivot at row r of the factorization twisted there (top
+    down to row r - 1, bottom up to row r + 1), its x-derivative and the
+    number of levels below x."""
+    g, dg, count = d[r] - x, -1.0, 0
+    if r > 0:
+        q, dq, count = _pivots(d[:r], c2[:r], x, pivmin, slope=True)
+        t = c2[r] / q
+        g, dg = g - t, dg + t * (dq / q)
+    if r + 1 < len(d):
+        q, dq, n = _pivots(d[:r:-1], [0.0, *c2[:r + 1:-1]], x, pivmin, slope=True)
+        t = c2[r + 1] / q
+        g, dg, count = g - t, dg + t * (dq / q), count + n
+    # a pivot below pivmin counts as negative, as in _pivots
+    return g, dg, count + (g < pivmin)
+
+
+def _cut_levels(block: _WangBlock, r: int, j: np.ndarray, cut: int):
+    """Level r of each j's block cut to its first ``cut`` rows, and the
+    residue weight of row r in its eigenvector."""
+    d, c2 = block.rows(j, 0, cut)
+    pivmin = block.pivmin(j[-1])
+    # Gershgorin bracket: no level of the cut below lo, all of them below hi
+    e = np.sqrt(c2)
+    radius = e.copy()
+    radius[:-1] += e[1:]
+    inside = np.isfinite(d)
+    lo = np.where(inside, d - radius, np.inf).min(axis=0)
+    hi = np.where(inside, d + radius, -np.inf).max(axis=0)
+    pad = 1e-3 * (hi - lo) + 1.0
+    lo, hi = lo - pad, hi + pad
+    n_lo, n_hi = np.zeros(j.size, dtype=int), inside.sum(axis=0)
+
+    # multisection until each bracket holds level r alone, or is a few ulps wide
+    frac = np.arange(1, _SECTIONS + 1)[:, None] / (_SECTIONS + 1)
+    todo = np.flatnonzero((n_lo != r) | (n_hi != r + 1))
+    while todo.size:
+        x = lo[todo] + (hi[todo] - lo[todo]) * frac
+        n = _pivots(d[:, todo], c2[:, todo], x, pivmin)[2]
+        above = n > r
+        first = np.where(above.any(axis=0), above.argmax(axis=0), _SECTIONS)
+        cols = np.arange(todo.size)
+        raise_lo, drop_hi = first > 0, first < _SECTIONS
+        below, over = np.maximum(first - 1, 0), np.minimum(first, _SECTIONS - 1)
+        lo[todo] = np.where(raise_lo, x[below, cols], lo[todo])
+        n_lo[todo] = np.where(raise_lo, n[below, cols], n_lo[todo])
+        hi[todo] = np.where(drop_hi, x[over, cols], hi[todo])
+        n_hi[todo] = np.where(drop_hi, n[over, cols], n_hi[todo])
+        wide = hi[todo] - lo[todo] > 4 * _EPS * np.maximum(np.abs(lo[todo]), np.abs(hi[todo]))
+        todo = todo[((n_lo[todo] != r) | (n_hi[todo] != r + 1)) & wide]
+
+    # Newton on gamma_r, bisection whenever a step leaves the bracket
+    x = 0.5 * (lo + hi)
+    weight = np.empty(j.size)
+    todo = np.arange(j.size)
+    for step in range(_NEWTON_STEPS + 64):
+        if not todo.size:
+            break
+        xt = x[todo]
+        g, dg, n = _twisted(d[:, todo], c2[:, todo], r, xt, pivmin)
+        lo[todo] = np.where(n <= r, xt, lo[todo])
+        hi[todo] = np.where(n <= r, hi[todo], xt)
+        weight[todo] = 1.0 / np.abs(dg)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        xn = xt - g / dg if step < _NEWTON_STEPS else mid
+        xn = np.where((xn >= lo[todo]) & (xn <= hi[todo]), xn, mid)
+        tol = 2 * _EPS * np.maximum(np.abs(xn), 1.0)
+        done = (np.abs(xn - xt) <= tol) | (hi[todo] - lo[todo] <= 2 * tol)
+        x[todo] = xn
+        todo = todo[~done]
+    x[todo] = np.nan
+    return x, weight
+
+
+def _full_count(block: _WangBlock, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of levels below x in each j's complete block (j ascending).
+    Rows come from the closed form a pass at a time, for the j still inside
+    the block, so no array of a whole block for every j is ever held."""
+    pivmin = block.pivmin(j[-1])
+    count = np.zeros(j.size, dtype=int)
+    nrows = (int(j[-1]) - block.start) // 2 + 1
+    q, lo = 1.0, 0
+    for first in range(0, nrows, _ROWS_PER_PASS):
+        # the j whose block ends before this row drop out
+        a = int(np.searchsorted(j, block.start + 2 * first))
+        if first:
+            q = q[a - lo:]
+        lo = a
+        d, c2 = block.rows(j[lo:], first, min(first + _ROWS_PER_PASS, nrows))
+        q, _, n = _pivots(d, c2, x[lo:], pivmin, q)
+        count[lo:] += n
+    return count
+
+
+def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
+    """Level r (0 the lowest) of the block at each j in ``j`` (ascending, all
+    with at least r + 1 rows), its residue weight, and which j needed more
+    than the first cut."""
+    vals, weight = np.empty(j.size), np.empty(j.size)
+    nrows = (j - block.start) // 2 + 1
+    widened = np.zeros(j.size, dtype=bool)
+    todo, cut = np.arange(j.size), r + SPECTRUM_CUT
+    while todo.size:
+        jt = j[todo].astype(float)
+        vals[todo], weight[todo] = _cut_levels(block, r, jt, min(cut, int(nrows[todo[-1]])))
+        # a complete block is exact; a cut one must count exactly r levels
+        # of the whole block just below its root
+        partial = nrows[todo] > cut
+        todo, jt = todo[partial], jt[partial]
+        if todo.size:
+            x = vals[todo] - CERTIFY_ULPS * np.spacing(np.abs(vals[todo]))
+            todo = todo[_full_count(block, jt, x) != r]
+        widened[todo] = True
+        cut *= 2
+    return vals, weight, widened
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ d-oracle is the explicit finite sum evaluated in extended precision, the
 Clebsch-Gordan oracles are the closed Racah sum, sympy's exact coefficients
 and a brute-force two-spin diagonalization, operator elements come from
 Racah-sum products or direct quadrature, and the Lindblad oracle integrates
-the master equation densely with operators built from the Racah sums.
+the master equation densely with operators built from the Racah sums, and
+the asymmetric-rotor levels come from LAPACK per j and Wang block, from a
+dense diagonalization over the whole k space, and from Sturm bisection in
+mpmath.
 
 Reference code that only the tests call lives here too: the asymptotic
 d-function, the fractional-revival resummation, the scalar Wigner-d
@@ -19,10 +22,12 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from nanorotor import angular
 from nanorotor.angular import _d_start, _recurrence_r
-from nanorotor.errors import DomainError, SingularityError
+from nanorotor.errors import DomainError, LevelAssignmentError, SingularityError
+from nanorotor.rotor import SpectrumModel
 
 
 def wigner_d_sum(j: int, m: int, k: int, beta: float, dps: int | None = None) -> float:
@@ -464,3 +469,133 @@ def fidelity(mix_a, mix_b) -> float:
         w_b, comp_b = comps_b[comp_a.k0]
         acc += math.sqrt(w_a * w_b) * abs(overlap(comp_a, comp_b))
     return acc * acc
+
+
+# ---------------------------------------------------------------------------
+# asymmetric-rotor levels
+# ---------------------------------------------------------------------------
+
+def _asymmetric_coefficients(model):
+    """(I/I_c, the diagonal's (1/I_a + 1/I_b) I / 2, the coupling's
+    (1/I_a - 1/I_b) I / 4), the rigid-rotor Hamiltonian in eps units."""
+    inertia = model.inertia
+    return (model.ratio, 0.5 * inertia * (1.0 / model.i_a + 1.0 / model.i_b),
+            0.25 * inertia * (1.0 / model.i_a - 1.0 / model.i_b))
+
+
+def lapack_energies(jmax: int, kmax: int, model) -> SpectrumModel:
+    """The asymmetric spectrum from one ``eigh_tridiagonal`` call per j and
+    Wang block: the library's solver before the vectorised one."""
+    ratio, half_is, quarter_id = _asymmetric_coefficients(model)
+    coeffs = np.zeros((jmax + 1, kmax + 1))
+    weights = np.ones((jmax + 1, kmax + 1))
+    js = np.arange(jmax + 1)
+    for k in range(kmax + 1):
+        coeffs[:, k] = js * (js + 1.0) + (ratio - 1.0) * k * k
+    for j in range(jmax + 1):
+        jj = j * (j + 1.0)
+        kvals = np.arange(j + 1, dtype=float)
+        diag = half_is * (jj - kvals**2) + ratio * kvals**2
+        # <k|H|k+2> for k = 0..j-2
+        ladder = quarter_id * np.sqrt((jj - kvals[:-2] * (kvals[:-2] + 1.0))
+                                      * (jj - (kvals[:-2] + 1.0) * (kvals[:-2] + 2.0)))
+        levels: dict[int, list[float]] = {}
+        wmin: dict[int, float] = {}
+        odd_shift = quarter_id * jj  # <j 1|H|j -1>
+        for start, shift in ((0, 0.0), (2, 0.0), (1, +odd_shift), (1, -odd_shift)):
+            nsel = max(0, (min(j, kmax) - start) // 2 + 1)
+            if nsel == 0:
+                continue
+            d = diag[start::2].copy()
+            d[0] += shift
+            e = ladder[start::2].copy()
+            if start == 0 and e.size:
+                e[0] *= math.sqrt(2.0)
+            if d.size == 1:
+                vals, vecs = d, np.ones((1, 1))
+            else:
+                vals, vecs = eigh_tridiagonal(d, e, select="i",
+                                              select_range=(0, nsel - 1))
+            for idx in range(min(nsel, len(vals))):
+                k_label = start + 2 * idx
+                levels.setdefault(k_label, []).append(float(vals[idx]))
+                w = float(np.abs(vecs[idx, idx]) ** 2)
+                wmin[k_label] = min(wmin.get(k_label, 1.0), w)
+        for k in range(min(j, kmax) + 1):
+            if k not in levels:
+                raise LevelAssignmentError(f"no level attributed to (j={j}, k={k})")
+            coeffs[j, k] = float(np.mean(levels[k]))
+            weights[j, k] = wmin[k]
+    return SpectrumModel("asymmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights)
+
+
+def dense_rotor_hamiltonian(model, j: int) -> np.ndarray:
+    """The rigid-rotor Hamiltonian at j over k = -j..j, in eps units."""
+    ratio, half_is, quarter_id = _asymmetric_coefficients(model)
+    jj = j * (j + 1.0)
+    ks = np.arange(-j, j + 1)
+    H = np.zeros((2 * j + 1, 2 * j + 1))
+    for i, k in enumerate(ks):
+        H[i, i] = half_is * (jj - k * k) + ratio * k * k
+        if i + 2 < 2 * j + 1:
+            v = quarter_id * math.sqrt((jj - k * (k + 1)) * (jj - (k + 1) * (k + 2)))
+            H[i, i + 2] = H[i + 2, i] = v
+    return H
+
+
+def dense_wang_levels(model, j: int) -> dict[tuple[int, int], np.ndarray]:
+    """Ascending levels of each Wang block, keyed (start, sign) as the
+    library's blocks are: the dense Hamiltonian in the basis |0> and
+    (|k> + sign |-k>) / sqrt(2), k > 0 (sign + for the start-0 block, - for
+    start 2), whose blocks are diagonalized densely."""
+    H = dense_rotor_hamiltonian(model, j)
+    levels = {}
+    for start, sign in ((0, 0), (2, 0), (1, 1), (1, -1)):
+        plus = sign >= 0 and start != 2
+        basis = []
+        for k in range(start, j + 1, 2):
+            vec = np.zeros(2 * j + 1)
+            vec[j + k] += 1.0
+            if k:
+                vec[j - k] += 1.0 if plus else -1.0
+                vec /= math.sqrt(2.0)
+            basis.append(vec)
+        if basis:
+            W = np.array(basis).T
+            levels[(start, sign)] = np.linalg.eigvalsh(W.T @ H @ W)
+    return levels
+
+
+def mp_wang_level(model, j: int, start: int, sign: int, r: int, dps: int = 40) -> mp.mpf:
+    """Level r (0 the lowest) of one Wang block at j, by Sturm-count
+    bisection in ``dps``-digit arithmetic on the block built in mpmath from
+    the model's coefficients."""
+    ratio, half_is, quarter_id = _asymmetric_coefficients(model)
+    with mp.workdps(dps):
+        hs, ra, qd = mp.mpf(half_is), mp.mpf(ratio), mp.mpf(quarter_id)
+        jj = mp.mpf(j) * (j + 1)
+        ks = range(start, j + 1, 2)
+        d = [hs * (jj - k * k) + ra * k * k for k in ks]
+        d[0] += sign * qd * jj
+        e2 = [qd * qd * (jj - k * (k + 1)) * (jj - (k + 1) * (k + 2)) for k in ks[:-1]]
+        if start == 0 and e2:
+            e2[0] *= 2
+
+        def below(x):
+            count, q = 0, mp.mpf(1)
+            for i, d_i in enumerate(d):
+                q = d_i - x - (e2[i - 1] / q if i else 0)
+                if q == 0:
+                    q = -mp.eps
+                count += q < 0
+            return count
+
+        radius = 2 * mp.sqrt(max(e2, default=mp.mpf(0)))
+        lo, hi = min(d) - radius - 1, max(d) + radius + 1
+        while hi - lo > abs(hi) * mp.mpf(10) ** (5 - dps):
+            mid = (lo + hi) / 2
+            if below(mid) <= r:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from nanorotor import cli, config as cfgmod
+import oracles
+from nanorotor import cli, config as cfgmod, rotor
 
 
 def read_csv(path):
@@ -136,6 +137,11 @@ EXIT2_CASES = [
     # sweep_sigma runs one phase; a list would silently drop all but the first
     _exit2("pulse.phi", "[1.0,2.0]", "fig2a", "--sweep.sigma_beta", "[0.1]",
            "--sweep.sigma_k", "[0.0]"),
+    # the pulse headroom of a huge phase would take jmax past the ceiling
+    _exit2("pulse.phi", "1e6", "evolve", *DIRECT_ROTOR, "--times.n_points", "8"),
+    _exit2("sweep.phi", "[1e6]", "fig2c", "--ensemble.n", "2"),
+    # sweep_asymmetry always sweeps the asymmetric spectrum
+    _exit2("spectrum.method", "symmetric", "fig2b", "--sweep.b_points", "1"),
 ]
 
 
@@ -283,11 +289,34 @@ def test_fig2b_preset_reduced_grid(tmp_path):
     code = cli.main(["fig2b", "--out", str(tmp_path / "b"),
                      "--sweep.b_points", "3", "--sweep.b_include", "[2.3e-5]"])
     assert code == 0
+    diagnostics = json.loads((tmp_path / "b_manifest.json").read_text())["diagnostics"]
+    # gamma = 0: no jump histograms; every j certified on the first cut
+    assert "jump_histograms" not in diagnostics
+    assert diagnostics["spectrum_widened_j"] == 0
+    assert 0.0 < diagnostics["min_dominant_weight"] < 1.0
     _, tpeak = read_csv(str(tmp_path / "b_tpeak.csv"))
     assert np.any(np.isclose(tpeak[:, 0], 2.3e-5))
     assert np.all(np.diff(tpeak[:, 1]) > 0)  # revival delayed as b grows
     _, phi0 = read_csv(str(tmp_path / "b_phi0.csv"))
     assert np.all(np.diff(phi0[:, 1]) < 0)   # alignment degrades with b
+
+
+def test_asymmetric_mixture_run_matches_lapack_oracle(tmp_path, monkeypatch):
+    # kmax >= 1 through the CLI: a sigma_k mixture with the asymmetric
+    # spectrum, against the same run on the per-j LAPACK spectrum
+    args = ["evolve", "--rotor.inertia_ratio", "41.8", "--rotor.b_asym", "1e-3",
+            "--state.mode", "gaussian_beta", "--state.sigma_beta", "0.1",
+            "--state.sigma_k", "1.0", "--spectrum.method", "asymmetric",
+            "--pulse.phi", "1.0", "--pulse.method", "exact", "--times.n_points", "32"]
+    assert cli.main(args + ["--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(rotor, "rotational_energies",
+                        lambda jmax, kmax, model, method: oracles.lapack_energies(
+                            jmax, kmax, model))
+    assert cli.main(args + ["--out", str(tmp_path / "lapack")]) == 0
+    _, new = read_csv(str(tmp_path / "new.csv"))
+    _, ref = read_csv(str(tmp_path / "lapack.csv"))
+    assert np.max(np.abs(new - ref)) < 1e-12
+    assert np.ptp(new[:, 1]) > 0.1  # the run does evolve
 
 
 def test_fig2c_manifest_keeps_jump_histogram(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from nanorotor import angular, observables, rotor
 from nanorotor.errors import CoverageError, DomainError, TruncationWarning
 
@@ -89,24 +90,62 @@ def test_k0_shift_is_second_order_in_b():
 def test_asymmetric_matches_dense_oracle():
     # block-tridiagonal eigenvalues against a dense full-k-space solve
     m = rotor.inertia_from_parameters(41.8, 2.3e-5)
-    I = m.inertia
-    half_is = 0.5 * I * (1 / m.i_a + 1 / m.i_b)
-    quarter_id = 0.25 * I * (1 / m.i_a - 1 / m.i_b)
     for j in (10, 100):
         sp = rotor.rotational_energies(j, 2, m, "asymmetric")
-        jj = j * (j + 1.0)
-        ks = np.arange(-j, j + 1)
-        H = np.zeros((2 * j + 1, 2 * j + 1))
-        for i, k in enumerate(ks):
-            H[i, i] = half_is * (jj - k * k) + m.ratio * k * k
-            if i + 2 < 2 * j + 1:
-                v = quarter_id * math.sqrt((jj - k * (k + 1)) * (jj - (k + 1) * (k + 2)))
-                H[i, i + 2] = H[i + 2, i] = v
-        vals = np.sort(np.linalg.eigh(H)[0])
+        vals = np.sort(np.linalg.eigh(oracles.dense_rotor_hamiltonian(m, j))[0])
         # the k = 0 label is the overall ground level for a prolate rotor
         assert sp.phase_coeffs[j, 0] == pytest.approx(vals[0], rel=1e-12)
         # k = 1 doublet mean: next two levels
         assert sp.phase_coeffs[j, 1] == pytest.approx(0.5 * (vals[1] + vals[2]), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def lapack_spectra():
+    """The LAPACK oracle's spectrum at jmax 1,173 and kmax 4, once per b."""
+    return {b: oracles.lapack_energies(1173, 4, rotor.inertia_from_parameters(41.8, b))
+            for b in (0.0, 1e-6, 2.3e-5, 1e-4)}
+
+
+@pytest.mark.parametrize("kmax", [0, 2, 4])
+@pytest.mark.parametrize("b", [0.0, 1e-6, 2.3e-5, 1e-4])
+def test_asymmetric_matches_lapack_oracle(lapack_spectra, b, kmax):
+    # the fig2b range of b up to the preset's jmax.  Levels to 1e-14 relative:
+    # LAPACK's default bisection tolerance leaves its own levels up to 4.2e-15
+    # (25 ulps at j = 1,173) off.  Weights to 1e-12.
+    sp = rotor.rotational_energies(1173, kmax, rotor.inertia_from_parameters(41.8, b),
+                                   "asymmetric")
+    ref = lapack_spectra[b]
+    want = ref.phase_coeffs[:, :kmax + 1]
+    assert np.max(np.abs(sp.phase_coeffs - want) / np.maximum(np.abs(want), 1.0)) < 1e-14
+    assert np.max(np.abs(sp.dominant_weight - ref.dominant_weight[:, :kmax + 1])) < 1e-12
+    assert sp.widened_j == 0
+
+
+@pytest.mark.parametrize("j", [653, 1000, 1173])
+def test_asymmetric_levels_match_mpmath(j):
+    # the strongly mixed regime (b = 1e-4): the k = 0 level within 4 ulps of
+    # a 40-digit bisection of the same block (LAPACK's is 25-31 ulps off)
+    m = rotor.inertia_from_parameters(41.8, 1e-4)
+    sp = rotor.rotational_energies(j, 0, m, "asymmetric")
+    ref = float(oracles.mp_wang_level(m, j, 0, 0, 0))
+    assert abs(sp.phase_coeffs[j, 0] - ref) <= 4 * np.spacing(ref)
+
+
+def test_widened_cut_matches_dense_oracle():
+    # at b = 1e-2 the k = 2 level of the top j needs more than the first cut
+    m = rotor.inertia_from_parameters(41.8, 1e-2)
+    sp = rotor.rotational_energies(200, 2, m, "asymmetric")
+    assert sp.widened_j > 0
+    ref = oracles.lapack_energies(200, 2, m)
+    assert np.max(np.abs(sp.dominant_weight - ref.dominant_weight)) < 1e-12
+    for j in (*range(0, 190, 21), *range(190, 201)):
+        blocks = oracles.dense_wang_levels(m, j)
+        want = [blocks[(0, 0)][0]]
+        if j >= 1:
+            want.append(0.5 * (blocks[(1, 1)][0] + blocks[(1, -1)][0]))
+        if j >= 2:
+            want.append(0.5 * (blocks[(0, 0)][1] + blocks[(2, 0)][0]))
+        assert sp.phase_coeffs[j, :len(want)] == pytest.approx(want, rel=1e-12)
 
 
 def test_spectrum_rejects_bad_kmax():
