@@ -5,7 +5,8 @@ Finer-grained than the fig2b preset: reports the peak alignment, the nominal
 revival-time alignment, and the peak-time shift for each b on a log grid,
 with the spectrum's smallest dominant weight and the number of j values
 whose asymmetric levels needed more than the first cut (the strongly mixed
-regime shows in both).
+regime shows in both).  The peak window follows b as the fig2b preset's does
+(centre 1 + 10 b, half-width 0.05 + 20 b), sampled every 4e-5 T_rev.
 
 Usage: python scripts/asymmetry_scan.py [--sigma-beta 0.003] [--points 12]
 """
@@ -34,11 +35,13 @@ def run(argv=None):
     for b in np.logspace(np.log10(args.b_min), np.log10(args.b_max), args.points):
         model = rotor.inertia_from_parameters(base.ratio, float(b), t_rev=base.t_rev)
         sp = rotor.rotational_energies(state.jmax, 0, model, "asymmetric")
-        ts = np.arange(0.9995, 1.0085, 4e-5)
+        center, halfwidth = 1.0 + 10.0 * b, 0.05 + 20.0 * b
+        ts = np.linspace(center - halfwidth, center + halfwidth,
+                         int(2.0 * halfwidth / 4e-5) + 1)
         vals = np.array([observables.alignment(
             rotor.free_propagate(state, float(t), sp)) for t in ts])
         series = observables.TimeSeries(ts, vals)
-        t_peak, a_peak = observables.find_revival_peak(series, 1.004, 0.0044)
+        t_peak, a_peak = observables.find_revival_peak(series, center, halfwidth)
         a_nominal = float(vals[np.argmin(np.abs(ts - 1.0))])
         print(f"{b:.6e},{a_peak:.6f},{t_peak - 1.0:.6e},{a_nominal:.6f},"
               f"{sp.dominant_weight.min():.6f},{sp.widened_j}")

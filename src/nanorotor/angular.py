@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError, ResolutionError, TruncationWarning
 
@@ -45,9 +44,12 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     numpy's ``leggauss`` with its dense O(n^3) eigensolve of the Legendre
     companion matrix replaced by a tridiagonal O(n^2) one on the same matrix;
     the Newton step, the weight formula and the symmetrization are numpy's.
-    (``scipy.special.roots_legendre`` has better weights near x = +-1, which
+    (scipy's ``roots_legendre`` has better weights near x = +-1, which
     moves high-order results by a few 1e-9.)
     """
+    # imported here, not at module level: runs that build no grid skip scipy's start-up
+    from scipy.linalg import eigvalsh_tridiagonal
+
     c = np.zeros(order + 1)
     c[-1] = 1.0
     scl = 1.0 / np.sqrt(2.0 * np.arange(order) + 1.0)

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.constants as const
-from scipy.special import jv
 
 from . import angular
 from .errors import DomainError, ResolutionError
-from .rotor import RotorState, extend_state
+from .rotor import EPSILON_0, HBAR, SPEED_OF_LIGHT, RotorState, extend_state
 
 __all__ = [
     "PulseSpec",
@@ -40,6 +38,9 @@ SILICON_NANOROD_DELTA_ALPHA = 5.40990e-35
 
 _MIN_BANDWIDTH = 8
 _BESSEL_FLOOR = 1e-14
+# Bessel arguments below this are raised to it: no J_n moves by more, and the
+# recurrence's step factor 2k/x stays finite
+_X_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -69,54 +70,89 @@ def phase_from_laser(power: float, waist: float, duration: float,
     """
     if power < 0 or waist <= 0 or duration <= 0 or delta_alpha <= 0:
         raise DomainError("laser parameters must be positive (power may be zero)")
-    e0_sq = 4.0 * power / (math.pi * waist ** 2 * const.epsilon_0 * const.c)
-    return delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * const.hbar)
+    e0_sq = 4.0 * power / (math.pi * waist ** 2 * EPSILON_0 * SPEED_OF_LIGHT)
+    return delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * HBAR)
+
+
+def _bessel_table(x, n: int) -> np.ndarray:
+    """J_0(x) ... J_n(x) at x >= 0: one row per order, each shaped like ``x``.
+
+    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started 20
+    orders above both n and the turning zone x + 12 x^(1/3), normalised by
+    J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)).  While k > x
+    the values grow like (2k / x)^k, so there every step rescales by a power
+    of two and keeps the exponent; below the smallest x they stay bounded.
+    A float ``x`` runs in plain Python arithmetic, a 1-D array column-wise.
+    """
+    x_hi, x_lo = float(np.max(x)), float(np.min(x))
+    x = x + (x < _X_FLOOR) * (_X_FLOOR - x)
+    top = max(n, math.ceil(x_hi + 12.0 * x_hi ** (1.0 / 3.0))) + 20
+    two_over_x = 2.0 / x
+    rows, exps = [], []
+    cur, nxt, norm, exp = 1.0, 0.0, 0.0, 0
+    for k in range(top, 0, -1):
+        cur, nxt = k * two_over_x * cur - nxt, cur  # cur is now J_{k-1}
+        if k > x_lo:
+            cur, e = np.frexp(cur)
+            nxt, norm, exp = np.ldexp(nxt, -e), np.ldexp(norm, -e), exp + e
+        if k <= n + 1:
+            rows.append(cur)
+            exps.append(exp)
+        if k % 2 == 1:
+            norm = norm + (cur if k == 1 else 2.0 * cur)
+    return np.ldexp(np.array(rows[::-1]), np.array(exps[::-1]) - exp) / norm
 
 
 @lru_cache(maxsize=256)
 def pulse_bandwidth(phi: float) -> int:
     """j-bandwidth at which the stationary-phase elements fall below 1e-14.
 
-    The Bessel order grows as |j - j'| / 2 at argument <= phi / sqrt(2);
-    J_nu(x) decays superexponentially once nu exceeds x.
+    The Bessel order grows as |j - j'| / 2 at argument <= phi / sqrt(2), and
+    the band ends below the first order nu >= 5 with |J_nu(x)| < 1e-14.
+    J_nu(x) decays superexponentially once nu exceeds x: by the Airy form it
+    is far below 1e-14 at x + 12 x^(1/3) + 10, which the table passes.
     """
     x = abs(phi) / math.sqrt(2.0)
     if x == 0.0:
         return _MIN_BANDWIDTH
-    band = _MIN_BANDWIDTH
-    while abs(jv(0.5 * band + 1.0, x)) >= _BESSEL_FLOOR and band < 10000:
-        band += 2
-    return band
+    first = _MIN_BANDWIDTH // 2 + 1
+    table = _bessel_table(x, first + math.ceil(x + 12.0 * x ** (1.0 / 3.0)) + 10)
+    nu = first + int(np.flatnonzero(np.abs(table[first:]) < _BESSEL_FLOOR)[0])
+    return 2 * (nu - 1)
 
 
 # pulse matrices are complex symmetric operators of the shared banded type
 PulseMatrix = angular.BandedOperator
 
 
-def _phase_elements(dj: int, jsum: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:
-    """Stationary-phase pulse elements for fixed |j - j'| = dj, vectorized over j + j'.
+def _phase_elements(half: int, jsum: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:
+    """Stationary-phase pulse elements of the offsets |j - j'| = 2 nu, nu = 0..half.
 
-    ``jsum`` holds J = j + j' + 1.  The m, k dependence enters through
+    Row nu, column c holds the element at J = j + j' + 1 = ``jsum[c]``, from
+    one Bessel table over the columns.  The m, k dependence enters through
     A_J = (1 - 4k^2/J^2)(1 - 4m^2/J^2)/sqrt(2); for m k != 0 a first-order
     correction applies d/dxi to the full product xi^{-1/2} e^{iA/xi} J_nu(A/xi)
     at xi = 1/phi.  Phases carry the sign that reproduces the exact operator
     exp(+i sqrt(2) phi cos^2 beta) in the large-j limit.
     """
-    nu = 0.5 * dj
     A = (1.0 - 4.0 * k * k / jsum ** 2) * (1.0 - 4.0 * m * m / jsum ** 2) / math.sqrt(2.0)
     x = A * phi
-    base = np.exp(1j * x) * jv(nu, x)
+    table = _bessel_table(x, half + 1)
+    bessel = table[:half + 1]
+    base = np.exp(1j * x) * bessel
     if m * k != 0:
         xi = 1.0 / phi
         c = 32.0 * (k * k) * (m * m) / jsum ** 4
-        jprime = 0.5 * (jv(nu - 1.0, x) - jv(nu + 1.0, x))
+        below = np.concatenate([-table[1:2], table[:half]])  # J_{nu-1}, J_{-1} = -J_1
+        jprime = 0.5 * (below - table[1:])
         deriv = np.exp(1j * x) * (
-            -jv(nu, x) / (2.0 * xi ** 1.5)
-            - 1j * A * jv(nu, x) / xi ** 2.5
+            -bessel / (2.0 * xi ** 1.5)
+            - 1j * A * bessel / xi ** 2.5
             - A * jprime / xi ** 2.5
         )
         base = base - 1j * math.sqrt(2.0 * xi) * c * deriv
-    return np.exp(1j * math.pi * dj / 4.0) * base
+    dj = 2 * np.arange(half + 1)
+    return np.exp(1j * math.pi * dj / 4.0)[:, None] * base
 
 
 def phase_matrix_semiclassical(jmin: int, jmax: int, m: int, k: int,
@@ -138,11 +174,12 @@ def phase_matrix_semiclassical(jmin: int, jmax: int, m: int, k: int,
     n = jmax - jmin + 1
     if phi == 0.0:
         return PulseMatrix(jmin, jmax, {0: np.ones(n, dtype=complex)})
-    diags = {}
-    for d in range(0, min(pulse_bandwidth(phi), n - 1) + 1, 2):
-        jsum = 2.0 * np.arange(jmin, jmin + n - d, dtype=float) + d + 1.0
-        diags[d] = _phase_elements(d, jsum, m, k, phi)
-    return PulseMatrix.symmetric(jmin, jmax, diags)
+    half = min(pulse_bandwidth(phi), n - 1) // 2
+    # diagonal 2 nu runs over J = 2 (jmin + c) + 1 for c = nu .. n - 1 - nu
+    jsum = 2.0 * np.arange(jmin, jmax + 1, dtype=float) + 1.0
+    elements = _phase_elements(half, jsum, m, k, phi)
+    return PulseMatrix.symmetric(
+        jmin, jmax, {2 * nu: elements[nu, nu:n - nu] for nu in range(half + 1)})
 
 
 def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.constants as const
 
 from . import angular
 from .errors import CoverageError, DomainError, LevelAssignmentError, TruncationWarning
@@ -39,6 +38,12 @@ __all__ = [
     "SILICON_DENSITY",
     "SILICON_NANOROD_SEMI_AXES",
 ]
+
+# SI constants: CODATA 2022, the values scipy gives, bit for bit
+HBAR = 1.0545718176461565e-34     # J s, h / 2 pi with h = 6.62607015e-34 exactly
+EPSILON_0 = 8.8541878188e-12      # F / m
+SPEED_OF_LIGHT = 299792458.0      # m / s
+ATOMIC_MASS = 1.66053906892e-27   # kg
 
 # silicon nanorod preset: ellipsoid with principal diameters 5.5 nm x 5.5 nm x 50 nm
 SILICON_DENSITY = 2329.0  # kg / m^3
@@ -81,7 +86,7 @@ class InertiaModel:
 
     @property
     def mass_amu(self) -> float:
-        return self.mass / const.atomic_mass
+        return self.mass / ATOMIC_MASS
 
 
 def _asymmetry_parameter(i_a: float, i_b: float, i_c: float) -> tuple[float, bool]:
@@ -110,7 +115,7 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
     return InertiaModel(
         semi_axes=(a, b, c), density=density, mass=mass,
         i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym,
-        t_rev=2.0 * math.pi * inertia / const.hbar, degenerate=degenerate)
+        t_rev=2.0 * math.pi * inertia / HBAR, degenerate=degenerate)
 
 
 def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None = None,
@@ -124,7 +129,7 @@ def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None =
     if ratio <= 1.0:
         raise DomainError(f"prolate rotor needs I/I_c > 1, got {ratio}")
     if t_rev is not None:
-        inertia = t_rev * const.hbar / (2.0 * math.pi)
+        inertia = t_rev * HBAR / (2.0 * math.pi)
     if inertia is None:
         inertia = 1.0
     i_c = inertia / ratio
@@ -143,7 +148,7 @@ def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None =
     return InertiaModel(
         semi_axes=(0.0, 0.0, 0.0), density=0.0,
         mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_check,
-        t_rev=2.0 * math.pi * inertia / const.hbar, degenerate=degenerate)
+        t_rev=2.0 * math.pi * inertia / HBAR, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

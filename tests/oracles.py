@@ -8,7 +8,8 @@ Racah-sum products or direct quadrature, and the Lindblad oracle integrates
 the master equation densely with operators built from the Racah sums, and
 the asymmetric-rotor levels come from LAPACK per j and Wang block, from a
 dense diagonalization over the whole k space, and from Sturm bisection in
-mpmath.
+mpmath, and the semiclassical pulse's Bessel functions come from scipy's
+``jv``, one call per order.
 
 Reference code that only the tests call lives here too: the asymptotic
 d-function, the fractional-revival resummation, the scalar Wigner-d
@@ -23,6 +24,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
 from nanorotor import angular
 from nanorotor.angular import _d_start, _recurrence_r
@@ -599,3 +601,49 @@ def mp_wang_level(model, j: int, start: int, sign: int, r: int, dps: int = 40) -
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# semiclassical pulse from scipy's Bessel functions
+# ---------------------------------------------------------------------------
+
+def jv_bandwidth(phi: float) -> int:
+    """The pulse bandwidth by stepping the order up with ``jv``: the band ends
+    below the first order nu >= 5 with |J_nu(phi / sqrt 2)| < 1e-14."""
+    x = abs(phi) / math.sqrt(2.0)
+    if x == 0.0:
+        return 8
+    band = 8
+    while abs(jv(0.5 * band + 1.0, x)) >= 1e-14:
+        band += 2
+    return band
+
+
+def phase_matrix_jv(jmin: int, jmax: int, m: int, k: int, phi: float) -> np.ndarray:
+    """Dense semiclassical pulse matrix, one diagonal at a time with ``jv``.
+
+    The same stationary-phase elements as ``pulse.phase_matrix_semiclassical``
+    (phi > 0) on the band of ``jv_bandwidth``: e^{i pi d / 4} e^{ix} J_{d/2}(x)
+    at x = A_J phi, J = j + j' + 1, plus the m k correction term.
+    """
+    n = jmax - jmin + 1
+    out = np.zeros((n, n), dtype=complex)
+    xi = 1.0 / phi
+    for d in range(0, min(jv_bandwidth(phi), n - 1) + 1, 2):
+        nu = 0.5 * d
+        jsum = 2.0 * np.arange(jmin, jmin + n - d, dtype=float) + d + 1.0
+        a = (1.0 - 4.0 * k * k / jsum ** 2) * (1.0 - 4.0 * m * m / jsum ** 2) / math.sqrt(2.0)
+        x = a * phi
+        elem = np.exp(1j * x) * jv(nu, x)
+        if m * k != 0:
+            c = 32.0 * (k * k) * (m * m) / jsum ** 4
+            jprime = 0.5 * (jv(nu - 1.0, x) - jv(nu + 1.0, x))
+            deriv = np.exp(1j * x) * (-jv(nu, x) / (2.0 * xi ** 1.5)
+                                      - 1j * a * jv(nu, x) / xi ** 2.5
+                                      - a * jprime / xi ** 2.5)
+            elem = elem - 1j * math.sqrt(2.0 * xi) * c * deriv
+        elem = np.exp(1j * math.pi * d / 4.0) * elem
+        rows = np.arange(n - d)
+        out[rows, rows + d] = elem
+        out[rows + d, rows] = elem
+    return out

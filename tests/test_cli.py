@@ -345,15 +345,28 @@ def test_sweep_sigma_keeps_one_histogram_per_point(tmp_path):
     assert all(sum(h.values()) == n for h in hists.values())
 
 
-@pytest.mark.parametrize("module", [
-    "scipy.integrate",  # about a quarter second of every run's start-up
-    "multiprocessing",  # ensembles run in one process
-])
-def test_cli_import_leaves_out(module):
-    probe = f"import sys, nanorotor.cli; print({module!r} in sys.modules)"
+def run_probe(probe: str) -> str:
+    """Standard output of ``probe`` run in a fresh interpreter on this tree."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", [
+    "scipy",            # about 0.4 s of every run's start-up; the grid imports it
+    "scipy.integrate",  # about a quarter second of every run's start-up
+    "multiprocessing",  # ensembles run in one process
+])
+def test_cli_import_leaves_out(module):
+    assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
+
+
+def test_grid_free_run_imports_no_scipy(tmp_path):
+    # fig2d builds no quadrature grid, so nothing in its run needs scipy
+    probe = ("import sys; from nanorotor import cli; "
+             f"code = cli.main(['fig2d', '--out', {str(tmp_path / 'd')!r}]); "
+             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert run_probe(probe) == "0 []"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.constants as const
 from scipy.linalg import expm
+from scipy.special import jv
 
 import oracles
 from nanorotor import angular, observables, pulse, rotor
@@ -63,6 +64,68 @@ def test_a_coefficient_at_zero_mk():
     mat = pulse.phase_matrix_semiclassical(0, 10, 0, 0, 1.0)
     x = 1.0 / math.sqrt(2.0)
     assert mat.entry(5, 5) == pytest.approx(np.exp(1j * x) * jv(0, x), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bessel table and bandwidth
+# ---------------------------------------------------------------------------
+
+def bessel_table_error(x: np.ndarray, n: int) -> float:
+    """Largest |table - jv| over the orders -1..n, with J_{-1} = -J_1."""
+    table = pulse._bessel_table(x, n)
+    table = np.concatenate([-table[1:2], table])
+    return float(np.max(np.abs(table - jv(np.arange(-1, n + 1)[:, None], x))))
+
+
+def test_bessel_table_matches_jv_at_preset_arguments():
+    # every preset's argument is at most pi / sqrt(2) < 2.5
+    x = np.concatenate([[0.0, 1e-12], np.linspace(0.0, 2.5, 501), np.linspace(2.5, 10.0, 151)])
+    assert bessel_table_error(x, 40) <= 1e-15
+
+
+@pytest.mark.parametrize("x_max,n,bound", [
+    # measured against jv: 7.2e-15, 2.3e-14 and 5.9e-14.  Part of it is jv's
+    # own: against 30-digit mpmath at x = 2900.7, order 100, the table is off
+    # by 1.9e-15 and jv by 1.5e-14
+    (100.0, 160, 1e-14),
+    (1000.0, 1200, 4e-14),
+    (3000.0, 3300, 1e-13),
+])
+def test_bessel_table_matches_jv_at_large_arguments(x_max, n, bound):
+    x = np.linspace(0.1 * x_max, x_max, 41)
+    assert bessel_table_error(x, n) <= bound
+
+
+@pytest.mark.parametrize("x,bound", [(1e-300, 1e-15), (0.3, 1e-15), (7.5, 1e-15), (260.0, 4e-14)])
+def test_bessel_table_of_a_float_matches_jv(x, bound):
+    # a float runs the recurrence in Python scalars, as pulse_bandwidth does
+    table = pulse._bessel_table(x, 300)
+    assert table.shape == (301,)
+    assert np.max(np.abs(table - jv(np.arange(301), x))) <= bound
+
+
+@pytest.mark.parametrize("phi", [
+    1e-9, 1e-3, 0.1, 1.0, math.pi / 4, math.pi, 2 * math.pi, 10.0, 37.3, 100.0,
+    1000.0, 6830.0, 7000.0, 8000.0])
+def test_pulse_bandwidth_matches_jv_scan(phi):
+    # beyond phi ~ 6,830 the old scan stopped at band 10,000 and dropped
+    # diagonals up to |J| = 0.013 (phi = 8,000)
+    assert pulse.pulse_bandwidth(phi) == oracles.jv_bandwidth(phi)
+
+
+@pytest.mark.parametrize("jmin,jmax,m,k,phi", [
+    (0, 40, 0, 0, math.pi),
+    (3, 70, 2, 3, math.pi),
+    (1, 30, 1, -1, 0.7),
+    (5, 9, 5, 4, 12.0),
+    (4, 200, 4, 2, 40.0),
+])
+def test_matrix_matches_per_diagonal_jv_build(jmin, jmax, m, k, phi):
+    # one Bessel table for the whole matrix against one jv call per diagonal;
+    # the m k correction scales some low-j elements up to about 30
+    mat = oracles.to_dense(pulse.phase_matrix_semiclassical(jmin, jmax, m, k, phi))
+    ref = oracles.phase_matrix_jv(jmin, jmax, m, k, phi)
+    assert np.all(np.abs(mat - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_matrix_keeps_even_offsets_shared_with_their_mirror():

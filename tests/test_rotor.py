@@ -22,6 +22,12 @@ def test_silicon_nanorod_preset():
     assert m.b_asym == 0.0
 
 
+def test_constants_equal_scipy_bit_for_bit():
+    import scipy.constants as const
+    assert (rotor.HBAR, rotor.EPSILON_0, rotor.SPEED_OF_LIGHT, rotor.ATOMIC_MASS) == (
+        const.hbar, const.epsilon_0, const.c, const.atomic_mass)
+
+
 def test_asymmetric_variant_b():
     m = rotor.inertia_from_ellipsoid((2.75e-9, 2.5e-9, 25e-9), rotor.SILICON_DENSITY)
     assert abs(m.b_asym) == pytest.approx(2.3e-5, rel=0.05)
