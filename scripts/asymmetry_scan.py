@@ -6,7 +6,7 @@ revival-time alignment, and the peak-time shift for each b on a log grid,
 with the spectrum's smallest dominant weight and the number of j values
 whose asymmetric levels needed more than the first cut (the strongly mixed
 regime shows in both).  The peak window follows b as the fig2b preset's does
-(centre 1 + 10 b, half-width 0.05 + 20 b), sampled every 4e-5 T_rev.
+(``observables.revival_window``), sampled every 4e-5 T_rev.
 
 Usage: python scripts/asymmetry_scan.py [--sigma-beta 0.003] [--points 12]
 """
@@ -35,7 +35,7 @@ def run(argv=None):
     for b in np.logspace(np.log10(args.b_min), np.log10(args.b_max), args.points):
         model = rotor.inertia_from_parameters(base.ratio, float(b), t_rev=base.t_rev)
         sp = rotor.rotational_energies(state.jmax, 0, model, "asymmetric")
-        center, halfwidth = 1.0 + 10.0 * b, 0.05 + 20.0 * b
+        center, halfwidth = observables.revival_window(float(b))
         ts = np.linspace(center - halfwidth, center + halfwidth,
                          int(2.0 * halfwidth / 4e-5) + 1)
         vals = np.array([observables.alignment(

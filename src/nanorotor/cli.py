@@ -281,7 +281,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
             res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
                                    f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
             series = observables.TimeSeries(res.times, res.mean_alignment)
-            t_peak, value = observables.find_revival_peak(series, 1.0 + 10 * b, 0.05 + 20 * b)
+            t_peak, value = observables.find_revival_peak(series, *observables.revival_window(b))
             peak_rows[phi].append(value)
             if phi == phis[0]:
                 tpeaks.append(t_peak)

@@ -409,11 +409,13 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         phi_key, phis = "sweep.phi", sweep_values(cfg, "phi")
     else:
         phi_key, phis = ("pulse.laser" if p.laser is not None else "pulse.phi"), report.phis
-    jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(phis, len(p.schedule_t))
-    if jmax > rotor_mod.J_SPAN_LIMIT:
-        problems.append(f"{phi_key}: the pulse headroom takes jmax to {jmax}, beyond "
-                        f"{rotor_mod.J_SPAN_LIMIT}")
-        return report
+    # the spread is checked first: the headroom's Bessel table grows with phi
+    for headroom in (pulse_mod.pulse_spread, pulse_mod.pulse_headroom):
+        jmax = (s.jmax or base_jmax) + headroom(phis, len(p.schedule_t))
+        if jmax > rotor_mod.J_SPAN_LIMIT:
+            problems.append(f"{phi_key}: the pulse headroom takes jmax to {jmax} or more, "
+                            f"beyond {rotor_mod.J_SPAN_LIMIT}")
+            return report
     report.jmax_estimate = base_jmax
     report.grid_order = 2 * jmax + 16
     nsec = 2 * kcut + 1

@@ -16,6 +16,7 @@ __all__ = [
     "alignment",
     "beta_distribution",
     "find_revival_peak",
+    "revival_window",
     "fit_interference_curve",
 ]
 
@@ -57,6 +58,12 @@ def beta_distribution(state: RotorState, grid: angular.AngularGrid) -> np.ndarra
     return prob
 
 
+def revival_window(b: float) -> tuple[float, float]:
+    """Centre and half-width of the window that holds the revival peak of a
+    rotor with asymmetry b: the peak moves later and spreads as b grows."""
+    return 1.0 + 10.0 * b, 0.05 + 20.0 * b
+
+
 def find_revival_peak(series: TimeSeries, window_center: float,
                       window_halfwidth: float) -> tuple[float, float]:
     """Quadratic-interpolated maximum of the series inside the window."""
@@ -69,17 +76,18 @@ def find_revival_peak(series: TimeSeries, window_center: float,
     i = int(np.argmax(v))
     if i == 0 or i == len(v) - 1:
         raise PeakError(f"maximum at window edge (t={t[i]:.6f}); widen the window")
-    # parabola through the three bracketing samples (general spacing)
-    t0, t1, t2 = t[i - 1], t[i], t[i + 1]
-    v0, v1, v2 = v[i - 1], v[i], v[i + 1]
-    denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
-    a = (t2 * (v1 - v0) + t1 * (v0 - v2) + t0 * (v2 - v1)) / denom
-    b = (t2 * t2 * (v0 - v1) + t1 * t1 * (v2 - v0) + t0 * t0 * (v1 - v2)) / denom
+    # parabola v1 + b s + a s^2 in s = t - t1 through the three bracketing
+    # samples (general spacing); in absolute t ~ 1 its terms would cancel from
+    # about 3e5 down to the peak value
+    t1, v1 = t[i], v[i]
+    s0, s2 = t[i - 1] - t1, t[i + 1] - t1
+    g0, g2 = (v[i - 1] - v1) / s0, (v[i + 1] - v1) / s2
+    a = (g0 - g2) / (s0 - s2)
+    b = g0 - a * s0
     if a >= 0:
         return float(t1), float(v1)
-    t_peak = -b / (2.0 * a)
-    c = v1 - a * t1 * t1 - b * t1
-    return float(t_peak), float(a * t_peak * t_peak + b * t_peak + c)
+    s_peak = -b / (2.0 * a)
+    return float(t1 + s_peak), float(v1 + 0.5 * b * s_peak)
 
 
 def fit_interference_curve(phis: np.ndarray, values: np.ndarray):

@@ -41,6 +41,8 @@ _BESSEL_FLOOR = 1e-14
 # Bessel arguments below this are raised to it: no J_n moves by more, and the
 # recurrence's step factor 2k/x stays finite
 _X_FLOOR = 1e-280
+# elements per block of a semiclassical matrix build
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,10 @@ def phase_from_laser(power: float, waist: float, duration: float,
     if power < 0 or waist <= 0 or duration <= 0 or delta_alpha <= 0:
         raise DomainError("laser parameters must be positive (power may be zero)")
     e0_sq = 4.0 * power / (math.pi * waist ** 2 * EPSILON_0 * SPEED_OF_LIGHT)
-    return delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * HBAR)
+    phi = delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * HBAR)
+    if not math.isfinite(phi):
+        raise DomainError("the laser parameters give an infinite phase")
+    return phi
 
 
 def _bessel_table(x, n: int) -> np.ndarray:
@@ -175,11 +180,20 @@ def phase_matrix_semiclassical(jmin: int, jmax: int, m: int, k: int,
     if phi == 0.0:
         return PulseMatrix(jmin, jmax, {0: np.ones(n, dtype=complex)})
     half = min(pulse_bandwidth(phi), n - 1) // 2
-    # diagonal 2 nu runs over J = 2 (jmin + c) + 1 for c = nu .. n - 1 - nu
+    # diagonal 2 nu runs over J = 2 (jmin + c) + 1 for c = nu .. n - 1 - nu;
+    # the elements are built a block of columns at a time, so the table and its
+    # temporaries stay small next to the diagonals they fill
     jsum = 2.0 * np.arange(jmin, jmax + 1, dtype=float) + 1.0
-    elements = _phase_elements(half, jsum, m, k, phi)
-    return PulseMatrix.symmetric(
-        jmin, jmax, {2 * nu: elements[nu, nu:n - nu] for nu in range(half + 1)})
+    diagonals = {2 * nu: np.empty(n - 2 * nu, dtype=complex) for nu in range(half + 1)}
+    step = max(1, _BLOCK_ELEMENTS // (half + 1))
+    for c0 in range(0, n, step):
+        c1 = min(c0 + step, n)
+        elements = _phase_elements(half, jsum[c0:c1], m, k, phi)
+        for nu in range(half + 1):
+            lo, hi = max(c0, nu), min(c1, n - nu)
+            if lo < hi:
+                diagonals[2 * nu][lo - nu:hi - nu] = elements[nu, lo - c0:hi - c0]
+    return PulseMatrix.symmetric(jmin, jmax, diagonals)
 
 
 def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
@@ -263,12 +277,22 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     return out
 
 
+def _spread(phi: float) -> int:
+    return int(math.ceil(math.sqrt(2.0) * abs(phi))) + 8
+
+
+def pulse_spread(phis: list[float], n_pulses: int) -> int:
+    """The sqrt(2) phi spread in j plus 8, per pulse of the largest of ``phis``:
+    a lower bound of ``pulse_headroom`` that builds no Bessel table, whose
+    length grows with phi."""
+    return max(map(_spread, phis), default=0) * n_pulses
+
+
 def pulse_headroom(phis: list[float], n_pulses: int) -> int:
     """Extra j headroom a state needs before ``n_pulses`` pulses of the largest
-    of ``phis``: per pulse, the matrix bandwidth or the sqrt(2) phi spread in j
-    plus 8, whichever is larger."""
-    margin = max((max(pulse_bandwidth(p), int(math.ceil(math.sqrt(2.0) * abs(p))) + 8)
-                  for p in phis), default=0)
+    of ``phis``: per pulse, the matrix bandwidth or the spread, whichever is
+    larger."""
+    margin = max((max(pulse_bandwidth(p), _spread(p)) for p in phis), default=0)
     return margin * n_pulses
 
 

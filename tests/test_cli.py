@@ -129,6 +129,8 @@ EXIT2_CASES = [
     _exit2("sweep.sigma_beta", "[1e-12]", "fig2a", "--sweep.sigma_k", "[0.0]"),
     pytest.param(["params", "--pulse.laser.power_w", "0", "--pulse.laser.waist_m", "0"],
                  "pulse.laser", id="pulse.laser-zero"),
+    pytest.param(["params", "--pulse.laser.power_w", "1e300"], "pulse.laser",
+                 id="pulse.laser-infinite-phase"),
     # spectrum.kmax has no reader: any value but null is rejected
     _exit2("spectrum.kmax", "100000", "fig1", "--times.n_points", "8"),
     _exit2("spectrum.kmax", "-5", "fig1", "--times.n_points", "8"),
@@ -140,6 +142,9 @@ EXIT2_CASES = [
     # the pulse headroom of a huge phase would take jmax past the ceiling
     _exit2("pulse.phi", "1e6", "evolve", *DIRECT_ROTOR, "--times.n_points", "8"),
     _exit2("sweep.phi", "[1e6]", "fig2c", "--ensemble.n", "2"),
+    # ... and is rejected before a Bessel table of ~phi orders is built
+    _exit2("pulse.phi", "1e12", "evolve", *DIRECT_ROTOR, "--times.n_points", "8"),
+    _exit2("sweep.phi", "[1e12]", "fig2c", "--ensemble.n", "2"),
     # sweep_asymmetry always sweeps the asymmetric spectrum
     _exit2("spectrum.method", "symmetric", "fig2b", "--sweep.b_points", "1"),
 ]

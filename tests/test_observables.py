@@ -53,6 +53,17 @@ def test_peak_finder_exact_on_parabola():
     assert value == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("t_true", [1.0000123, 1.00101, 1.00234])
+def test_peak_finder_exact_on_a_sharp_revival(t_true):
+    # a revival-like peak 2.5e-4 apart at t ~ 1 (curvature 3e5): a parabola
+    # fitted in absolute t cancelled its terms and was off by up to 1.5e-10
+    t = np.round(np.linspace(0.99, 1.01, 81), 12)
+    series = observables.TimeSeries(t, 0.9 - 3e5 * (t - t_true) ** 2)
+    t_peak, value = observables.find_revival_peak(series, 1.0, 0.01)
+    assert abs(t_peak - t_true) <= 1e-14
+    assert abs(value - 0.9) <= 1e-15
+
+
 def test_peak_finder_edge_error():
     t = np.linspace(0.9, 1.1, 41)
     series = observables.TimeSeries(t, t.copy())

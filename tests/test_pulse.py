@@ -128,6 +128,18 @@ def test_matrix_matches_per_diagonal_jv_build(jmin, jmax, m, k, phi):
     assert np.all(np.abs(mat - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.parametrize("block", [1, 600, 6000])
+def test_matrix_built_in_column_blocks_matches_jv_build(monkeypatch, block):
+    # 60 upper diagonals (band 118), so these blocks hold 1, 10 and 100 of the
+    # 197 columns
+    monkeypatch.setattr(pulse, "_BLOCK_ELEMENTS", block)
+    mat = pulse.phase_matrix_semiclassical(4, 200, 4, 2, 40.0)
+    ref = oracles.phase_matrix_jv(4, 200, 4, 2, 40.0)
+    assert np.all(np.abs(oracles.to_dense(mat) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # each diagonal owns its values: a cached matrix keeps no block alive
+    assert all(d.base is None for d in mat.diagonals.values())
+
+
 def test_matrix_keeps_even_offsets_shared_with_their_mirror():
     mat = pulse.phase_matrix_semiclassical(3, 70, 2, 3, math.pi)
     band = pulse.pulse_bandwidth(math.pi)
