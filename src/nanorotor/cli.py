@@ -27,33 +27,10 @@ from . import decoherence, observables, pulse, rotor
 from .angular import AngularGrid
 from .errors import ConfigError, SimulationError
 
-EIGHTH = 0.125
-
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def build_time_grid(times: cfgmod.TimesConfig) -> np.ndarray:
-    """Uniform sampling plus dense refinement around multiples of 1/8.
-
-    Multiples of 1/8 inside the range are always exact sample points, so
-    revival values are read at the revival, not next to it.
-    """
-    base = np.linspace(0.0, times.t_end, times.n_points)
-    parts = [base]
-    n8 = int(math.floor(times.t_end / EIGHTH + 1e-9))
-    centers = EIGHTH * np.arange(0, n8 + 1)
-    spacing = times.t_end / max(times.n_points - 1, 1)
-    for c in centers:
-        lo = max(c - times.refine_halfwidth, 0.0)
-        hi = min(c + times.refine_halfwidth, times.t_end)
-        n = max(int(round((hi - lo) / spacing * times.refine_factor)), 2)
-        parts.append(np.linspace(lo, hi, n))
-    parts.append(centers[centers <= times.t_end])
-    grid = np.unique(np.round(np.concatenate(parts), 12))
-    return grid
-
 
 def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.Mixture:
     s = cfg.state
@@ -103,26 +80,17 @@ class OutputWriter:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid):
-    """The mixture with each component padded for the pulses at this phi, and
-    its trajectory config."""
+def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point=None):
+    """Ensemble alignment series at one phi, each component padded for the
+    pulses.  Where gamma > 0 the jump histogram goes into
+    ``diagnostics["jump_histograms"]`` under ``point``, the sweep point's tag
+    (default: the phi tag); without jumps it would read {0: n}."""
     spec = pulse.PulseSpec(phi=phi, schedule=tuple(cfg.pulse.schedule_t),
                            method=cfg.pulse.method)
     prepared = state.map(lambda c: pulse.prepare_for_pulses(c, spec))
-    if not spectrum.covers(prepared.jmax, prepared.kmax):
-        raise ConfigError("internal: spectrum does not cover pulse headroom")
     tc = decoherence.TrajectoryConfig(gamma=gamma, t_end=float(tgrid[-1]),
                                       observation_times=tuple(tgrid),
                                       seed=cfg.ensemble.seed, pulse=spec)
-    return prepared, tc
-
-
-def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point=None):
-    """Ensemble alignment series at one phi.  Where gamma > 0 the jump
-    histogram goes into ``diagnostics["jump_histograms"]`` under ``point``,
-    the sweep point's tag (default: the phi tag); without jumps it would
-    read {0: n}."""
-    prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
     res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n)
     if gamma > 0:
         diagnostics.setdefault("jump_histograms", {})[point or _phi_tag(phi)] = \
@@ -168,7 +136,7 @@ def scenario_params(cfg, report, writer, diagnostics):
 def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
     gamma, phis = report.gamma, report.phis
     state, spectrum = _state_and_spectrum(cfg, report.model, phis)
-    tgrid = build_time_grid(cfg.times)
+    tgrid = cfgmod.build_time_grid(cfg.times)
     multi = len(phis) > 1
     for phi in phis:
         res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics)
@@ -180,9 +148,7 @@ def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
             header.append("stderr")
         writer.write_csv(suffix, header, cols)
         if per_trajectory:
-            prepared, tc = _trajectory_setup(state, spectrum, cfg, gamma, phi, tgrid)
-            for i in range(min(cfg.ensemble.n, 8)):
-                series = decoherence.run_trajectory(prepared, spectrum, tc, i)
+            for i, series in enumerate(res.trajectories[:8]):
                 writer.write_csv(f"{suffix}_traj{i}", ["t_over_Trev", "value"],
                                  [tgrid, series])
     return 0
@@ -224,8 +190,7 @@ def scenario_sweep_phi(cfg, report, writer, diagnostics):
         values.append(res.mean_alignment[-1])
         errors.append(res.stderr[-1])
         if gamma > 0:
-            res0 = _ensemble_series(state, spectrum, cfg, 0.0, phi, tgrid, diagnostics)
-            vacuum.append(res0.mean_alignment[-1])
+            vacuum.append(res.jump_free[-1])
     phis_arr = np.array(phis)
     cols = [phis_arr, np.array(values)]
     header = ["phi", "value"]
@@ -266,9 +231,6 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
                 | set(sw.b_include))
     phis = report.phis
     base_state, jmax_total, kmax = _state_and_extent(cfg, phis)
-    # dense sampling around the revival only
-    tgrid = np.unique(np.concatenate([
-        np.array([0.0]), np.round(np.linspace(0.95, 1.08, 521), 12)]))
     peak_rows = {phi: [] for phi in phis}
     tpeaks = []
     min_dominant, widened = 1.0, 0
@@ -277,6 +239,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
         spectrum = build_spectrum(cfg, model_b, jmax_total, kmax)
         min_dominant = min(min_dominant, float(spectrum.dominant_weight.min()))
         widened = max(widened, spectrum.widened_j)
+        tgrid = cfgmod.revival_time_grid(b)
         for phi in phis:
             res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
                                    f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")

@@ -16,13 +16,21 @@ import typing
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from . import decoherence
+import numpy as np
+
+from . import decoherence, observables
 from . import pulse as pulse_mod
 from . import rotor as rotor_mod
 from .errors import ConfigError, DomainError
 
 SCENARIOS = ("evolve", "sweep_phi", "sweep_sigma", "sweep_asymmetry",
              "decohere", "fractional", "params")
+
+# the most time samples one series may take
+MAX_TIME_SAMPLES = 1_000_000
+EIGHTH = 0.125
+# the fig2b sample spacing: 521 points over [0.95, 1.08]
+REVIVAL_STEP = (1.08 - 0.95) / 520
 
 # what a sweep list left at None stands for: the values of the paper's figures
 SWEEP_DEFAULTS = {
@@ -193,6 +201,62 @@ def sweep_values(cfg: ExperimentConfig, name: str) -> list[float]:
     return SWEEP_DEFAULTS[name] if values is None else values
 
 
+def build_time_grid(times: TimesConfig) -> np.ndarray:
+    """Uniform sampling plus dense refinement around multiples of 1/8.
+
+    Multiples of 1/8 inside the range are always exact sample points, so
+    revival values are read at the revival, not next to it.
+    """
+    base = np.linspace(0.0, times.t_end, times.n_points)
+    parts = [base]
+    n8 = int(math.floor(times.t_end / EIGHTH + 1e-9))
+    centers = EIGHTH * np.arange(0, n8 + 1)
+    spacing = times.t_end / max(times.n_points - 1, 1)
+    for c in centers:
+        lo = max(c - times.refine_halfwidth, 0.0)
+        hi = min(c + times.refine_halfwidth, times.t_end)
+        n = max(int(round((hi - lo) / spacing * times.refine_factor)), 2)
+        parts.append(np.linspace(lo, hi, n))
+    parts.append(centers[centers <= times.t_end])
+    grid = np.unique(np.round(np.concatenate(parts), 12))
+    return grid
+
+
+def time_grid_size(times: TimesConfig) -> float:
+    """Closed-form count of the samples ``build_time_grid`` places before
+    duplicates merge, so at least its length: the uniform samples, then for
+    each refinement centre its window's samples (2 or more) and itself."""
+    centres = math.floor(times.t_end / EIGHTH + 1e-9) + 1
+    # the widest refinement window in uniform spacings
+    window = min(2.0 * times.refine_halfwidth, times.t_end) * (times.n_points - 1) / times.t_end
+    try:
+        per_centre = max(round(window * times.refine_factor), 2)
+    except OverflowError:  # a refine_factor beyond float range
+        return math.inf
+    return times.n_points + centres * (per_centre + 1)
+
+
+def revival_time_grid(b: float) -> np.ndarray:
+    """The sweep_asymmetry samples at asymmetry b: t = 0, then every point
+    0.95 + i REVIVAL_STEP (to 12 digits) above 0 with 0 <= i <= 520 or in
+    b's revival window."""
+    centre, halfwidth = observables.revival_window(b)
+    lo, hi = centre - halfwidth, centre + halfwidth
+    i = np.arange(min(math.floor((max(lo, 0.0) - 0.95) / REVIVAL_STEP), 0),
+                  max(math.ceil((hi - 0.95) / REVIVAL_STEP), 520) + 1)
+    t = np.round(i * REVIVAL_STEP + 0.95, 12)
+    keep = (t > 0) & ((i >= 0) & (i <= 520) | (t >= lo) & (t <= hi))
+    return np.concatenate([[0.0], t[keep]])
+
+
+def revival_grid_size(b: float) -> float:
+    """Closed-form count of the samples ``revival_time_grid(b)`` takes, at
+    least its length (nan where b is so large that 10 b overflows)."""
+    centre, halfwidth = observables.revival_window(b)
+    span = max(centre + halfwidth, 1.08) - max(min(centre - halfwidth, 0.95), 0.0)
+    return span / REVIVAL_STEP + 2
+
+
 def resolve_phi_list(cfg: ExperimentConfig) -> list[float]:
     p = cfg.pulse
     if p.phi is not None and p.laser is not None:
@@ -348,6 +412,16 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("times.n_points: must be >= 2")
     if t.refine_halfwidth < 0:
         problems.append("times.refine_halfwidth: must be >= 0")
+    elif t.t_end > 0 and t.n_points >= 2 and cfg.scenario in ("evolve", "decohere"):
+        # the key that drives the grid's size: its uniform samples, then at
+        # least 3 per refinement centre, then the refinement
+        size_key = ("times.n_points" if t.n_points > MAX_TIME_SAMPLES
+                    else "times.t_end" if 3 * (t.t_end / EIGHTH + 1) > MAX_TIME_SAMPLES
+                    else "times.refine_factor" if time_grid_size(t) > MAX_TIME_SAMPLES
+                    else None)
+        if size_key:
+            problems.append(f"{size_key}: the time grid would hold more than "
+                            f"{MAX_TIME_SAMPLES:,} samples")
     if cfg.ensemble.n < 1:
         problems.append("ensemble.n: must be >= 1")
     if cfg.ensemble.seed < 0:
@@ -360,6 +434,17 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("sweep.b_points: must be >= 0")
     if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
         problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
+    elif cfg.scenario == "sweep_asymmetry" and sw.b_points >= 0:
+        # the ends of the b sweep have the widest revival windows; a log grid
+        # end is capped at b = 1e3, whose window is already past the ceiling
+        ends = [("sweep.b_include", b) for b in sw.b_include]
+        log_ends = [("sweep.b_log10_min", sw.b_log10_min), ("sweep.b_log10_max", sw.b_log10_max)]
+        ends += [(key, 10.0 ** min(x, 3.0)) for key, x in log_ends[:sw.b_points]]
+        for key, b in ends:
+            if not revival_grid_size(b) <= MAX_TIME_SAMPLES:
+                problems.append(f"{key}: the revival window of this b would take more "
+                                f"than {MAX_TIME_SAMPLES:,} time samples")
+                break
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")
     if any(v < 0 for v in sw.sigma_k or ()):

@@ -36,7 +36,6 @@ __all__ = [
     "gamma_dimensionless",
     "sample_jump_times",
     "apply_jump",
-    "run_trajectory",
     "run_ensemble",
 ]
 
@@ -74,13 +73,16 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Trajectory-averaged alignment with standard errors."""
+    """Trajectory-averaged alignment with standard errors, each trajectory's
+    series in index order, and the weighted sum of each component's
+    jump-free series."""
 
     times: np.ndarray
     mean_alignment: np.ndarray
     stderr: np.ndarray
-    n_trajectories: int
     jump_count_histogram: dict[int, int]
+    trajectories: list
+    jump_free: np.ndarray
 
 
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -190,13 +192,13 @@ def _draw(initial: Mixture, config: TrajectoryConfig, index: int):
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The jump-free pass of each component that runs.  Until its first jump a
+    """The jump-free pass of each component.  Until its first jump a
     trajectory is a function of its component alone, so it starts from the
     state this pass reached before the first event at or after that jump."""
 
     events: list
     times: list
-    series: dict  # k0 -> jump-free alignment series
+    series: dict  # k0 -> jump-free alignment series (read-only)
     states: dict  # k0 -> {event position: state before that event}
 
 
@@ -213,54 +215,46 @@ def _skeleton(components, spectrum: SpectrumModel, config: TrajectoryConfig,
     series = {c.k0: _run_events(c, spectrum, config, events,
                                 np.empty(len(config.observation_times)), keep=starts[c.k0])
               for c in components}
+    for values in series.values():
+        values.flags.writeable = False
     return _Skeleton(events, times, series, starts)
 
 
 def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
             component: RotorState, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One trajectory's series: the skeleton's own if it makes no jump, else
-    the events from its first jump on, run from the skeleton's state there."""
-    out = skeleton.series[component.k0].copy()
+    """One trajectory's series: the skeleton's own (shared, read-only) if it
+    makes no jump, else the events from its first jump on, run from the
+    skeleton's state there."""
+    out = skeleton.series[component.k0]
     if len(jumps):
         start = bisect.bisect_left(skeleton.times, jumps[0])
-        _run_events(skeleton.states[component.k0][start], spectrum, config,
-                    _merge(jumps, skeleton.events[start:]), out, rng)
+        out = _run_events(skeleton.states[component.k0][start], spectrum, config,
+                          _merge(jumps, skeleton.events[start:]), out.copy(), rng)
     return out
-
-
-def run_trajectory(initial: Mixture, spectrum: SpectrumModel,
-                   config: TrajectoryConfig, index: int = 0) -> np.ndarray:
-    """Alignment time series of a single stochastic trajectory."""
-    draw = _draw(initial, config, index)
-    return _resume(_skeleton([draw[0]], spectrum, config, [draw]), spectrum, config, *draw)
 
 
 def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                  config: TrajectoryConfig, n: int) -> EnsembleResult:
-    """Average n trajectories (mixture weights included).
+    """Average n trajectories (mixture weights included), in one pass.
 
-    With gamma = 0 the ensemble is deterministic: the weighted sum of each
-    component's jump-free pass, for any n.  Otherwise the random draws and
-    the jump-free skeleton of each drawn component are made once, and every
-    trajectory runs from its first jump on, in index order.
+    The random draws and the jump-free skeleton of every component are made
+    once, and every trajectory runs from its first jump on, in index order.
+    With gamma = 0 the mean is the weighted sum of each component's
+    jump-free series, for any n.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    times = np.asarray(config.observation_times)
-    if config.gamma == 0.0:
-        skeleton = _skeleton(initial.components, spectrum, config, [])
-        mean = initial.mean(lambda c: skeleton.series[c.k0])
-        return EnsembleResult(times=times, mean_alignment=mean,
-                              stderr=np.zeros_like(mean), n_trajectories=n,
-                              jump_count_histogram={0: n})
     draws = [_draw(initial, config, i) for i in range(n)]
-    skeleton = _skeleton({c.k0: c for c, _, _ in draws}.values(), spectrum, config, draws)
-    data = np.vstack([_resume(skeleton, spectrum, config, *draw) for draw in draws])
-    mean = data.mean(axis=0)
-    if n > 1:
-        stderr = data.std(axis=0, ddof=1) / math.sqrt(n)
+    skeleton = _skeleton(initial.components, spectrum, config, draws)
+    rows = [_resume(skeleton, spectrum, config, *draw) for draw in draws]
+    jump_free = initial.mean(lambda c: skeleton.series[c.k0])
+    if config.gamma == 0.0:
+        mean, stderr = jump_free, np.zeros_like(jump_free)
     else:
-        stderr = np.zeros_like(mean)
+        data = np.vstack(rows)
+        mean = data.mean(axis=0)
+        stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     hist = Counter(len(jumps) for _, jumps, _ in draws)
-    return EnsembleResult(times=times, mean_alignment=mean, stderr=stderr,
-                          n_trajectories=n, jump_count_histogram=dict(hist))
+    return EnsembleResult(times=np.asarray(config.observation_times), mean_alignment=mean,
+                          stderr=stderr, jump_count_histogram=dict(hist),
+                          trajectories=rows, jump_free=jump_free)

@@ -14,7 +14,9 @@ mpmath, and the semiclassical pulse's Bessel functions come from scipy's
 Reference code that only the tests call lives here too: the asymptotic
 d-function, the fractional-revival resummation, the scalar Wigner-d
 recurrence (it starts from the library's ``_d_start`` and steps with its
-``_recurrence_r``, and is checked against the sum) and state overlaps.
+``_recurrence_r``, and is checked against the sum), state overlaps and one
+quantum-jump trajectory run on its own (the library's draw and event loop,
+with a skeleton of its component alone).
 """
 
 import math
@@ -26,7 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
-from nanorotor import angular
+from nanorotor import angular, decoherence
 from nanorotor.angular import _d_start, _recurrence_r
 from nanorotor.errors import DomainError, LevelAssignmentError, SingularityError
 from nanorotor.rotor import SpectrumModel
@@ -317,6 +319,13 @@ def lindblad_oracle(initial, spectrum, gamma: float,
         if i % max(len(sol.t) // 8, 1) == 0:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))
     return align, trace, min_eig
+
+
+def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
+    """Alignment time series of a single stochastic trajectory."""
+    draw = decoherence._draw(initial, config, index)
+    skeleton = decoherence._skeleton([draw[0]], spectrum, config, [draw])
+    return decoherence._resume(skeleton, spectrum, config, *draw)
 
 
 def wigner_d_semiclassical(j: int, m: int, k: int, beta: float) -> float:

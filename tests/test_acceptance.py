@@ -341,7 +341,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
                                        observation_times=tuple(np.linspace(0, 1, 7)),
                                        seed=3)
     ens = decoherence.run_ensemble(small, sps_, cfg, 16)
-    rows = np.vstack([decoherence.run_trajectory(small, sps_, cfg, i) for i in range(16)])
+    rows = np.vstack([oracles.run_trajectory(small, sps_, cfg, i) for i in range(16)])
     assert ens.mean_alignment.tobytes() == rows.mean(axis=0).tobytes()
 
     print(f"\nCRITERION 9: norm dev {norm_dev:.1e}, completeness OK, "

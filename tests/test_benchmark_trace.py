@@ -5,7 +5,8 @@ outside; a renamed or rebound boundary would only show up as failed traced
 benchmark runs.  These tests install the tracer in a fresh process, check that
 every boundary it names is wrapped, and run tiny CLI calls: one with the banded
 semiclassical pulse, and jump Monte Carlo runs whose trajectories resume from
-the jump-free skeleton.  They only read ``perfbench/``.
+the jump-free skeleton, counting that each ensemble runs, and each jump is
+applied, once.  They only read ``perfbench/``.
 """
 
 import json
@@ -55,10 +56,11 @@ def test_tracer_resolves_every_boundary(tmp_path):
 
 
 def test_tracer_sees_the_resumed_trajectories(tmp_path):
-    # With gamma > 0, sweep_phi makes two jump-free passes per phi (the
-    # ensemble's skeleton and the gamma = 0 vacuum reference), each making
-    # the calls of the whole gamma = 0 run; every call beyond twice that
-    # comes from the trajectories resumed after their first jump.
+    # With gamma > 0, sweep_phi makes one jump-free pass per phi (the
+    # ensemble's skeleton, which also gives the vacuum reference), making the
+    # calls of the whole gamma = 0 run; every call beyond that comes from the
+    # trajectories resumed after their first jump, and at this rate they
+    # alone make more calls than the jump-free pass.
     argv = ["sweep_phi", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
             "--sweep.phi", "[1.0]", "--ensemble.n", "12", "--gamma.dimensionless"]
     jumps = _probe(tmp_path, argv + ["8.0"])["calls"]
@@ -67,3 +69,21 @@ def test_tracer_sees_the_resumed_trajectories(tmp_path):
     assert jumps["decoherence.jump"] > 0
     for layer in ("rotor.propagate", "pulse.apply", "observables.alignment"):
         assert jumps[layer] > 2 * free[layer] > 0, layer
+
+
+def test_an_ensemble_is_one_pass(tmp_path):
+    # decohere writes its first trajectories from the ensemble's own rows, so
+    # each jump the histogram counts is applied once ...
+    argv = ["decohere", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
+            "--pulse.phi", "1.0", "--times.n_points", "16", "--gamma.dimensionless", "2.0",
+            "--ensemble.n", "6"]
+    calls = _probe(tmp_path, argv)["calls"]
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    (hist,) = manifest["diagnostics"]["jump_histograms"].values()
+    jumps = sum(int(count) * n for count, n in hist.items())
+    assert jumps > 0 and calls["decoherence.jump"] == jumps
+    # ... and sweep_phi reads its vacuum values from the same ensembles
+    argv = ["sweep_phi", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
+            "--sweep.phi", "[0.5,1.0,2.0]", "--ensemble.n", "4", "--gamma.dimensionless", "1.0"]
+    assert _probe(tmp_path, argv)["calls"]["decoherence.ensemble"] == 3
+    assert (tmp_path / "run_vacuum.csv").exists()

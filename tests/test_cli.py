@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nanorotor import cli, config as cfgmod, rotor
+from nanorotor import cli, config as cfgmod, observables, rotor
 
 
 def read_csv(path):
@@ -147,6 +147,13 @@ EXIT2_CASES = [
     _exit2("sweep.phi", "[1e12]", "fig2c", "--ensemble.n", "2"),
     # sweep_asymmetry always sweeps the asymmetric spectrum
     _exit2("spectrum.method", "symmetric", "fig2b", "--sweep.b_points", "1"),
+    # a time grid of more than a million samples, named by the key that drives it
+    _exit2("times.n_points", "1000000000"),
+    _exit2("times.refine_factor", "1000000000"),
+    _exit2("times.t_end", "1e6"),
+    # ... and a revival window that would take as many
+    _exit2("sweep.b_log10_max", "3", "fig2b"),
+    _exit2("sweep.b_include", "[20.0]", "fig2b"),
 ]
 
 
@@ -306,6 +313,37 @@ def test_fig2b_preset_reduced_grid(tmp_path):
     assert np.all(np.diff(phi0[:, 1]) < 0)   # alignment degrades with b
 
 
+def test_fig2b_samples_the_whole_revival_window(tmp_path):
+    # at b = 1e-2 the revival window reaches past 1.08, and the peak lies there
+    code = cli.main(["fig2b", "--out", str(tmp_path / "b"), "--state.sigma_beta", "0.03",
+                     "--sweep.b_points", "1", "--sweep.b_log10_min", "-2",
+                     "--sweep.b_log10_max", "-2", "--sweep.b_include", "[]"])
+    assert code == 0
+    _, tpeak = read_csv(str(tmp_path / "b_tpeak.csv"))
+    centre, halfwidth = observables.revival_window(1e-2)
+    assert 1.08 < tpeak[0, 1] < centre + halfwidth
+
+
+@pytest.mark.parametrize("times", [
+    cfgmod.TimesConfig(), cfgmod.TimesConfig(t_end=3.3, n_points=100),
+    cfgmod.TimesConfig(t_end=2.0, refine_halfwidth=0.3), cfgmod.TimesConfig(refine_halfwidth=0.0),
+    cfgmod.TimesConfig(t_end=0.01, n_points=2)])
+def test_time_grid_count_bounds_the_grid(times):
+    # the closed-form count the ceiling checks is never below the grid's length
+    assert len(cfgmod.build_time_grid(times)) <= cfgmod.time_grid_size(times)
+
+
+@pytest.mark.parametrize("b", [1e-6, 2.3e-5, 4.64e-5, 1e-4, 1e-2, 0.1, -0.5])
+def test_revival_grid_count_bounds_the_grid(b):
+    grid = cfgmod.revival_time_grid(b)
+    assert len(grid) <= cfgmod.revival_grid_size(b) and np.all(np.diff(grid) > 0)
+    # the lattice keeps the old samples; windows inside [0.95, 1.08] add none
+    old = np.concatenate([[0.0], np.round(np.linspace(0.95, 1.08, 521), 12)])
+    assert np.isin(old, grid).all()
+    if b in (1e-6, 2.3e-5, -0.5):
+        assert grid.tobytes() == old.tobytes()
+
+
 def test_asymmetric_mixture_run_matches_lapack_oracle(tmp_path, monkeypatch):
     # kmax >= 1 through the CLI: a sigma_k mixture with the asymmetric
     # spectrum, against the same run on the per-j LAPACK spectrum
@@ -325,8 +363,8 @@ def test_asymmetric_mixture_run_matches_lapack_oracle(tmp_path, monkeypatch):
 
 
 def test_fig2c_manifest_keeps_jump_histogram(tmp_path):
-    # the gamma = 0 vacuum pass runs under the same phi tag and must not
-    # replace the histogram of the gamma > 0 ensemble
+    # the vacuum series is the gamma > 0 ensemble's own jump-free pass; the
+    # manifest keeps that ensemble's histogram, which counts every trajectory
     n = 20
     code = cli.main(["fig2c", "--out", str(tmp_path / "c"), "--sweep.phi", "[3.14159265]",
                      "--ensemble.n", str(n), "--state.sigma_j_sq", "100"])

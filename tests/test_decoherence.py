@@ -109,7 +109,7 @@ def test_gamma_zero_matches_deterministic(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 11))
     cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs,
                                seed=5, pulse=pulse.PulseSpec(phi=math.pi))
-    tr = dec.run_trajectory(small_mixture, small_spectrum, cfg)
+    tr = oracles.run_trajectory(small_mixture, small_spectrum, cfg)
     ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 7)
     assert np.array_equal(tr, ens.mean_alignment)
     assert ens.jump_count_histogram == {0: 7}
@@ -118,15 +118,15 @@ def test_gamma_zero_matches_deterministic(small_mixture, small_spectrum):
 def test_trajectory_deterministic_per_index(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 9))
     cfg = dec.TrajectoryConfig(gamma=0.7, t_end=1.0, observation_times=tobs, seed=9)
-    a = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
-    b = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
+    a = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
+    b = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
     assert np.array_equal(a, b)
 
 
 def test_jumped_trajectory_degrades_revival(small_mixture, small_spectrum):
     tobs = (0.0, 1.0)
     cfg0 = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs, seed=1)
-    clean = dec.run_trajectory(small_mixture, small_spectrum, cfg0)
+    clean = oracles.run_trajectory(small_mixture, small_spectrum, cfg0)
     assert clean[1] == pytest.approx(clean[0], abs=1e-10)
     # find a seed whose trajectory has at least one mid-flight jump
     cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=tobs, seed=2)
@@ -134,7 +134,7 @@ def test_jumped_trajectory_degrades_revival(small_mixture, small_spectrum):
         rng = dec._trajectory_rng(2, idx)
         jumps = dec.sample_jump_times(1.0, 1.0, rng)
         if jumps.size and 0.1 < jumps[0] < 0.9:
-            series = dec.run_trajectory(small_mixture, small_spectrum, cfg, idx)
+            series = oracles.run_trajectory(small_mixture, small_spectrum, cfg, idx)
             assert series[1] < clean[1] - 0.01
             return
     pytest.fail("no jumping trajectory found in 20 indices")
@@ -201,7 +201,7 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
                                observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=31, pulse=spec)
     n = 16
-    rows = np.vstack([dec.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
+    rows = np.vstack([oracles.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
     draws = [dec._draw(state, cfg, i) for i in range(n)]
     counts = [len(jumps) for _, jumps, _ in draws]
     assert len({c.k0 for c, _, _ in draws}) > 1 and 0 in counts and max(counts) > 1
@@ -210,6 +210,42 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
     assert res.mean_alignment.tobytes() == rows.mean(axis=0).tobytes()
     assert res.stderr.tobytes() == (rows.std(axis=0, ddof=1) / math.sqrt(n)).tobytes()
     assert res.jump_count_histogram == {c: counts.count(c) for c in set(counts)}
+    # the ensemble returns the series it averaged, each the trajectory's own
+    assert len(res.trajectories) == n
+    for i, row in enumerate(rows):
+        assert res.trajectories[i].tobytes() == row.tobytes(), i
+    assert res.mean_alignment.tobytes() == np.vstack(res.trajectories).mean(0).tobytes()
+
+
+def test_jump_free_series_is_the_gamma_zero_mean():
+    # a gamma > 0 ensemble's jump_free is the weighted sum of each component's
+    # jump-free series, the same bits as the gamma = 0 ensemble's mean, even
+    # where the draws leave a component out
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125,))
+    state = rotor.prepare_mixture(0.3, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
+    spectrum = rotor.rotational_energies(
+        state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    tobs = tuple(np.linspace(0.0, 1.0, 6))
+    free = dec.run_ensemble(state, spectrum, dec.TrajectoryConfig(
+        gamma=0.0, t_end=1.0, observation_times=tobs, seed=8, pulse=spec), 2)
+    jumpy = dec.run_ensemble(state, spectrum, dec.TrajectoryConfig(
+        gamma=1.2, t_end=1.0, observation_times=tobs, seed=8, pulse=spec), 2)
+    assert len(state.components) > 2  # two trajectories cannot draw every component
+    assert jumpy.jump_free.tobytes() == free.mean_alignment.tobytes()
+    assert free.jump_free.tobytes() == free.mean_alignment.tobytes()
+    assert not np.array_equal(jumpy.mean_alignment, jumpy.jump_free)
+
+
+def test_rows_without_jumps_share_the_skeleton_series(small_mixture, small_spectrum):
+    # a trajectory without jumps is its component's jump-free series itself,
+    # read-only, so a gamma = 0 ensemble holds one array per component
+    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 5)))
+    res = dec.run_ensemble(small_mixture, small_spectrum, cfg, 4)
+    first = res.trajectories[0]
+    assert all(row is first for row in res.trajectories)
+    assert not first.flags.writeable
+    assert first.tobytes() == res.mean_alignment.tobytes()
 
 
 @pytest.mark.parametrize("method", ["exact", "semiclassical"])
@@ -300,7 +336,7 @@ def test_gamma_conversion_preset():
 def test_ensemble_n1_equals_first_trajectory(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 7))
     cfg = dec.TrajectoryConfig(gamma=0.8, t_end=1.0, observation_times=tobs, seed=13)
-    single = dec.run_trajectory(small_mixture, small_spectrum, cfg, index=0)
+    single = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=0)
     ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 1)
     assert np.array_equal(single, ens.mean_alignment)
     assert np.all(ens.stderr == 0.0)
