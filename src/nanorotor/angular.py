@@ -28,6 +28,7 @@ __all__ = [
     "DirectionCosineOperator",
     "wigner_d_table",
     "cos2beta_matrix",
+    "cos2_band",
     "direction_cosine_matrices",
     "synthesize_beta",
     "project_beta",
@@ -267,6 +268,13 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
                                                  2: up[:-2] * up[1:-1]})
 
 
+@lru_cache(maxsize=512)
+def cos2_band(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
+    """The memoised ``cos2beta_matrix``: the one cos^2 cache, read by the
+    alignment and by the exact pulse."""
+    return cos2beta_matrix(jmin, jmax, m, k)
+
+
 def _cg_rank1(j: np.ndarray, mu: int, q: int, dj: int) -> np.ndarray:
     """<j mu; 1 q | j+dj mu+q> in closed form over the j array; 0 where forbidden."""
     jp = j + dj
@@ -347,24 +355,14 @@ def direction_cosine_matrices(jmin: int, jmax: int, k: int):
 # beta-grid transforms
 # ---------------------------------------------------------------------------
 
-def _table_for(table: np.ndarray | None, m: int, k: int, jmax: int,
-               grid: AngularGrid) -> np.ndarray:
-    """Rows j = max(|m|,|k|)..jmax of ``table``, or a new table when it is None."""
-    if table is None:
-        return wigner_d_table(m, k, grid.nodes, jmax)
-    return table[: jmax - max(abs(m), abs(k)) + 1]
-
-
-def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid,
-                    table: np.ndarray | None = None):
+def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid):
     """Polar-angle wavefunction of a (m, k) sector.
 
     ``coeffs`` are amplitudes over j = max(|m|,|k|) .. jmax (jmax inferred from
     the length).  Returns ``(psi, prob)`` on the grid nodes with
     ``psi(b) = sum_j c_j sqrt(j+1/2) d^j_{mk}(b)`` and
     ``prob(b) = sin(b) |psi(b)|^2`` normalized so that int prob db = 1 for a
-    normalized sector.  ``table`` is an optional ``wigner_d_table`` of this
-    (m, k) on the grid nodes reaching at least jmax.
+    normalized sector.
     """
     coeffs = np.asarray(coeffs)
     j0 = max(abs(m), abs(k))
@@ -373,20 +371,20 @@ def synthesize_beta(coeffs: np.ndarray, m: int, k: int, grid: AngularGrid,
         raise ResolutionError(
             f"grid order {grid.order} cannot resolve j up to {jmax} (need >= {2 * jmax})")
     scaled = coeffs * np.sqrt(np.arange(j0, jmax + 1) + 0.5)
-    re, im = np.stack([scaled.real, scaled.imag]) @ _table_for(table, m, k, jmax, grid)
+    re, im = np.stack([scaled.real, scaled.imag]) @ wigner_d_table(m, k, grid.nodes, jmax)
     psi = re + 1j * im
     prob = np.sin(grid.nodes) * np.abs(psi) ** 2
     return psi, prob
 
 
-def _project_general(psi: np.ndarray, m: int, k: int, jmax: int, grid: AngularGrid,
-                     table: np.ndarray | None = None) -> np.ndarray:
+def _project_general(psi: np.ndarray, m: int, k: int, jmax: int,
+                     grid: AngularGrid) -> np.ndarray:
     """Quadrature projection of psi(beta) onto sqrt(j+1/2) d^j_{mk}."""
     j0 = max(abs(m), abs(k))
     if jmax < j0:
         raise DomainError(f"jmax={jmax} below max(|m|,|k|)={j0}")
     wpsi = grid.weights * psi
-    proj = _table_for(table, m, k, jmax, grid) @ np.stack([wpsi.real, wpsi.imag], axis=1)
+    proj = wigner_d_table(m, k, grid.nodes, jmax) @ np.stack([wpsi.real, wpsi.imag], axis=1)
     return np.sqrt(np.arange(j0, jmax + 1) + 0.5) * (proj[:, 0] + 1j * proj[:, 1])
 
 

@@ -28,6 +28,13 @@ SCENARIOS = ("evolve", "sweep_phi", "sweep_sigma", "sweep_asymmetry",
 
 # the most time samples one series may take
 MAX_TIME_SAMPLES = 1_000_000
+# time samples are rounded to this many decimals, so no two may lie closer
+TIME_DECIMALS = 12
+# the most trajectories one ensemble may average
+MAX_TRAJECTORIES = 100_000
+# the most log-spaced b values one asymmetry sweep may take: each costs an
+# asymmetric spectrum and a propagate-and-observe series per phase
+MAX_B_POINTS = 1_000
 EIGHTH = 0.125
 # the fig2b sample spacing: 521 points over [0.95, 1.08]
 REVIVAL_STEP = (1.08 - 0.95) / 520
@@ -218,7 +225,7 @@ def build_time_grid(times: TimesConfig) -> np.ndarray:
         n = max(int(round((hi - lo) / spacing * times.refine_factor)), 2)
         parts.append(np.linspace(lo, hi, n))
     parts.append(centers[centers <= times.t_end])
-    grid = np.unique(np.round(np.concatenate(parts), 12))
+    grid = np.unique(np.round(np.concatenate(parts), TIME_DECIMALS))
     return grid
 
 
@@ -244,7 +251,7 @@ def revival_time_grid(b: float) -> np.ndarray:
     lo, hi = centre - halfwidth, centre + halfwidth
     i = np.arange(min(math.floor((max(lo, 0.0) - 0.95) / REVIVAL_STEP), 0),
                   max(math.ceil((hi - 0.95) / REVIVAL_STEP), 520) + 1)
-    t = np.round(i * REVIVAL_STEP + 0.95, 12)
+    t = np.round(i * REVIVAL_STEP + 0.95, TIME_DECIMALS)
     keep = (t > 0) & ((i >= 0) & (i <= 520) | (t >= lo) & (t <= hi))
     return np.concatenate([[0.0], t[keep]])
 
@@ -422,8 +429,13 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         if size_key:
             problems.append(f"{size_key}: the time grid would hold more than "
                             f"{MAX_TIME_SAMPLES:,} samples")
+        elif t.t_end / (t.n_points - 1) < 10.0 ** -TIME_DECIMALS:
+            problems.append(f"times.t_end: its samples would lie closer than "
+                            f"1e-{TIME_DECIMALS}, the step they are rounded to")
     if cfg.ensemble.n < 1:
         problems.append("ensemble.n: must be >= 1")
+    elif cfg.ensemble.n > MAX_TRAJECTORIES:
+        problems.append(f"ensemble.n: must not exceed {MAX_TRAJECTORIES:,}")
     if cfg.ensemble.seed < 0:
         problems.append("ensemble.seed: must be >= 0")
     sw = cfg.sweep
@@ -432,6 +444,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             problems.append(f"sweep.{name}: the list must not be empty")
     if sw.b_points < 0:
         problems.append("sweep.b_points: must be >= 0")
+    elif sw.b_points > MAX_B_POINTS:
+        problems.append(f"sweep.b_points: must not exceed {MAX_B_POINTS:,}")
     if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
         problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
     elif cfg.scenario == "sweep_asymmetry" and sw.b_points >= 0:

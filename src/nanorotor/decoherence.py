@@ -26,7 +26,7 @@ import numpy as np
 from . import angular, observables
 from .errors import DomainError, TruncationError
 from .pulse import PulseSpec, apply_pulse
-from .rotor import Mixture, RotorState, SpectrumModel, free_propagate
+from .rotor import Mixture, RotorState, SpectrumModel, free_propagate, mirror_state
 
 __all__ = [
     "TrajectoryConfig",
@@ -194,41 +194,66 @@ def _draw(initial: Mixture, config: TrajectoryConfig, index: int):
 class _Skeleton:
     """The jump-free pass of each component.  Until its first jump a
     trajectory is a function of its component alone, so it starts from the
-    state this pass reached before the first event at or after that jump."""
+    state this pass reached before the first event at or after that jump.
+    A component that is the mirror of another's (``rotor.mirror_state``)
+    runs no pass of its own: every kernel gives a mirrored state the bits it
+    gives the original, so it reads its twin's series and resumes from the
+    mirrors of its twin's states."""
 
     events: list
     times: list
     series: dict  # k0 -> jump-free alignment series (read-only)
-    states: dict  # k0 -> {event position: state before that event}
+    states: dict  # k0 of a pass -> {event position: state before that event}
+    source: dict  # k0 -> k0 of the pass that component reads
+
+
+def _is_mirror(state: RotorState, twin: RotorState) -> bool:
+    """Whether ``state`` is the mirror of ``twin`` bit for bit."""
+    mirrored = mirror_state(twin)
+    return (state.k0 == mirrored.k0 and state.jmax == mirrored.jmax
+            and state.time == mirrored.time and state.sectors.keys() == mirrored.sectors.keys()
+            and all(vec.tobytes() == mirrored.sectors[m].tobytes()
+                    for m, vec in state.sectors.items()))
 
 
 def _skeleton(components, spectrum: SpectrumModel, config: TrajectoryConfig,
               draws: list) -> _Skeleton:
-    """The jump-free pass of each of ``components``, keeping the states the
-    jumping ``draws`` resume from."""
+    """The jump-free pass of each of ``components`` that mirrors no earlier
+    one, keeping the states the jumping ``draws`` resume from."""
     events = _schedule(config)
     times = [t for t, _, _ in events]
-    starts: dict[int, dict] = {c.k0: {} for c in components}
+    passes, source = {}, {}
+    for c in components:
+        twin = passes.get(-c.k0)
+        source[c.k0] = twin.k0 if twin is not None and _is_mirror(c, twin) else c.k0
+        passes.setdefault(source[c.k0], c)
+    starts: dict[int, dict] = {k0: {} for k0 in passes}
     for component, jumps, _ in draws:
         if len(jumps):
-            starts[component.k0][bisect.bisect_left(times, jumps[0])] = None
-    series = {c.k0: _run_events(c, spectrum, config, events,
-                                np.empty(len(config.observation_times)), keep=starts[c.k0])
-              for c in components}
-    for values in series.values():
+            starts[source[component.k0]][bisect.bisect_left(times, jumps[0])] = None
+    runs = {k0: _run_events(c, spectrum, config, events,
+                            np.empty(len(config.observation_times)), keep=starts[k0])
+            for k0, c in passes.items()}
+    for values in runs.values():
         values.flags.writeable = False
-    return _Skeleton(events, times, series, starts)
+    series = {k0: runs[k0_pass] for k0, k0_pass in source.items()}
+    return _Skeleton(events, times, series, starts, source)
 
 
 def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
             component: RotorState, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One trajectory's series: the skeleton's own (shared, read-only) if it
     makes no jump, else the events from its first jump on, run from the
-    skeleton's state there."""
+    skeleton's state there (mirrored for a component that reads its twin's
+    pass)."""
     out = skeleton.series[component.k0]
     if len(jumps):
         start = bisect.bisect_left(skeleton.times, jumps[0])
-        out = _run_events(skeleton.states[component.k0][start], spectrum, config,
+        k0_pass = skeleton.source[component.k0]
+        state = skeleton.states[k0_pass][start]
+        if k0_pass != component.k0:
+            state = mirror_state(state)
+        out = _run_events(state, spectrum, config,
                           _merge(jumps, skeleton.events[start:]), out.copy(), rng)
     return out
 
@@ -238,7 +263,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     """Average n trajectories (mixture weights included), in one pass.
 
     The random draws and the jump-free skeleton of every component are made
-    once, and every trajectory runs from its first jump on, in index order.
+    once (one pass for a component and its mirror), and every trajectory
+    runs from its first jump on, in index order.
     With gamma = 0 the mean is the weighted sum of each component's
     jump-free series, for any n.
     """

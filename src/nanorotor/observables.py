@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,17 +34,12 @@ class TimeSeries:
             raise DomainError("times must be sorted")
 
 
-@lru_cache(maxsize=512)
-def _cos2_matrix(jmin: int, jmax: int, m: int, k: int) -> angular.BandedOperator:
-    return angular.cos2beta_matrix(jmin, jmax, m, k)
-
-
 def alignment(state: RotorState) -> float:
     """<cos^2 beta> of a pure component; 1 = aligned, 0 = antialigned, 1/3 = isotropic."""
     total = 0.0
     for m, vec in state.sectors.items():
         j0 = max(abs(m), abs(state.k0))
-        total += _cos2_matrix(j0, state.jmax, m, state.k0).expectation(vec[j0:])
+        total += angular.cos2_band(j0, state.jmax, m, state.k0).expectation(vec[j0:])
     return total
 
 

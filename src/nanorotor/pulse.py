@@ -2,8 +2,9 @@
 
 The pulse is instantaneous and diagonal in the polar angle: it multiplies the
 wavefunction by ``exp(i sqrt(2) phi cos^2 beta)``.  Two application paths are
-provided: an exact grid path (synthesize, multiply, project back; the oracle)
-and banded matrix elements from a stationary-phase approximation, the fast
+provided.  The exact path sums the Jacobi-Anger (Chebyshev) series of the
+pulse in the banded cos^2 beta operator, one band-2 product per term, and
+builds no grid.  The banded stationary-phase matrix elements are the fast
 path for large j.  ``phase_from_laser`` converts laser parameters to phi.
 """
 
@@ -38,6 +39,8 @@ SILICON_NANOROD_DELTA_ALPHA = 5.40990e-35
 
 _MIN_BANDWIDTH = 8
 _BESSEL_FLOOR = 1e-14
+# the exact pulse's series stops at the first Bessel term above a below this
+_SERIES_FLOOR = 1e-17
 # Bessel arguments below this are raised to it: no J_n moves by more, and the
 # recurrence's step factor 2k/x stays finite
 _X_FLOOR = 1e-280
@@ -202,25 +205,51 @@ def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
     return float(np.sum(np.abs(tail) ** 2))
 
 
-def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
-                      grid: angular.AngularGrid, jmax_out: int | None = None) -> np.ndarray:
-    """Exact pulse on one (m, k) sector via the polar-angle grid.
+def _chebyshev_coefficients(phi: float) -> np.ndarray:
+    """e^{ia} (2 - delta_n0) i^n J_n(a) at a = phi / sqrt(2), n = 0 .. K - 1,
+    with K the first order above |a| where |J_n(a)| < 1e-17.  For phi < 0,
+    J_n(-a) = (-1)^n J_n(|a|)."""
+    a = phi / math.sqrt(2.0)
+    x = abs(a)
+    table = _bessel_table(x, math.ceil(x + 12.0 * x ** (1.0 / 3.0)) + 30)
+    past = np.flatnonzero((np.arange(table.size) > x) & (np.abs(table) < _SERIES_FLOOR))
+    n = np.arange(past[0] if past.size else table.size)
+    coeffs = (1j * math.copysign(1.0, a)) ** n * table[:n.size]
+    coeffs[1:] *= 2.0
+    return np.exp(1j * a) * coeffs
 
-    Synthesize psi(beta), multiply by exp(i sqrt(2) phi cos^2 beta), project
-    back onto j <= jmax_out.  Raises ResolutionError when more than 1e-6 of the
-    norm escapes the projection.
+
+def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
+                      jmax_out: int | None = None) -> np.ndarray:
+    """Exact pulse on one (m, k) sector as a Chebyshev series in the cos^2 band.
+
+    With C the cos^2 beta band over j0 .. max(jmax_in, jmax_out), X = 2 C - 1
+    and a = phi / sqrt(2), the Jacobi-Anger expansion gives
+    exp(i sqrt(2) phi C) = e^{ia} sum_n (2 - delta_n0) i^n J_n(a) T_n(X)
+    (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)).  C compresses an operator with spectrum in [0, 1], so the
+    spectrum of X lies in [-1, 1] and every T_n(X) has norm at most 1; each
+    term is one band-2 product by T_{n+1} = 2 X T_n - T_{n-1}.  The result is cut to
+    j <= jmax_out; raises ResolutionError when that loses more than 1e-6 of
+    the norm.
     """
+    vec = np.asarray(vec)
     j0 = max(abs(m), abs(k))
-    jmax_in = j0 + np.asarray(vec).size - 1
+    jmax_in = j0 + vec.size - 1
     if jmax_out is None:
         jmax_out = jmax_in
-    if grid.order < 2 * max(jmax_in, jmax_out):
-        raise ResolutionError(
-            f"grid order {grid.order} insufficient for jmax {max(jmax_in, jmax_out)}")
-    table = angular.wigner_d_table(m, k, grid.nodes, max(jmax_in, jmax_out))
-    psi, _ = angular.synthesize_beta(vec, m, k, grid, table=table)
-    psi = psi * np.exp(1j * math.sqrt(2.0) * phi * np.cos(grid.nodes) ** 2)
-    out = angular._project_general(psi, m, k, jmax_out, grid, table=table)
+    band = angular.cos2_band(j0, max(jmax_in, jmax_out), m, k)
+    coeffs = _chebyshev_coefficients(phi)
+    prev = np.zeros(band.size, dtype=complex)
+    prev[:vec.size] = vec
+    out = coeffs[0] * prev
+    if coeffs.size > 1:
+        cur = 2.0 * band.apply(prev) - prev
+        out += coeffs[1] * cur
+        for c in coeffs[2:]:
+            prev, cur = cur, 4.0 * band.apply(cur) - 2.0 * cur - prev
+            out += c * cur
+    out = out[:jmax_out - j0 + 1]
     norm_in = float(np.sum(np.abs(vec) ** 2))
     norm_out = float(np.sum(np.abs(out) ** 2))
     if norm_in > 0 and norm_out < norm_in * (1.0 - 1e-6):
@@ -249,12 +278,11 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     k0 = out.k0
     boundary = 0.0
     band = pulse_bandwidth(phi)
-    grid = angular.AngularGrid.for_jmax(out.jmax) if spec.method == "exact" else None
     for m, vec in state.sectors.items():
         j0 = max(abs(m), abs(k0))
         boundary = max(boundary, boundary_weight(vec, band))
         if spec.method == "exact":
-            new_sec = phase_apply_exact(vec[j0:], m, k0, phi, grid)
+            new_sec = phase_apply_exact(vec[j0:], m, k0, phi)
         else:
             mat = _cached_matrix(j0, out.jmax, m, k0, phi)
             new_sec = mat.apply(vec[j0:])

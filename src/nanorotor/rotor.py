@@ -30,6 +30,7 @@ __all__ = [
     "rotational_energies",
     "prepare_aligned_state",
     "prepare_mixture",
+    "mirror_state",
     "k_cutoff",
     "free_propagate",
     "truncation_jmax",
@@ -575,13 +576,26 @@ def k_cutoff(sigma_k: float) -> int:
     return math.ceil(4.0 * sigma_k)
 
 
+def mirror_state(state: RotorState) -> RotorState:
+    """The component with k0 and every m negated.  Since
+    d^j_{-m,-k} = (-1)^(m-k) d^j_{mk}, the amplitudes of sector m move to -m
+    times (-1)^(m - k0).  The mirror has arrays of its own."""
+    return replace(state, k0=-state.k0,
+                   sectors={-m: vec.copy() if (m - state.k0) % 2 == 0 else -vec
+                            for m, vec in state.sectors.items()},
+                   diagnostics=dict(state.diagnostics))
+
+
 def prepare_mixture(sigma_beta: float, sigma_k: float,
                     jmax: int | None = None) -> Mixture:
     """Classical mixture over integer k0 with Gaussian weights of width sigma_k.
 
     Components are gaussian_beta aligned states in ascending k0; the k0 grid
     is truncated at |k0| <= k_cutoff(sigma_k) and the weights renormalized.
-    sigma_k = 0 gives the k0 = 0 state with weight 1.
+    sigma_k = 0 gives the k0 = 0 state with weight 1.  Each |k0| is prepared
+    once: the -k0 state is the mirror of the k0 one, whose only sector
+    m = k0 moves to -k0 unchanged (d^j_{-k,-k} = d^j_{kk}, bit for bit in
+    the recurrence), so it equals a state prepared at -k0 bit for bit.
     """
     if sigma_k < 0:
         raise DomainError("sigma_k must be >= 0")
@@ -594,9 +608,10 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
     if jmax is None:
         jmax = max(estimate_jmax("gaussian_beta", sigma_beta, k0=int(k))
                    for k in k0s)
+    states = {k0: prepare_aligned_state("gaussian_beta", sigma_beta, k0=k0, jmax=jmax)
+              for k0 in range(kcut + 1)}
     return Mixture(
-        tuple(prepare_aligned_state("gaussian_beta", sigma_beta, k0=int(k0), jmax=jmax)
-              for k0 in k0s),
+        tuple(states[k0] if k0 >= 0 else mirror_state(states[-k0]) for k0 in map(int, k0s)),
         tuple(float(wk) for wk in w))
 
 

@@ -14,9 +14,12 @@ mpmath, and the semiclassical pulse's Bessel functions come from scipy's
 Reference code that only the tests call lives here too: the asymptotic
 d-function, the fractional-revival resummation, the scalar Wigner-d
 recurrence (it starts from the library's ``_d_start`` and steps with its
-``_recurrence_r``, and is checked against the sum), state overlaps and one
+``_recurrence_r``, and is checked against the sum), state overlaps, one
 quantum-jump trajectory run on its own (the library's draw and event loop,
-with a skeleton of its component alone).
+with a skeleton of its component alone) and an ensemble of such runs, and
+the exact pulse twice over: the polar-angle grid path the library used
+before (synthesize, multiply, project back) and a dense eigendecomposition
+of the cos^2 band.
 """
 
 import math
@@ -30,7 +33,8 @@ from scipy.special import jv
 
 from nanorotor import angular, decoherence
 from nanorotor.angular import _d_start, _recurrence_r
-from nanorotor.errors import DomainError, LevelAssignmentError, SingularityError
+from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
+                              SingularityError)
 from nanorotor.rotor import SpectrumModel
 
 
@@ -326,6 +330,21 @@ def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
     draw = decoherence._draw(initial, config, index)
     skeleton = decoherence._skeleton([draw[0]], spectrum, config, [draw])
     return decoherence._resume(skeleton, spectrum, config, *draw)
+
+
+def unfolded_ensemble(initial, spectrum, config, n: int):
+    """``run_ensemble`` without the +-k0 fold: every trajectory on its own
+    (``run_trajectory``) and every component's own jump-free pass.  Returns
+    (trajectories, mean, stderr, jump_free) as ``run_ensemble`` forms them."""
+    rows = [run_trajectory(initial, spectrum, config, i) for i in range(n)]
+    events = decoherence._schedule(config)
+    jump_free = initial.mean(lambda c: decoherence._run_events(
+        c, spectrum, config, events, np.empty(len(config.observation_times))))
+    if config.gamma == 0.0:
+        return rows, jump_free, np.zeros_like(jump_free), jump_free
+    data = np.vstack(rows)
+    stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(data.shape[1])
+    return rows, data.mean(axis=0), stderr, jump_free
 
 
 def wigner_d_semiclassical(j: int, m: int, k: int, beta: float) -> float:
@@ -656,3 +675,45 @@ def phase_matrix_jv(jmin: int, jmax: int, m: int, k: int, phi: float) -> np.ndar
         out[rows, rows + d] = elem
         out[rows + d, rows] = elem
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact pulse: the polar-angle grid path and a dense eigendecomposition
+# ---------------------------------------------------------------------------
+
+def grid_pulse(vec: np.ndarray, m: int, k: int, phi: float, grid: angular.AngularGrid,
+               jmax_out: int | None = None) -> np.ndarray:
+    """exp(i sqrt(2) phi cos^2 beta) on one (m, k) sector via the grid:
+    synthesize psi(beta), multiply by the phase, project back onto
+    j <= jmax_out, with one Wigner table used both ways."""
+    j0 = max(abs(m), abs(k))
+    jmax_in = j0 + np.asarray(vec).size - 1
+    if jmax_out is None:
+        jmax_out = jmax_in
+    if grid.order < 2 * max(jmax_in, jmax_out):
+        raise ResolutionError(
+            f"grid order {grid.order} insufficient for jmax {max(jmax_in, jmax_out)}")
+    table = angular.wigner_d_table(m, k, grid.nodes, max(jmax_in, jmax_out))
+    scale = np.sqrt(np.arange(j0, max(jmax_in, jmax_out) + 1) + 0.5)
+    rows_in, rows_out = jmax_in - j0 + 1, jmax_out - j0 + 1
+    psi = (np.asarray(vec) * scale[:rows_in]) @ table[:rows_in]
+    psi = psi * np.exp(1j * math.sqrt(2.0) * phi * np.cos(grid.nodes) ** 2)
+    return scale[:rows_out] * (table[:rows_out] @ (grid.weights * psi))
+
+
+def eigen_pulse(vec: np.ndarray, m: int, k: int, phi: float,
+                jmax_out: int | None = None) -> np.ndarray:
+    """exp(i sqrt(2) phi C) on one (m, k) sector from a dense
+    eigendecomposition of the cos^2 band C over j0 .. max(jmax_in, jmax_out),
+    cut to j <= jmax_out."""
+    j0 = max(abs(m), abs(k))
+    vec = np.asarray(vec, dtype=complex)
+    jmax_in = j0 + vec.size - 1
+    if jmax_out is None:
+        jmax_out = jmax_in
+    band = to_dense(angular.cos2beta_matrix(j0, max(jmax_in, jmax_out), m, k)).real
+    vals, vecs = np.linalg.eigh(band)
+    padded = np.zeros(band.shape[0], dtype=complex)
+    padded[:vec.size] = vec
+    out = vecs @ (np.exp(1j * math.sqrt(2.0) * phi * vals) * (vecs.T @ padded))
+    return out[:jmax_out - j0 + 1]

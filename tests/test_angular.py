@@ -398,11 +398,10 @@ def test_transforms_match_row_by_row_sums(m, k):
     psi_ref = sum(c[i] * math.sqrt(j0 + i + 0.5) * tab[i] for i in range(c.size))
     proj_ref = np.array([math.sqrt(j0 + i + 0.5) * np.dot(tab[i], grid.weights * psi_ref)
                          for i in range(c.size)])
-    for table in (None, tab):
-        psi, _ = angular.synthesize_beta(c, m, k, grid, table=table)
-        assert np.max(np.abs(psi - psi_ref)) <= 1e-12
-        proj = angular._project_general(psi_ref, m, k, jmax, grid, table=table)
-        assert np.max(np.abs(proj - proj_ref)) <= 1e-12
+    psi, _ = angular.synthesize_beta(c, m, k, grid)
+    assert np.max(np.abs(psi - psi_ref)) <= 1e-12
+    proj = angular._project_general(psi_ref, m, k, jmax, grid)
+    assert np.max(np.abs(proj - proj_ref)) <= 1e-12
 
 
 def test_synthesize_resolution_error():

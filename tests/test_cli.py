@@ -174,6 +174,31 @@ def test_validate_only_names_the_same_key(capsys, argv, key):
     assert key in captured.err and captured.out == ""
 
 
+# inputs that ended in tracebacks before they had a rule: an ensemble.n
+# beyond float range (OverflowError in the time forecast), a subnormal t_end
+# (ZeroDivisionError in the time grid), a billion b points (np.logspace of
+# 7.45 GiB)
+BREAK_CASES = [
+    pytest.param(["fig1", "--ensemble.n", "1" + "0" * 400, "--times.n_points", "8"],
+                 "ensemble.n", id="ensemble.n-beyond-float-range"),
+    pytest.param(["fig1", "--times.t_end", "5e-324"], "times.t_end", id="times.t_end-subnormal"),
+    pytest.param(["fig2b", "--sweep.b_points", "1000000000"], "sweep.b_points",
+                 id="sweep.b_points-1e9"),
+]
+
+
+@pytest.mark.parametrize("extra", [[], ["--validate-only"]], ids=["run", "validate-only"])
+@pytest.mark.parametrize("argv,key", BREAK_CASES)
+def test_break_inputs_exit_2_without_traceback(tmp_path, argv, key, extra):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "nanorotor.cli", *argv, *extra,
+                           "--out", str(tmp_path / "x")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["params"], ["fig1", "--times.n_points", "8"]])
 def test_a_run_validates_once(tmp_path, monkeypatch, argv):
     calls = []

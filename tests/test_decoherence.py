@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,55 @@ def test_rows_without_jumps_share_the_skeleton_series(small_mixture, small_spect
     assert all(row is first for row in res.trajectories)
     assert not first.flags.writeable
     assert first.tobytes() == res.mean_alignment.tobytes()
+
+
+@pytest.mark.parametrize("method", ["exact", "semiclassical"])
+def test_folded_ensemble_equals_unfolded_oracle(method, monkeypatch):
+    # gamma > 0 on a sigma_k mixture: one jump-free pass per +-k0 pair, and
+    # -k0 trajectories that jump resume from mirrored states, yet every
+    # series equals that of a run in which each component runs its own pass
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125, 0.375), method=method)
+    state = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
+    spectrum = rotor.rotational_energies(
+        state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+                               seed=17, pulse=spec)
+    n = 24
+    draws = [dec._draw(state, cfg, i) for i in range(n)]
+    assert any(c.k0 < 0 and len(jumps) for c, jumps, _ in draws)
+    rows, mean, stderr, jump_free = oracles.unfolded_ensemble(state, spectrum, cfg, n)
+
+    passes = []
+    real = dec._run_events
+    monkeypatch.setattr(dec, "_run_events", lambda s, *a, **kw: (
+        passes.append(s.k0) if kw.get("keep") is not None else None, real(s, *a, **kw))[1])
+    res = dec.run_ensemble(state, spectrum, cfg, n)
+    # components come in ascending k0, so each pair's pass is its -|k0| one
+    assert passes == [c.k0 for c in state.components if c.k0 <= 0]
+    assert [r.tobytes() for r in res.trajectories] == [r.tobytes() for r in rows]
+    assert res.mean_alignment.tobytes() == mean.tobytes()
+    assert res.stderr.tobytes() == stderr.tobytes()
+    assert res.jump_free.tobytes() == jump_free.tobytes()
+
+
+def test_a_component_that_is_no_mirror_runs_its_own_pass():
+    # the fold checks the bits: a -k0 component that differs from the mirror
+    # of its +k0 twin keeps a pass of its own
+    spec = pulse.PulseSpec(phi=math.pi / 2)
+    mix = rotor.prepare_mixture(0.1, 0.3).map(lambda c: pulse.prepare_for_pulses(c, spec))
+    other = rotor.free_propagate(mix.components[0], 0.01, rotor.rotational_energies(
+        mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric"))
+    other = replace(other, time=0.0)
+    mix = rotor.Mixture((other, *mix.components[1:]), mix.weights)
+    spectrum = rotor.rotational_energies(
+        mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.0, 0.5, 1.0),
+                               pulse=spec)
+    skeleton = dec._skeleton(mix.components, spectrum, cfg, [])
+    k0 = mix.components[0].k0
+    assert skeleton.source[k0] == k0 and skeleton.source[-k0] == -k0
+    assert not np.array_equal(skeleton.series[k0], skeleton.series[-k0])
 
 
 @pytest.mark.parametrize("method", ["exact", "semiclassical"])

@@ -210,33 +210,32 @@ def grid120():
     return angular.AngularGrid.for_jmax(140)
 
 
-def test_exact_phi_zero_identity(grid120):
+def test_exact_phi_zero_identity():
     rng = np.random.default_rng(5)
     vec = rng.normal(size=101) + 1j * rng.normal(size=101)
     vec /= np.linalg.norm(vec)
-    out = pulse.phase_apply_exact(vec, 0, 0, 0.0, grid120)
+    out = pulse.phase_apply_exact(vec, 0, 0, 0.0)
     assert np.max(np.abs(out - vec)) < 1e-10
 
 
-def test_exact_preserves_norm(grid120):
+def test_exact_preserves_norm():
     rng = np.random.default_rng(6)
     for m, k in ((0, 0), (2, -1)):
         n = 90
         vec = rng.normal(size=n) + 1j * rng.normal(size=n)
         vec /= np.linalg.norm(vec)
-        out = pulse.phase_apply_exact(vec, m, k, 1.7, grid120, jmax_out=max(abs(m), abs(k)) + n + 19)
+        out = pulse.phase_apply_exact(vec, m, k, 1.7, jmax_out=max(abs(m), abs(k)) + n + 19)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_exact_agrees_with_dense_exponential(grid120):
-    # grid path vs matrix exponential of the banded cos^2 generator
+def test_exact_agrees_with_dense_exponential():
+    # exact path vs matrix exponential of the banded cos^2 generator
     rng = np.random.default_rng(7)
     jmax = 120
     vec = np.zeros(jmax + 1, dtype=complex)
     vec[:80] = rng.normal(size=80) + 1j * rng.normal(size=80)
     vec /= np.linalg.norm(vec)
-    grid = angular.AngularGrid.for_jmax(jmax)
-    out_grid = pulse.phase_apply_exact(vec, 0, 0, math.pi, grid)
+    out_grid = pulse.phase_apply_exact(vec, 0, 0, math.pi)
     out_dense = exact_unitary(jmax, 0, 0, math.pi) @ vec
     assert np.max(np.abs(out_grid - out_dense)) < 1e-8
 
@@ -252,7 +251,7 @@ def test_packet_phase_difference_is_phi(grid120):
     phases = []
     for center in (math.pi / 8, 3 * math.pi / 8):
         c = packet(center)
-        cp = pulse.phase_apply_exact(c, 0, 0, phi, grid120)
+        cp = pulse.phase_apply_exact(c, 0, 0, phi)
         phases.append(np.angle(np.vdot(c, cp)))
     assert phases[0] - phases[1] == pytest.approx(phi, abs=2e-3)
 
@@ -263,6 +262,77 @@ def test_exact_commutes_with_cos2(grid120):
     U = exact_unitary(jmax, 0, 0, 0.9)
     comm = U @ C - C @ U
     assert np.max(np.abs(comm)) < 1e-8
+
+
+def random_sector(rng, m: int, k: int, jmax: int, top: int) -> np.ndarray:
+    """A normalised random sector over j = max(|m|,|k|) .. jmax, zero above ``top``."""
+    j0 = max(abs(m), abs(k))
+    vec = np.zeros(jmax - j0 + 1, dtype=complex)
+    n = top - j0 + 1
+    vec[:n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("m,k,jmax,phi", [
+    (0, 0, 60, math.pi),
+    (2, -1, 120, 2 * math.pi),
+    (3, 3, 160, -1.3),
+    (1, -2, 165, -2.0),
+    (0, 0, 165, math.pi),
+])
+def test_series_matches_grid_oracle(m, k, jmax, phi):
+    # the amplitudes stop a pulse headroom below jmax, so the top of the
+    # ladder plays no part.  The grid path's own error is its identity round
+    # trip (numpy's Gauss-Legendre weights near the poles, the d-table): up to
+    # 3e-12 here; beyond it the two agree to 5e-13
+    rng = np.random.default_rng(jmax)
+    vec = random_sector(rng, m, k, jmax, jmax - pulse.pulse_headroom([phi], 1))
+    grid = angular.AngularGrid.for_jmax(jmax)
+    floor = np.max(np.abs(oracles.grid_pulse(vec, m, k, 0.0, grid) - vec))
+    series = pulse.phase_apply_exact(vec, m, k, phi)
+    assert np.max(np.abs(series - oracles.grid_pulse(vec, m, k, phi, grid))) <= floor + 5e-13
+
+
+@pytest.mark.parametrize("m,k,jmax,phi", [
+    (0, 0, 300, math.pi),
+    (3, -2, 400, 2 * math.pi),
+    (5, 5, 350, -4.0),
+    (1, 0, 250, 25.0),
+])
+def test_series_matches_dense_eigendecomposition(m, k, jmax, phi):
+    # both are exp(i sqrt(2) phi C) of the same truncated band, so the
+    # amplitudes fill the whole ladder
+    vec = random_sector(np.random.default_rng(jmax), m, k, jmax, jmax)
+    ref = oracles.eigen_pulse(vec, m, k, phi)
+    assert np.max(np.abs(pulse.phase_apply_exact(vec, m, k, phi) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,k,phi", [(0, 0, math.pi), (2, 3, 2 * math.pi), (-4, 1, 7.5)])
+def test_series_of_negative_phase_inverts_the_pulse(m, k, phi):
+    vec = random_sector(np.random.default_rng(3), m, k, 140, 140)
+    back = pulse.phase_apply_exact(pulse.phase_apply_exact(vec, m, k, phi), m, k, -phi)
+    assert np.max(np.abs(back - vec)) <= 1e-13
+
+
+def test_series_is_the_identity_at_phi_zero():
+    vec = random_sector(np.random.default_rng(4), 2, -1, 90, 90)
+    assert pulse.phase_apply_exact(vec, 2, -1, 0.0).tobytes() == vec.tobytes()
+    padded = pulse.phase_apply_exact(vec, 2, -1, 0.0, jmax_out=100)
+    assert padded[:vec.size].tobytes() == vec.tobytes() and not padded[vec.size:].any()
+
+
+def test_exact_pulse_builds_no_grid_and_no_wigner_table(monkeypatch):
+    state = rotor.prepare_aligned_state("gaussian_beta", 0.05, k0=2)
+    spec = pulse.PulseSpec(phi=math.pi, method="exact")
+    state = pulse.prepare_for_pulses(state, spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact pulse built a grid or a Wigner table")
+
+    monkeypatch.setattr(angular.AngularGrid, "gauss_legendre", classmethod(forbidden))
+    monkeypatch.setattr(angular, "wigner_d_table", forbidden)
+    out = pulse.apply_pulse(state, spec)
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

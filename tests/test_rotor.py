@@ -203,6 +203,45 @@ def test_mixture_weights():
         assert comp.norm() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("sigma_beta,sigma_k", [(0.003, 1.0), (0.03, 2.0), (0.3, 1.0)])
+def test_mixture_mirrors_each_k0_bit_for_bit(sigma_beta, sigma_k):
+    # each -k0 component is the mirror of the k0 one, and equals the state
+    # prepared at -k0 on its own bit for bit: d^j_{-k,-k} = d^j_{kk} in the
+    # recurrence.  It owns its arrays.
+    mix = rotor.prepare_mixture(sigma_beta, sigma_k)
+    by_k0 = {c.k0: c for c in mix.components}
+    for k0 in range(1, mix.kmax + 1):
+        plus, minus = by_k0[k0], by_k0[-k0]
+        alone = rotor.prepare_aligned_state("gaussian_beta", sigma_beta, k0=-k0, jmax=mix.jmax)
+        assert list(minus.sectors) == list(alone.sectors) == [-k0]
+        assert minus.sectors[-k0].tobytes() == alone.sectors[-k0].tobytes()
+        assert minus.sectors[-k0].tobytes() == plus.sectors[k0].tobytes()
+        assert not np.shares_memory(minus.sectors[-k0], plus.sectors[k0])
+        assert minus.sectors[-k0].flags.writeable
+
+
+def test_mirror_state_is_the_symmetry_of_the_basis():
+    # amplitude c_jm of sector m moves to -m times (-1)^(m - k0), which
+    # d^j_{-m,-k} = (-1)^(m-k) d^j_{mk} cancels: each sector's polar
+    # wavefunction, so the polar density and the alignment, is unchanged
+    rng = np.random.default_rng(2)
+    jmax, k0 = 30, 2
+    sectors = {}
+    for m in (1, 2, 3):
+        vec = np.zeros(jmax + 1, dtype=complex)
+        vec[max(abs(m), k0):] = rng.normal(size=jmax + 1 - max(abs(m), k0))
+        sectors[m] = vec
+    state = rotor.RotorState(k0=k0, sectors=sectors, jmax=jmax)
+    mirror = rotor.mirror_state(state)
+    assert mirror.k0 == -k0 and sorted(mirror.sectors) == [-3, -2, -1]
+    assert np.array_equal(mirror.sectors[-3], -sectors[3])
+    assert np.array_equal(mirror.sectors[-2], sectors[2])
+    grid = angular.AngularGrid.for_jmax(jmax)
+    assert np.allclose(observables.beta_distribution(mirror, grid),
+                       observables.beta_distribution(state, grid), rtol=1e-12, atol=1e-14)
+    assert observables.alignment(mirror) == pytest.approx(observables.alignment(state), rel=1e-13)
+
+
 def test_k_cutoff_is_four_widths_rounded_up():
     assert [rotor.k_cutoff(s) for s in (0.0, 0.3, 1.0, 3.0)] == [0, 2, 4, 12]
 
