@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field
@@ -32,6 +33,9 @@ MAX_TIME_SAMPLES = 1_000_000
 TIME_DECIMALS = 12
 # the most trajectories one ensemble may average
 MAX_TRAJECTORIES = 100_000
+# the most jumps a trajectory may expect, gamma t_end: each costs a
+# direction-cosine apply, and a few already decohere the state
+MAX_EXPECTED_JUMPS = 10_000
 # the most log-spaced b values one asymmetry sweep may take: each costs an
 # asymmetric spectrum and a propagate-and-observe series per phase
 MAX_B_POINTS = 1_000
@@ -151,8 +155,8 @@ def _is_a(value, tp) -> bool:
         return isinstance(value, list) and all(_is_a(v, typing.get_args(tp)[0]) for v in value)
     if tp in (int, float) and isinstance(value, bool):
         return False
-    if tp is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+    if tp is float:  # finite, and an int within float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, tp)
 
 
@@ -166,7 +170,7 @@ def _typed(key: str, value, hint):
             for sub, subval in value.items():
                 path = f"{key}.{sub}" if key else sub
                 if sub not in hints:
-                    raise ConfigError(f"unknown key {path}")
+                    raise ConfigError(f"{path}: unknown key")
                 setattr(section, sub, _typed(path, subval, hints[sub]))
             return section
         if _is_a(value, tp):
@@ -197,7 +201,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, Any]) -> Experim
             target = getattr(target, part, None)
         hints = typing.get_type_hints(type(target)) if dataclasses.is_dataclass(target) else {}
         if name not in hints:
-            raise ConfigError(f"unknown key {path}")
+            raise ConfigError(f"{path}: unknown key")
         setattr(target, name, _typed(path, value, hints[name]))
     return cfg
 
@@ -212,56 +216,60 @@ def build_time_grid(times: TimesConfig) -> np.ndarray:
     """Uniform sampling plus dense refinement around multiples of 1/8.
 
     Multiples of 1/8 inside the range are always exact sample points, so
-    revival values are read at the revival, not next to it.
+    revival values are read at the revival, not next to it.  Raises
+    ConfigError, naming the key that drives it, before it builds a grid of
+    more than MAX_TIME_SAMPLES samples (counted before duplicates merge) or
+    one whose uniform samples would lie closer than the rounding step.
     """
-    base = np.linspace(0.0, times.t_end, times.n_points)
-    parts = [base]
+    too_many = f"the time grid would hold more than {MAX_TIME_SAMPLES:,} samples"
+    if times.n_points > MAX_TIME_SAMPLES:
+        raise ConfigError(f"times.n_points: {too_many}")
+    # every refinement centre adds at least 3 samples
+    if 3 * (times.t_end / EIGHTH + 1) > MAX_TIME_SAMPLES:
+        raise ConfigError(f"times.t_end: {too_many}")
+    spacing = times.t_end / max(times.n_points - 1, 1)
+    if spacing < 10.0 ** -TIME_DECIMALS:
+        raise ConfigError(f"times.t_end: its samples would lie closer than "
+                          f"1e-{TIME_DECIMALS}, the step they are rounded to")
     n8 = int(math.floor(times.t_end / EIGHTH + 1e-9))
     centers = EIGHTH * np.arange(0, n8 + 1)
-    spacing = times.t_end / max(times.n_points - 1, 1)
-    for c in centers:
-        lo = max(c - times.refine_halfwidth, 0.0)
-        hi = min(c + times.refine_halfwidth, times.t_end)
-        n = max(int(round((hi - lo) / spacing * times.refine_factor)), 2)
-        parts.append(np.linspace(lo, hi, n))
-    parts.append(centers[centers <= times.t_end])
-    grid = np.unique(np.round(np.concatenate(parts), TIME_DECIMALS))
-    return grid
-
-
-def time_grid_size(times: TimesConfig) -> float:
-    """Closed-form count of the samples ``build_time_grid`` places before
-    duplicates merge, so at least its length: the uniform samples, then for
-    each refinement centre its window's samples (2 or more) and itself."""
-    centres = math.floor(times.t_end / EIGHTH + 1e-9) + 1
-    # the widest refinement window in uniform spacings
-    window = min(2.0 * times.refine_halfwidth, times.t_end) * (times.n_points - 1) / times.t_end
+    windows = []
     try:
-        per_centre = max(round(window * times.refine_factor), 2)
+        for c in centers:
+            lo = max(c - times.refine_halfwidth, 0.0)
+            hi = min(c + times.refine_halfwidth, times.t_end)
+            windows.append((lo, hi, max(int(round((hi - lo) / spacing * times.refine_factor)), 2)))
+        size = times.n_points + sum(n + 1 for _, _, n in windows)
     except OverflowError:  # a refine_factor beyond float range
-        return math.inf
-    return times.n_points + centres * (per_centre + 1)
+        size = math.inf
+    if size > MAX_TIME_SAMPLES:
+        raise ConfigError(f"times.refine_factor: {too_many}")
+    parts = [np.linspace(0.0, times.t_end, times.n_points)]
+    parts += [np.linspace(lo, hi, n) for lo, hi, n in windows]
+    parts.append(centers[centers <= times.t_end])
+    # sorted and deduplicated as np.unique would, which would import numpy.ma
+    # (10-20 ms, 1 MiB) into runs that read no time grid
+    grid = np.sort(np.round(np.concatenate(parts), TIME_DECIMALS))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def revival_time_grid(b: float) -> np.ndarray:
     """The sweep_asymmetry samples at asymmetry b: t = 0, then every point
     0.95 + i REVIVAL_STEP (to 12 digits) above 0 with 0 <= i <= 520 or in
-    b's revival window."""
+    b's revival window.  Raises DomainError before it builds more than
+    MAX_TIME_SAMPLES samples."""
     centre, halfwidth = observables.revival_window(b)
     lo, hi = centre - halfwidth, centre + halfwidth
-    i = np.arange(min(math.floor((max(lo, 0.0) - 0.95) / REVIVAL_STEP), 0),
-                  max(math.ceil((hi - 0.95) / REVIVAL_STEP), 520) + 1)
+    # the lattice indices, as floats: a b near float range makes them inf or nan
+    first = min((max(lo, 0.0) - 0.95) / REVIVAL_STEP, 0.0)
+    last = max((hi - 0.95) / REVIVAL_STEP, 520.0)
+    if not last - first + 2 <= MAX_TIME_SAMPLES:
+        raise DomainError(f"the revival window of this b would take more than "
+                          f"{MAX_TIME_SAMPLES:,} time samples")
+    i = np.arange(math.floor(first), math.ceil(last) + 1)
     t = np.round(i * REVIVAL_STEP + 0.95, TIME_DECIMALS)
     keep = (t > 0) & ((i >= 0) & (i <= 520) | (t >= lo) & (t <= hi))
     return np.concatenate([[0.0], t[keep]])
-
-
-def revival_grid_size(b: float) -> float:
-    """Closed-form count of the samples ``revival_time_grid(b)`` takes, at
-    least its length (nan where b is so large that 10 b overflows)."""
-    centre, halfwidth = observables.revival_window(b)
-    span = max(centre + halfwidth, 1.08) - max(min(centre - halfwidth, 0.95), 0.0)
-    return span / REVIVAL_STEP + 2
 
 
 def resolve_phi_list(cfg: ExperimentConfig) -> list[float]:
@@ -313,18 +321,27 @@ def resolve_variant(cfg: ExperimentConfig) -> rotor_mod.InertiaModel | None:
 
 
 def resolve_gamma(cfg: ExperimentConfig, model: rotor_mod.InertiaModel) -> float:
-    """The jump rate per revival time; ``gamma.hz`` needs the rotor's T_rev."""
+    """The jump rate per revival time; ``gamma.hz`` needs the rotor's T_rev.
+    A rate at which a trajectory would expect more than MAX_EXPECTED_JUMPS
+    jumps is rejected."""
     g = cfg.gamma
     if g.hz is not None and g.dimensionless is not None:
         raise ConfigError("gamma: give one of hz or dimensionless, not both")
     if g.dimensionless is not None:
-        return float(g.dimensionless)
-    if g.hz is not None:
+        key, gamma = "gamma.dimensionless", float(g.dimensionless)
+    elif g.hz is not None:
         t_rev = model.t_rev if model.mass else cfg.rotor.t_rev_s
         if not t_rev:
             raise ConfigError("gamma.hz needs a physical rotor (t_rev) to convert")
-        return decoherence.gamma_dimensionless(float(g.hz), t_rev)
-    return 0.0
+        key, gamma = "gamma.hz", decoherence.gamma_dimensionless(float(g.hz), t_rev)
+    else:
+        return 0.0
+    # a trajectory runs to times.t_end, or to t = 1 in the phase and width sweeps
+    t_last = 1.0 if cfg.scenario in ("sweep_phi", "sweep_sigma") else cfg.times.t_end
+    if not gamma * t_last <= MAX_EXPECTED_JUMPS:
+        raise ConfigError(f"{key}: a trajectory would expect more than "
+                          f"{MAX_EXPECTED_JUMPS:,} jumps")
+    return gamma
 
 
 @dataclass
@@ -367,6 +384,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     elif direct:
         if r.inertia_ratio is None or r.inertia_ratio <= 1:
             problems.append("rotor.inertia_ratio: must exceed 1 (prolate)")
+        if r.t_rev_s is not None and r.t_rev_s <= 0:
+            problems.append("rotor.t_rev_s: must be positive")
     else:
         problems.append("rotor: missing specification")
 
@@ -388,6 +407,12 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     sigma_k_max = max(sigma_ks, default=0.0)
     if s.k0 != 0 and sigma_k_max > 0:
         problems.append("state.k0: must be 0 in a k0 mixture (sigma_k > 0)")
+    # the |k0| the run prepares (the sweep's widths) or estimates (the state's)
+    for key, k in (("state.k0", abs(s.k0)), ("state.sigma_k", rotor_mod.k_cutoff(s.sigma_k)),
+                   ("sweep.sigma_k", rotor_mod.k_cutoff(sigma_k_max))):
+        if k > rotor_mod.J_SPAN_LIMIT:
+            problems.append(f"{key}: takes |k0| to {k}, beyond {rotor_mod.J_SPAN_LIMIT}")
+            break
     kmax = max(rotor_mod.k_cutoff(sigma_k_max), abs(s.k0))
     if s.jmax is not None and s.jmax < kmax:
         problems.append(f"state.jmax: must be >= {kmax}, the largest |k0| the run prepares")
@@ -419,19 +444,11 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         problems.append("times.n_points: must be >= 2")
     if t.refine_halfwidth < 0:
         problems.append("times.refine_halfwidth: must be >= 0")
-    elif t.t_end > 0 and t.n_points >= 2 and cfg.scenario in ("evolve", "decohere"):
-        # the key that drives the grid's size: its uniform samples, then at
-        # least 3 per refinement centre, then the refinement
-        size_key = ("times.n_points" if t.n_points > MAX_TIME_SAMPLES
-                    else "times.t_end" if 3 * (t.t_end / EIGHTH + 1) > MAX_TIME_SAMPLES
-                    else "times.refine_factor" if time_grid_size(t) > MAX_TIME_SAMPLES
-                    else None)
-        if size_key:
-            problems.append(f"{size_key}: the time grid would hold more than "
-                            f"{MAX_TIME_SAMPLES:,} samples")
-        elif t.t_end / (t.n_points - 1) < 10.0 ** -TIME_DECIMALS:
-            problems.append(f"times.t_end: its samples would lie closer than "
-                            f"1e-{TIME_DECIMALS}, the step they are rounded to")
+    elif t.t_end > 0 and t.n_points >= 2:
+        try:
+            build_time_grid(t)
+        except ConfigError as exc:
+            problems.append(str(exc))
     if cfg.ensemble.n < 1:
         problems.append("ensemble.n: must be >= 1")
     elif cfg.ensemble.n > MAX_TRAJECTORIES:
@@ -455,9 +472,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         log_ends = [("sweep.b_log10_min", sw.b_log10_min), ("sweep.b_log10_max", sw.b_log10_max)]
         ends += [(key, 10.0 ** min(x, 3.0)) for key, x in log_ends[:sw.b_points]]
         for key, b in ends:
-            if not revival_grid_size(b) <= MAX_TIME_SAMPLES:
-                problems.append(f"{key}: the revival window of this b would take more "
-                                f"than {MAX_TIME_SAMPLES:,} time samples")
+            try:
+                revival_time_grid(b)
+            except DomainError as exc:
+                problems.append(f"{key}: {exc}")
                 break
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")
@@ -508,13 +526,15 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         phi_key, phis = "sweep.phi", sweep_values(cfg, "phi")
     else:
         phi_key, phis = ("pulse.laser" if p.laser is not None else "pulse.phi"), report.phis
-    # the spread is checked first: the headroom's Bessel table grows with phi
-    for headroom in (pulse_mod.pulse_spread, pulse_mod.pulse_headroom):
-        jmax = (s.jmax or base_jmax) + headroom(phis, len(p.schedule_t))
-        if jmax > rotor_mod.J_SPAN_LIMIT:
-            problems.append(f"{phi_key}: the pulse headroom takes jmax to {jmax} or more, "
-                            f"beyond {rotor_mod.J_SPAN_LIMIT}")
-            return report
+    try:
+        jmax = (s.jmax or base_jmax) + pulse_mod.pulse_headroom(phis, len(p.schedule_t))
+    except DomainError as exc:
+        problems.append(f"{phi_key}: {exc}")
+        return report
+    if jmax > rotor_mod.J_SPAN_LIMIT:
+        problems.append(f"{phi_key}: the pulse headroom takes jmax to {jmax}, "
+                        f"beyond {rotor_mod.J_SPAN_LIMIT}")
+        return report
     report.jmax_estimate = base_jmax
     report.grid_order = 2 * jmax + 16
     nsec = 2 * kcut + 1

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import angular
-from .errors import DomainError, ResolutionError
-from .rotor import EPSILON_0, HBAR, SPEED_OF_LIGHT, RotorState, extend_state
+from .errors import DomainError
+from .rotor import EPSILON_0, HBAR, J_SPAN_LIMIT, SPEED_OF_LIGHT, RotorState, extend_state
 
 __all__ = [
     "PulseSpec",
@@ -75,7 +75,10 @@ def phase_from_laser(power: float, waist: float, duration: float,
     """
     if power < 0 or waist <= 0 or duration <= 0 or delta_alpha <= 0:
         raise DomainError("laser parameters must be positive (power may be zero)")
-    e0_sq = 4.0 * power / (math.pi * waist ** 2 * EPSILON_0 * SPEED_OF_LIGHT)
+    try:
+        e0_sq = 4.0 * power / (math.pi * waist ** 2 * EPSILON_0 * SPEED_OF_LIGHT)
+    except (OverflowError, ZeroDivisionError):  # waist ** 2 out of float range
+        raise DomainError("the laser waist squared is out of float range") from None
     phi = delta_alpha * e0_sq * duration / (4.0 * math.sqrt(2.0) * HBAR)
     if not math.isfinite(phi):
         raise DomainError("the laser parameters give an infinite phase")
@@ -119,12 +122,18 @@ def pulse_bandwidth(phi: float) -> int:
     the band ends below the first order nu >= 5 with |J_nu(x)| < 1e-14.
     J_nu(x) decays superexponentially once nu exceeds x: by the Airy form it
     is far below 1e-14 at x + 12 x^(1/3) + 10, which the table passes.
+    Raises DomainError before it builds a table of more than J_SPAN_LIMIT
+    orders.
     """
     x = abs(phi) / math.sqrt(2.0)
     if x == 0.0:
         return _MIN_BANDWIDTH
     first = _MIN_BANDWIDTH // 2 + 1
-    table = _bessel_table(x, first + math.ceil(x + 12.0 * x ** (1.0 / 3.0)) + 10)
+    turning = x + 12.0 * x ** (1.0 / 3.0)
+    if not first + turning + 10 <= J_SPAN_LIMIT:
+        raise DomainError(f"phi = {phi:g} needs a Bessel table of more than "
+                          f"{J_SPAN_LIMIT:,} orders")
+    table = _bessel_table(x, first + math.ceil(turning) + 10)
     nu = first + int(np.flatnonzero(np.abs(table[first:]) < _BESSEL_FLOOR)[0])
     return 2 * (nu - 1)
 
@@ -219,29 +228,21 @@ def _chebyshev_coefficients(phi: float) -> np.ndarray:
     return np.exp(1j * a) * coeffs
 
 
-def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
-                      jmax_out: int | None = None) -> np.ndarray:
+def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:
     """Exact pulse on one (m, k) sector as a Chebyshev series in the cos^2 band.
 
-    With C the cos^2 beta band over j0 .. max(jmax_in, jmax_out), X = 2 C - 1
+    With C the cos^2 beta band over the sector's j0 .. jmax, X = 2 C - 1
     and a = phi / sqrt(2), the Jacobi-Anger expansion gives
     exp(i sqrt(2) phi C) = e^{ia} sum_n (2 - delta_n0) i^n J_n(a) T_n(X)
     (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984)).  C compresses an operator with spectrum in [0, 1], so the
     spectrum of X lies in [-1, 1] and every T_n(X) has norm at most 1; each
-    term is one band-2 product by T_{n+1} = 2 X T_n - T_{n-1}.  The result is cut to
-    j <= jmax_out; raises ResolutionError when that loses more than 1e-6 of
-    the norm.
+    term is one band-2 product by T_{n+1} = 2 X T_n - T_{n-1}.
     """
-    vec = np.asarray(vec)
+    prev = np.asarray(vec, dtype=complex)
     j0 = max(abs(m), abs(k))
-    jmax_in = j0 + vec.size - 1
-    if jmax_out is None:
-        jmax_out = jmax_in
-    band = angular.cos2_band(j0, max(jmax_in, jmax_out), m, k)
+    band = angular.cos2_band(j0, j0 + prev.size - 1, m, k)
     coeffs = _chebyshev_coefficients(phi)
-    prev = np.zeros(band.size, dtype=complex)
-    prev[:vec.size] = vec
     out = coeffs[0] * prev
     if coeffs.size > 1:
         cur = 2.0 * band.apply(prev) - prev
@@ -249,13 +250,6 @@ def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float,
         for c in coeffs[2:]:
             prev, cur = cur, 4.0 * band.apply(cur) - 2.0 * cur - prev
             out += c * cur
-    out = out[:jmax_out - j0 + 1]
-    norm_in = float(np.sum(np.abs(vec) ** 2))
-    norm_out = float(np.sum(np.abs(out) ** 2))
-    if norm_in > 0 and norm_out < norm_in * (1.0 - 1e-6):
-        raise ResolutionError(
-            f"pulse projection lost {norm_in - norm_out:.3e} of the norm; "
-            f"increase jmax (pulse scatters ~sqrt(2) phi in j)")
     return out
 
 
@@ -307,13 +301,6 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
 
 def _spread(phi: float) -> int:
     return int(math.ceil(math.sqrt(2.0) * abs(phi))) + 8
-
-
-def pulse_spread(phis: list[float], n_pulses: int) -> int:
-    """The sqrt(2) phi spread in j plus 8, per pulse of the largest of ``phis``:
-    a lower bound of ``pulse_headroom`` that builds no Bessel table, whose
-    length grows with phi."""
-    return max(map(_spread, phis), default=0) * n_pulses
 
 
 def pulse_headroom(phis: list[float], n_pulses: int) -> int:

@@ -91,6 +91,8 @@ class InertiaModel:
 
 
 def _asymmetry_parameter(i_a: float, i_b: float, i_c: float) -> tuple[float, bool]:
+    if not all(0.0 < i < math.inf for i in (i_a, i_b, i_c)):
+        raise DomainError("the principal moments must be finite and positive")
     num = 1.0 / i_a - 1.0 / i_b
     den = 2.0 / i_c - 1.0 / i_a - 1.0 / i_b
     if abs(den) < 1e-12 * (2.0 / i_c):
@@ -135,12 +137,15 @@ def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None =
         inertia = 1.0
     i_c = inertia / ratio
     # solve for (I_a, I_b) with fixed arithmetic mean and asymmetry parameter
-    u = 1.0 / inertia
-    d = 0.0
-    for _ in range(4):
-        d = b_asym * (1.0 / i_c - u)
-        u = (1.0 + math.sqrt(1.0 + 4.0 * inertia * inertia * d * d)) / (2.0 * inertia)
-    i_a, i_b = 1.0 / (u - d), 1.0 / (u + d)
+    try:
+        u = 1.0 / inertia
+        d = 0.0
+        for _ in range(4):
+            d = b_asym * (1.0 / i_c - u)
+            u = (1.0 + math.sqrt(1.0 + 4.0 * inertia * inertia * d * d)) / (2.0 * inertia)
+        i_a, i_b = 1.0 / (u - d), 1.0 / (u + d)
+    except ZeroDivisionError:  # a moment, or b_asym far past 1, beyond float range
+        raise DomainError("the principal moments must be finite and positive") from None
     if i_a < i_b:
         i_a, i_b = i_b, i_a
     b_check, degenerate = _asymmetry_parameter(i_a, i_b, i_c)
@@ -467,6 +472,14 @@ class Mixture:
 
     components: tuple[RotorState, ...]
     weights: tuple[float, ...]
+
+    def __post_init__(self):
+        # kernels key their per-component work by k0
+        k0s = [c.k0 for c in self.components]
+        if any(a >= b for a, b in zip(k0s, k0s[1:])):
+            raise DomainError(f"mixture k0 must be strictly ascending, got {k0s}")
+        if len(self.weights) != len(self.components):
+            raise DomainError("a mixture needs one weight per component")
 
     @classmethod
     def pure(cls, state: RotorState) -> "Mixture":

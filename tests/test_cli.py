@@ -1,14 +1,20 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from nanorotor import cli, config as cfgmod, observables, rotor
+from nanorotor.errors import ConfigError, DomainError
 
 
 def read_csv(path):
@@ -91,6 +97,8 @@ def _exit2(key, value, preset="fig1", *extra, id=None):
 
 
 DIRECT_ROTOR = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "100")
+SMALL_RUN = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60", "--times.n_points", "8")
+BIG_INT = "1" + "0" * 400
 
 EXIT2_CASES = [
     _exit2("state.sigma_j_sq", "abc"),
@@ -154,6 +162,30 @@ EXIT2_CASES = [
     # ... and a revival window that would take as many
     _exit2("sweep.b_log10_max", "3", "fig2b"),
     _exit2("sweep.b_include", "[20.0]", "fig2b"),
+    # a revival time of zero or below; moments beyond float range, from a huge
+    # asymmetry or an ellipsoid whose mass underflows or overflows
+    _exit2("rotor.t_rev_s", "0", "evolve", *SMALL_RUN),
+    _exit2("rotor.t_rev_s", "-1.0", "evolve", *SMALL_RUN),
+    pytest.param(["evolve", *SMALL_RUN, "--rotor.b_asym", "1e300"], "rotor",
+                 id="rotor.b_asym-1e300"),
+    pytest.param(["evolve", *SMALL_RUN[2:], "--rotor.semi_axes_nm", "[1e-300,1e-300,1e-299]",
+                  "--rotor.density_kg_m3", "1"], "rotor.semi_axes_nm", id="rotor-mass-underflow"),
+    pytest.param(["evolve", *SMALL_RUN[2:], "--rotor.semi_axes_nm", "[1e300,1e300,1e301]",
+                  "--rotor.density_kg_m3", "1e300"], "rotor.semi_axes_nm",
+                 id="rotor-mass-overflow"),
+    # more expected jumps per trajectory than MAX_EXPECTED_JUMPS
+    _exit2("gamma.hz", "1e300", "fig2c", "--ensemble.n", "2", "--sweep.phi", "[1.0]"),
+    _exit2("gamma.dimensionless", "20000", "evolve", *SMALL_RUN),
+    # found by the property test below: a float key given an integer beyond
+    # float range, a mixture width past the j ceiling, a waist whose square
+    # overflows; and an asymmetry whose reconstruction divides by zero
+    _exit2("rotor.b_asym", BIG_INT, "evolve", *SMALL_RUN, id="rotor.b_asym-beyond-float-range"),
+    _exit2("state.sigma_k", "1e300", "params"),
+    _exit2("sweep.sigma_k", "[1e300]", "fig2a", "--sweep.sigma_beta", "[0.1]"),
+    pytest.param(["params", "--pulse.laser.waist_m", "1e300"], "pulse.laser",
+                 id="pulse.laser.waist_m-1e300"),
+    pytest.param(["evolve", *SMALL_RUN, "--rotor.b_asym", "5000"], "rotor",
+                 id="rotor.b_asym-5000"),
 ]
 
 
@@ -177,13 +209,18 @@ def test_validate_only_names_the_same_key(capsys, argv, key):
 # inputs that ended in tracebacks before they had a rule: an ensemble.n
 # beyond float range (OverflowError in the time forecast), a subnormal t_end
 # (ZeroDivisionError in the time grid), a billion b points (np.logspace of
-# 7.45 GiB)
+# 7.45 GiB), time-grid sizes beyond float range in scenarios that read no
+# time grid (OverflowError in the time forecast)
 BREAK_CASES = [
     pytest.param(["fig1", "--ensemble.n", "1" + "0" * 400, "--times.n_points", "8"],
                  "ensemble.n", id="ensemble.n-beyond-float-range"),
     pytest.param(["fig1", "--times.t_end", "5e-324"], "times.t_end", id="times.t_end-subnormal"),
     pytest.param(["fig2b", "--sweep.b_points", "1000000000"], "sweep.b_points",
                  id="sweep.b_points-1e9"),
+    pytest.param(["fig2a", "--times.n_points", BIG_INT], "times.n_points",
+                 id="times.n_points-beyond-float-range"),
+    pytest.param(["params", "--times.refine_factor", BIG_INT], "times.refine_factor",
+                 id="times.refine_factor-beyond-float-range"),
 ]
 
 
@@ -197,6 +234,62 @@ def test_break_inputs_exit_2_without_traceback(tmp_path, argv, key, extra):
                            "--out", str(tmp_path / "x")], capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert key in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _schema_keys(section=cfgmod.ExperimentConfig, prefix=""):
+    """Every dotted key of the config schema, sections included."""
+    keys = []
+    for name, hint in typing.get_type_hints(section).items():
+        keys.append(prefix + name)
+        for tp in typing.get_args(hint) or (hint,):
+            if dataclasses.is_dataclass(tp):
+                keys += _schema_keys(tp, f"{prefix}{name}.")
+    return keys
+
+
+SCHEMA_KEYS = _schema_keys()
+# tiny configs of each kind of run, cheap to validate
+PROPERTY_BASES = {
+    "params": ["params"],
+    "evolve": ["evolve", *SMALL_RUN],
+    "geometry": ["fig1", "--times.n_points", "8"],
+    "sweep_phi": ["fig2c", "--ensemble.n", "2", "--sweep.phi", "[1.0]"],
+    "sweep_sigma": ["fig2a", "--sweep.sigma_beta", "[0.1]", "--sweep.sigma_k", "[0.0]"],
+    "sweep_asymmetry": ["fig2b", "--sweep.b_points", "1"],
+}
+JSON_VALUES = st.sampled_from([0, 0.0, -1, -0.5, 1e300, -1e300, 10 ** 400, -10 ** 400,
+                               [], [0], [-1.0], [1e300], "", "abc", None])
+
+
+@given(base=st.sampled_from(sorted(PROPERTY_BASES)),
+       overrides=st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), JSON_VALUES),
+                          min_size=1, max_size=3))
+@example(base="sweep_sigma", overrides=[("times.n_points", 10 ** 400)])
+@example(base="params", overrides=[("times.refine_factor", 10 ** 400)])
+@example(base="evolve", overrides=[("rotor.t_rev_s", 0)])
+@example(base="evolve", overrides=[("rotor.b_asym", 1e300)])
+@example(base="evolve", overrides=[("rotor.inertia_ratio", None),
+                                   ("rotor.semi_axes_nm", [1e-300, 1e-300, 1e-299]),
+                                   ("rotor.density_kg_m3", 1)])
+@example(base="evolve", overrides=[("rotor.inertia_ratio", None),
+                                   ("rotor.semi_axes_nm", [1e300, 1e300, 1e301]),
+                                   ("rotor.density_kg_m3", 1e300)])
+@example(base="sweep_phi", overrides=[("gamma.hz", 1e300)])
+def test_validate_only_exits_0_or_2_naming_a_key(base, overrides):
+    # the CLI contract under --validate-only: any schema key set to any JSON
+    # value exits 0 or 2, raises nothing, and each config error names a key
+    argv = list(PROPERTY_BASES[base])
+    for key, value in overrides:
+        argv += [f"--{key}", json.dumps(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--validate-only"])
+    assert code in (0, 2)
+    lines = err.getvalue().splitlines()
+    assert bool(lines) == (code == 2)
+    for line in lines:
+        head = line.removeprefix("config error: ").split(":")[0].split()[0]
+        assert head in SCHEMA_KEYS, line
 
 
 @pytest.mark.parametrize("argv", [["params"], ["fig1", "--times.n_points", "8"]])
@@ -349,19 +442,38 @@ def test_fig2b_samples_the_whole_revival_window(tmp_path):
     assert 1.08 < tpeak[0, 1] < centre + halfwidth
 
 
-@pytest.mark.parametrize("times", [
-    cfgmod.TimesConfig(), cfgmod.TimesConfig(t_end=3.3, n_points=100),
-    cfgmod.TimesConfig(t_end=2.0, refine_halfwidth=0.3), cfgmod.TimesConfig(refine_halfwidth=0.0),
-    cfgmod.TimesConfig(t_end=0.01, n_points=2)])
-def test_time_grid_count_bounds_the_grid(times):
-    # the closed-form count the ceiling checks is never below the grid's length
-    assert len(cfgmod.build_time_grid(times)) <= cfgmod.time_grid_size(times)
+MAX = cfgmod.MAX_TIME_SAMPLES
+
+
+@pytest.mark.parametrize("build,below,above,key", [
+    # 9 refinement centres of 2 samples plus themselves: 27 samples
+    (cfgmod.build_time_grid, cfgmod.TimesConfig(n_points=MAX - 27, refine_halfwidth=0.0),
+     cfgmod.TimesConfig(n_points=MAX + 1), "times.n_points"),
+    (cfgmod.build_time_grid, cfgmod.TimesConfig(refine_factor=6040),
+     cfgmod.TimesConfig(refine_factor=6041), "times.refine_factor"),
+    (cfgmod.build_time_grid, None, cfgmod.TimesConfig(refine_factor=10 ** 400),
+     "times.refine_factor"),
+    (cfgmod.build_time_grid, None, cfgmod.TimesConfig(t_end=cfgmod.EIGHTH * MAX / 3),
+     "times.t_end"),
+    (cfgmod.revival_time_grid, 8.29, 8.3, "revival window"),
+    (cfgmod.revival_time_grid, None, math.inf, "revival window"),
+    (cfgmod.revival_time_grid, None, math.nan, "revival window"),
+], ids=["n_points", "refine_factor", "refine_factor-beyond-float-range", "t_end",
+        "revival", "revival-inf", "revival-nan"])
+def test_time_grid_builders_stop_at_the_ceiling(build, below, above, key):
+    # each builder refuses a grid past MAX_TIME_SAMPLES before it allocates
+    # it, naming what drives it, and builds one just below
+    with pytest.raises((ConfigError, DomainError), match=key):
+        build(above)
+    if below is not None:
+        grid = build(below)
+        assert 0.999 * MAX < len(grid) <= MAX and np.all(np.diff(grid) > 0)
 
 
 @pytest.mark.parametrize("b", [1e-6, 2.3e-5, 4.64e-5, 1e-4, 1e-2, 0.1, -0.5])
 def test_revival_grid_count_bounds_the_grid(b):
     grid = cfgmod.revival_time_grid(b)
-    assert len(grid) <= cfgmod.revival_grid_size(b) and np.all(np.diff(grid) > 0)
+    assert np.all(np.diff(grid) > 0)
     # the lattice keeps the old samples; windows inside [0.95, 1.08] add none
     old = np.concatenate([[0.0], np.round(np.linspace(0.95, 1.08, 521), 12)])
     assert np.isin(old, grid).all()

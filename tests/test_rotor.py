@@ -246,6 +246,21 @@ def test_k_cutoff_is_four_widths_rounded_up():
     assert [rotor.k_cutoff(s) for s in (0.0, 0.3, 1.0, 3.0)] == [0, 2, 4, 12]
 
 
+def test_mixture_refuses_a_repeated_k0_and_a_missing_weight():
+    # the ensemble keys each component's jump-free pass by k0: two k0 = 0
+    # components would both take the first one's series
+    narrow = rotor.prepare_aligned_state("gaussian_j", 60.0)
+    wide = rotor.prepare_aligned_state("gaussian_j", 200.0)
+    narrow = rotor.extend_state(narrow, wide.jmax)
+    with pytest.raises(DomainError, match="ascending"):
+        rotor.Mixture((narrow, wide), (0.5, 0.5))
+    mix = rotor.prepare_mixture(0.1, 0.3)
+    with pytest.raises(DomainError, match="ascending"):
+        rotor.Mixture(mix.components[::-1], mix.weights)
+    with pytest.raises(DomainError, match="one weight"):
+        rotor.Mixture((narrow,), (0.5, 0.5))
+
+
 def test_mixture_sigma_k_zero():
     st = rotor.prepare_mixture(0.01, 0.0)
     assert [c.k0 for c in st.components] == [0]
