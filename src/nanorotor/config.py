@@ -233,20 +233,24 @@ def build_time_grid(times: TimesConfig) -> np.ndarray:
                           f"1e-{TIME_DECIMALS}, the step they are rounded to")
     n8 = int(math.floor(times.t_end / EIGHTH + 1e-9))
     centers = EIGHTH * np.arange(0, n8 + 1)
-    windows = []
+    lo = np.maximum(centers - times.refine_halfwidth, 0.0)
+    hi = np.minimum(centers + times.refine_halfwidth, times.t_end)
     try:
-        for c in centers:
-            lo = max(c - times.refine_halfwidth, 0.0)
-            hi = min(c + times.refine_halfwidth, times.t_end)
-            windows.append((lo, hi, max(int(round((hi - lo) / spacing * times.refine_factor)), 2)))
-        size = times.n_points + sum(n + 1 for _, _, n in windows)
+        factor = float(times.refine_factor)
     except OverflowError:  # a refine_factor beyond float range
-        size = math.inf
-    if size > MAX_TIME_SAMPLES:
+        factor = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = np.maximum(np.rint((hi - lo) / spacing * factor), 2.0)
+    if not times.n_points + np.sum(counts + 1.0) <= MAX_TIME_SAMPLES:
         raise ConfigError(f"times.refine_factor: {too_many}")
-    parts = [np.linspace(0.0, times.t_end, times.n_points)]
-    parts += [np.linspace(lo, hi, n) for lo, hi, n in windows]
-    parts.append(centers[centers <= times.t_end])
+    # np.linspace(lo, hi, n) of every window at once, in linspace's arithmetic
+    counts = counts.astype(np.int64)
+    ends = np.cumsum(counts)
+    offset = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    windows = offset * np.repeat((hi - lo) / (counts - 1), counts) + np.repeat(lo, counts)
+    windows[ends - 1] = hi
+    parts = [np.linspace(0.0, times.t_end, times.n_points), windows,
+             centers[centers <= times.t_end]]
     # sorted and deduplicated as np.unique would, which would import numpy.ma
     # (10-20 ms, 1 MiB) into runs that read no time grid
     grid = np.sort(np.round(np.concatenate(parts), TIME_DECIMALS))

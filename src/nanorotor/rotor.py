@@ -115,10 +115,13 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
         raise DomainError("symmetry axis must be the long axis (prolate ordering)")
     b_asym, degenerate = _asymmetry_parameter(i_a, i_b, i_c)
     inertia = 0.5 * (i_a + i_b)
+    t_rev = 2.0 * math.pi * inertia / HBAR
+    if t_rev == math.inf:
+        raise DomainError("the revival time 2 pi I / hbar is beyond float range")
     return InertiaModel(
         semi_axes=(a, b, c), density=density, mass=mass,
         i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym,
-        t_rev=2.0 * math.pi * inertia / HBAR, degenerate=degenerate)
+        t_rev=t_rev, degenerate=degenerate)
 
 
 def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None = None,
@@ -131,25 +134,31 @@ def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None =
     """
     if ratio <= 1.0:
         raise DomainError(f"prolate rotor needs I/I_c > 1, got {ratio}")
+    if not abs(b_asym) <= 1.0:  # |b| = 1 where I_b = I_c
+        raise DomainError(f"prolate moments give |b| <= 1, got b = {b_asym}")
     if t_rev is not None:
         inertia = t_rev * HBAR / (2.0 * math.pi)
     if inertia is None:
         inertia = 1.0
     i_c = inertia / ratio
-    # solve for (I_a, I_b) with fixed arithmetic mean and asymmetry parameter
+    # (I_a, I_b) with arithmetic mean I and asymmetry b: u = (1/I_a + 1/I_b)/2 and
+    # d = (1/I_b - 1/I_a)/2 = b (1/I_c - u), so I (u^2 - d^2) = u, and u is the
+    # non-negative root of I (1 - b^2) u^2 + (2 b^2 r - 1) u - b^2 r^2 / I = 0
+    # with r = I/I_c, taken in the form that does not cancel
+    b2 = b_asym * b_asym
     try:
-        u = 1.0 / inertia
-        d = 0.0
-        for _ in range(4):
-            d = b_asym * (1.0 / i_c - u)
-            u = (1.0 + math.sqrt(1.0 + 4.0 * inertia * inertia * d * d)) / (2.0 * inertia)
+        qa, qb, qc = inertia * (1.0 - b2), 2.0 * b2 * ratio - 1.0, -b2 * ratio * ratio / inertia
+        root = math.sqrt(qb * qb - 4.0 * qa * qc)
+        u = (root - qb) / (2.0 * qa) if qb < 0.0 else -2.0 * qc / (qb + root)
+        d = b_asym * (1.0 / i_c - u)
         i_a, i_b = 1.0 / (u - d), 1.0 / (u + d)
-    except ZeroDivisionError:  # a moment, or b_asym far past 1, beyond float range
+    except ZeroDivisionError:  # a moment beyond float range
         raise DomainError("the principal moments must be finite and positive") from None
     if i_a < i_b:
         i_a, i_b = i_b, i_a
     b_check, degenerate = _asymmetry_parameter(i_a, i_b, i_c)
-    if abs(b_check) - abs(b_asym) > 1e-10 * max(abs(b_asym), 1e-30):
+    # b_check carries rounding of about eps / (r - 1) from 1/I_a - 1/I_b
+    if abs(abs(b_check) - abs(b_asym)) > 1e-10 * abs(b_asym) + 1e-14 / (ratio - 1.0):
         raise DomainError("asymmetry parameter reconstruction failed")
     return InertiaModel(
         semi_axes=(0.0, 0.0, 0.0), density=0.0,

@@ -19,7 +19,8 @@ quantum-jump trajectory run on its own (the library's draw and event loop,
 with a skeleton of its component alone) and an ensemble of such runs, and
 the exact pulse twice over: the polar-angle grid path the library used
 before (synthesize, multiply, project back) and a dense eigendecomposition
-of the cos^2 band.
+of the cos^2 band; and the time grid built one refinement window at a time
+with ``np.linspace``.
 """
 
 import math
@@ -33,6 +34,7 @@ from scipy.special import jv
 
 from nanorotor import angular, decoherence
 from nanorotor.angular import _d_start, _recurrence_r
+from nanorotor.config import EIGHTH, TIME_DECIMALS
 from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
                               SingularityError)
 from nanorotor.rotor import SpectrumModel
@@ -468,6 +470,20 @@ def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
     return math.ldexp(curr, scale)
 
 
+def legendre_root(n: int, x0: float, dps: int = 40) -> mp.mpf:
+    """The root of P_n next to ``x0``, by Newton on the three-term recurrence
+    in ``dps``-digit arithmetic; from a double-precision start three steps
+    pass 40 digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(x0)
+        for _ in range(3):
+            p0, p1 = mp.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            x -= p1 * (x * x - 1) / (n * (x * p1 - p0))
+        return x
+
+
 # ---------------------------------------------------------------------------
 # state overlaps
 # ---------------------------------------------------------------------------
@@ -717,3 +733,24 @@ def eigen_pulse(vec: np.ndarray, m: int, k: int, phi: float,
     padded[:vec.size] = vec
     out = vecs @ (np.exp(1j * math.sqrt(2.0) * phi * vals) * (vecs.T @ padded))
     return out[:jmax_out - j0 + 1]
+
+
+# ---------------------------------------------------------------------------
+# time grid, one refinement window at a time
+# ---------------------------------------------------------------------------
+
+def time_grid_loop(times) -> np.ndarray:
+    """``config.build_time_grid`` without its ceilings, with one
+    ``np.linspace`` per 1/8 refinement centre."""
+    spacing = times.t_end / max(times.n_points - 1, 1)
+    n8 = int(math.floor(times.t_end / EIGHTH + 1e-9))
+    centers = EIGHTH * np.arange(0, n8 + 1)
+    parts = [np.linspace(0.0, times.t_end, times.n_points)]
+    for c in centers:
+        lo = max(c - times.refine_halfwidth, 0.0)
+        hi = min(c + times.refine_halfwidth, times.t_end)
+        n = max(int(round((hi - lo) / spacing * times.refine_factor)), 2)
+        parts.append(np.linspace(lo, hi, n))
+    parts.append(centers[centers <= times.t_end])
+    grid = np.sort(np.round(np.concatenate(parts), TIME_DECIMALS))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]

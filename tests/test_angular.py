@@ -190,10 +190,25 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 17, 200, 760, 1200])
 def test_grid_matches_numpy_leggauss(order):
+    # nodes within 2 ulps of numpy's in cos(beta), the ulp taken no finer than
+    # that of 0.5: near cos(beta) = 0 both place the roots to a few relative
+    # ulps only (the mpmath test below bounds those)
     x, w = np.polynomial.legendre.leggauss(order)
     grid = angular.AngularGrid.gauss_legendre(order)
-    assert np.max(np.abs(grid.nodes - np.arccos(x)[::-1])) <= 1e-15
+    got, _ = angular._leggauss(order)
+    assert np.all(np.abs(got - x) <= 2 * np.spacing(np.maximum(np.abs(x), 0.5)))
+    assert np.array_equal(grid.nodes, np.arccos(got)[::-1])
     assert np.max(np.abs(grid.weights - w[::-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [760, 1200])
+def test_grid_nodes_within_3_ulps_of_the_roots(order):
+    # both ends and the middle, where cos(beta) is smallest and its ulp finest
+    x, _ = angular._leggauss(order)
+    half = order // 2
+    for i in [*range(4), *range(half - 4, half + 4), *range(order - 4, order)]:
+        root = oracles.legendre_root(order, x[i])
+        assert abs(x[i] - root) <= 3 * np.spacing(abs(float(root))), i
 
 
 def test_grid_for_jmax_is_shared_and_read_only():

@@ -186,6 +186,12 @@ EXIT2_CASES = [
                  id="pulse.laser.waist_m-1e300"),
     pytest.param(["evolve", *SMALL_RUN, "--rotor.b_asym", "5000"], "rotor",
                  id="rotor.b_asym-5000"),
+    # an asymmetry no prolate set of moments gives (|b| = 1 where I_b = I_c)
+    pytest.param(["evolve", *SMALL_RUN, "--rotor.b_asym", "1.01"], "rotor",
+                 id="rotor.b_asym-1.01"),
+    # a revival time beyond float range, which JSON cannot hold
+    pytest.param(["params", "--rotor.semi_axes_nm", "[1e69,1e69,1e70]",
+                  "--rotor.density_kg_m3", "1"], "rotor.semi_axes_nm", id="rotor-t_rev-overflow"),
 ]
 
 
@@ -470,6 +476,19 @@ def test_time_grid_builders_stop_at_the_ceiling(build, below, above, key):
         assert 0.999 * MAX < len(grid) <= MAX and np.all(np.diff(grid) > 0)
 
 
+def test_time_grid_matches_the_window_loop():
+    # the refinement windows, built in one pass, equal one np.linspace each
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        t_end = float(rng.choice([rng.uniform(1e-3, 12.0), cfgmod.EIGHTH * rng.integers(1, 90),
+                                  cfgmod.EIGHTH * rng.integers(1, 90) - 1e-11]))
+        times = cfgmod.TimesConfig(
+            t_end=t_end, n_points=int(rng.integers(1, 3000)),
+            refine_factor=int(rng.integers(0, 40)),
+            refine_halfwidth=float(rng.choice([0.0, rng.uniform(0.0, 0.2), 1e-13])))
+        assert cfgmod.build_time_grid(times).tobytes() == oracles.time_grid_loop(times).tobytes()
+
+
 @pytest.mark.parametrize("b", [1e-6, 2.3e-5, 4.64e-5, 1e-4, 1e-2, 0.1, -0.5])
 def test_revival_grid_count_bounds_the_grid(b):
     grid = cfgmod.revival_time_grid(b)
@@ -536,7 +555,7 @@ def run_probe(probe: str) -> str:
 
 
 @pytest.mark.parametrize("module", [
-    "scipy",            # about 0.4 s of every run's start-up; the grid imports it
+    "scipy",            # about 0.4 s of every run's start-up
     "scipy.integrate",  # about a quarter second of every run's start-up
     "multiprocessing",  # ensembles run in one process
 ])
@@ -544,9 +563,16 @@ def test_cli_import_leaves_out(module):
     assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
 
 
-def test_grid_free_run_imports_no_scipy(tmp_path):
-    # fig2d builds no quadrature grid, so nothing in its run needs scipy
-    probe = ("import sys; from nanorotor import cli; "
-             f"code = cli.main(['fig2d', '--out', {str(tmp_path / 'd')!r}]); "
-             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    assert run_probe(probe) == "0 []"
+@pytest.mark.parametrize("argv", [
+    ["params"], ["fig1"],
+    # the benchmark's cuts of the slower presets
+    ["fig2a", "--sweep.sigma_beta", "[0.01]", "--sweep.sigma_k", "[2.0]"],
+    ["fig2b", "--sweep.b_points", "1"],
+    ["fig2c", "--threads", "1", "--sweep.phi", "[0.0,0.78539816,1.57079633,2.35619449,3.14159265]"],
+    ["fig2d"],
+], ids=lambda argv: argv[0])
+def test_preset_runs_with_scipy_blocked(tmp_path, argv):
+    # the package needs numpy alone: with None in sys.modules every scipy import raises
+    probe = ("import sys; sys.modules['scipy'] = None; from nanorotor import cli; "
+             f"print(cli.main({[*argv, '--out', str(tmp_path / 'x')]!r}))")
+    assert run_probe(probe).splitlines()[-1] == "0"

@@ -45,11 +45,13 @@ def test_prolate_ordering_invariant():
     assert m.t_rev == pytest.approx(2 * math.pi * m.inertia / 1.054571817e-34, rel=1e-6)
 
 
-def test_synthetic_model_round_trips():
-    m = rotor.inertia_from_parameters(41.8, 2.3e-5, t_rev=14e-3)
+@pytest.mark.parametrize("b", [1e-6, 2.3e-5, 1e-4, 0.1, 0.5, 0.9])
+def test_synthetic_model_round_trips(b):
+    m = rotor.inertia_from_parameters(41.8, b, t_rev=14e-3)
     assert m.ratio == pytest.approx(41.8, rel=1e-12)
-    assert abs(m.b_asym) == pytest.approx(2.3e-5, rel=1e-9)
+    assert abs(m.b_asym) == pytest.approx(b, rel=1e-9)
     assert m.t_rev == pytest.approx(14e-3, rel=1e-12)
+    assert m.i_a >= m.i_b >= m.i_c
 
 
 # ---------------------------------------------------------------------------
