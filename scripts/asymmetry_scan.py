@@ -6,7 +6,8 @@ revival-time alignment, and the peak-time shift for each b on a log grid,
 with the spectrum's smallest dominant weight and the number of j values
 whose asymmetric levels needed more than the first cut (the strongly mixed
 regime shows in both).  The peak window follows b as the fig2b preset's does
-(``observables.revival_window``), sampled every 4e-5 T_rev.
+(``observables.revival_window``), sampled every 4e-5 T_rev, and each b's
+series is one jump-free pass of ``decoherence.run_ensemble``, as in the CLI.
 
 Usage: python scripts/asymmetry_scan.py [--sigma-beta 0.003] [--points 12]
 """
@@ -15,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from nanorotor import observables, rotor
+from nanorotor import decoherence, observables, rotor
 
 
 def run(argv=None):
@@ -38,8 +39,9 @@ def run(argv=None):
         center, halfwidth = observables.revival_window(float(b))
         ts = np.linspace(center - halfwidth, center + halfwidth,
                          int(2.0 * halfwidth / 4e-5) + 1)
-        vals = np.array([observables.alignment(
-            rotor.free_propagate(state, float(t), sp)) for t in ts])
+        tc = decoherence.TrajectoryConfig(gamma=0.0, t_end=float(ts[-1]),
+                                          observation_times=tuple(ts))
+        vals = decoherence.run_ensemble(rotor.Mixture.pure(state), sp, tc, 1).mean_alignment
         series = observables.TimeSeries(ts, vals)
         t_peak, a_peak = observables.find_revival_peak(series, center, halfwidth)
         a_nominal = float(vals[np.argmin(np.abs(ts - 1.0))])

@@ -17,13 +17,14 @@ fixed per release.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import angular, observables
+from . import angular, observables, rotor
 from .errors import DomainError, TruncationError
 from .pulse import PulseSpec, apply_pulse
 from .rotor import Mixture, RotorState, SpectrumModel, free_propagate, mirror_state
@@ -45,6 +46,8 @@ GAMMA_GAS_PRESET_HZ = 20.7
 GAMMA_GAS_PRESET_PRESSURE_MBAR = 5e-9
 
 _BOUNDARY_TOL = 1e-6
+# free-flight phase vectors one pass keeps, least recently used out
+_PHASE_MEMO = 16
 
 
 def gamma_dimensionless(gamma_hz: float, t_rev: float) -> float:
@@ -160,12 +163,18 @@ def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryCo
     """Run time-ordered events from state: free flight up to each event, then
     the jump, pulse or observation (written to ``out[i]``).  ``keep`` maps
     event positions to the state reached before them (before the free flight;
-    position ``len(events)`` is the final state) and is filled in place."""
+    position ``len(events)`` is the final state) and is filled in place.
+    The pass keeps the phase vector of its last ``_PHASE_MEMO`` distinct
+    (|k0|, jmax, dt) steps, so a step that repeats multiplies by the vector
+    its first occurrence computed."""
+    phase = functools.lru_cache(maxsize=_PHASE_MEMO)(
+        functools.partial(rotor.free_phase, spectrum))
     for n, (t, kind, i) in enumerate(events):
         if keep is not None and n in keep:
             keep[n] = state
         if t > state.time:
-            state = free_propagate(state, t - state.time, spectrum)
+            dt = t - state.time
+            state = free_propagate(state, dt, spectrum, phase(abs(state.k0), state.jmax, dt))
         if kind == 0:
             state = apply_jump(state, rng)
         elif kind == 1:

@@ -32,6 +32,7 @@ __all__ = [
     "prepare_mixture",
     "mirror_state",
     "k_cutoff",
+    "free_phase",
     "free_propagate",
     "truncation_jmax",
     "estimate_jmax",
@@ -637,16 +638,27 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
         tuple(float(wk) for wk in w))
 
 
-def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel) -> RotorState:
-    """Multiply every amplitude by its spectral phase over dt = t/T_rev."""
-    k = abs(state.k0)
-    if not spectrum.covers(state.jmax, k):
+def free_phase(spectrum: SpectrumModel, k: int, jmax: int, dt: float) -> np.ndarray:
+    """The spectral phases exp(-i pi mod(eps_j dt, 2)), j <= jmax, of a
+    component at |k0| = k over dt = t/T_rev (read-only)."""
+    if not spectrum.covers(jmax, k):
         raise CoverageError(
             f"spectrum (jmax={spectrum.jmax}, kmax={spectrum.kmax}) does not cover "
-            f"state (jmax={state.jmax}, |k0|={k})")
-    eps = spectrum.phase_coeffs[: state.jmax + 1, k]
+            f"state (jmax={jmax}, |k0|={k})")
+    eps = spectrum.phase_coeffs[: jmax + 1, k]
     ph = np.exp(-1j * math.pi * np.mod(eps * dt, 2.0))
-    return replace(state, sectors={m: vec * ph for m, vec in state.sectors.items()},
+    ph.flags.writeable = False
+    return ph
+
+
+def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel,
+                   phase: np.ndarray | None = None) -> RotorState:
+    """Multiply every amplitude by its spectral phase over dt = t/T_rev.
+    ``phase`` is ``free_phase(spectrum, |k0|, jmax, dt)`` where the caller
+    holds it already."""
+    if phase is None:
+        phase = free_phase(spectrum, abs(state.k0), state.jmax, dt)
+    return replace(state, sectors={m: vec * phase for m, vec in state.sectors.items()},
                    time=state.time + dt, diagnostics=dict(state.diagnostics))
 
 

@@ -16,11 +16,12 @@ d-function, the fractional-revival resummation, the scalar Wigner-d
 recurrence (it starts from the library's ``_d_start`` and steps with its
 ``_recurrence_r``, and is checked against the sum), state overlaps, one
 quantum-jump trajectory run on its own (the library's draw and event loop,
-with a skeleton of its component alone) and an ensemble of such runs, and
-the exact pulse twice over: the polar-angle grid path the library used
-before (synthesize, multiply, project back) and a dense eigendecomposition
-of the cos^2 band; and the time grid built one refinement window at a time
-with ``np.linspace``.
+with a skeleton of its component alone) and an ensemble of such runs, the
+event loop without its per-pass phase memo (each free flight computes its
+own phase vector), the exact pulse twice over: the polar-angle grid path
+the library used before (synthesize, multiply, project back) and a dense
+eigendecomposition of the cos^2 band; and the time grid built one
+refinement window at a time with ``np.linspace``.
 """
 
 import math
@@ -32,7 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
-from nanorotor import angular, decoherence
+from nanorotor import angular, decoherence, observables, pulse, rotor
 from nanorotor.angular import _d_start, _recurrence_r
 from nanorotor.config import EIGHTH, TIME_DECIMALS
 from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
@@ -332,6 +333,25 @@ def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
     draw = decoherence._draw(initial, config, index)
     skeleton = decoherence._skeleton([draw[0]], spectrum, config, [draw])
     return decoherence._resume(skeleton, spectrum, config, *draw)
+
+
+def run_events_per_step(state, spectrum, config, events, out, rng=None, keep=None):
+    """``decoherence._run_events`` without its phase memo: every free flight
+    computes its own phase vector inside ``rotor.free_propagate``."""
+    for n, (t, kind, i) in enumerate(events):
+        if keep is not None and n in keep:
+            keep[n] = state
+        if t > state.time:
+            state = rotor.free_propagate(state, t - state.time, spectrum)
+        if kind == 0:
+            state = decoherence.apply_jump(state, rng)
+        elif kind == 1:
+            state = pulse.apply_pulse(state, config.pulse)
+        else:
+            out[i] = observables.alignment(state)
+    if keep is not None and len(events) in keep:
+        keep[len(events)] = state
+    return out
 
 
 def unfolded_ensemble(initial, spectrum, config, n: int):

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats as sps
 
 import oracles
 from nanorotor import decoherence as dec
-from nanorotor import angular, observables, pulse, rotor
+from nanorotor import angular, config, observables, pulse, rotor
 from nanorotor.errors import DomainError
 
 
@@ -317,6 +318,114 @@ def test_mixture_is_weighted_sum_of_components(method):
         expected += w * one.mean_alignment
     res = dec.run_ensemble(mix, spectrum, cfg, 3)
     assert res.mean_alignment.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the per-pass phase memo
+# ---------------------------------------------------------------------------
+
+def _revival_pass():
+    """A fig2b pass on a small state: the revival lattice of b = 1e-4 (526
+    samples) with a pi pulse at T_rev/8, on the asymmetric spectrum."""
+    spec = pulse.PulseSpec(phi=math.pi, schedule=(0.125,))
+    state = pulse.prepare_for_pulses(rotor.prepare_aligned_state("gaussian_beta", 0.1), spec)
+    spectrum = rotor.rotational_energies(
+        state.jmax, 0, rotor.inertia_from_parameters(41.8, 1e-4), "asymmetric")
+    times = tuple(config.revival_time_grid(1e-4))
+    return state, spectrum, dec.TrajectoryConfig(
+        gamma=0.0, t_end=times[-1], observation_times=times, pulse=spec)
+
+
+def _refined_pass():
+    """A fig1 pass: the refined time grid with a pi/2 pulse at T_rev/8."""
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125,))
+    state = pulse.prepare_for_pulses(
+        rotor.prepare_aligned_state("gaussian_j", 20.0), spec)
+    spectrum = rotor.rotational_energies(
+        state.jmax, 0, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    times = tuple(config.build_time_grid(config.TimesConfig(
+        t_end=1.05, n_points=512, refine_factor=8, refine_halfwidth=0.02)))
+    return state, spectrum, dec.TrajectoryConfig(
+        gamma=0.0, t_end=times[-1], observation_times=times, pulse=spec)
+
+
+def _count_phases(monkeypatch) -> list:
+    """Record the (|k0|, jmax, dt) of every phase vector computed."""
+    calls, real = [], rotor.free_phase
+    monkeypatch.setattr(rotor, "free_phase", lambda sp, *key: (calls.append(key),
+                                                               real(sp, *key))[1])
+    return calls
+
+
+@pytest.mark.parametrize("make", [_revival_pass, _refined_pass])
+def test_memo_pass_equals_the_per_step_pass(make, monkeypatch):
+    # a step that repeats reuses the vector of its first occurrence, which is
+    # the vector it would compute again, so every series keeps its bits
+    state, spectrum, cfg = make()
+    events, n = dec._schedule(cfg), len(cfg.observation_times)
+    steps = len({t for t, _, _ in events if t > 0.0})
+    calls = _count_phases(monkeypatch)
+    memo = dec._run_events(state, spectrum, cfg, events, np.empty(n))
+    assert 0 < len(calls) < steps / 4  # the memo is hit
+    per_step = oracles.run_events_per_step(state, spectrum, cfg, events, np.empty(n))
+    assert memo.tobytes() == per_step.tobytes()
+
+
+def test_memo_ensemble_equals_the_per_step_ensemble(monkeypatch):
+    # gamma > 0 on a sigma_k mixture: the skeleton passes, and trajectories
+    # that resume from its states (mirrored for -k0) after their first jump
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125, 0.375))
+    state = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
+    spectrum = rotor.rotational_energies(
+        state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 41)),
+                               seed=17, pulse=spec)
+    n = 24
+    assert any(c.k0 < 0 and len(jumps) for c, jumps, _ in
+               (dec._draw(state, cfg, i) for i in range(n)))
+    res = dec.run_ensemble(state, spectrum, cfg, n)
+    monkeypatch.setattr(dec, "_run_events", oracles.run_events_per_step)
+    per_step = dec.run_ensemble(state, spectrum, cfg, n)
+    assert ([r.tobytes() for r in res.trajectories]
+            == [r.tobytes() for r in per_step.trajectories])
+    assert res.mean_alignment.tobytes() == per_step.mean_alignment.tobytes()
+    assert res.stderr.tobytes() == per_step.stderr.tobytes()
+    assert res.jump_free.tobytes() == per_step.jump_free.tobytes()
+
+
+def test_revival_pass_computes_few_phase_vectors(monkeypatch):
+    # fig2b's lattice steps by one of a few rounded floats
+    state, spectrum, cfg = _revival_pass()
+    assert len(cfg.observation_times) >= 500
+    calls = _count_phases(monkeypatch)
+    dec._run_events(state, spectrum, cfg, dec._schedule(cfg),
+                    np.empty(len(cfg.observation_times)))
+    assert 0 < len(calls) <= 8
+    assert len(set(calls)) == len(calls)
+
+
+def test_memo_holds_at_most_its_bound_and_lives_one_pass(small_state, small_spectrum,
+                                                         monkeypatch):
+    # 100 distinct random steps: the vectors still alive while a pass runs
+    # are those its memo holds, and none outlives the pass
+    rng = np.random.default_rng(5)
+    times = tuple(np.cumsum(rng.permutation(np.arange(1, 101)) * 1e-4))
+    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=times[-1], observation_times=times)
+    alive, held, real = [], [], rotor.free_phase
+
+    def tracked(sp, *key):
+        held.append(sum(ref() is not None for ref in alive))
+        vec = real(sp, *key)
+        assert not vec.flags.writeable
+        alive.append(weakref.ref(vec))
+        return vec
+
+    monkeypatch.setattr(rotor, "free_phase", tracked)
+    dec._run_events(small_state, small_spectrum, cfg, dec._schedule(cfg), np.empty(100))
+    assert len(held) == 100
+    assert max(held) == dec._PHASE_MEMO
+    assert all(ref() is None for ref in alive)
 
 
 # ---------------------------------------------------------------------------
