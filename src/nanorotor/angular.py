@@ -30,6 +30,7 @@ __all__ = [
     "cos2beta_matrix",
     "cos2_band",
     "direction_cosine_matrices",
+    "cosine_xy_difference",
     "synthesize_beta",
     "project_beta",
 ]
@@ -262,7 +263,9 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
 
     The square of the tridiagonal cos(beta) ladder, summed over the full
     ladder j >= max(|m|, |k|): the elements are exact, not those of a
-    truncated product.  Selection rules |dj| <= 2, dm = dk = 0.
+    truncated product.  Selection rules |dj| <= 2, dm = dk = 0.  Where
+    m k = 0 the cos(beta) ladder has a zero diagonal, so the +-1 diagonals
+    are zero and are not stored.
     """
     j0 = max(abs(m), abs(k))
     if jmin < j0:
@@ -274,9 +277,11 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
     below = up[:1] if lo < jmin else np.zeros(1)  # <jmin|cos|jmin-1>; 0 at j0
     same, up = same[jmin - lo:], up[jmin - lo:]
     down = np.concatenate([below, up[:-1]])
-    return BandedOperator.symmetric(jmin, jmax, {0: same * same + down * down + up * up,
-                                                 1: up[:-1] * (same[:-1] + same[1:]),
-                                                 2: up[:-2] * up[1:-1]})
+    upper = {0: same * same + down * down + up * up}
+    if m * k:
+        upper[1] = up[:-1] * (same[:-1] + same[1:])
+    upper[2] = up[:-2] * up[1:-1]
+    return BandedOperator.symmetric(jmin, jmax, upper)
 
 
 @lru_cache(maxsize=512)
@@ -360,6 +365,27 @@ class DirectionCosineOperator:
 def direction_cosine_matrices(jmin: int, jmax: int, k: int):
     """The three direction-cosine operators (c_x, c_y, c_z) at fixed k."""
     return tuple(DirectionCosineOperator(axis, jmin, jmax, k) for axis in ("x", "y", "z"))
+
+
+def cosine_xy_difference(sectors: dict[int, np.ndarray], jmax: int, k: int) -> float:
+    """<c_x^2 - c_y^2> of {m: amplitudes over j = 0..jmax} at fixed k.
+
+    With B the dm = +1 part of c_x without its coefficient, c_x =
+    (-B + B')/sqrt(2) and c_y = i (B + B')/sqrt(2), where Hermiticity makes
+    the dm = -1 part B' = -B^dagger; so c_x^2 - c_y^2 = B^2 + B'^2 and the
+    difference is 2 Re <B^2>.  The c_x block is X = -B/sqrt(2), which gives
+    4 Re sum_m <psi_{m+2}| X(m+1) X(m) |psi_m>: only sectors m and m+2 that
+    both exist contribute.  The blocks truncated at jmax obey the same
+    algebra, so this is also |c_x psi|^2 - |c_y psi|^2 with truncated products.
+    """
+    total = 0.0
+    for m, vec in sectors.items():
+        top = sectors.get(m + 2)
+        if top is not None:
+            raised = _cosine_block("x", jmax, k, m + 1, 1).apply(
+                _cosine_block("x", jmax, k, m, 1).apply(vec))
+            total += 4.0 * float(np.real(np.vdot(top, raised)))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Per-trajectory randomness comes from counter-based Philox streams keyed by
 (seed, trajectory index), so a trajectory's result does not depend on when it
 runs; an ensemble is one loop over the trajectories in index order, and is
 reproducible bit for bit.  The generator choice (numpy Philox via
-``SeedSequence(seed, spawn_key=(index,))``) is part of the output contract and
-fixed per release.
+``SeedSequence(seed, spawn_key=(index,))``) and the order of the draws from
+each stream are part of the output contract and fixed per release.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ GAMMA_GAS_PRESET_PRESSURE_MBAR = 5e-9
 _BOUNDARY_TOL = 1e-6
 # free-flight phase vectors one pass keeps, least recently used out
 _PHASE_MEMO = 16
+# draw sets kept across ensembles: the phases of a sweep share the last one
+_DRAW_MEMO = 1
 
 
 def gamma_dimensionless(gamma_hz: float, t_rev: float) -> float:
@@ -106,22 +108,32 @@ def sample_jump_times(gamma: float, t_end: float,
     return np.sort(rng.random(n)) * t_end
 
 
-def jump_probabilities(state: RotorState) -> tuple[np.ndarray, list]:
-    """Channel probabilities <c_l^2> of a pure component, plus the applied vectors."""
-    ops = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)
-    probs = np.empty(3)
-    applied = []
-    for i, op in enumerate(ops):
-        new = op.apply(state.sectors)
-        probs[i] = sum(float(np.sum(np.abs(v) ** 2)) for v in new.values())
-        applied.append(new)
-    return probs, applied
+def jump_probabilities(state: RotorState) -> np.ndarray:
+    """Channel probabilities (<c_x^2>, <c_y^2>, <c_z^2>) of a pure component,
+    formed without applying any channel.
+
+    <c_z^2> is the cos^2 beta expectation in the cached band, and <c_x^2> +
+    <c_y^2> is the norm less <c_z^2>, since sum_l c_l^2 = 1.  The split is
+    <c_x^2 - c_y^2> = 2 Re <B^2>, with B the dm = +1 part of c_x without its
+    coefficient (``angular.cosine_xy_difference``).  The three differ from the
+    squared norms of the truncated products c_l psi only by terms in the
+    amplitudes at jmax, which the jump guard keeps below 1e-6 in weight.
+    """
+    k0, jmax = state.k0, state.jmax
+    total = p_z = 0.0
+    for m, vec in state.sectors.items():
+        j0 = max(abs(m), abs(k0))
+        total += float(np.sum(np.abs(vec) ** 2))
+        p_z += angular.cos2_band(j0, jmax, m, k0).expectation(vec[j0:])
+    p_xy = total - p_z
+    split = angular.cosine_xy_difference(state.sectors, jmax, k0)
+    return np.array([0.5 * (p_xy + split), 0.5 * (p_xy - split), p_z])
 
 
-def apply_jump(state: RotorState, rng: np.random.Generator) -> RotorState:
+def apply_jump(state: RotorState, u: float) -> RotorState:
     """One collisional jump on a pure component: pick l with probability
-    <c_l^2>, apply c_l and renormalize.  Conserves k0 exactly; m changes by at
-    most 1.
+    <c_l^2> from the uniform ``u`` in [0, 1), apply c_l alone and
+    renormalize.  Conserves k0 exactly; m changes by at most 1.
     """
     band = 1  # c_l couple j to j +- 1
     for vec in state.sectors.values():
@@ -129,21 +141,24 @@ def apply_jump(state: RotorState, rng: np.random.Generator) -> RotorState:
             raise TruncationError(
                 "state weight at the j truncation boundary exceeds tolerance; "
                 "raise jmax before sampling jumps")
-    probs, applied = jump_probabilities(state)
-    pick = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
-    pick = min(pick, 2)
-    new_sectors = applied[pick]
-    norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in new_sectors.values()))
+    probs = jump_probabilities(state)
+    pick = min(int(np.searchsorted(np.cumsum(probs), u * probs.sum())), 2)
+    op = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)[pick]
+    new_sectors = op.apply(state.sectors)
+    weights = {m: float(np.sum(np.abs(v) ** 2)) for m, v in new_sectors.items()}
+    norm = math.sqrt(sum(weights.values()))
     return replace(state, sectors={m: v / norm for m, v in new_sectors.items()
-                                   if float(np.sum(np.abs(v) ** 2)) > 1e-32 * norm ** 2},
+                                   if weights[m] > 1e-32 * norm ** 2},
                    diagnostics=dict(state.diagnostics))
 
 
 def _merge(jumps, events: list) -> list:
-    """Jumps at the given times merged into time-ordered (t, kind, index)
-    events.  Order at equal times: jumps (kind 0), then pulses (1), then
-    observations (2); events of one kind keep their order."""
-    merged = [(t, 0, None) for t in jumps] + events
+    """(time, uniform) jumps merged into time-ordered (t, kind, arg) events:
+    a jump (kind 0) carries the uniform that picks its channel, an
+    observation (2) its output index, a pulse (1) nothing.  Order at equal
+    times: jumps, then pulses, then observations; events of one kind keep
+    their order."""
+    merged = [(t, 0, u) for t, u in jumps] + events
     merged.sort(key=lambda e: (e[0], e[1]))
     return merged
 
@@ -158,45 +173,52 @@ def _schedule(config: TrajectoryConfig) -> list:
 
 
 def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
-                events: list, out: np.ndarray, rng: np.random.Generator | None = None,
-                keep: dict | None = None) -> np.ndarray:
+                events: list, out: np.ndarray, keep: dict | None = None) -> np.ndarray:
     """Run time-ordered events from state: free flight up to each event, then
-    the jump, pulse or observation (written to ``out[i]``).  ``keep`` maps
-    event positions to the state reached before them (before the free flight;
-    position ``len(events)`` is the final state) and is filled in place.
-    The pass keeps the phase vector of its last ``_PHASE_MEMO`` distinct
-    (|k0|, jmax, dt) steps, so a step that repeats multiplies by the vector
-    its first occurrence computed."""
+    the jump (with the uniform it carries), pulse or observation (written to
+    ``out[arg]``).  ``keep`` maps event positions to the state reached
+    before them (before the free flight; position ``len(events)`` is the
+    final state) and is filled in place.  The pass keeps the phase vector of
+    its last ``_PHASE_MEMO`` distinct (|k0|, jmax, dt) steps, so a step that
+    repeats multiplies by the vector its first occurrence computed."""
     phase = functools.lru_cache(maxsize=_PHASE_MEMO)(
         functools.partial(rotor.free_phase, spectrum))
-    for n, (t, kind, i) in enumerate(events):
+    for n, (t, kind, arg) in enumerate(events):
         if keep is not None and n in keep:
             keep[n] = state
         if t > state.time:
             dt = t - state.time
             state = free_propagate(state, dt, spectrum, phase(abs(state.k0), state.jmax, dt))
         if kind == 0:
-            state = apply_jump(state, rng)
+            state = apply_jump(state, arg)
         elif kind == 1:
             state = apply_pulse(state, config.pulse)
         else:
-            out[i] = observables.alignment(state)
+            out[arg] = observables.alignment(state)
     if keep is not None and len(events) in keep:
         keep[len(events)] = state
     return out
 
 
-def _draw(initial: Mixture, config: TrajectoryConfig, index: int):
-    """The random inputs of trajectory ``index``, in stream order: its
-    component (sampled by weight when there are several), its jump times, and
-    the generator that goes on to pick the jump channels.  Deterministic
-    given (config.seed, index)."""
-    rng = _trajectory_rng(config.seed, index)
-    pick = 0
-    if len(initial.components) > 1:
-        w = np.array(initial.weights)
-        pick = int(rng.choice(len(w), p=w / w.sum()))
-    return initial.components[pick], sample_jump_times(config.gamma, config.t_end, rng), rng
+@functools.lru_cache(maxsize=_DRAW_MEMO)
+def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tuple:
+    """The random inputs of trajectories 0..n-1 as (component index, jump
+    times, channel uniforms), read-only, each in its stream's order: the
+    component (drawn by weight only when there are several), the jump times,
+    then one uniform per jump (``rng.random(n)`` gives the bits of n scalar
+    draws).  Deterministic given the arguments, so the phases of a sweep,
+    which differ only in padding and pulse, share one set."""
+    w = np.array(weights)
+    p = w / w.sum()
+    draws = []
+    for index in range(n):
+        rng = _trajectory_rng(seed, index)
+        pick = int(rng.choice(len(w), p=p)) if len(w) > 1 else 0
+        jumps = sample_jump_times(gamma, t_end, rng)
+        uniforms = rng.random(jumps.size)
+        jumps.flags.writeable = uniforms.flags.writeable = False
+        draws.append((pick, jumps, uniforms))
+    return tuple(draws)
 
 
 @dataclass(frozen=True)
@@ -250,7 +272,7 @@ def _skeleton(components, spectrum: SpectrumModel, config: TrajectoryConfig,
 
 
 def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
-            component: RotorState, jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            component: RotorState, jumps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One trajectory's series: the skeleton's own (shared, read-only) if it
     makes no jump, else the events from its first jump on, run from the
     skeleton's state there (mirrored for a component that reads its twin's
@@ -263,7 +285,7 @@ def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConf
         if k0_pass != component.k0:
             state = mirror_state(state)
         out = _run_events(state, spectrum, config,
-                          _merge(jumps, skeleton.events[start:]), out.copy(), rng)
+                          _merge(zip(jumps, uniforms), skeleton.events[start:]), out.copy())
     return out
 
 
@@ -271,15 +293,17 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                  config: TrajectoryConfig, n: int) -> EnsembleResult:
     """Average n trajectories (mixture weights included), in one pass.
 
-    The random draws and the jump-free skeleton of every component are made
-    once (one pass for a component and its mirror), and every trajectory
-    runs from its first jump on, in index order.
+    The random draws are made once for the last (seed, gamma, t_end,
+    weights, n), the jump-free skeleton of every component once per call
+    (one pass for a component and its mirror), and every trajectory runs
+    from its first jump on, in index order.
     With gamma = 0 the mean is the weighted sum of each component's
     jump-free series, for any n.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    draws = [_draw(initial, config, i) for i in range(n)]
+    draws = [(initial.components[c], jumps, uniforms) for c, jumps, uniforms in _draws(
+        config.seed, config.gamma, config.t_end, tuple(initial.weights), n)]
     skeleton = _skeleton(initial.components, spectrum, config, draws)
     rows = [_resume(skeleton, spectrum, config, *draw) for draw in draws]
     jump_free = initial.mean(lambda c: skeleton.series[c.k0])

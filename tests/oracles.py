@@ -14,17 +14,19 @@ mpmath, and the semiclassical pulse's Bessel functions come from scipy's
 Reference code that only the tests call lives here too: the asymptotic
 d-function, the fractional-revival resummation, the scalar Wigner-d
 recurrence (it starts from the library's ``_d_start`` and steps with its
-``_recurrence_r``, and is checked against the sum), state overlaps, one
-quantum-jump trajectory run on its own (the library's draw and event loop,
-with a skeleton of its component alone) and an ensemble of such runs, the
-event loop without its per-pass phase memo (each free flight computes its
-own phase vector), the exact pulse twice over: the polar-angle grid path
+``_recurrence_r``, and is checked against the sum), state overlaps, the
+quantum-jump path the library ran before (a generator per trajectory that
+picks each jump's channel as the jump happens, all three channels applied to
+keep one, each trajectory run on its own from t = 0) and an ensemble of such
+runs, the event loop without its per-pass phase memo (each free flight
+computes its own phase vector), the exact pulse twice over: the polar-angle grid path
 the library used before (synthesize, multiply, project back) and a dense
 eigendecomposition of the cos^2 band; and the time grid built one
 refinement window at a time with ``np.linspace``.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath as mp
@@ -37,7 +39,7 @@ from nanorotor import angular, decoherence, observables, pulse, rotor
 from nanorotor.angular import _d_start, _recurrence_r
 from nanorotor.config import EIGHTH, TIME_DECIMALS
 from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
-                              SingularityError)
+                              SingularityError, TruncationError)
 from nanorotor.rotor import SpectrumModel
 
 
@@ -328,45 +330,99 @@ def lindblad_oracle(initial, spectrum, gamma: float,
     return align, trace, min_eig
 
 
+# ---------------------------------------------------------------------------
+# the jump Monte Carlo as it ran with a generator per trajectory
+# ---------------------------------------------------------------------------
+
+def jump_probabilities_applied(state):
+    """Channel probabilities as squared norms of c_x, c_y and c_z applied to
+    the truncated component, with the three applied sector dicts."""
+    ops = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)
+    probs = np.empty(3)
+    applied = []
+    for i, op in enumerate(ops):
+        new = op.apply(state.sectors)
+        probs[i] = sum(float(np.sum(np.abs(v) ** 2)) for v in new.values())
+        applied.append(new)
+    return probs, applied
+
+
+def apply_jump_rng(state, rng):
+    """``decoherence.apply_jump`` with all three channels applied, the pick
+    drawn from ``rng`` as the jump happens."""
+    for vec in state.sectors.values():
+        if float(np.sum(np.abs(vec[-1:]) ** 2)) > decoherence._BOUNDARY_TOL:
+            raise TruncationError("state weight at the j truncation boundary")
+    probs, applied = jump_probabilities_applied(state)
+    pick = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+    new_sectors = applied[min(pick, 2)]
+    norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in new_sectors.values()))
+    return replace(state, sectors={m: v / norm for m, v in new_sectors.items()
+                                   if float(np.sum(np.abs(v) ** 2)) > 1e-32 * norm ** 2},
+                   diagnostics=dict(state.diagnostics))
+
+
+def draw(initial, config, index: int):
+    """Trajectory ``index``'s component and jump times, and the generator that
+    goes on to pick its jump channels, from a stream of its own."""
+    rng = decoherence._trajectory_rng(config.seed, index)
+    pick = 0
+    if len(initial.components) > 1:
+        w = np.array(initial.weights)
+        pick = int(rng.choice(len(w), p=w / w.sum()))
+    return (initial.components[pick],
+            decoherence.sample_jump_times(config.gamma, config.t_end, rng), rng)
+
+
 def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
-    """Alignment time series of a single stochastic trajectory."""
-    draw = decoherence._draw(initial, config, index)
-    skeleton = decoherence._skeleton([draw[0]], spectrum, config, [draw])
-    return decoherence._resume(skeleton, spectrum, config, *draw)
+    """Alignment time series of a single stochastic trajectory: one pass from
+    t = 0 over its jumps, pulses and observations, each jump picking its
+    channel from the trajectory's generator (``draw``, ``apply_jump_rng``)."""
+    component, jumps, rng = draw(initial, config, index)
+    events = decoherence._merge(((t, None) for t in jumps), decoherence._schedule(config))
+    return run_events_per_step(component, spectrum, config, events,
+                               np.empty(len(config.observation_times)),
+                               jump=lambda state, _: apply_jump_rng(state, rng))
 
 
-def run_events_per_step(state, spectrum, config, events, out, rng=None, keep=None):
+def run_events_per_step(state, spectrum, config, events, out, keep=None, jump=None):
     """``decoherence._run_events`` without its phase memo: every free flight
-    computes its own phase vector inside ``rotor.free_propagate``."""
-    for n, (t, kind, i) in enumerate(events):
+    computes its own phase vector inside ``rotor.free_propagate``.  A jump
+    event runs ``jump(state, arg)`` (default ``decoherence.apply_jump``)."""
+    jump = jump or decoherence.apply_jump
+    for n, (t, kind, arg) in enumerate(events):
         if keep is not None and n in keep:
             keep[n] = state
         if t > state.time:
             state = rotor.free_propagate(state, t - state.time, spectrum)
         if kind == 0:
-            state = decoherence.apply_jump(state, rng)
+            state = jump(state, arg)
         elif kind == 1:
             state = pulse.apply_pulse(state, config.pulse)
         else:
-            out[i] = observables.alignment(state)
+            out[arg] = observables.alignment(state)
     if keep is not None and len(events) in keep:
         keep[len(events)] = state
     return out
 
 
-def unfolded_ensemble(initial, spectrum, config, n: int):
-    """``run_ensemble`` without the +-k0 fold: every trajectory on its own
-    (``run_trajectory``) and every component's own jump-free pass.  Returns
-    (trajectories, mean, stderr, jump_free) as ``run_ensemble`` forms them."""
+def reference_ensemble(initial, spectrum, config, n: int):
+    """``run_ensemble`` on the path it replaced: every trajectory on its own
+    from t = 0 with its own generator (``run_trajectory``), every component's
+    own jump-free pass, no phase memo and no ±k0 fold.  Returns
+    (trajectories, mean, stderr, jump_free, jump count histogram) as
+    ``run_ensemble`` forms them."""
     rows = [run_trajectory(initial, spectrum, config, i) for i in range(n)]
+    counts = [len(draw(initial, config, i)[1]) for i in range(n)]
+    hist = {c: counts.count(c) for c in set(counts)}
     events = decoherence._schedule(config)
-    jump_free = initial.mean(lambda c: decoherence._run_events(
+    jump_free = initial.mean(lambda c: run_events_per_step(
         c, spectrum, config, events, np.empty(len(config.observation_times))))
     if config.gamma == 0.0:
-        return rows, jump_free, np.zeros_like(jump_free), jump_free
+        return rows, jump_free, np.zeros_like(jump_free), jump_free, hist
     data = np.vstack(rows)
     stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(data.shape[1])
-    return rows, data.mean(axis=0), stderr, jump_free
+    return rows, data.mean(axis=0), stderr, jump_free, hist
 
 
 def wigner_d_semiclassical(j: int, m: int, k: int, beta: float) -> float:

@@ -248,8 +248,29 @@ def test_cos2beta_matrix_vs_racah_oracle(jmin, jmax, m, k):
     mat = angular.cos2beta_matrix(jmin, jmax, m, k)
     for d in range(3):
         expected = [oracles.cos2_element(j + d, j, m, k) for j in range(jmin, jmax + 1 - d)]
-        assert mat.diagonals[d].shape == (len(expected),)
-        assert np.max(np.abs(mat.diagonals[d] - expected), initial=0.0) <= 1e-12
+        # an offset that is not stored is zero, and only offset 1 at m k = 0 is left out
+        assert (d in mat.diagonals) == (d != 1 or m * k != 0)
+        diag = mat.diagonals.get(d, np.zeros(len(expected)))
+        assert diag.shape == (len(expected),)
+        assert np.max(np.abs(diag - expected), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("jmin,jmax,m,k", [(0, 60, 0, 0), (3, 40, 3, 0), (2, 30, 0, -2),
+                                           (0, 1, 0, 0), (4, 5, 0, 4)])
+def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
+    # where m k = 0 the +-1 diagonals are zero: the band keeps offsets 0 and
+    # +-2 only, and applies to the bits of the full three-offset band
+    mat = angular.cos2beta_matrix(jmin, jmax, m, k)
+    assert sorted(mat.diagonals) == [-2, 0, 2]
+    size = jmax - jmin + 1
+    full = angular.BandedOperator(jmin, jmax, {
+        0: mat.diagonals[0], 1: np.zeros(size - 1), -1: np.zeros(size - 1),
+        2: mat.diagonals[2], -2: mat.diagonals[-2]})
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert mat.apply(vec).tobytes() == full.apply(vec).tobytes()
+        assert mat.expectation(vec) == full.expectation(vec)
 
 
 def test_cos2beta_trivial_cases():

@@ -8,7 +8,7 @@ from scipy import stats as sps
 
 import oracles
 from nanorotor import decoherence as dec
-from nanorotor import angular, config, observables, pulse, rotor
+from nanorotor import angular, cli, config, observables, pulse, rotor
 from nanorotor.errors import DomainError
 
 
@@ -70,7 +70,7 @@ def test_times_sorted_within_range():
 # ---------------------------------------------------------------------------
 
 def test_channel_probabilities_sum_to_one(small_state):
-    probs, _ = dec.jump_probabilities(small_state)
+    probs = dec.jump_probabilities(small_state)
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     # z-channel probability is the alignment itself
     assert probs[2] == pytest.approx(observables.alignment(small_state), abs=1e-10)
@@ -87,11 +87,11 @@ def test_z_jump_keeps_m_and_sharpens_alignment(small_state):
 
 
 def test_jump_conserves_k0_and_norm(small_state):
-    rng = dec._trajectory_rng(4, 0)
-    out = dec.apply_jump(small_state, rng)
-    assert out.k0 == 0
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
-    assert all(abs(m) <= 1 for m in out.sectors)
+    for u in (0.1, 0.25, 0.9):  # the x, y and z channels (p = 0.167, 0.167, 0.666)
+        out = dec.apply_jump(small_state, u)
+        assert out.k0 == 0
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert all(abs(m) <= 1 for m in out.sectors)
 
 
 def test_jump_rejects_boundary_weight():
@@ -100,7 +100,64 @@ def test_jump_rejects_boundary_weight():
     vec[16] = 1.0
     state.sectors[0] = vec
     with pytest.raises(Exception):
-        dec.apply_jump(state, dec._trajectory_rng(0, 0))
+        dec.apply_jump(state, 0.5)
+
+
+def _random_state(rng, k0: int, ms, jmax: int = 24) -> rotor.RotorState:
+    """A normalized component with random amplitudes in the m sectors
+    ``ms``, zero below max(|m|, |k0|) and in the top two j levels."""
+    sectors = {}
+    for m in ms:
+        vec = np.zeros(jmax + 1, dtype=complex)
+        j0 = max(abs(m), abs(k0))
+        vec[j0:jmax - 1] = rng.normal(size=jmax - 1 - j0) + 1j * rng.normal(size=jmax - 1 - j0)
+        sectors[m] = vec
+    norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in sectors.values()))
+    return rotor.RotorState(k0=k0, sectors={m: v / norm for m, v in sectors.items()},
+                            jmax=jmax)
+
+
+@pytest.mark.parametrize("k0", [-3, -1, 0, 2])
+def test_probabilities_equal_the_applied_norms(k0):
+    # off the boundary the channel probabilities formed without applying any
+    # channel are the squared norms of the three truncated products, here on
+    # states with several m sectors and m, m + 2 pairs
+    rng = np.random.default_rng(40 + k0)
+    for ms in ([0], [-1, 1], [-2, 0, 2], [-2, -1, 0, 1, 2], [1, 3, 4]):
+        state = _random_state(rng, k0, ms)
+        applied, _ = oracles.jump_probabilities_applied(state)
+        probs = dec.jump_probabilities(state)
+        assert np.max(np.abs(probs - applied)) <= 1e-14, ms
+        assert applied.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_xy_split_needs_sectors_two_apart():
+    # c_x^2 - c_y^2 moves m by +-2: from one sector, or from sectors one
+    # apart, x and y are equally likely
+    rng = np.random.default_rng(7)
+    for ms in ([0], [0, 1], [-3, -2]):
+        state = _random_state(rng, 1, ms)
+        assert angular.cosine_xy_difference(state.sectors, state.jmax, 1) == 0.0
+        p_x, p_y, _ = dec.jump_probabilities(state)
+        assert p_x == p_y
+
+
+def test_channel_uniforms_are_the_scalar_draws():
+    # the stream order: component (when there are several), jump times, then
+    # one uniform per jump; rng.random(n) gives the bits of n scalar draws
+    weights = (0.2, 0.5, 0.3)
+    mix = rotor.Mixture(tuple(rotor.RotorState(k0=k, sectors={k: np.ones(3)}, jmax=2)
+                              for k in (-1, 0, 1)), weights)
+    cfg = dec.TrajectoryConfig(gamma=3.0, t_end=1.0, observation_times=(1.0,), seed=12)
+    draws = dec._draws(cfg.seed, cfg.gamma, cfg.t_end, weights, 60)
+    assert max(len(jumps) for _, jumps, _ in draws) >= 5
+    for index, (pick, jumps, uniforms) in enumerate(draws):
+        component, ref_jumps, rng = oracles.draw(mix, cfg, index)
+        scalar = np.array([rng.random() for _ in range(len(ref_jumps))])
+        assert component is mix.components[pick]
+        assert jumps.tobytes() == ref_jumps.tobytes()
+        assert uniforms.tobytes() == scalar.tobytes()
+        assert not jumps.flags.writeable and not uniforms.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +232,16 @@ def test_resumed_run_equals_full_pass(case, method):
     # the full pass from t = 0 on the pure k0 component, events ordered by
     # (time, kind) with jumps, then pulses, then observations at equal times
     (component,) = [c for c in state.components if c.k0 == k0]
-    events = sorted([(t, 0, None) for t in jumps] + [(t, 1, None) for t in schedule]
+    uniforms = dec._trajectory_rng(21, 0).random(len(jumps))
+    events = sorted([(t, 0, u) for t, u in zip(jumps, uniforms)]
+                    + [(t, 1, None) for t in schedule]
                     + [(t, 2, i) for i, t in enumerate(_RESUME_TOBS)],
                     key=lambda e: (e[0], e[1]))
-    full = dec._run_events(component, spectrum, cfg, events, np.empty(len(_RESUME_TOBS)),
-                           dec._trajectory_rng(21, 0))
+    full = dec._run_events(component, spectrum, cfg, events, np.empty(len(_RESUME_TOBS)))
     jump_free = dec._run_events(component, spectrum, cfg, [e for e in events if e[1]],
                                 np.empty(len(_RESUME_TOBS)))
 
-    draw = (component, np.array(jumps), dec._trajectory_rng(21, 0))
+    draw = (component, np.array(jumps), uniforms)
     skeleton = dec._skeleton([component], spectrum, cfg, [draw])
     resumed = dec._resume(skeleton, spectrum, cfg, *draw)
     assert resumed.tobytes() == full.tobytes()
@@ -204,7 +262,7 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
                                seed=31, pulse=spec)
     n = 16
     rows = np.vstack([oracles.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
-    draws = [dec._draw(state, cfg, i) for i in range(n)]
+    draws = [oracles.draw(state, cfg, i) for i in range(n)]
     counts = [len(jumps) for _, jumps, _ in draws]
     assert len({c.k0 for c, _, _ in draws}) > 1 and 0 in counts and max(counts) > 1
 
@@ -252,9 +310,12 @@ def test_rows_without_jumps_share_the_skeleton_series(small_mixture, small_spect
 
 @pytest.mark.parametrize("method", ["exact", "semiclassical"])
 def test_folded_ensemble_equals_unfolded_oracle(method, monkeypatch):
-    # gamma > 0 on a sigma_k mixture: one jump-free pass per +-k0 pair, and
-    # -k0 trajectories that jump resume from mirrored states, yet every
-    # series equals that of a run in which each component runs its own pass
+    # gamma > 0 on a sigma_k mixture with two pulses: one jump-free pass per
+    # +-k0 pair, -k0 trajectories that jump resume from mirrored states, and
+    # each jump applies one channel with a uniform drawn ahead, yet every
+    # series and the histogram equal those of the generator path, where each
+    # trajectory runs on its own from t = 0, draws each pick as it jumps from
+    # the three applied channels, and each component runs its own pass
     spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125, 0.375), method=method)
     state = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
@@ -263,9 +324,9 @@ def test_folded_ensemble_equals_unfolded_oracle(method, monkeypatch):
                                observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=17, pulse=spec)
     n = 24
-    draws = [dec._draw(state, cfg, i) for i in range(n)]
+    draws = [oracles.draw(state, cfg, i) for i in range(n)]
     assert any(c.k0 < 0 and len(jumps) for c, jumps, _ in draws)
-    rows, mean, stderr, jump_free = oracles.unfolded_ensemble(state, spectrum, cfg, n)
+    rows, mean, stderr, jump_free, hist = oracles.reference_ensemble(state, spectrum, cfg, n)
 
     passes = []
     real = dec._run_events
@@ -278,6 +339,59 @@ def test_folded_ensemble_equals_unfolded_oracle(method, monkeypatch):
     assert res.mean_alignment.tobytes() == mean.tobytes()
     assert res.stderr.tobytes() == stderr.tobytes()
     assert res.jump_free.tobytes() == jump_free.tobytes()
+    assert res.jump_count_histogram == hist
+
+
+def test_ensemble_with_many_jumps_equals_the_generator_path(monkeypatch):
+    # at gamma = 4 trajectories make three jumps and more, so the x/y split
+    # meets sectors m and m + 2 side by side
+    spec = pulse.PulseSpec(phi=math.pi / 2, schedule=(0.125,))
+    state = pulse.prepare_for_pulses(rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16),
+                                     spec)
+    spectrum = rotor.rotational_energies(
+        state.jmax, 0, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=4.0, t_end=1.0,
+                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+                               seed=23, pulse=spec)
+    mixture, n = rotor.Mixture.pure(state), 12
+    seen, real = [], dec.apply_jump
+    monkeypatch.setattr(dec, "apply_jump", lambda s, u: (seen.append(set(s.sectors)),
+                                                         real(s, u))[1])
+    res = dec.run_ensemble(mixture, spectrum, cfg, n)
+    assert max(res.jump_count_histogram) >= 3
+    assert any(m + 2 in ms for ms in seen for m in ms)
+    rows, mean, stderr, jump_free, hist = oracles.reference_ensemble(mixture, spectrum, cfg, n)
+    assert [r.tobytes() for r in res.trajectories] == [r.tobytes() for r in rows]
+    assert res.mean_alignment.tobytes() == mean.tobytes()
+    assert res.stderr.tobytes() == stderr.tobytes()
+    assert res.jump_free.tobytes() == jump_free.tobytes()
+    assert res.jump_count_histogram == hist
+
+
+def test_a_phase_sweep_draws_each_trajectory_once(tmp_path, monkeypatch):
+    # the phases of a sweep differ only in padding and pulse, so their
+    # ensembles share one set of draws: n streams, not one per phase
+    n, made, real = 6, [], dec._trajectory_rng
+    monkeypatch.setattr(dec, "_trajectory_rng", lambda seed, index: (made.append(index),
+                                                                     real(seed, index))[1])
+    dec._draws.cache_clear()
+    code = cli.main(["sweep_phi", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
+                     "--sweep.phi", "[0.0,0.5,1.0,2.0,3.0]", "--ensemble.n", str(n),
+                     "--gamma.dimensionless", "1.0", "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert made == list(range(n))
+
+
+def test_the_draws_memo_is_bounded_and_read_only():
+    dec._draws.cache_clear()
+    for seed in range(3):
+        draws = dec._draws(seed, 2.0, 1.0, (0.5, 0.5), 4)
+        assert dec._draws.cache_info().currsize <= dec._DRAW_MEMO
+        for _, jumps, uniforms in draws:
+            assert not jumps.flags.writeable and not uniforms.flags.writeable
+            with pytest.raises(ValueError):
+                uniforms[...] = 0.0
+    assert dec._draws(2, 2.0, 1.0, (0.5, 0.5), 4) is draws  # the last one is kept
 
 
 def test_a_component_that_is_no_mirror_runs_its_own_pass():
@@ -383,7 +497,7 @@ def test_memo_ensemble_equals_the_per_step_ensemble(monkeypatch):
                                seed=17, pulse=spec)
     n = 24
     assert any(c.k0 < 0 and len(jumps) for c, jumps, _ in
-               (dec._draw(state, cfg, i) for i in range(n)))
+               (oracles.draw(state, cfg, i) for i in range(n)))
     res = dec.run_ensemble(state, spectrum, cfg, n)
     monkeypatch.setattr(dec, "_run_events", oracles.run_events_per_step)
     per_step = dec.run_ensemble(state, spectrum, cfg, n)
