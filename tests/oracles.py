@@ -19,9 +19,9 @@ quantum-jump path the library ran before (a generator per trajectory that
 picks each jump's channel as the jump happens, all three channels applied to
 keep one, each trajectory run on its own from t = 0) and an ensemble of such
 runs, the event loop without its per-pass phase memo (each free flight
-computes its own phase vector), the exact pulse twice over: the polar-angle grid path
-the library used before (synthesize, multiply, project back) and a dense
-eigendecomposition of the cos^2 band; and the time grid built one
+computes its own phase vector), the exact pulse twice over: the polar-angle
+grid path the library used before (synthesize, multiply, project back) and a
+dense eigendecomposition of the cos^2 band; and the time grid built one
 refinement window at a time with ``np.linspace``.
 """
 

@@ -145,11 +145,10 @@ def test_xy_split_needs_sectors_two_apart():
 def test_channel_uniforms_are_the_scalar_draws():
     # the stream order: component (when there are several), jump times, then
     # one uniform per jump; rng.random(n) gives the bits of n scalar draws
-    weights = (0.2, 0.5, 0.3)
-    mix = rotor.Mixture(tuple(rotor.RotorState(k0=k, sectors={k: np.ones(3)}, jmax=2)
-                              for k in (-1, 0, 1)), weights)
+    mix = rotor.prepare_mixture(0.3, 1.0)
     cfg = dec.TrajectoryConfig(gamma=3.0, t_end=1.0, observation_times=(1.0,), seed=12)
-    draws = dec._draws(cfg.seed, cfg.gamma, cfg.t_end, weights, 60)
+    draws = dec._draws(cfg.seed, cfg.gamma, cfg.t_end, tuple(mix.weights), 60)
+    assert len({pick for pick, _, _ in draws}) > 2
     assert max(len(jumps) for _, jumps, _ in draws) >= 5
     for index, (pick, jumps, uniforms) in enumerate(draws):
         component, ref_jumps, rng = oracles.draw(mix, cfg, index)
