@@ -29,7 +29,6 @@ __all__ = [
     "wigner_d_table",
     "cos2beta_matrix",
     "cos2_band",
-    "direction_cosine_matrices",
     "cosine_xy_difference",
     "synthesize_beta",
     "project_beta",
@@ -104,11 +103,15 @@ class AngularGrid:
         weights.flags.writeable = False
         return cls(nodes=beta, weights=weights, order=order)
 
+    @staticmethod
+    def order_for(jmax: int) -> int:
+        """2 jmax + 16: exact for the d*d*cos^2 integrands up to jmax, plus margin."""
+        return 2 * jmax + 16
+
     @classmethod
     @lru_cache(maxsize=32)
     def for_jmax(cls, jmax: int) -> "AngularGrid":
-        # order 2*jmax + 16: exact for the d*d*cos^2 integrands plus margin
-        return cls.gauss_legendre(2 * jmax + 16)
+        return cls.gauss_legendre(cls.order_for(jmax))
 
     def window_mass(self, prob_density: np.ndarray, lo: float, hi: float) -> float:
         """Integrate a |psi|^2-type density (already per sin(b) db) over [lo, hi]."""
@@ -138,50 +141,32 @@ def _recurrence_r(j: int, m: int, k: int) -> float:
     return math.sqrt(float(j * j - m * m) * float(j * j - k * k))
 
 
-def _wigner_d_rows(m: int, k: int, betas: np.ndarray, jmax: int):
-    """Yield (j, d^j_{mk}(betas)) for j = max(|m|,|k|) .. jmax, vectorized over beta.
-
-    Plain float64; intended for the modest |m|, |k| carried by rotor sectors.
-    """
-    j0 = max(abs(m), abs(k))
-    cosb = np.cos(betas)
-    if j0 == 0:
-        prev = np.ones_like(betas)
-        yield 0, prev
-        if jmax == 0:
-            return
-        curr = cosb.copy()
-        yield 1, curr
-        jc = 1
-    else:
-        lc = np.log(np.cos(betas / 2.0))
-        ls = np.log(np.sin(betas / 2.0))
-        sign, lbin, p, q = _d_start(m, k)
-        prev = sign * np.exp(lbin + p * lc + q * ls)
-        yield j0, prev
-        if jmax == j0:
-            return
-        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
-        curr = num * prev / (j0 * _recurrence_r(j0 + 1, m, k))
-        yield j0 + 1, curr
-        jc = j0 + 1
-    while jc < jmax:
-        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
-        new = (num * curr - (jc + 1) * _recurrence_r(jc, m, k) * prev) / (jc * _recurrence_r(jc + 1, m, k))
-        prev, curr = curr, new
-        jc += 1
-        yield jc, curr
-
-
 def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
-    """Array of d^j_{mk}(betas) with rows j = max(|m|,|k|) .. jmax."""
+    """Array of d^j_{mk}(betas) with rows j = max(|m|,|k|) .. jmax.
+
+    The three-term recurrence in j, vectorized over beta, in plain float64;
+    intended for the modest |m|, |k| carried by rotor sectors.
+    """
     betas = np.asarray(betas, dtype=float)
     j0 = max(abs(m), abs(k))
     if jmax < j0:
         raise DomainError(f"jmax={jmax} below max(|m|,|k|)={j0}")
     out = np.empty((jmax - j0 + 1, betas.size))
-    for j, row in _wigner_d_rows(m, k, betas, jmax):
-        out[j - j0] = row
+    cosb = np.cos(betas)
+    # rows j0 and j0 + 1; the slice out[1:2] is empty where jmax = j0
+    if j0 == 0:
+        out[0] = 1.0
+        out[1:2] = cosb
+    else:
+        sign, lbin, p, q = _d_start(m, k)
+        out[0] = sign * np.exp(lbin + p * np.log(np.cos(betas / 2.0))
+                               + q * np.log(np.sin(betas / 2.0)))
+        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
+        out[1:2] = num * out[0] / (j0 * _recurrence_r(j0 + 1, m, k))
+    for jc in range(j0 + 1, jmax):
+        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
+        out[jc - j0 + 1] = (num * out[jc - j0] - (jc + 1) * _recurrence_r(jc, m, k)
+                            * out[jc - j0 - 1]) / (jc * _recurrence_r(jc + 1, m, k))
     return out
 
 
@@ -222,11 +207,6 @@ class BandedOperator:
     @property
     def size(self) -> int:
         return self.jmax - self.jmin + 1
-
-    def entry(self, j1: int, j2: int) -> complex:
-        """Matrix element <j1| A |j2>; zero outside the band."""
-        diag = self.diagonals.get(j2 - j1)
-        return 0.0 if diag is None else complex(diag[min(j1, j2) - self.jmin])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product; ``vec`` is indexed j = jmin..jmax."""
@@ -334,22 +314,12 @@ class DirectionCosineOperator:
     max(|m|, |k|) must be zero); each (m, dm) pair is one tridiagonal block.
     """
 
-    def __init__(self, axis: str, jmin: int, jmax: int, k: int):
+    def __init__(self, axis: str, jmax: int, k: int):
         if axis not in ("x", "y", "z"):
             raise DomainError(f"axis must be x, y or z, got {axis!r}")
-        if jmin < abs(k):
-            raise DomainError(f"jmin={jmin} below |k|={abs(k)}")
         self.axis = axis
-        self.jmin = jmin
         self.jmax = jmax
         self.k = k
-
-    def entry(self, jp: int, mp: int, j: int, m: int) -> complex:
-        if not (self.jmin <= j <= self.jmax and self.jmin <= jp <= self.jmax):
-            return 0.0
-        if mp - m not in _AXIS_COEF[self.axis]:
-            return 0.0
-        return _cosine_block(self.axis, self.jmax, self.k, m, mp - m).entry(jp, j)
 
     def apply(self, sectors: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Apply the operator to {m: amplitudes over j=0..jmax}."""
@@ -360,11 +330,6 @@ class DirectionCosineOperator:
                 tgt = m + dm
                 out[tgt] = out[tgt] + contrib if tgt in out else contrib
         return out
-
-
-def direction_cosine_matrices(jmin: int, jmax: int, k: int):
-    """The three direction-cosine operators (c_x, c_y, c_z) at fixed k."""
-    return tuple(DirectionCosineOperator(axis, jmin, jmax, k) for axis in ("x", "y", "z"))
 
 
 def cosine_xy_difference(sectors: dict[int, np.ndarray], jmax: int, k: int) -> float:

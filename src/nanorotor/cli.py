@@ -40,10 +40,6 @@ def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.Mixture:
     return rotor.Mixture.pure(rotor.prepare_aligned_state(s.mode, param, s.k0, jmax=s.jmax))
 
 
-def build_spectrum(cfg, model, jmax, kmax):
-    return rotor.rotational_energies(jmax, kmax, model, cfg.spectrum.method)
-
-
 def _phi_tag(phi: float) -> str:
     return f"{phi:.6g}".replace("-", "m").replace(".", "p")
 
@@ -108,7 +104,7 @@ def _state_and_extent(cfg, phis):
 
 def _state_and_spectrum(cfg, model, phis):
     state, jmax, kmax = _state_and_extent(cfg, phis)
-    return state, build_spectrum(cfg, model, jmax, kmax)
+    return state, rotor.rotational_energies(jmax, kmax, model, cfg.spectrum.method)
 
 
 # Each scenario takes the config, its validation report (the resolved rotor
@@ -156,8 +152,7 @@ def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
 
 def scenario_fractional(cfg, report, writer, diagnostics):
     state, spectrum = _state_and_spectrum(cfg, report.model, [])
-    # window masses are sensitive to edge cells; use a well-converged grid
-    grid = AngularGrid.gauss_legendre(max(2 * state.jmax + 16, 1201))
+    grid = AngularGrid.gauss_legendre(report.grid_order)  # >= FRACTIONAL_GRID_ORDER
     fractions = (0.125, 0.25, 0.5)
     halfwidths = {0.125: math.pi / 16, 0.25: math.pi / 8, 0.5: math.pi / 4}
     window_rows = []
@@ -236,7 +231,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
     min_dominant, widened = 1.0, 0
     for b in bs:
         model_b = rotor.inertia_from_parameters(model.ratio, b, t_rev=model.t_rev)
-        spectrum = build_spectrum(cfg, model_b, jmax_total, kmax)
+        spectrum = rotor.rotational_energies(jmax_total, kmax, model_b, cfg.spectrum.method)
         min_dominant = min(min_dominant, float(spectrum.dominant_weight.min()))
         widened = max(widened, spectrum.widened_j)
         tgrid = cfgmod.revival_time_grid(b)

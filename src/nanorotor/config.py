@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from . import decoherence, observables
+from . import angular, decoherence, observables
 from . import pulse as pulse_mod
 from . import rotor as rotor_mod
 from .errors import ConfigError, DomainError
@@ -42,6 +42,9 @@ MAX_B_POINTS = 1_000
 EIGHTH = 0.125
 # the fig2b sample spacing: 521 points over [0.95, 1.08]
 REVIVAL_STEP = (1.08 - 0.95) / 520
+# the smallest grid order fractional reads its window masses on, which are
+# sensitive to edge cells
+FRACTIONAL_GRID_ORDER = 1201
 
 # what a sweep list left at None stands for: the values of the paper's figures
 SWEEP_DEFAULTS = {
@@ -440,6 +443,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     for name, val in (("gamma.hz", g.hz), ("gamma.dimensionless", g.dimensionless)):
         if val is not None and val < 0:
             problems.append(f"{name}: must be >= 0")
+        elif val and cfg.scenario == "sweep_asymmetry":
+            problems.append(f"{name}: sweep_asymmetry runs without jumps; must be 0 or null")
 
     t = cfg.times
     if t.t_end <= 0:
@@ -540,9 +545,15 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
                         f"beyond {rotor_mod.J_SPAN_LIMIT}")
         return report
     report.jmax_estimate = base_jmax
-    report.grid_order = 2 * jmax + 16
+    # the largest quadrature grid the run builds: a gaussian_beta state's, at
+    # its own jmax, or fractional's; a gaussian_j evolution builds none
+    state_order = angular.AngularGrid.order_for(s.jmax or base_jmax)
+    if cfg.scenario == "fractional":
+        report.grid_order = max(state_order, FRACTIONAL_GRID_ORDER)
+    elif s.mode == "gaussian_beta":
+        report.grid_order = state_order
     nsec = 2 * kcut + 1
-    report.memory_bytes = int(nsec * (jmax + 1) * 16 * 4 + report.grid_order * 16 * 6)
+    report.memory_bytes = int(nsec * (jmax + 1) * 16 * 4 + (report.grid_order or 0) * 16 * 6)
     n_eval = t.n_points * (1 + t.refine_factor * 0.2) * max(cfg.ensemble.n, 1) * nsec
     report.time_forecast_s = float(n_eval * jmax * 2e-8 + 0.5)
     return report

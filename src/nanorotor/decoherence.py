@@ -26,7 +26,7 @@ import numpy as np
 
 from . import angular, observables, rotor
 from .errors import DomainError, TruncationError
-from .pulse import PulseSpec, apply_pulse
+from .pulse import PulseSpec, apply_pulse, boundary_weight
 from .rotor import Mixture, RotorState, SpectrumModel, free_propagate, mirror_state
 
 __all__ = [
@@ -135,16 +135,15 @@ def apply_jump(state: RotorState, u: float) -> RotorState:
     <c_l^2> from the uniform ``u`` in [0, 1), apply c_l alone and
     renormalize.  Conserves k0 exactly; m changes by at most 1.
     """
-    band = 1  # c_l couple j to j +- 1
     for vec in state.sectors.values():
-        if float(np.sum(np.abs(vec[-band:]) ** 2)) > _BOUNDARY_TOL:
+        if boundary_weight(vec, 1) > _BOUNDARY_TOL:  # c_l couple j to j +- 1
             raise TruncationError(
                 "state weight at the j truncation boundary exceeds tolerance; "
                 "raise jmax before sampling jumps")
     probs = jump_probabilities(state)
     pick = min(int(np.searchsorted(np.cumsum(probs), u * probs.sum())), 2)
-    op = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)[pick]
-    new_sectors = op.apply(state.sectors)
+    new_sectors = angular.DirectionCosineOperator(
+        "xyz"[pick], state.jmax, state.k0).apply(state.sectors)
     weights = {m: float(np.sum(np.abs(v) ** 2)) for m, v in new_sectors.items()}
     norm = math.sqrt(sum(weights.values()))
     return replace(state, sectors={m: v / norm for m, v in new_sectors.items()

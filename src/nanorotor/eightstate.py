@@ -66,12 +66,12 @@ def eighth_step_unitary() -> np.ndarray:
 
 
 def pulse_gate(phi: float) -> np.ndarray:
-    """Diagonal pulse unitary on the packet basis xi_1 .. xi_7.
+    """Diagonal pulse unitary on the packet basis xi_0 .. xi_7.
 
     Packet n picks up the phase sqrt(2) phi cos^2(n pi / 8); arctic and tropic
     packets differ by exactly phi.
     """
-    n = np.arange(1, 8)
+    n = np.arange(8)
     return np.diag(np.exp(1j * _SQ2 * phi * np.cos(n * math.pi / 8.0) ** 2))
 
 
@@ -83,8 +83,7 @@ def interfere(phi: float) -> tuple[complex, complex]:
     to (cos(phi/2), sin(phi/2)) up to a global phase.
     """
     U = eighth_step_unitary()
-    n = np.arange(8)
-    G = np.diag(np.exp(1j * _SQ2 * phi * np.cos(n * math.pi / 8.0) ** 2))
+    G = pulse_gate(phi)
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
     v = U @ v

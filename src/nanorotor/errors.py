@@ -9,10 +9,6 @@ class DomainError(SimulationError, ValueError):
     """Invalid quantum numbers or arguments outside an operation's domain."""
 
 
-class SingularityError(DomainError):
-    """Evaluation requested at a removable or genuine singularity."""
-
-
 class ResolutionError(SimulationError):
     """A grid or basis is too coarse to represent the requested state."""
 

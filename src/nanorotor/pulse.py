@@ -10,7 +10,6 @@ path for large j.  ``phase_from_laser`` converts laser parameters to phi.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,8 +29,6 @@ __all__ = [
     "pulse_bandwidth",
     "SILICON_NANOROD_DELTA_ALPHA",
 ]
-
-log = logging.getLogger(__name__)
 
 # polarizability anisotropy (C m^2 / V) reproducing a 2 pi phase with a
 # 1.3 mW, 100 ns pulse focused to a 30 um waist (silicon nanorod preset)
@@ -262,8 +259,8 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     """Apply one phase pulse to every m sector of a pure component.
 
     The semiclassical matrices depend on (m, k0); the component is
-    renormalized afterwards and the pre-normalization norm defect is logged
-    and recorded in the state diagnostics.
+    renormalized afterwards and the pre-normalization norm defect is recorded
+    in the state diagnostics.
     """
     out = state.copy()
     phi = spec.phi
@@ -288,8 +285,6 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     if norm > 0:
         for m in out.sectors:
             out.sectors[m] = out.sectors[m] / norm
-    if defect > 1e-12:
-        log.debug("pulse norm defect %.3e (phi=%.4f, method=%s)", defect, phi, spec.method)
     out.diagnostics["pulse_norm_defect"] = max(
         defect, out.diagnostics.get("pulse_norm_defect", 0.0))
     # boundary rows violate the unbounded-ladder assumption of the banded

@@ -11,18 +11,21 @@ dense diagonalization over the whole k space, and from Sturm bisection in
 mpmath, and the semiclassical pulse's Bessel functions come from scipy's
 ``jv``, one call per order.
 
-Reference code that only the tests call lives here too: the asymptotic
-d-function, the fractional-revival resummation, the scalar Wigner-d
-recurrence (it starts from the library's ``_d_start`` and steps with its
-``_recurrence_r``, and is checked against the sum), state overlaps, the
-quantum-jump path the library ran before (a generator per trajectory that
-picks each jump's channel as the jump happens, all three channels applied to
-keep one, each trajectory run on its own from t = 0) and an ensemble of such
-runs, the event loop without its per-pass phase memo (each free flight
-computes its own phase vector), the exact pulse twice over: the polar-angle
-grid path the library used before (synthesize, multiply, project back) and a
-dense eigendecomposition of the cos^2 band; and the time grid built one
-refinement window at a time with ``np.linspace``.
+Reference code that only the tests call lives here too: the readers of the
+library's operator elements, which apply an operator to unit states, so the
+tests check the ``apply`` that every run takes; the asymptotic d-function
+and the ``SingularityError`` it raises at the poles, the fractional-revival
+resummation, the scalar Wigner-d recurrence (it starts from the library's
+``_d_start`` and steps with its ``_recurrence_r``, and is checked against
+the sum), state overlaps, the quantum-jump path the library ran before (a
+generator per trajectory that picks each jump's channel as the jump happens,
+all three channels applied to keep one, each trajectory run on its own from
+t = 0) and an ensemble of such runs, the event loop without its per-pass
+phase memo (each free flight computes its own phase vector), the exact pulse
+twice over: the polar-angle grid path the library used before (synthesize,
+multiply, project back) and a dense eigendecomposition of the cos^2 band;
+and the time grid built one refinement window at a time with
+``np.linspace``.
 """
 
 import math
@@ -39,8 +42,12 @@ from nanorotor import angular, decoherence, observables, pulse, rotor
 from nanorotor.angular import _d_start, _recurrence_r
 from nanorotor.config import EIGHTH, TIME_DECIMALS
 from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
-                              SingularityError, TruncationError)
+                              TruncationError)
 from nanorotor.rotor import SpectrumModel
+
+
+class SingularityError(DomainError):
+    """Evaluation requested at a removable or genuine singularity."""
 
 
 def wigner_d_sum(j: int, m: int, k: int, beta: float, dps: int | None = None) -> float:
@@ -108,12 +115,27 @@ def cg_two_spin_brute(j1: int, j2: int, J: int, M: int, m1: int) -> float:
 
 
 def to_dense(op: angular.BandedOperator) -> np.ndarray:
-    """The full complex matrix of a banded operator."""
-    dense = np.zeros((op.size, op.size), dtype=complex)
-    for d, diag in op.diagonals.items():
-        idx = np.arange(diag.size)
-        dense[idx + max(-d, 0), idx + max(d, 0)] = diag
-    return dense
+    """The full complex matrix of a banded operator, read through ``apply``:
+    column c is the operator applied to the unit state at j = jmin + c."""
+    return np.column_stack([op.apply(unit) for unit in np.eye(op.size, dtype=complex)])
+
+
+def banded_element(op: angular.BandedOperator, j1: int, j2: int) -> complex:
+    """<j1| A |j2> of a banded operator, read through ``apply`` on |j2>."""
+    unit = np.zeros(op.size, dtype=complex)
+    unit[j2 - op.jmin] = 1.0
+    return complex(op.apply(unit)[j1 - op.jmin])
+
+
+def cosine_applied(op: angular.DirectionCosineOperator, jp: int, mp: int,
+                   j: int, m: int) -> complex:
+    """<j' m' k| c |j m k> of a direction-cosine operator, read through
+    ``apply`` on the sector {m: |j>} over j = 0..jmax; 0 where m' is not
+    reached."""
+    unit = np.zeros(op.jmax + 1, dtype=complex)
+    unit[j] = 1.0
+    out = op.apply({m: unit})
+    return complex(out[mp][jp]) if mp in out else 0.0
 
 
 def quadrature_element(f, jp: int, j: int, m: int, k: int,
@@ -337,7 +359,7 @@ def lindblad_oracle(initial, spectrum, gamma: float,
 def jump_probabilities_applied(state):
     """Channel probabilities as squared norms of c_x, c_y and c_z applied to
     the truncated component, with the three applied sector dicts."""
-    ops = angular.direction_cosine_matrices(abs(state.k0), state.jmax, state.k0)
+    ops = [angular.DirectionCosineOperator(axis, state.jmax, state.k0) for axis in "xyz"]
     probs = np.empty(3)
     applied = []
     for i, op in enumerate(ops):

@@ -308,7 +308,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
     assert norm_dev < 1e-12
 
     # direction-cosine completeness
-    ops = angular.direction_cosine_matrices(0, 30, 0)
+    ops = [angular.DirectionCosineOperator(axis, 30, 0) for axis in "xyz"]
     sec = {0: np.zeros(31, dtype=complex)}
     sec[0][12] = 1.0
     total = sum(op.apply(op.apply(sec))[0][12] for op in ops)
@@ -322,7 +322,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
         for jp in (j, j + 1, j + 2):
             expected = oracles.quadrature_element(
                 lambda b: np.cos(b) ** 2, jp, j, 2, -1, grid)
-            worst = max(worst, abs(mat.entry(jp, j) - expected))
+            worst = max(worst, abs(oracles.banded_element(mat, jp, j) - expected))
     assert worst < 1e-8
 
     # resummation peak locations within 2 eta

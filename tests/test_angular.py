@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import legval
 
 import oracles
 from nanorotor import angular
-from nanorotor.errors import DomainError, ResolutionError, SingularityError
+from nanorotor.errors import DomainError, ResolutionError
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +111,9 @@ def test_semiclassical_phase_depends_on_m_minus_k():
 
 
 def test_semiclassical_singular_at_poles():
-    with pytest.raises(SingularityError):
+    with pytest.raises(oracles.SingularityError):
         oracles.wigner_d_semiclassical(100, 0, 0, 1e-9 - 1e-9)
-    with pytest.raises(SingularityError):
+    with pytest.raises(oracles.SingularityError):
         oracles.wigner_d_semiclassical(100, 0, 0, math.pi)
 
 
@@ -235,7 +235,7 @@ def test_cos2beta_matrix_vs_quadrature(m, k):
     for j in range(jmin, jmax + 1, 7):
         for jp in range(j, min(j + 3, jmax + 1)):
             expected = oracles.quadrature_element(cos2, jp, j, m, k, grid)
-            assert mat.entry(jp, j) == pytest.approx(expected, abs=1e-8)
+            assert oracles.banded_element(mat, jp, j) == pytest.approx(expected, abs=1e-8)
 
 
 # (jmin, jmax, m, k): jmin = j0, jmin > j0, j0 = 0, one-row and two-row
@@ -274,8 +274,9 @@ def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
 
 
 def test_cos2beta_trivial_cases():
-    assert angular.cos2beta_matrix(0, 0, 0, 0).entry(0, 0) == pytest.approx(1.0 / 3.0)
-    diag400 = angular.cos2beta_matrix(400, 400, 0, 0).entry(400, 400)
+    one = angular.cos2beta_matrix(0, 0, 0, 0)
+    assert oracles.banded_element(one, 0, 0) == pytest.approx(1.0 / 3.0)
+    diag400 = oracles.banded_element(angular.cos2beta_matrix(400, 400, 0, 0), 400, 400)
     grid = angular.AngularGrid.for_jmax(402)
     expected = oracles.quadrature_element(lambda b: np.cos(b) ** 2, 400, 400, 0, 0, grid)
     assert diag400 == pytest.approx(expected, abs=1e-10)
@@ -295,7 +296,7 @@ def test_cos2beta_domain_error():
 
 def test_direction_cosines_vs_quadrature():
     k = 2
-    ops = angular.direction_cosine_matrices(abs(k), 40, k)
+    ops = [angular.DirectionCosineOperator(axis, 40, k) for axis in "xyz"]
     grid = angular.AngularGrid.for_jmax(44)
     half_sin = lambda b: 0.5 * np.sin(b)
     for op, part in zip(ops, ("x", "y", "z")):
@@ -307,7 +308,7 @@ def test_direction_cosines_vs_quadrature():
                     if jp < abs(k) or jp > 40:
                         continue
                     if part == "z":
-                        got = op.entry(jp, m, j, m)
+                        got = oracles.cosine_applied(op, jp, m, j, m)
                         # quadrature needs matching m on both sides:
                         jmax = max(j, jp)
                         tab = angular.wigner_d_table(m, k, grid.nodes, jmax)
@@ -319,7 +320,7 @@ def test_direction_cosines_vs_quadrature():
                         mp = m + 1
                         if abs(mp) > jp:
                             continue
-                        got = op.entry(jp, mp, j, m)
+                        got = oracles.cosine_applied(op, jp, mp, j, m)
                         jmax = max(j, jp)
                         t_in = angular.wigner_d_table(m, k, grid.nodes, jmax)
                         t_out = angular.wigner_d_table(mp, k, grid.nodes, jmax)
@@ -336,7 +337,9 @@ def test_direction_cosines_vs_quadrature():
     (120, 122, 3),
 ])
 def test_direction_cosines_vs_racah_oracle(jmin, jmax, k):
-    ops = angular.direction_cosine_matrices(jmin, jmax, k)
+    # the operators span the full ladder j = 0..jmax; the elements checked
+    # are those with j and j' in [jmin, jmax]
+    ops = [angular.DirectionCosineOperator(axis, jmax, k) for axis in "xyz"]
     ms = sorted({0, 1, -1, 2, -3, jmax, -jmax, jmax - 1, 1 - jmax})
     for op in ops:
         for m in ms:
@@ -344,7 +347,8 @@ def test_direction_cosines_vs_racah_oracle(jmin, jmax, k):
                 for j in range(jmin, jmax + 1):
                     for jp in range(max(jmin, j - 1), min(jmax, j + 1) + 1):
                         expected = oracles.cosine_element(op.axis, jp, mp, j, m, k)
-                        assert abs(op.entry(jp, mp, j, m) - expected) <= 1e-12
+                        got = oracles.cosine_applied(op, jp, mp, j, m)
+                        assert abs(got - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 2, -1])
@@ -363,7 +367,7 @@ def test_direction_cosine_apply_matches_dense_oracle(k):
     for m, vec in sectors.items():
         for j in range(max(abs(m), abs(k)), jmax + 1):
             dense_in[index[(j, m)]] = vec[j]
-    ops = angular.direction_cosine_matrices(abs(k), jmax, k)
+    ops = [angular.DirectionCosineOperator(axis, jmax, k) for axis in "xyz"]
     for op, dense in zip(ops, oracles.dense_cosine_matrices(jmax, k)):
         expected = dense @ dense_in
         got = np.zeros_like(expected)
@@ -374,15 +378,16 @@ def test_direction_cosine_apply_matches_dense_oracle(k):
 
 
 def test_direction_cosine_trivial_elements():
-    ops = angular.direction_cosine_matrices(0, 5, 0)
-    assert ops[2].entry(0, 0, 0, 0) == 0.0
-    assert ops[2].entry(1, 0, 0, 0) == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+    c_z = angular.DirectionCosineOperator("z", 5, 0)
+    assert oracles.cosine_applied(c_z, 0, 0, 0, 0) == 0.0
+    assert oracles.cosine_applied(c_z, 1, 0, 0, 0) == pytest.approx(1 / math.sqrt(3),
+                                                                     rel=1e-12)
 
 
 def test_direction_cosines_complete():
     # sum_l c_l^2 = identity away from the truncation boundary
     jmax, k = 30, 1
-    ops = angular.direction_cosine_matrices(abs(k), jmax, k)
+    ops = [angular.DirectionCosineOperator(axis, jmax, k) for axis in "xyz"]
     for m in (1, -2, 4):
         for j in range(max(abs(m), abs(k)) + 1, jmax - 1, 3):
             sec = {m: np.zeros(jmax + 1, dtype=complex)}

@@ -14,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from nanorotor import cli, config as cfgmod, observables, rotor
+from nanorotor.angular import AngularGrid
 from nanorotor.errors import ConfigError, DomainError
 
 
@@ -153,8 +154,10 @@ EXIT2_CASES = [
     # ... and is rejected before a Bessel table of ~phi orders is built
     _exit2("pulse.phi", "1e12", "evolve", *DIRECT_ROTOR, "--times.n_points", "8"),
     _exit2("sweep.phi", "[1e12]", "fig2c", "--ensemble.n", "2"),
-    # sweep_asymmetry always sweeps the asymmetric spectrum
+    # sweep_asymmetry always sweeps the asymmetric spectrum, and without jumps
     _exit2("spectrum.method", "symmetric", "fig2b", "--sweep.b_points", "1"),
+    _exit2("gamma.hz", "20.7", "fig2b", "--sweep.b_points", "1"),
+    _exit2("gamma.dimensionless", "1.0", "fig2b", "--sweep.b_points", "1"),
     # a time grid of more than a million samples, named by the key that drives it
     _exit2("times.n_points", "1000000000"),
     _exit2("times.refine_factor", "1000000000"),
@@ -408,6 +411,51 @@ def test_validate_only_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] and 120 <= payload["jmax_estimate"] <= 160
+
+
+def _record_grids(monkeypatch) -> list:
+    """The orders of the quadrature grids built or fetched from now on."""
+    orders = []
+
+    def record(fn):
+        def wrapper(cls, arg):
+            grid = fn(arg)
+            orders.append(grid.order)
+            return grid
+        return classmethod(wrapper)
+
+    monkeypatch.setattr(AngularGrid, "for_jmax", record(AngularGrid.for_jmax))
+    monkeypatch.setattr(AngularGrid, "gauss_legendre", record(AngularGrid.gauss_legendre))
+    return orders
+
+
+def _validated_grid_order(argv, capsys):
+    assert cli.main([*argv, "--validate-only"]) == 0
+    return json.loads(capsys.readouterr().out)["grid_order"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["evolve", *SMALL_RUN], id="gaussian_j"),
+    pytest.param(["evolve", *SMALL_RUN[:2], "--state.mode", "gaussian_beta",
+                  "--state.sigma_beta", "0.1", "--times.n_points", "8"], id="gaussian_beta"),
+    pytest.param(["evolve", *SMALL_RUN[:2], "--state.mode", "gaussian_beta",
+                  "--state.sigma_beta", "0.1", "--state.jmax", "90", "--times.n_points", "8"],
+                 id="gaussian_beta-jmax"),
+    pytest.param(["fractional", *SMALL_RUN], id="fractional"),
+])
+def test_grid_order_is_the_largest_grid_the_run_builds(tmp_path, capsys, monkeypatch, argv):
+    # null where the run builds no grid; the pulse headroom adds none
+    reported = _validated_grid_order(argv, capsys)
+    orders = _record_grids(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 0
+    assert reported == max(orders, default=None)
+
+
+def test_params_grid_order_is_the_grid_its_state_takes(capsys, monkeypatch):
+    reported = _validated_grid_order(["params"], capsys)
+    orders = _record_grids(monkeypatch)
+    cli.prepare_state(cfgmod.config_from_dict(json.loads(cli._preset_path("params").read_text())))
+    assert reported == max(orders) == 2294
 
 
 def test_fig1_preset_writes_three_series(tmp_path):

@@ -77,8 +77,8 @@ def test_channel_probabilities_sum_to_one(small_state):
 
 
 def test_z_jump_keeps_m_and_sharpens_alignment(small_state):
-    ops = angular.direction_cosine_matrices(0, small_state.jmax, 0)
-    applied = ops[2].apply(small_state.sectors)
+    applied = angular.DirectionCosineOperator("z", small_state.jmax, 0).apply(
+        small_state.sectors)
     p = sum(float(np.sum(np.abs(v) ** 2)) for v in applied.values())
     jumped = small_state.copy()
     jumped.sectors = {m: v / math.sqrt(p) for m, v in applied.items()}

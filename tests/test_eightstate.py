@@ -33,12 +33,12 @@ def test_eighth_step_properties():
 
 def test_pulse_gate():
     G = eightstate.pulse_gate(0.0)
-    assert np.allclose(G, np.eye(7))
+    assert np.allclose(G, np.eye(8))
     phi = 0.77
     G = eightstate.pulse_gate(phi)
-    assert np.max(np.abs(G @ G.conj().T - np.eye(7))) < 1e-14
-    # arctic vs tropic phase difference is exactly phi
-    d = np.angle(G[0, 0]) - np.angle(G[2, 2])
+    assert np.max(np.abs(G @ G.conj().T - np.eye(8))) < 1e-14
+    # arctic (xi_1) vs tropic (xi_3) phase difference is exactly phi
+    d = np.angle(G[1, 1]) - np.angle(G[3, 3])
     assert d == pytest.approx(phi, rel=1e-12)
 
 
