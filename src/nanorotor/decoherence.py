@@ -206,7 +206,13 @@ def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tup
     component (drawn by weight only when there are several), the jump times,
     then one uniform per jump (``rng.random(n)`` gives the bits of n scalar
     draws).  Deterministic given the arguments, so the phases of a sweep,
-    which differ only in padding and pulse, share one set."""
+    which differ only in padding and pulse, share one set.  With gamma = 0
+    and one component every draw is (0, no jump, no uniform), and no stream
+    is made."""
+    if gamma == 0.0 and len(weights) == 1:
+        none = np.empty(0)
+        none.flags.writeable = False
+        return ((0, none, none),) * n
     w = np.array(weights)
     p = w / w.sum()
     draws = []

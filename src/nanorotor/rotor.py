@@ -29,6 +29,7 @@ __all__ = [
     "inertia_from_parameters",
     "rotational_energies",
     "prepare_aligned_state",
+    "profile_cap",
     "prepare_mixture",
     "mirror_state",
     "k_cutoff",
@@ -551,6 +552,14 @@ def estimate_jmax(mode: str, param: float, k0: int = 0) -> int:
     return truncation_jmax(w, j_offset=j0)
 
 
+def profile_cap(sigma: float) -> float:
+    """Polar angle beyond which the gaussian_beta profile is exactly 0.0:
+    exp(-sin^2(b) / 4 sigma^2) underflows past sin(b) = 2 sigma sqrt(746)
+    (exp(-x) is 0.0 for x > 745.14), and the single-pole branch ends at pi/2."""
+    sin_cap = 2.0 * sigma * math.sqrt(746.0)
+    return math.asin(sin_cap) if sin_cap < 1.0 else math.pi / 2.0
+
+
 def prepare_aligned_state(mode: str, param: float, k0: int = 0,
                           jmax: int | None = None) -> RotorState:
     """Aligned initial state with m = k = k0.
@@ -562,8 +571,11 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     mirrored lobe at the far pole, but the released particle occupies a single
     pole, so the profile is restricted to beta <= pi/2 (for inversion-even
     observables an incoherent pole mixture gives identical results; a coherent
-    two-pole superposition is not what the trap prepares).  jmax defaults to
-    the truncation rule; passing a smaller jmax issues a truncation warning.
+    two-pole superposition is not what the trap prepares).  The profile is
+    built and projected on the nodes of the order-(2 jmax + 16) rule up to
+    ``profile_cap(param)`` only; beyond it every node would hold 0.0.  jmax
+    defaults to the truncation rule; passing a smaller jmax issues a
+    truncation warning.
     """
     j0 = abs(k0)
     rule_jmax = estimate_jmax(mode, param, k0)
@@ -579,9 +591,8 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     elif mode == "gaussian_beta":
         if param <= 0:
             raise DomainError("sigma_beta must be positive")
-        grid = angular.AngularGrid.for_jmax(jmax)
+        grid = angular.AngularGrid.for_jmax(jmax, profile_cap(param))
         psi = np.exp(-np.sin(grid.nodes) ** 2 / (4.0 * param * param))
-        psi[grid.nodes > math.pi / 2.0] = 0.0  # single-pole branch
         psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)

@@ -36,6 +36,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_array
 from scipy.special import jv
 
 from nanorotor import angular, decoherence, observables, pulse, rotor
@@ -301,8 +302,12 @@ def lindblad_oracle(initial, spectrum, gamma: float,
     of the pure initial component).
 
     d rho / dt = -i [H, rho] + gamma (sum_l c_l rho c_l - rho), integrated
-    adaptively in the interaction picture of the diagonal H.  Returns
-    (alignment series, trace series, min sampled eigenvalue).
+    adaptively in the interaction picture of the diagonal H.  The jump term
+    is formed in the Schroedinger picture: with P = e^{iHt} diagonal,
+    c_l(t) rho c_l(t) = P (c_l rho_S c_l) P^dagger and rho_S = P^dagger rho P,
+    so each evaluation is two elementwise phase products and six products of
+    a sparse c_l with a dense matrix.  Returns (alignment series, trace
+    series, min sampled eigenvalue).
     """
     k0 = initial.k0
     jmax = initial.jmax
@@ -311,7 +316,7 @@ def lindblad_oracle(initial, spectrum, gamma: float,
     basis = _dense_basis(jmax, k0)
     dim = len(basis)
     eps = np.array([spectrum.phase_coeffs[j, abs(k0)] for j, m in basis])
-    cs = [np.asarray(c) for c in dense_cosine_matrices(jmax, k0)]
+    cs = [(csr_array(c), csr_array(c.T)) for c in dense_cosine_matrices(jmax, k0)]
     cos2 = np.zeros((dim, dim), dtype=complex)
     index = {bm: i for i, bm in enumerate(basis)}
     for (j, m), col in index.items():
@@ -324,13 +329,12 @@ def lindblad_oracle(initial, spectrum, gamma: float,
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
-        # interaction picture: c_l(t) = e^{iHt} c_l e^{-iHt} as phase masks;
         # sum_l c_l^2 = 1 reduces the anticommutator to -rho
         phase = np.exp(1j * omega * t)
-        acc = -rho
-        for c in cs:
-            ct = (phase[:, None] * c) * phase.conj()[None, :]
-            acc = acc + ct @ rho @ ct.conj().T
+        rho_s = (phase.conj()[:, None] * rho) * phase[None, :]
+        # X c = (c^T X^T)^T, with X^T copied to rows for the sparse product
+        jumped = sum((ct @ (c @ rho_s).T.copy()).T for c, ct in cs)
+        acc = (phase[:, None] * jumped) * phase.conj()[None, :] - rho
         return (gamma * acc).reshape(-1)
 
     sol = solve_ivp(rhs, (0.0, t_end), rho0.reshape(-1).astype(complex),

@@ -221,6 +221,33 @@ def test_grid_for_jmax_is_shared_and_read_only():
         grid.weights[0] = 0.0
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 17, 200, 760])
+def test_capped_grid_is_the_full_rule_up_to_its_cap(order):
+    # every kept node and weight has the full rule's bits, and the weights
+    # stay within the full grid's bound of numpy's
+    _, w = np.polynomial.legendre.leggauss(order)
+    x_full, w_full = angular._leggauss(order)
+    for beta_max in (1e-3, 0.05, 0.1646, 1.0, math.pi / 2, 2.5, math.pi):
+        x, w_capped = angular._leggauss(order, math.cos(beta_max))
+        kept = x_full >= math.cos(beta_max)
+        assert np.array_equal(x, x_full[kept]) and np.array_equal(w_capped, w_full[kept])
+        assert np.max(np.abs(w_capped - w[kept]), initial=0.0) <= 1e-12
+        capped = angular.AngularGrid.gauss_legendre(order, beta_max)
+        assert capped.order == order
+        assert np.array_equal(capped.nodes, np.arccos(x)[::-1])
+        assert np.array_equal(capped.weights, w_capped[::-1])
+
+
+def test_capped_grid_is_cached_and_checked():
+    grid = angular.AngularGrid.for_jmax(40, 0.5)
+    assert angular.AngularGrid.for_jmax(40, 0.5) is grid
+    assert grid.order == angular.AngularGrid.order_for(40) and grid.nodes[-1] <= 0.5
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+    for beta_max in (0.0, -1.0, 4.0):
+        with pytest.raises(DomainError, match="cap"):
+            angular.AngularGrid.gauss_legendre(40, beta_max)
+
+
 # ---------------------------------------------------------------------------
 # banded operators vs quadrature oracle
 # ---------------------------------------------------------------------------

@@ -418,8 +418,8 @@ def _record_grids(monkeypatch) -> list:
     orders = []
 
     def record(fn):
-        def wrapper(cls, arg):
-            grid = fn(arg)
+        def wrapper(cls, *args):
+            grid = fn(*args)
             orders.append(grid.order)
             return grid
         return classmethod(wrapper)

@@ -541,6 +541,33 @@ def test_memo_holds_at_most_its_bound_and_lives_one_pass(small_state, small_spec
     assert all(ref() is None for ref in alive)
 
 
+def test_gamma_zero_pure_state_makes_no_stream(monkeypatch, small_mixture, small_spectrum):
+    # every draw is (0, no jump, no uniform); only a jump rate or a mixture
+    # needs a Philox stream
+    made = []
+    real = dec._trajectory_rng
+
+    def recording(seed, index):
+        made.append(index)
+        return real(seed, index)
+
+    monkeypatch.setattr(dec, "_trajectory_rng", recording)
+    tobs = (0.0, 0.5, 1.0)
+    for gamma, streams in ((0.0, []), (0.5, [0, 1, 2, 3])):
+        dec._draws.cache_clear()
+        cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0, observation_times=tobs, seed=5)
+        dec.run_ensemble(small_mixture, small_spectrum, cfg, 4)
+        assert made == streams
+    dec._draws.cache_clear()
+    rng = real(5, 0)
+    no_jump, no_uniform = dec.sample_jump_times(0.0, 1.0, rng), rng.random(0)
+    for pick, jumps, uniforms in dec._draws(5, 0.0, 1.0, (1.0,), 4):
+        assert pick == 0
+        for got, want in ((jumps, no_jump), (uniforms, no_uniform)):
+            assert got.dtype == want.dtype and got.shape == want.shape == (0,)
+            assert not got.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Lindblad oracle
 # ---------------------------------------------------------------------------

@@ -185,6 +185,69 @@ def test_gaussian_beta_state_tail_capture():
     assert w[-8:].sum() < 1e-10
 
 
+def _full_rule_profile(sigma, jmax):
+    """The gaussian_beta profile on every node of the order-(2 jmax + 16) rule."""
+    grid = angular.AngularGrid.for_jmax(jmax)
+    psi = np.exp(-np.sin(grid.nodes) ** 2 / (4.0 * sigma * sigma))
+    psi[grid.nodes > math.pi / 2.0] = 0.0
+    return grid, psi
+
+
+@pytest.mark.parametrize("sigma", np.geomspace(1e-3, 0.6, 7))
+def test_profile_is_zero_beyond_its_cap_on_the_full_rule(sigma):
+    rule = rotor.estimate_jmax("gaussian_beta", sigma)
+    cap = rotor.profile_cap(sigma)
+    for jmax in (rule, rule // 2, rule + 37):
+        grid, psi = _full_rule_profile(sigma, jmax)
+        assert np.all(psi[grid.nodes > cap] == 0.0)
+        assert np.array_equal(angular.AngularGrid.for_jmax(jmax, cap).nodes,
+                              grid.nodes[grid.nodes <= cap])
+
+
+@pytest.mark.parametrize("sigma,k0", [(0.003, 0), (0.01, 3), (0.1, 1)])
+def test_capped_preparation_matches_the_full_rule(sigma, k0):
+    # the full-rule projection differs only in the order of its sums
+    state = rotor.prepare_aligned_state("gaussian_beta", sigma, k0=k0)
+    grid, psi = _full_rule_profile(sigma, state.jmax)
+    psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        amps = angular.project_beta(psi.astype(complex), k0, state.jmax, grid)
+    amps = amps / np.linalg.norm(amps)
+    assert np.max(np.abs(state.sectors[k0][abs(k0):] - amps)) < 1e-14
+
+
+def test_aligned_state_projects_on_its_occupied_nodes(monkeypatch):
+    # the guard on the gain: at sigma_beta 0.003 the profile occupies 120
+    # of the 2,294 nodes of the rule, and only those are projected
+    projected = []
+    real = angular.project_beta
+
+    def recording(psi, k0, jmax, grid):
+        projected.append((grid.order, grid.nodes.size))
+        return real(psi, k0, jmax, grid)
+
+    monkeypatch.setattr(angular, "project_beta", recording)
+    rotor.prepare_aligned_state("gaussian_beta", 0.003)
+    [(order, nodes)] = projected
+    assert order == 2294 and nodes <= 130
+
+
+def test_mixture_builds_one_grid(monkeypatch):
+    built = []
+    real = angular.AngularGrid.gauss_legendre.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    angular.AngularGrid.for_jmax.cache_clear()
+    monkeypatch.setattr(angular.AngularGrid, "gauss_legendre", classmethod(counting))
+    mix = rotor.prepare_mixture(0.01, 2.0)
+    assert len(mix.components) == 17
+    assert built == [(angular.AngularGrid.order_for(mix.jmax), rotor.profile_cap(0.01))]
+
+
 def test_gaussian_beta_isotropic_limit():
     st = rotor.prepare_aligned_state("gaussian_beta", 50.0, jmax=40)
     assert observables.alignment(st) == pytest.approx(1.0 / 3.0, abs=5e-3)
