@@ -227,28 +227,13 @@ class BandedOperator:
         return float(np.real(np.vdot(vec, self.apply(vec))))
 
 
-def _cos_ladder(jlo: int, jhi: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(beta) over the j ladder at fixed (m, k), for j = jlo..jhi.
-
-    Returns ``<j|cos b|j> = m k / (j (j+1))`` (0 at j = 0) and
-    ``<j+1|cos b|j> = sqrt(((j+1)^2 - m^2)((j+1)^2 - k^2)) / ((j+1) sqrt((2j+1)(2j+3)))``;
-    ``jlo`` must be at least max(|m|, |k|).
-    """
-    j = np.arange(jlo, jhi + 1, dtype=float)
-    jj = j * (j + 1.0)
-    same = np.divide(float(m * k), jj, out=np.zeros_like(j), where=jj > 0)
-    j1 = j + 1.0
-    up = np.sqrt((j1 * j1 - m * m) * (j1 * j1 - k * k)) \
-        / (j1 * np.sqrt((2.0 * j + 1.0) * (2.0 * j + 3.0)))
-    return same, up
-
-
 def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
     """Banded matrix of cos^2(beta) over |j m k>, bandwidth 2.
 
-    The square of the tridiagonal cos(beta) ladder, summed over the full
-    ladder j >= max(|m|, |k|): the elements are exact, not those of a
-    truncated product.  Selection rules |dj| <= 2, dm = dk = 0.  Where
+    The square of the tridiagonal cos(beta) ladder, the c_z block of
+    ``_cosine_block``, summed over the full ladder j >= max(|m|, |k|): the
+    block is read one row past jmax, so the elements are exact, not those of
+    a truncated product.  Selection rules |dj| <= 2, dm = dk = 0.  Where
     m k = 0 the cos(beta) ladder has a zero diagonal, so the +-1 diagonals
     are zero and are not stored.
     """
@@ -257,10 +242,9 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
         raise DomainError(f"jmin={jmin} below max(|m|,|k|)={j0}")
     if jmax < jmin:
         raise DomainError("jmax < jmin")
-    lo = max(jmin - 1, j0)
-    same, up = _cos_ladder(lo, jmax, m, k)
-    below = up[:1] if lo < jmin else np.zeros(1)  # <jmin|cos|jmin-1>; 0 at j0
-    same, up = same[jmin - lo:], up[jmin - lo:]
+    cz = _cosine_block("z", jmax + 1, k, m, 0).diagonals
+    same, up = cz[0][jmin:-1], cz[-1][jmin:]  # <j|cos b|j>, <j+1|cos b|j>
+    below = cz[-1][jmin - 1:jmin] if jmin else np.zeros(1)  # <jmin|cos b|jmin-1>
     down = np.concatenate([below, up[:-1]])
     upper = {0: same * same + down * down + up * up}
     if m * k:

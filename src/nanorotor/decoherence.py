@@ -112,21 +112,19 @@ def jump_probabilities(state: RotorState) -> np.ndarray:
     """Channel probabilities (<c_x^2>, <c_y^2>, <c_z^2>) of a pure component,
     formed without applying any channel.
 
-    <c_z^2> is the cos^2 beta expectation in the cached band, and <c_x^2> +
-    <c_y^2> is the norm less <c_z^2>, since sum_l c_l^2 = 1.  The split is
+    <c_z^2> is the alignment <cos^2 beta>, and <c_x^2> + <c_y^2> is the
+    norm less <c_z^2>, since sum_l c_l^2 = 1.  The split is
     <c_x^2 - c_y^2> = 2 Re <B^2>, with B the dm = +1 part of c_x without its
     coefficient (``angular.cosine_xy_difference``).  The three differ from the
     squared norms of the truncated products c_l psi only by terms in the
     amplitudes at jmax, which the jump guard keeps below 1e-6 in weight.
     """
-    k0, jmax = state.k0, state.jmax
-    total = p_z = 0.0
-    for m, vec in state.sectors.items():
-        j0 = max(abs(m), abs(k0))
+    total = 0.0
+    for vec in state.sectors.values():
         total += float(np.sum(np.abs(vec) ** 2))
-        p_z += angular.cos2_band(j0, jmax, m, k0).expectation(vec[j0:])
+    p_z = observables.alignment(state)
     p_xy = total - p_z
-    split = angular.cosine_xy_difference(state.sectors, jmax, k0)
+    split = angular.cosine_xy_difference(state.sectors, state.jmax, state.k0)
     return np.array([0.5 * (p_xy + split), 0.5 * (p_xy - split), p_z])
 
 

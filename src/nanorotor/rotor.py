@@ -67,8 +67,6 @@ J_SPAN_LIMIT = 100_000
 class InertiaModel:
     """Principal moments of a rigid ellipsoid, with I_c about the symmetry axis."""
 
-    semi_axes: tuple[float, float, float]
-    density: float
     mass: float
     i_a: float
     i_b: float
@@ -121,8 +119,7 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
     if t_rev == math.inf:
         raise DomainError("the revival time 2 pi I / hbar is beyond float range")
     return InertiaModel(
-        semi_axes=(a, b, c), density=density, mass=mass,
-        i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym,
+        mass=mass, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym,
         t_rev=t_rev, degenerate=degenerate)
 
 
@@ -163,7 +160,6 @@ def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None =
     if abs(abs(b_check) - abs(b_asym)) > 1e-10 * abs(b_asym) + 1e-14 / (ratio - 1.0):
         raise DomainError("asymmetry parameter reconstruction failed")
     return InertiaModel(
-        semi_axes=(0.0, 0.0, 0.0), density=0.0,
         mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_check,
         t_rev=2.0 * math.pi * inertia / HBAR, degenerate=degenerate)
 
@@ -183,7 +179,6 @@ class SpectrumModel:
     levels needed more than the first cut of their Wang blocks.
     """
 
-    kind: str
     ratio: float
     b_asym: float
     jmax: int
@@ -221,7 +216,7 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     for k in range(kmax + 1):
         coeffs[:, k] = js * (js + 1.0) + (ratio - 1.0) * k * k
     if method == "symmetric":
-        return SpectrumModel("symmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights)
+        return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
     if method != "asymmetric":
         raise DomainError(f"unknown spectrum method {method!r}")
 
@@ -245,7 +240,7 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     bad = np.argwhere(~np.isfinite(coeffs))
     if bad.size:
         raise LevelAssignmentError(f"no level attributed to (j={bad[0][0]}, k={bad[0][1]})")
-    return SpectrumModel("asymmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights,
+    return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights,
                          int(widened.sum()))
 
 

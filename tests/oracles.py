@@ -674,7 +674,7 @@ def lapack_energies(jmax: int, kmax: int, model) -> SpectrumModel:
                 raise LevelAssignmentError(f"no level attributed to (j={j}, k={k})")
             coeffs[j, k] = float(np.mean(levels[k]))
             weights[j, k] = wmin[k]
-    return SpectrumModel("asymmetric", ratio, model.b_asym, jmax, kmax, coeffs, weights)
+    return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
 
 
 def dense_rotor_hamiltonian(model, j: int) -> np.ndarray:
