@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two source trees, run by run.
+
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC [--only NAME ...]
+
+OLD_SRC and NEW_SRC are directories that hold the ``nanorotor`` package
+(``src/`` of two checkouts).  Each run is ``python -m nanorotor.cli`` in a
+subprocess with ``PYTHONPATH`` set to one tree, one run at a time: the six
+packaged presets and every gated workload of ``perfbench/workloads.py`` (its
+``cli_args()``), or only the runs ``--only`` names.  For each run it prints
+both exit codes, how many CSVs are byte-identical, the largest absolute
+difference in each CSV body (from its second line on), whether the manifests
+are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
+the jump histograms are equal.  It exits 1 if the exit codes of a run differ or
+a file is missing on one side, else 0: moved numbers are reported, not judged.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PRESETS = ["params", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"]
+
+
+def _runs() -> dict:
+    """Run name -> simulate arguments: the presets, then the gated workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = {name: [name] for name in PRESETS}
+    runs.update((w.name, w.cli_args()) for w in workloads.WORKLOADS.values() if w.gated)
+    return runs
+
+
+def _simulate(src: str, args: list, out_dir: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out_dir.mkdir()
+    return subprocess.run([sys.executable, "-m", "nanorotor.cli", *args,
+                           "--out", str(out_dir / "out")], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _max_diff(old: list, new: list) -> str:
+    """The largest absolute difference between two CSV bodies' numbers."""
+    rows = [(a.split(","), b.split(",")) for a, b in zip(old[1:], new[1:])]
+    if len(old) != len(new) or old[:1] != new[:1] or any(len(a) != len(b) for a, b in rows):
+        return "shape or header differs"
+    worst = max((abs(float(x) - float(y)) for a, b in rows for x, y in zip(a, b)), default=0.0)
+    return f"{worst:.3g}"
+
+
+def _manifest(path: Path) -> dict:
+    manifest = json.loads(path.read_text())
+    del manifest["wall_time_s"], manifest["config"]["output"]["prefix"]
+    return manifest
+
+
+def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bool:
+    """Print one run's comparison; whether both sides exited alike and wrote
+    the same files."""
+    codes = [_simulate(src, args, work / side)
+             for side, src in (("old", old_src), ("new", new_src))]
+    old_files = {p.name for p in (work / "old").iterdir()}
+    new_files = {p.name for p in (work / "new").iterdir()}
+    missing = sorted(old_files ^ new_files)
+    csvs = sorted(f for f in old_files & new_files if f.endswith(".csv"))
+    bodies = {f: [(work / side / f).read_text().splitlines()[1:] for side in ("old", "new")]
+              for f in csvs}
+    same = sum(old == new for old, new in bodies.values())
+    print(f"{name}: exit {codes[0]} / {codes[1]}; {same}/{len(csvs)} CSVs byte-identical")
+    for f, (old, new) in bodies.items():
+        print(f"  {f}: largest |difference| {_max_diff(old, new)}")
+    manifests = sorted(f for f in old_files & new_files if f.endswith("_manifest.json"))
+    for f in manifests:
+        old, new = (_manifest(work / side / f) for side in ("old", "new"))
+        hists = [m["diagnostics"].get("jump_histograms") for m in (old, new)]
+        print(f"  {f}: manifests {'equal' if old == new else 'DIFFER'}; "
+              f"jump histograms {'equal' if hists[0] == hists[1] else 'DIFFER'}")
+    for f in missing:
+        print(f"  {f}: MISSING on the {'new' if f in old_files else 'old'} side")
+    return codes[0] == codes[1] and not missing
+
+
+def run(argv=None) -> int:
+    runs = _runs()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--only", nargs="+", choices=sorted(runs), metavar="NAME",
+                        help=f"runs to compare, of: {', '.join(runs)}")
+    args = parser.parse_args(argv)
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.only or runs:
+            work = Path(tmp) / name
+            work.mkdir()
+            ok &= compare(name, runs[name], args.old_src, args.new_src, work)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run())

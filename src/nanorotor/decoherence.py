@@ -224,23 +224,6 @@ def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tup
     return tuple(draws)
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """The jump-free pass of each component.  Until its first jump a
-    trajectory is a function of its component alone, so it starts from the
-    state this pass reached before the first event at or after that jump.
-    A component that is the mirror of another's (``rotor.mirror_state``)
-    runs no pass of its own: every kernel gives a mirrored state the bits it
-    gives the original, so it reads its twin's series and resumes from the
-    mirrors of its twin's states."""
-
-    events: list
-    times: list
-    series: dict  # k0 -> jump-free alignment series (read-only)
-    states: dict  # k0 of a pass -> {event position: state before that event}
-    source: dict  # k0 -> k0 of the pass that component reads
-
-
 def _is_mirror(state: RotorState, twin: RotorState) -> bool:
     """Whether ``state`` is the mirror of ``twin`` bit for bit."""
     mirrored = mirror_state(twin)
@@ -250,56 +233,18 @@ def _is_mirror(state: RotorState, twin: RotorState) -> bool:
                     for m, vec in state.sectors.items()))
 
 
-def _skeleton(components, spectrum: SpectrumModel, config: TrajectoryConfig,
-              draws: list) -> _Skeleton:
-    """The jump-free pass of each of ``components`` that mirrors no earlier
-    one, keeping the states the jumping ``draws`` resume from."""
-    events = _schedule(config)
-    times = [t for t, _, _ in events]
-    passes, source = {}, {}
-    for c in components:
-        twin = passes.get(-c.k0)
-        source[c.k0] = twin.k0 if twin is not None and _is_mirror(c, twin) else c.k0
-        passes.setdefault(source[c.k0], c)
-    starts: dict[int, dict] = {k0: {} for k0 in passes}
-    for component, jumps, _ in draws:
-        if len(jumps):
-            starts[source[component.k0]][bisect.bisect_left(times, jumps[0])] = None
-    runs = {k0: _run_events(c, spectrum, config, events,
-                            np.empty(len(config.observation_times)), keep=starts[k0])
-            for k0, c in passes.items()}
-    for values in runs.values():
-        values.flags.writeable = False
-    series = {k0: runs[k0_pass] for k0, k0_pass in source.items()}
-    return _Skeleton(events, times, series, starts, source)
-
-
-def _resume(skeleton: _Skeleton, spectrum: SpectrumModel, config: TrajectoryConfig,
-            component: RotorState, jumps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """One trajectory's series: the skeleton's own (shared, read-only) if it
-    makes no jump, else the events from its first jump on, run from the
-    skeleton's state there (mirrored for a component that reads its twin's
-    pass)."""
-    out = skeleton.series[component.k0]
-    if len(jumps):
-        start = bisect.bisect_left(skeleton.times, jumps[0])
-        k0_pass = skeleton.source[component.k0]
-        state = skeleton.states[k0_pass][start]
-        if k0_pass != component.k0:
-            state = mirror_state(state)
-        out = _run_events(state, spectrum, config,
-                          _merge(zip(jumps, uniforms), skeleton.events[start:]), out.copy())
-    return out
-
-
 def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                  config: TrajectoryConfig, n: int) -> EnsembleResult:
     """Average n trajectories (mixture weights included), in one pass.
 
     The random draws are made once for the last (seed, gamma, t_end,
-    weights, n), the jump-free skeleton of every component once per call
-    (one pass for a component and its mirror), and every trajectory runs
-    from its first jump on, in index order.
+    weights, n).  Each component runs one jump-free pass, except one that is
+    the mirror of an earlier one (``rotor.mirror_state``): every kernel gives
+    a mirrored state the bits it gives the original, so it reads its twin's
+    pass.  Until its first jump a trajectory is a function of its component
+    alone, so it runs, in index order, from the state its pass reached before
+    the first event at or after that jump (mirrored for a twin); a trajectory
+    that makes no jump is its pass's series itself, read-only.
     With gamma = 0 the mean is the weighted sum of each component's
     jump-free series, for any n.
     """
@@ -307,9 +252,35 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
         raise DomainError("n must be >= 1")
     draws = [(initial.components[c], jumps, uniforms) for c, jumps, uniforms in _draws(
         config.seed, config.gamma, config.t_end, tuple(initial.weights), n)]
-    skeleton = _skeleton(initial.components, spectrum, config, draws)
-    rows = [_resume(skeleton, spectrum, config, *draw) for draw in draws]
-    jump_free = initial.mean(lambda c: skeleton.series[c.k0])
+    events = _schedule(config)
+    times = [t for t, _, _ in events]
+    passes, source = {}, {}  # k0 of a pass -> component; k0 -> k0 of the pass it reads
+    for c in initial.components:
+        twin = passes.get(-c.k0)
+        source[c.k0] = twin.k0 if twin is not None and _is_mirror(c, twin) else c.k0
+        passes.setdefault(source[c.k0], c)
+    starts: dict[int, dict] = {k0: {} for k0 in passes}  # pass -> {position: state}
+    for component, jumps, _ in draws:
+        if len(jumps):
+            starts[source[component.k0]][bisect.bisect_left(times, jumps[0])] = None
+    series = {}
+    for k0, c in passes.items():
+        series[k0] = _run_events(c, spectrum, config, events,
+                                 np.empty(len(config.observation_times)), keep=starts[k0])
+        series[k0].flags.writeable = False
+    rows = []
+    for component, jumps, uniforms in draws:
+        k0_pass = source[component.k0]
+        out = series[k0_pass]
+        if len(jumps):
+            start = bisect.bisect_left(times, jumps[0])
+            state = starts[k0_pass][start]
+            if k0_pass != component.k0:
+                state = mirror_state(state)
+            out = _run_events(state, spectrum, config,
+                              _merge(zip(jumps, uniforms), events[start:]), out.copy())
+        rows.append(out)
+    jump_free = initial.mean(lambda c: series[source[c.k0]])
     if config.gamma == 0.0:
         mean, stderr = jump_free, np.zeros_like(jump_free)
     else:

@@ -11,7 +11,7 @@ path for large j.  ``phase_from_laser`` converts laser parameters to phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -262,29 +262,28 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
     renormalized afterwards and the pre-normalization norm defect is recorded
     in the state diagnostics.
     """
-    out = state.copy()
     phi = spec.phi
     if phi == 0.0:
-        return out
-    k0 = out.k0
+        return state.copy()
+    k0 = state.k0
     boundary = 0.0
     band = pulse_bandwidth(phi)
+    sectors = {}
     for m, vec in state.sectors.items():
         j0 = max(abs(m), abs(k0))
         boundary = max(boundary, boundary_weight(vec, band))
         if spec.method == "exact":
             new_sec = phase_apply_exact(vec[j0:], m, k0, phi)
         else:
-            mat = _cached_matrix(j0, out.jmax, m, k0, phi)
-            new_sec = mat.apply(vec[j0:])
-        full = np.zeros_like(vec)
-        full[j0:] = new_sec
-        out.sectors[m] = full
+            new_sec = _cached_matrix(j0, state.jmax, m, k0, phi).apply(vec[j0:])
+        sectors[m] = np.zeros_like(vec)
+        sectors[m][j0:] = new_sec
+    out = replace(state, sectors=sectors, diagnostics=dict(state.diagnostics))
     norm = out.norm()
     defect = abs(1.0 - norm)
     if norm > 0:
-        for m in out.sectors:
-            out.sectors[m] = out.sectors[m] / norm
+        for vec in sectors.values():
+            vec /= norm
     out.diagnostics["pulse_norm_defect"] = max(
         defect, out.diagnostics.get("pulse_norm_defect", 0.0))
     # boundary rows violate the unbounded-ladder assumption of the banded

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import typing
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
 import oracles
 from nanorotor import cli, config as cfgmod, observables, rotor
@@ -299,6 +300,102 @@ def test_validate_only_exits_0_or_2_naming_a_key(base, overrides):
     for line in lines:
         head = line.removeprefix("config error: ").split(":")[0].split()[0]
         assert head in SCHEMA_KEYS, line
+
+
+_TINY_ROTOR = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60")
+# tiny runs of every scenario: jmax in the tens, at most 4 trajectories
+RUN_BASES = {
+    "params": ["params"],
+    "evolve": ["evolve", *_TINY_ROTOR, "--times.n_points", "8", "--pulse.phi", "1.0"],
+    "decohere": ["decohere", *_TINY_ROTOR, "--times.n_points", "8", "--pulse.phi", "1.0",
+                 "--gamma.dimensionless", "1.0", "--ensemble.n", "2"],
+    "fractional": ["fractional", *_TINY_ROTOR],
+    "sweep_phi": ["sweep_phi", *_TINY_ROTOR, "--sweep.phi", "[1.0]",
+                  "--gamma.dimensionless", "1.0", "--ensemble.n", "2"],
+    "sweep_sigma": ["sweep_sigma", "--rotor.inertia_ratio", "41.8", "--state.mode",
+                    "gaussian_beta", "--state.sigma_beta", "0.1", "--pulse.phi", "1.0",
+                    "--sweep.sigma_beta", "[0.1]", "--sweep.sigma_k", "[0.0]"],
+    "sweep_asymmetry": ["sweep_asymmetry", *_TINY_ROTOR, "--spectrum.method", "asymmetric",
+                        "--pulse.phi", "1.0", "--sweep.b_points", "1"],
+}
+# small, bounded values per key: whatever passes validation keeps the run tiny
+# (at most 57 time samples, ensemble.n <= 4, jmax in the tens), unlike the
+# +-1e300 of JSON_VALUES; sweep_asymmetry keeps its fixed revival grid
+RUN_VALUES = {
+    "rotor.semi_axes_nm": [None, [2.75, 2.75, 25.0], [-1.0, 1.0, 2.0]],
+    "rotor.density_kg_m3": [None, 2329.0, 0.0],
+    "rotor.inertia_ratio": [None, 41.8, 1.0, 2.0],
+    "rotor.b_asym": [None, 0.0, 1e-4, -1e-3],
+    "rotor.t_rev_s": [None, 1e-3, 0.0],
+    "state.mode": ["gaussian_j", "gaussian_beta", "other"],
+    "state.sigma_j_sq": [None, 20.0, 60.0, 0.0],
+    "state.sigma_beta": [None, 0.1, 0.3, 0.0],
+    "state.sigma_k": [0.0, 0.5, 1.0, -1.0],
+    "state.k0": [0, 2, -3],
+    "state.jmax": [None, 2, 8, 40],
+    "pulse.phi": [None, 0.0, 1.0, math.pi, -1.0, [0.0, 2.0], []],
+    "pulse.schedule_t": [[], [0.125], [0.125, 0.375], [0.0], [9.0]],
+    "pulse.method": ["exact", "semiclassical", "other"],
+    "gamma.hz": [None, 0.0, 20.7, -1.0],
+    "gamma.dimensionless": [None, 0.0, 0.5, 2.0, -1.0],
+    "times.t_end": [0.0, 0.3, 1.05, 2.0],
+    "times.n_points": [0, 2, 4, 8],
+    "times.refine_factor": [0, 1, 2, 8],
+    "times.refine_halfwidth": [-0.1, 0.0, 0.02],
+    "ensemble.n": [0, 1, 2, 4],
+    "ensemble.seed": [0, 7, -1],
+    "ensemble.threads": [None, 1, 2],
+    "sweep.phi": [None, [], [1.0], [0.0, 2.0], [-1.0]],
+    "sweep.sigma_k": [None, [], [0.0], [0.0, 0.5], [-1.0]],
+    "sweep.sigma_beta": [None, [], [0.1], [0.1, 0.3], [0.0]],
+    "sweep.b_log10_min": [-6.0, -4.0, -3.0],
+    "sweep.b_log10_max": [-6.0, -4.0, -3.0],
+    "sweep.b_points": [0, 1, 2],
+    "sweep.b_include": [[], [1e-4]],
+    "spectrum.method": ["symmetric", "asymmetric", "other"],
+    "spectrum.kmax": [None, 3],
+    "output.format": ["csv", "other"],
+}
+
+
+def _csv_bodies(prefix):
+    folder, name = os.path.split(prefix)
+    return {f[len(name):]: open(os.path.join(folder, f)).read().splitlines()[1:]
+            for f in sorted(os.listdir(folder)) if f.startswith(name) and f.endswith(".csv")}
+
+
+def test_run_values_are_schema_keys():
+    assert set(RUN_VALUES) <= set(SCHEMA_KEYS)
+
+
+@given(base=st.sampled_from(sorted(RUN_BASES)),
+       overrides=st.lists(st.sampled_from(sorted(RUN_VALUES)).flatmap(
+           lambda key: st.tuples(st.just(key), st.sampled_from(RUN_VALUES[key]))),
+           max_size=3))
+def test_runs_exit_0_2_or_3_and_replay(base, overrides):
+    # the CLI contract on real runs: any of these values exits 0, 2 or 3,
+    # raises nothing, names a key in each config error, and every run that
+    # succeeds replays from its manifest byte for byte
+    argv = list(RUN_BASES[base])
+    for key, value in overrides:
+        argv += [f"--{key}", json.dumps(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = os.path.join(tmp, "first"), os.path.join(tmp, "again")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out", first])
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert bool(lines) == (code != 0)
+        if code == 2:
+            for line in lines:
+                head = line.removeprefix("config error: ").split(":")[0].split()[0]
+                assert head in SCHEMA_KEYS, line
+        if code == 0:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([first + "_manifest.json", "--out", again]) == 0
+            assert _csv_bodies(again) == _csv_bodies(first)
 
 
 @pytest.mark.parametrize("argv", [["params"], ["fig1", "--times.n_points", "8"]])

@@ -217,7 +217,7 @@ _RESUME_CASES = {
 
 @pytest.mark.parametrize("method", ["semiclassical", "exact"])
 @pytest.mark.parametrize("case", sorted(_RESUME_CASES))
-def test_resumed_run_equals_full_pass(case, method):
+def test_resumed_run_equals_full_pass(case, method, monkeypatch):
     jumps, schedule, mixture = _RESUME_CASES[case]
     spec = pulse.PulseSpec(phi=math.pi / 2, schedule=schedule, method=method)
     base = (rotor.prepare_mixture(0.3, 1.0) if mixture
@@ -240,11 +240,13 @@ def test_resumed_run_equals_full_pass(case, method):
     jump_free = dec._run_events(component, spectrum, cfg, [e for e in events if e[1]],
                                 np.empty(len(_RESUME_TOBS)))
 
-    draw = (component, np.array(jumps), uniforms)
-    skeleton = dec._skeleton([component], spectrum, cfg, [draw])
-    resumed = dec._resume(skeleton, spectrum, cfg, *draw)
-    assert resumed.tobytes() == full.tobytes()
-    assert skeleton.series[k0].tobytes() == jump_free.tobytes()
+    # the ensemble of that one component, given its one read-only draw
+    draw = (0, np.array(jumps), uniforms)
+    draw[1].flags.writeable = draw[2].flags.writeable = False
+    monkeypatch.setattr(dec, "_draws", lambda *args: (draw,))
+    res = dec.run_ensemble(rotor.Mixture.pure(component), spectrum, cfg, 1)
+    assert res.trajectories[0].tobytes() == full.tobytes()
+    assert res.jump_free.tobytes() == jump_free.tobytes()
     assert not np.array_equal(full, jump_free)  # the jumps change the series
 
 
@@ -393,9 +395,9 @@ def test_the_draws_memo_is_bounded_and_read_only():
     assert dec._draws(2, 2.0, 1.0, (0.5, 0.5), 4) is draws  # the last one is kept
 
 
-def test_a_component_that_is_no_mirror_runs_its_own_pass():
+def test_a_component_that_is_no_mirror_runs_its_own_pass(monkeypatch):
     # the fold checks the bits: a -k0 component that differs from the mirror
-    # of its +k0 twin keeps a pass of its own
+    # of its +k0 twin keeps a pass of its own, while +1 reads the -1 pass
     spec = pulse.PulseSpec(phi=math.pi / 2)
     mix = rotor.prepare_mixture(0.1, 0.3).map(lambda c: pulse.prepare_for_pulses(c, spec))
     other = rotor.free_propagate(mix.components[0], 0.01, rotor.rotational_energies(
@@ -406,10 +408,19 @@ def test_a_component_that_is_no_mirror_runs_its_own_pass():
         mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
     cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.0, 0.5, 1.0),
                                pulse=spec)
-    skeleton = dec._skeleton(mix.components, spectrum, cfg, [])
-    k0 = mix.components[0].k0
-    assert skeleton.source[k0] == k0 and skeleton.source[-k0] == -k0
-    assert not np.array_equal(skeleton.series[k0], skeleton.series[-k0])
+    passes, real = [], dec._run_events
+
+    def record(s, *args, **kw):  # a gamma = 0 ensemble runs only its passes
+        out = real(s, *args, **kw)
+        passes.append((s.k0, out))
+        return out
+
+    monkeypatch.setattr(dec, "_run_events", record)
+    dec.run_ensemble(mix, spectrum, cfg, 1)
+    series, k0 = dict(passes), mix.components[0].k0
+    assert [k for k, _ in passes] == [-2, -1, 0, 2] and k0 == -2
+    assert k0 in series and -k0 in series
+    assert not np.array_equal(series[k0], series[-k0])
 
 
 @pytest.mark.parametrize("method", ["exact", "semiclassical"])

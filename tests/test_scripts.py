@@ -18,3 +18,17 @@ def test_asymmetry_scan_finds_the_peak_at_strong_asymmetry(capsys):
                      "--b-min", "1e-4", "--b-max", "1e-2"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [float(r.split(",")[0]) for r in rows] == [1e-4, 1e-3, 1e-2]
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
+    compare = load_script("compare_outputs")
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert compare.run([src, src, "--only", "params", "fig2d"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        "params: exit 0 / 0; 0/0 CSVs byte-identical",
+        "fig2d: exit 0 / 0; 4/4 CSVs byte-identical"]
+    details = [line for line in lines if line.startswith(" ")]
+    assert sum("largest |difference| 0" in line for line in details) == 4
+    assert sum("manifests equal; jump histograms equal" in line for line in details) == 2
+    assert len(details) == 6
