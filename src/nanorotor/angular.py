@@ -146,6 +146,15 @@ def _recurrence_r(j: int, m: int, k: int) -> float:
     return math.sqrt(float(j * j - m * m) * float(j * j - k * k))
 
 
+def _d_first(m: int, k: int, betas: np.ndarray) -> np.ndarray:
+    """d^{j0}_{mk}(betas), j0 = max(|m|,|k|): the row the recurrence starts from."""
+    if m == k == 0:
+        return np.ones(betas.shape)
+    sign, lbin, p, q = _d_start(m, k)
+    return sign * np.exp(lbin + p * np.log(np.cos(betas / 2.0))
+                         + q * np.log(np.sin(betas / 2.0)))
+
+
 def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
     """Array of d^j_{mk}(betas) with rows j = max(|m|,|k|) .. jmax.
 
@@ -159,13 +168,10 @@ def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
     out = np.empty((jmax - j0 + 1, betas.size))
     cosb = np.cos(betas)
     # rows j0 and j0 + 1; the slice out[1:2] is empty where jmax = j0
+    out[0] = _d_first(m, k, betas)
     if j0 == 0:
-        out[0] = 1.0
         out[1:2] = cosb
     else:
-        sign, lbin, p, q = _d_start(m, k)
-        out[0] = sign * np.exp(lbin + p * np.log(np.cos(betas / 2.0))
-                               + q * np.log(np.sin(betas / 2.0)))
         num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
         out[1:2] = num * out[0] / (j0 * _recurrence_r(j0 + 1, m, k))
     for jc in range(j0 + 1, jmax):
@@ -173,6 +179,59 @@ def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
         out[jc - j0 + 1] = (num * out[jc - j0] - (jc + 1) * _recurrence_r(jc, m, k)
                             * out[jc - j0 - 1]) / (jc * _recurrence_r(jc + 1, m, k))
     return out
+
+
+_D_BLOCK = 64  # j rows of the diagonal recurrence held at once
+
+
+def _diagonal_blocks(ks: list[int], betas: np.ndarray, jmax: int):
+    """d^j_{kk}(betas) for every k of ``ks`` (ascending, >= 0) from one
+    recurrence in j, a block of up to _D_BLOCK rows j at a time.
+
+    Yields (j_first, rows) for j_first = ks[0], ks[0] + _D_BLOCK, ... up to
+    jmax, with rows[t, i] = d^{j_first + t}_{k_i k_i} where j_first + t >=
+    k_i (the rows below k_i are scratch).  ``rows`` is a view of one buffer
+    that the next block overwrites.  Every step is the step of
+    ``wigner_d_table(k, k, betas, jmax)``, elementwise over the (k, beta)
+    array, so each row has its bits whichever k share the pass.
+    """
+    betas = np.asarray(betas, dtype=float)
+    cosb = np.cos(betas)
+    jlo, kcol = ks[0], np.array(ks)[:, None]
+    k2 = (kcol * kcol).astype(float)
+    # the step jc -> jc + 1 as in wigner_d_table, with r(j, k) = |j^2 - k^2|
+    # (the square root of a square is exact); its divisor jc r(jc + 1, k) is
+    # zero only at jc = 0 (row 1 of k = 0 is cos(beta)) and for the row that
+    # starts at jc + 1, and reads 1 there, so the scratch rows stay finite
+    js = np.arange(jlo - 1, jmax)[:, None, None]
+    r0, r1 = (np.abs(j * j - kcol * kcol).astype(float) for j in (js, js + 1))
+    c1, c2 = (js + 1) * r0, js * r1
+    c2[c2 == 0.0] = 1.0
+    steps = zip(c1, c2)
+    starts = {k: i for i, k in enumerate(ks)}
+    special = starts.keys() | ({1} if jlo == 0 else set())
+    buf = np.zeros((_D_BLOCK + 2, len(ks), betas.size))
+    rows = list(buf)  # rows[t] holds row j_first + t - 2
+    for first in range(jlo, jmax + 1, _D_BLOCK):
+        stop = min(first + _D_BLOCK, jmax + 1)
+        # each new row first holds its step's (2jc + 1) (jc (jc + 1) cos b - k^2)
+        jc = np.arange(first - 1, stop - 1, dtype=float)[:, None, None]
+        block = buf[2:stop - first + 2]
+        np.subtract(jc * (jc + 1) * cosb, k2, out=block)
+        block *= 2 * jc + 1
+        for j, (a1, a2), prev, cur, new in zip(range(first, stop), steps,
+                                               rows, rows[1:], rows[2:]):
+            new *= cur
+            new -= a1 * prev
+            new /= a2
+            if j in special:
+                if j == 1 and jlo == 0:
+                    new[0] = cosb
+                if j in starts:
+                    new[starts[j]] = _d_first(j, j, betas)
+                    cur[starts[j]] = 0.0  # so the first step reads +0.0
+        yield first, block
+        buf[:2] = buf[stop - first:stop - first + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +438,34 @@ def _project_general(psi: np.ndarray, m: int, k: int, jmax: int,
     return np.sqrt(np.arange(j0, jmax + 1) + 0.5) * (proj[:, 0] + 1j * proj[:, 1])
 
 
-def project_beta(psi: np.ndarray, k0: int, jmax: int, grid: AngularGrid) -> np.ndarray:
-    """Expand psi(beta) over |j k0 k0>, j = |k0| .. jmax.
+def project_beta(psi: np.ndarray, k0s, jmax: int, grid: AngularGrid) -> list[np.ndarray]:
+    """Expand psi(beta) over |j k0 k0>, j = |k0| .. jmax, for each k0 of ``k0s``.
 
-    Issues a :class:`TruncationWarning` with the captured norm when the
-    expansion misses more than 1e-10 of the wavefunction's norm.
+    One recurrence over j serves every |k0| (``_diagonal_blocks``), and each
+    block of rows is summed over the nodes as it comes, so no table is held;
+    each (k0, j) coefficient is a sum along its own row, with the same bits
+    whichever k0 share the pass (d^j_{-k,-k} = d^j_{kk}).  Real psi gives
+    real coefficients.  Issues a :class:`TruncationWarning` with the
+    captured norm for each k0 whose expansion misses more than 1e-10 of the
+    wavefunction's norm.
     """
-    psi = np.asarray(psi, dtype=complex)
-    coeffs = _project_general(psi, k0, k0, jmax, grid)
+    ks = sorted({abs(int(k)) for k in k0s})
+    if jmax < ks[-1]:
+        raise DomainError(f"jmax={jmax} below max |k0|={ks[-1]}")
+    wpsi = grid.weights * np.asarray(psi)
+    sums = np.empty((jmax - ks[0] + 1, len(ks)), dtype=wpsi.dtype)
+    terms = np.empty((min(_D_BLOCK, len(sums)), len(ks), wpsi.size), dtype=wpsi.dtype)
+    for first, rows in _diagonal_blocks(ks, grid.nodes, jmax):
+        block = np.multiply(rows, wpsi, out=terms[:len(rows)])
+        sums[first - ks[0]:first - ks[0] + len(rows)] = block.sum(axis=-1)
+    scale = np.sqrt(np.arange(ks[0], jmax + 1) + 0.5)
     total = float(np.sum(grid.weights * np.abs(psi) ** 2))
-    captured = float(np.sum(np.abs(coeffs) ** 2))
-    if total > 0 and captured < total * (1.0 - 1e-10):
-        warnings.warn(
-            f"projection to jmax={jmax} captured {captured / total:.12f} of the norm",
-            TruncationWarning, stacklevel=2)
-    return coeffs
+    coeffs = {}
+    for i, k in enumerate(ks):
+        coeffs[k] = scale[k - ks[0]:] * sums[k - ks[0]:, i]
+        captured = float(np.sum(np.abs(coeffs[k]) ** 2))
+        if total > 0 and captured < total * (1.0 - 1e-10):
+            warnings.warn(
+                f"projection of k0={k} to jmax={jmax} captured "
+                f"{captured / total:.12f} of the norm", TruncationWarning, stacklevel=2)
+    return [coeffs[abs(int(k))] for k in k0s]

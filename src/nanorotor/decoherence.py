@@ -20,7 +20,8 @@ import bisect
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,14 +81,19 @@ class TrajectoryConfig:
 class EnsembleResult:
     """Trajectory-averaged alignment with standard errors, each trajectory's
     series in index order, and the weighted sum of each component's
-    jump-free series."""
+    jump-free series.  ``trajectories`` is made by ``make_trajectories`` on
+    first read."""
 
     times: np.ndarray
     mean_alignment: np.ndarray
     stderr: np.ndarray
     jump_count_histogram: dict[int, int]
-    trajectories: list
     jump_free: np.ndarray
+    make_trajectories: Callable[[], list] = field(repr=False)
+
+    @functools.cached_property
+    def trajectories(self) -> list:
+        return self.make_trajectories()
 
 
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -245,13 +251,18 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     alone, so it runs, in index order, from the state its pass reached before
     the first event at or after that jump (mirrored for a twin); a trajectory
     that makes no jump is its pass's series itself, read-only.
-    With gamma = 0 the mean is the weighted sum of each component's
-    jump-free series, for any n.
+    With gamma = 0 no trajectory jumps: the mean is the weighted sum of each
+    component's jump-free series, for any n, and the draws, which only pick
+    each trajectory's component, are made when ``trajectories`` is first read.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    draws = [(initial.components[c], jumps, uniforms) for c, jumps, uniforms in _draws(
-        config.seed, config.gamma, config.t_end, tuple(initial.weights), n)]
+
+    def draws():
+        return [(initial.components[c], jumps, uniforms) for c, jumps, uniforms in _draws(
+            config.seed, config.gamma, config.t_end, tuple(initial.weights), n)]
+
+    taken = draws() if config.gamma != 0.0 else []
     events = _schedule(config)
     times = [t for t, _, _ in events]
     passes, source = {}, {}  # k0 of a pass -> component; k0 -> k0 of the pass it reads
@@ -260,7 +271,7 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
         source[c.k0] = twin.k0 if twin is not None and _is_mirror(c, twin) else c.k0
         passes.setdefault(source[c.k0], c)
     starts: dict[int, dict] = {k0: {} for k0 in passes}  # pass -> {position: state}
-    for component, jumps, _ in draws:
+    for component, jumps, _ in taken:
         if len(jumps):
             starts[source[component.k0]][bisect.bisect_left(times, jumps[0])] = None
     series = {}
@@ -269,7 +280,7 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                                  np.empty(len(config.observation_times)), keep=starts[k0])
         series[k0].flags.writeable = False
     rows = []
-    for component, jumps, uniforms in draws:
+    for component, jumps, uniforms in taken:
         k0_pass = source[component.k0]
         out = series[k0_pass]
         if len(jumps):
@@ -282,12 +293,18 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
         rows.append(out)
     jump_free = initial.mean(lambda c: series[source[c.k0]])
     if config.gamma == 0.0:
-        mean, stderr = jump_free, np.zeros_like(jump_free)
+        mean, stderr, hist = jump_free, np.zeros_like(jump_free), {0: n}
+
+        def trajectories():
+            return [series[source[c.k0]] for c, _, _ in draws()]
     else:
         data = np.vstack(rows)
         mean = data.mean(axis=0)
         stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    hist = Counter(len(jumps) for _, jumps, _ in draws)
+        hist = dict(Counter(len(jumps) for _, jumps, _ in taken))
+
+        def trajectories():
+            return rows
     return EnsembleResult(times=np.asarray(config.observation_times), mean_alignment=mean,
-                          stderr=stderr, jump_count_histogram=dict(hist),
-                          trajectories=rows, jump_free=jump_free)
+                          stderr=stderr, jump_count_histogram=hist, jump_free=jump_free,
+                          make_trajectories=trajectories)

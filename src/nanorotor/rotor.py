@@ -555,6 +555,43 @@ def profile_cap(sigma: float) -> float:
     return math.asin(sin_cap) if sin_cap < 1.0 else math.pi / 2.0
 
 
+def _rule_jmax(mode: str, param: float, ks, jmax: int | None) -> int:
+    """The truncation rule's jmax over the |k0| of ``ks``, or the given jmax,
+    with a truncation warning where that falls below the rule."""
+    rule = max(estimate_jmax(mode, param, k) for k in ks)
+    if jmax is None:
+        return rule
+    if jmax < rule:
+        warnings.warn(
+            f"jmax={jmax} below the truncation rule ({rule}); tail mass lost",
+            TruncationWarning, stacklevel=3)
+    return jmax
+
+
+def _state(k0: int, amps: np.ndarray, jmax: int) -> RotorState:
+    """The component with sector m = k0 holding ``amps`` (over j = |k0|..jmax),
+    normalised."""
+    full = np.zeros(jmax + 1, dtype=complex)
+    full[abs(k0):] = amps / np.linalg.norm(amps)
+    return RotorState(k0=k0, sectors={k0: full}, jmax=jmax)
+
+
+def _gaussian_beta_states(sigma: float, ks, jmax: int) -> list[RotorState]:
+    """The gaussian_beta states at k0 = k for each k >= 0 of ``ks``: one
+    capped grid, one normalised profile and one projection for them all."""
+    if sigma <= 0:
+        raise DomainError("sigma_beta must be positive")
+    grid = angular.AngularGrid.for_jmax(jmax, profile_cap(sigma))
+    psi = np.exp(-np.sin(grid.nodes) ** 2 / (4.0 * sigma * sigma))
+    psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rows = angular.project_beta(psi, ks, jmax, grid)
+    # normalised as the complex amplitudes they become: np.linalg.norm of a
+    # complex vector sums its real and imaginary parts apart
+    return [_state(k, amps.astype(complex), jmax) for k, amps in zip(ks, rows)]
+
+
 def prepare_aligned_state(mode: str, param: float, k0: int = 0,
                           jmax: int | None = None) -> RotorState:
     """Aligned initial state with m = k = k0.
@@ -568,36 +605,17 @@ def prepare_aligned_state(mode: str, param: float, k0: int = 0,
     observables an incoherent pole mixture gives identical results; a coherent
     two-pole superposition is not what the trap prepares).  The profile is
     built and projected on the nodes of the order-(2 jmax + 16) rule up to
-    ``profile_cap(param)`` only; beyond it every node would hold 0.0.  jmax
-    defaults to the truncation rule; passing a smaller jmax issues a
-    truncation warning.
+    ``profile_cap(param)`` only; beyond it every node would hold 0.0.  It is
+    the one-component case of ``prepare_mixture``'s preparation, and a k0 < 0
+    state is the mirror of the |k0| one.  jmax defaults to the truncation
+    rule; passing a smaller jmax issues a truncation warning.
     """
-    j0 = abs(k0)
-    rule_jmax = estimate_jmax(mode, param, k0)
-    if jmax is None:
-        jmax = rule_jmax
-    elif jmax < rule_jmax:
-        warnings.warn(
-            f"jmax={jmax} below the truncation rule ({rule_jmax}); tail mass lost",
-            TruncationWarning, stacklevel=2)
+    jmax = _rule_jmax(mode, param, [k0], jmax)
     if mode == "gaussian_j":
-        js = np.arange(j0, jmax + 1, dtype=float)
-        amps = np.exp(-js ** 2 / (2.0 * param)).astype(complex)
-    elif mode == "gaussian_beta":
-        if param <= 0:
-            raise DomainError("sigma_beta must be positive")
-        grid = angular.AngularGrid.for_jmax(jmax, profile_cap(param))
-        psi = np.exp(-np.sin(grid.nodes) ** 2 / (4.0 * param * param))
-        psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            amps = angular.project_beta(psi.astype(complex), k0, jmax, grid)
-    else:
-        raise DomainError(f"unknown state mode {mode!r}")
-    amps = amps / np.linalg.norm(amps)
-    full = np.zeros(jmax + 1, dtype=complex)
-    full[j0:] = amps
-    return RotorState(k0=k0, sectors={k0: full}, jmax=jmax)
+        js = np.arange(abs(k0), jmax + 1, dtype=float)
+        return _state(k0, np.exp(-js ** 2 / (2.0 * param)).astype(complex), jmax)
+    [state] = _gaussian_beta_states(param, [abs(k0)], jmax)
+    return mirror_state(state) if k0 < 0 else state
 
 
 def k_cutoff(sigma_k: float) -> int:
@@ -621,10 +639,12 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
 
     Components are gaussian_beta aligned states in ascending k0; the k0 grid
     is truncated at |k0| <= k_cutoff(sigma_k) and the weights renormalized.
-    sigma_k = 0 gives the k0 = 0 state with weight 1.  Each |k0| is prepared
-    once: the -k0 state is the mirror of the k0 one, whose only sector
-    m = k0 moves to -k0 unchanged (d^j_{-k,-k} = d^j_{kk}, bit for bit in
-    the recurrence), so it equals a state prepared at -k0 bit for bit.
+    sigma_k = 0 gives the k0 = 0 state with weight 1.  Every |k0| is prepared
+    at once, from one recurrence over j (``angular.project_beta``), each with
+    the bits it has when prepared alone.  The -k0 state is the mirror of the
+    k0 one, whose only sector m = k0 moves to -k0 unchanged
+    (d^j_{-k,-k} = d^j_{kk}, bit for bit in the recurrence), so it equals a
+    state prepared at -k0 bit for bit.
     """
     if sigma_k < 0:
         raise DomainError("sigma_k must be >= 0")
@@ -634,11 +654,9 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
     k0s = np.arange(-kcut, kcut + 1)
     w = np.exp(-k0s.astype(float) ** 2 / (2.0 * sigma_k ** 2))
     w /= w.sum()
-    if jmax is None:
-        jmax = max(estimate_jmax("gaussian_beta", sigma_beta, k0=int(k))
-                   for k in k0s)
-    states = {k0: prepare_aligned_state("gaussian_beta", sigma_beta, k0=k0, jmax=jmax)
-              for k0 in range(kcut + 1)}
+    ks = range(kcut + 1)
+    states = _gaussian_beta_states(sigma_beta, ks, _rule_jmax("gaussian_beta", sigma_beta,
+                                                              ks, jmax))
     return Mixture(
         tuple(states[k0] if k0 >= 0 else mirror_state(states[-k0]) for k0 in map(int, k0s)),
         tuple(float(wk) for wk in w))

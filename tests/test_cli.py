@@ -708,6 +708,16 @@ def test_cli_import_leaves_out(module):
     assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
 
 
+def test_gamma_zero_mixture_sweep_imports_no_random(tmp_path):
+    # a gamma = 0 sigma_k mixture reads no trajectory, so it makes no Philox
+    # stream, and numpy.random (imported by the first one) stays out
+    argv = ["fig2a", "--sweep.sigma_beta", "[0.1]", "--sweep.sigma_k", "[1.0]",
+            "--out", str(tmp_path / "x")]
+    probe = ("import sys; from nanorotor import cli; "
+             f"code = cli.main({argv!r}); print(code, 'numpy.random' in sys.modules)")
+    assert run_probe(probe).splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("argv", [
     ["params"], ["fig1"],
     # the benchmark's cuts of the slower presets

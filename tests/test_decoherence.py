@@ -579,6 +579,32 @@ def test_gamma_zero_pure_state_makes_no_stream(monkeypatch, small_mixture, small
             assert not got.flags.writeable
 
 
+def test_gamma_zero_mixture_draws_only_when_trajectories_are_read(monkeypatch):
+    # the mean, jump_free and histogram need no draw; on first read each
+    # trajectory is the series of the component its stream picks
+    made, real = [], dec._trajectory_rng
+    monkeypatch.setattr(dec, "_trajectory_rng", lambda seed, index: (made.append(index),
+                                                                     real(seed, index))[1])
+    mix = rotor.prepare_mixture(0.1, 1.0)
+    spectrum = rotor.rotational_energies(
+        mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
+    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.0, 0.3, 1.0),
+                               seed=9)
+    n = 12
+    dec._draws.cache_clear()
+    res = dec.run_ensemble(mix, spectrum, cfg, n)
+    assert made == [] and res.jump_count_histogram == {0: n}
+    assert res.mean_alignment.tobytes() == res.jump_free.tobytes()
+    rows = res.trajectories
+    assert made == list(range(n)) and res.trajectories is rows
+    picks = [pick for pick, _, _ in dec._draws(cfg.seed, cfg.gamma, cfg.t_end,
+                                                 tuple(mix.weights), n)]
+    assert len(set(picks)) >= 2
+    for row, pick in zip(rows, picks):
+        alone = dec.run_ensemble(rotor.Mixture.pure(mix.components[pick]), spectrum, cfg, 1)
+        assert row.tobytes() == alone.mean_alignment.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Lindblad oracle
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_capped_preparation_matches_the_full_rule(sigma, k0):
     psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        amps = angular.project_beta(psi.astype(complex), k0, state.jmax, grid)
+        [amps] = angular.project_beta(psi.astype(complex), [k0], state.jmax, grid)
     amps = amps / np.linalg.norm(amps)
     assert np.max(np.abs(state.sectors[k0][abs(k0):] - amps)) < 1e-14
 
@@ -242,7 +242,7 @@ def test_gaussian_beta_rule_captures_its_tail(sigma, k0):
     psi = psi / math.sqrt(float(np.sum(grid.weights * psi ** 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        amps = angular.project_beta(psi.astype(complex), k0, jmax, grid)
+        [amps] = angular.project_beta(psi.astype(complex), [k0], jmax, grid)
     lost = 1.0 - np.sum(np.abs(amps) ** 2) / np.sum(grid.weights * psi ** 2)
     assert lost <= rotor.TAIL_MASS
 
@@ -253,14 +253,53 @@ def test_aligned_state_projects_on_its_occupied_nodes(monkeypatch):
     projected = []
     real = angular.project_beta
 
-    def recording(psi, k0, jmax, grid):
-        projected.append((grid.order, grid.nodes.size))
-        return real(psi, k0, jmax, grid)
+    def recording(psi, k0s, jmax, grid):
+        projected.append((list(k0s), grid.order, grid.nodes.size))
+        return real(psi, k0s, jmax, grid)
 
     monkeypatch.setattr(angular, "project_beta", recording)
     rotor.prepare_aligned_state("gaussian_beta", 0.003)
-    [(order, nodes)] = projected
-    assert order == 2294 and nodes <= 130
+    [(k0s, order, nodes)] = projected
+    assert k0s == [0] and order == 2294 and nodes <= 130
+
+
+def test_mixture_projects_every_k0_at_once(monkeypatch):
+    # one recurrence for the row: a single projection serves |k0| = 0..8
+    projected = []
+    real = angular.project_beta
+
+    def recording(psi, k0s, jmax, grid):
+        projected.append(list(k0s))
+        return real(psi, k0s, jmax, grid)
+
+    monkeypatch.setattr(angular, "project_beta", recording)
+    mix = rotor.prepare_mixture(0.01, 2.0)
+    assert projected == [list(range(9))] and len(mix.components) == 17
+
+
+def test_mixture_estimates_jmax_once_per_abs_k0(monkeypatch):
+    seen = []
+    real = rotor.estimate_jmax
+    monkeypatch.setattr(rotor, "estimate_jmax", lambda mode, param, k0=0: (
+        seen.append(k0), real(mode, param, k0))[1])
+    mix = rotor.prepare_mixture(0.01, 2.0)
+    assert seen == list(range(9))
+    assert mix.jmax == max(real("gaussian_beta", 0.01, k0) for k0 in range(-8, 9))
+
+
+def test_mixture_preparation_holds_no_wigner_table():
+    # the recurrence keeps blocks of 64 rows and peaks at 3.1 MB; the
+    # (17 x 1,140 x 120) table of sigma_beta 0.003, sigma_k 4 would take 19 MB
+    import tracemalloc
+
+    rotor.prepare_mixture(0.003, 4.0)  # the grid is built and cached
+    tracemalloc.start()
+    try:
+        rotor.prepare_mixture(0.003, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_mixture_builds_one_grid(monkeypatch):
