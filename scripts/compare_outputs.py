@@ -7,7 +7,9 @@ OLD_SRC and NEW_SRC are directories that hold the ``nanorotor`` package
 (``src/`` of two checkouts).  Each run is ``python -m nanorotor.cli`` in a
 subprocess with ``PYTHONPATH`` set to one tree, one run at a time: the six
 packaged presets and every gated workload of ``perfbench/workloads.py`` (its
-``cli_args()``), or only the runs ``--only`` names.  For each run it prints
+``cli_args()``), then two ``decohere`` k0 mixtures, one with jumps and one at
+gamma = 0, whose per-trajectory files record the component each trajectory
+picked; or only the runs ``--only`` names.  For each run it prints
 both exit codes, how many CSVs are byte-identical, the largest absolute
 difference in each CSV body (from its second line on), whether the manifests
 are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
@@ -26,16 +28,21 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PRESETS = ["params", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"]
+MIXTURE = ["decohere", "--rotor.inertia_ratio", "41.8", "--state.mode", "gaussian_beta",
+           "--state.sigma_beta", "0.05", "--state.sigma_k", "1.0", "--ensemble.n", "8"]
 
 
 def _runs() -> dict:
-    """Run name -> simulate arguments: the presets, then the gated workloads."""
+    """Run name -> simulate arguments: the presets, the gated workloads, then
+    the two mixtures."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     runs = {name: [name] for name in PRESETS}
     runs.update((w.name, w.cli_args()) for w in workloads.WORKLOADS.values() if w.gated)
+    runs["decohere_mixture"] = MIXTURE + ["--gamma.dimensionless", "0.5"]
+    runs["decohere_mixture_vacuum"] = MIXTURE + ["--gamma.dimensionless", "0"]
     return runs
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
 
 from .errors import DomainError, ResolutionError, TruncationWarning
 
@@ -56,8 +55,11 @@ def _leggauss(order: int, x_min: float = -1.0) -> tuple[np.ndarray, np.ndarray]:
     at a root, in place of numpy's rescaling to sum 2 over every node; at
     order 2,294 they are 8.4e-14 (relative) above numpy's.  (scipy's
     ``roots_legendre`` has better weights near x = +-1, which moves
-    high-order results by a few 1e-9.)
+    high-order results by a few 1e-9.)  ``numpy.polynomial`` is imported
+    here, so a run that builds no grid does not load it.
     """
+    from numpy.polynomial.legendre import legder, legval
+
     n = order
     i = np.arange(1, (n + 1) // 2 + 1)
     x = -(1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
@@ -342,16 +344,34 @@ _AXIS_COEF = {"x": {1: -math.sqrt(0.5), -1: math.sqrt(0.5)},
               "z": {0: 1.0}}
 
 
+_COSINE_CAPACITY = 256  # the j rows of a cosine build are a multiple of this
+
+
+@lru_cache(maxsize=1024)
+def _cosine_elements(axis: str, size: int, k: int, m: int,
+                     dm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``<j', m+dm, k| c_axis |j m k>`` for j' = j - 1, j, j + 1 (down, same,
+    up) over j = 0 .. size - 1, read-only, from the rank-1 Clebsch-Gordan
+    closed forms.  Every element is a closed form in its own j, so a prefix
+    has the bits of a build of that length."""
+    j = np.arange(size, dtype=float)
+    coef = _AXIS_COEF[axis][dm]
+    elements = tuple(coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
+                     * _cg_rank1(j, k, 0, dj) * _cg_rank1(j, m, dm, dj)
+                     for dj in (-1, 0, 1))
+    for arr in elements:
+        arr.flags.writeable = False
+    return elements
+
+
 @lru_cache(maxsize=1024)
 def _cosine_block(axis: str, jmax: int, k: int, m: int, dm: int) -> BandedOperator:
-    """``<j', m+dm, k| c_axis |j m k>`` over j, j' = 0..jmax from the rank-1
-    Clebsch-Gordan closed forms: offsets j - j' = -1, 0, +1."""
-    j = np.arange(jmax + 1, dtype=float)
-    coef = _AXIS_COEF[axis][dm]
-    down, same, up = (coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
-                      * _cg_rank1(j, k, 0, dj) * _cg_rank1(j, m, dm, dj)
-                      for dj in (-1, 0, 1))
-    return BandedOperator(0, jmax, {0: same, 1: down[1:], -1: up[:-1]})
+    """``<j', m+dm, k| c_axis |j m k>`` over j, j' = 0..jmax (offsets
+    j - j' = -1, 0, +1): a slice of the build over jmax + 1 rows rounded up
+    to a multiple of _COSINE_CAPACITY, which every such jmax shares."""
+    size = -(-(jmax + 1) // _COSINE_CAPACITY) * _COSINE_CAPACITY
+    down, same, up = _cosine_elements(axis, size, k, m, dm)
+    return BandedOperator(0, jmax, {0: same[:jmax + 1], 1: down[1:jmax + 1], -1: up[:jmax]})
 
 
 class DirectionCosineOperator:

@@ -21,13 +21,13 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import angular, observables, rotor
 from .errors import DomainError, TruncationError
-from .pulse import PulseSpec, apply_pulse, boundary_weight
+from .pulse import PulseSpec, apply_pulse
 from .rotor import Mixture, RotorState, SpectrumModel, free_propagate, mirror_state
 
 __all__ = [
@@ -114,9 +114,11 @@ def sample_jump_times(gamma: float, t_end: float,
     return np.sort(rng.random(n)) * t_end
 
 
-def jump_probabilities(state: RotorState) -> np.ndarray:
+def jump_probabilities(state: RotorState,
+                       total: float | None = None) -> tuple[float, float, float]:
     """Channel probabilities (<c_x^2>, <c_y^2>, <c_z^2>) of a pure component,
-    formed without applying any channel.
+    formed without applying any channel; ``total`` is the squared norm where
+    the caller holds it.
 
     <c_z^2> is the alignment <cos^2 beta>, and <c_x^2> + <c_y^2> is the
     norm less <c_z^2>, since sum_l c_l^2 = 1.  The split is
@@ -125,34 +127,40 @@ def jump_probabilities(state: RotorState) -> np.ndarray:
     squared norms of the truncated products c_l psi only by terms in the
     amplitudes at jmax, which the jump guard keeps below 1e-6 in weight.
     """
-    total = 0.0
-    for vec in state.sectors.values():
-        total += float(np.sum(np.abs(vec) ** 2))
+    if total is None:
+        total = sum(float(np.sum(np.abs(vec) ** 2)) for vec in state.sectors.values())
     p_z = observables.alignment(state)
     p_xy = total - p_z
     split = angular.cosine_xy_difference(state.sectors, state.jmax, state.k0)
-    return np.array([0.5 * (p_xy + split), 0.5 * (p_xy - split), p_z])
+    return 0.5 * (p_xy + split), 0.5 * (p_xy - split), p_z
 
 
 def apply_jump(state: RotorState, u: float) -> RotorState:
     """One collisional jump on a pure component: pick l with probability
     <c_l^2> from the uniform ``u`` in [0, 1), apply c_l alone and
     renormalize.  Conserves k0 exactly; m changes by at most 1.
+
+    The pick is the first l whose cumulative probability reaches u times
+    their sum, the sums formed left to right in floats.
     """
+    total = 0.0
     for vec in state.sectors.values():
-        if boundary_weight(vec, 1) > _BOUNDARY_TOL:  # c_l couple j to j +- 1
+        weight = np.abs(vec) ** 2
+        if weight[-1] > _BOUNDARY_TOL:  # c_l couple j to j +- 1
             raise TruncationError(
                 "state weight at the j truncation boundary exceeds tolerance; "
                 "raise jmax before sampling jumps")
-    probs = jump_probabilities(state)
-    pick = min(int(np.searchsorted(np.cumsum(probs), u * probs.sum())), 2)
-    new_sectors = angular.DirectionCosineOperator(
-        "xyz"[pick], state.jmax, state.k0).apply(state.sectors)
+        total += float(np.sum(weight))
+    p_x, p_y, p_z = jump_probabilities(state, total)
+    scaled = u * (p_x + p_y + p_z)
+    axis = "x" if p_x >= scaled else "y" if p_x + p_y >= scaled else "z"
+    new_sectors = angular.DirectionCosineOperator(axis, state.jmax, state.k0).apply(
+        state.sectors)
     weights = {m: float(np.sum(np.abs(v) ** 2)) for m, v in new_sectors.items()}
     norm = math.sqrt(sum(weights.values()))
-    return replace(state, sectors={m: v / norm for m, v in new_sectors.items()
-                                   if weights[m] > 1e-32 * norm ** 2},
-                   diagnostics=dict(state.diagnostics))
+    return RotorState(k0=state.k0, sectors={m: v / norm for m, v in new_sectors.items()
+                                            if weights[m] > 1e-32 * norm ** 2},
+                      jmax=state.jmax, time=state.time, diagnostics=dict(state.diagnostics))
 
 
 def _merge(jumps, events: list) -> list:

@@ -11,7 +11,7 @@ path for large j.  ``phase_from_laser`` converts laser parameters to phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -211,10 +211,11 @@ def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
     return float(np.sum(np.abs(tail) ** 2))
 
 
+@lru_cache(maxsize=256)
 def _chebyshev_coefficients(phi: float) -> np.ndarray:
     """e^{ia} (2 - delta_n0) i^n J_n(a) at a = phi / sqrt(2), n = 0 .. K - 1,
-    with K the first order above |a| where |J_n(a)| < 1e-17.  For phi < 0,
-    J_n(-a) = (-1)^n J_n(|a|)."""
+    with K the first order above |a| where |J_n(a)| < 1e-17 (read-only).
+    For phi < 0, J_n(-a) = (-1)^n J_n(|a|)."""
     a = phi / math.sqrt(2.0)
     x = abs(a)
     table = _bessel_table(x, math.ceil(x + 12.0 * x ** (1.0 / 3.0)) + 30)
@@ -222,7 +223,9 @@ def _chebyshev_coefficients(phi: float) -> np.ndarray:
     n = np.arange(past[0] if past.size else table.size)
     coeffs = (1j * math.copysign(1.0, a)) ** n * table[:n.size]
     coeffs[1:] *= 2.0
-    return np.exp(1j * a) * coeffs
+    coeffs = np.exp(1j * a) * coeffs
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:
@@ -278,7 +281,8 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
             new_sec = _cached_matrix(j0, state.jmax, m, k0, phi).apply(vec[j0:])
         sectors[m] = np.zeros_like(vec)
         sectors[m][j0:] = new_sec
-    out = replace(state, sectors=sectors, diagnostics=dict(state.diagnostics))
+    out = RotorState(k0=k0, sectors=sectors, jmax=state.jmax, time=state.time,
+                     diagnostics=dict(state.diagnostics))
     norm = out.norm()
     defect = abs(1.0 - norm)
     if norm > 0:

@@ -682,8 +682,9 @@ def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel,
     holds it already."""
     if phase is None:
         phase = free_phase(spectrum, abs(state.k0), state.jmax, dt)
-    return replace(state, sectors={m: vec * phase for m, vec in state.sectors.items()},
-                   time=state.time + dt, diagnostics=dict(state.diagnostics))
+    return RotorState(k0=state.k0, sectors={m: vec * phase for m, vec in state.sectors.items()},
+                      jmax=state.jmax, time=state.time + dt,
+                      diagnostics=dict(state.diagnostics))
 
 
 def extend_state(state: RotorState, new_jmax: int) -> RotorState:

@@ -373,6 +373,12 @@ def jump_probabilities_applied(state):
     return probs, applied
 
 
+def channel_pick(probs, u: float) -> int:
+    """The jump channel that the uniform u picks from the probabilities:
+    the first whose cumulative sum reaches u times their sum."""
+    return min(int(np.searchsorted(np.cumsum(probs), u * probs.sum())), 2)
+
+
 def apply_jump_rng(state, rng):
     """``decoherence.apply_jump`` with all three channels applied, the pick
     drawn from ``rng`` as the jump happens."""
@@ -380,8 +386,7 @@ def apply_jump_rng(state, rng):
         if float(np.sum(np.abs(vec[-1:]) ** 2)) > decoherence._BOUNDARY_TOL:
             raise TruncationError("state weight at the j truncation boundary")
     probs, applied = jump_probabilities_applied(state)
-    pick = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
-    new_sectors = applied[min(pick, 2)]
+    new_sectors = applied[channel_pick(probs, rng.random())]
     norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in new_sectors.values()))
     return replace(state, sectors={m: v / norm for m, v in new_sectors.items()
                                    if float(np.sum(np.abs(v) ** 2)) > 1e-32 * norm ** 2},

@@ -405,6 +405,53 @@ def test_direction_cosine_apply_matches_dense_oracle(k):
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def _direct_block(axis, jmax, k, m, dm):
+    """The cosine block built over exactly j = 0..jmax, not sliced."""
+    down, same, up = angular._cosine_elements.__wrapped__(axis, jmax + 1, k, m, dm)
+    return angular.BandedOperator(0, jmax, {0: same, 1: down[1:], -1: up[:-1]})
+
+
+@pytest.mark.parametrize("jmax", [3, 171, 254, 255, 256, 300])
+def test_sliced_cosine_block_is_the_direct_build(jmax):
+    # a block read at jmax is a slice of the build at the capacity (jmax + 1
+    # rounded up to a multiple of 256); each element is a closed form in its
+    # own j, so the slice has the bits of a build over exactly 0..jmax
+    for axis, dms in (("x", (1, -1)), ("y", (1, -1)), ("z", (0,))):
+        for dm in dms:
+            for k in (0, 3, -3):
+                for m in (-4, -1, 0, 2, 5):
+                    got = angular._cosine_block(axis, jmax, k, m, dm).diagonals
+                    want = _direct_block(axis, jmax, k, m, dm).diagonals
+                    assert got.keys() == want.keys()
+                    for d in want:
+                        assert got[d].tobytes() == want[d].tobytes(), (axis, dm, k, m, d)
+                        assert not got[d].flags.writeable
+
+
+@pytest.mark.parametrize("jmax", [254, 255, 256])
+@pytest.mark.parametrize("m, k", [(0, 0), (1, 3), (-2, -3), (4, 0)])
+def test_cos2_band_reads_the_block_past_jmax_bit_for_bit(monkeypatch, jmax, m, k):
+    # cos2beta_matrix reads the c_z block at jmax + 1, across the capacity
+    # boundary here (a block of 256 or of 512)
+    jmin = max(abs(m), abs(k))
+    sliced = angular.cos2beta_matrix(jmin, jmax, m, k).diagonals
+    monkeypatch.setattr(angular, "_cosine_block", _direct_block)
+    direct = angular.cos2beta_matrix(jmin, jmax, m, k).diagonals
+    assert sliced.keys() == direct.keys()
+    for d in direct:
+        assert sliced[d].tobytes() == direct[d].tobytes(), d
+
+
+def test_cosine_blocks_of_one_capacity_share_one_build():
+    angular._cosine_block.cache_clear()
+    angular._cosine_elements.cache_clear()
+    for jmax in range(145, 256):
+        angular._cosine_block("x", jmax, 0, 1, -1)
+    assert angular._cosine_elements.cache_info().misses == 1
+    angular._cosine_block("x", 256, 0, 1, -1)  # j = 0..256 needs the next capacity
+    assert angular._cosine_elements.cache_info().misses == 2
+
+
 def test_direction_cosine_trivial_elements():
     c_z = angular.DirectionCosineOperator("z", 5, 0)
     assert oracles.cosine_applied(c_z, 0, 0, 0, 0) == 0.0

@@ -71,7 +71,7 @@ def test_times_sorted_within_range():
 
 def test_channel_probabilities_sum_to_one(small_state):
     probs = dec.jump_probabilities(small_state)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     # z-channel probability is the alignment itself
     assert probs[2] == pytest.approx(observables.alignment(small_state), abs=1e-10)
 
@@ -140,6 +140,48 @@ def test_xy_split_needs_sectors_two_apart():
         assert angular.cosine_xy_difference(state.sectors, state.jmax, 1) == 0.0
         p_x, p_y, _ = dec.jump_probabilities(state)
         assert p_x == p_y
+
+
+def _ties(probs) -> list[float]:
+    """Uniforms u with u * sum(probs) equal to p_x or to p_x + p_y exactly."""
+    total = probs.sum()
+    ties = []
+    for edge in np.cumsum(probs)[:2]:
+        u = edge / total
+        for _ in range(8):
+            u = np.nextafter(u, 0.0)
+        for _ in range(16):
+            if u * total == edge:
+                ties.append(float(u))
+            u = np.nextafter(u, 1.0)
+    return ties
+
+
+def test_jump_picks_the_searchsorted_channel(monkeypatch):
+    # the pick from floats is the oracle's searchsorted rule on the same
+    # probabilities, ties included: u * sum equal to p_x picks x, equal to
+    # p_x + p_y picks y
+    picked = []
+
+    class Recording(angular.DirectionCosineOperator):
+        def __init__(self, axis, jmax, k):
+            picked.append("xyz".index(axis))
+            super().__init__(axis, jmax, k)
+
+    monkeypatch.setattr(angular, "DirectionCosineOperator", Recording)
+    rng = np.random.default_rng(11)
+    states = [rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16)]
+    states += [_random_state(rng, k0, ms) for k0 in (0, 2) for ms in ([-2, 0, 2], [1, 3])]
+    tied = set()
+    for state in states:
+        probs = np.array(dec.jump_probabilities(state))
+        ties = _ties(probs)
+        for u in ties + [0.0, 1.0 - 2.0 ** -53, *rng.random(20)]:
+            dec.apply_jump(state, u)
+            assert picked[-1] == oracles.channel_pick(probs, u), (u, probs)
+            if u in ties:
+                tied.add(picked[-1])
+    assert tied == {0, 1}
 
 
 def test_channel_uniforms_are_the_scalar_draws():
