@@ -205,7 +205,14 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     limit even where the eigenvectors are strongly k-mixed;
     ``dominant_weight`` records the mixing so callers can decide how far to
     trust the labels.  Each level is solved for every j at once on a cut of
-    its block that a full-block Sturm count certifies (``_block_levels``).
+    c rows of its block (``_block_levels``) and certified in O(1) per j, a
+    little below the root x: if the cut's LDL^T pivots count the level's
+    index there, the last one exceeds the next coupling e_c and
+    d_c - x > e_c + e_{c+1}, then every later pivot q_i > e_{i+1} >= 0 by
+    induction, so the whole block has no further level below x.  Checking
+    row c alone needs the diagonal to rise with k (I/I_c above the mean of
+    I/I_a and I/I_b); where it does not, or the test fails, a streamed
+    full-block Sturm count decides.
     """
     if kmax > jmax:
         raise DomainError("kmax must not exceed jmax")
@@ -249,19 +256,33 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
 # ---------------------------------------------------------------------------
 #
 # The idx-th level of a Wang block (idx = 0 the lowest) is found for every j
-# at once.  The block is first cut to its leading idx + SPECTRUM_CUT rows:
+# at once.  The block is first cut to its leading c = idx + SPECTRUM_CUT rows:
 # Sturm counts (the number of negative LDL^T pivots, Barth, Martin &
 # Wilkinson, Numer. Math. 9, 386 (1967)) isolate the root, and Newton on the
 # twisted pivot gamma_idx(lambda) polishes it, with bisection whenever a step
 # leaves the bracket.  By Cauchy interlacing the cut's root lies at or above
-# the block's, so one full-block Sturm count just below it certifies the cut:
-# it must find exactly idx levels there.  The j values that fail are solved
-# again on twice the cut, until their block is complete.  The weight of row
-# idx in the eigenvector is the residue 1/|gamma_idx'| at the root (the fact
-# behind Golub-Welsch quadrature weights, Math. Comp. 23, 221 (1969)).
+# the block's, so the cut is right if the whole block has exactly idx levels
+# just below it, at x = root - CERTIFY_ULPS ulps.  With e_i = sqrt(c2_i), the
+# pivots q_i of the cut at x certify that in O(1) per j when
+#   (o) the cut has idx negative pivots,
+#   (i) q_{c-1} > e_c, and
+#   (ii) d_i - x > e_i + e_{i+1} on every row i >= c,
+# since then, by induction, q_i = d_i - x - e_i^2 / q_{i-1} > e_{i+1} >= 0
+# down the rest of the block (Sylvester's law of inertia).  Condition (ii) is
+# checked on row c alone, with a margin of 1e-12 |x| for rounding: that
+# suffices when d_i - e_i - e_{i+1} rises with the row, which holds when the
+# k^2 coefficient of the diagonal, ratio - half_is, is positive (1/I_c above
+# the mean of 1/I_a and 1/I_b) and c >= 2 (both factors of c2 fall with k
+# from k = 2 on, and rows 0 and 1 carry the Wang terms).  Where the premise
+# fails, as for a near-sphere that inertia_from_ellipsoid accepts, or the
+# test does not hold, one streamed Sturm count of the whole block decides.
+# The j values that fail it are solved again on twice the cut, until their
+# block is complete.  The weight of row idx in the eigenvector is the residue
+# 1/|gamma_idx'| at the root (the fact behind Golub-Welsch quadrature
+# weights, Math. Comp. 23, 221 (1969)).
 
 SPECTRUM_CUT = 16       # rows past the labelling row in a block's first cut
-CERTIFY_ULPS = 64       # the full block is counted this many ulps below a cut root
+CERTIFY_ULPS = 64       # a cut is certified this many ulps below its root
 _SECTIONS = 15          # Sturm counts per bracketing step
 _NEWTON_STEPS = 40      # Newton iterations before pure bisection takes over
 _ROWS_PER_PASS = 64     # block rows built at once by the streamed full count
@@ -338,11 +359,10 @@ def _twisted(d, c2, r, x, pivmin):
     return g, dg, count + (g < pivmin)
 
 
-def _cut_levels(block: _WangBlock, r: int, j: np.ndarray, cut: int):
-    """Level r of each j's block cut to its first ``cut`` rows, and the
-    residue weight of row r in its eigenvector."""
-    d, c2 = block.rows(j, 0, cut)
-    pivmin = block.pivmin(j[-1])
+def _cut_levels(d, c2, r: int, pivmin: float):
+    """Level r of each block cut to the rows (d, c2) (axis 0; one block per
+    column), and the residue weight of row r in its eigenvector."""
+    nj = d.shape[1]
     # Gershgorin bracket: no level of the cut below lo, all of them below hi
     e = np.sqrt(c2)
     radius = e.copy()
@@ -352,7 +372,7 @@ def _cut_levels(block: _WangBlock, r: int, j: np.ndarray, cut: int):
     hi = np.where(inside, d + radius, -np.inf).max(axis=0)
     pad = 1e-3 * (hi - lo) + 1.0
     lo, hi = lo - pad, hi + pad
-    n_lo, n_hi = np.zeros(j.size, dtype=int), inside.sum(axis=0)
+    n_lo, n_hi = np.zeros(nj, dtype=int), inside.sum(axis=0)
 
     # multisection until each bracket holds level r alone, or is a few ulps wide
     frac = np.arange(1, _SECTIONS + 1)[:, None] / (_SECTIONS + 1)
@@ -374,8 +394,8 @@ def _cut_levels(block: _WangBlock, r: int, j: np.ndarray, cut: int):
 
     # Newton on gamma_r, bisection whenever a step leaves the bracket
     x = 0.5 * (lo + hi)
-    weight = np.empty(j.size)
-    todo = np.arange(j.size)
+    weight = np.empty(nj)
+    todo = np.arange(nj)
     for step in range(_NEWTON_STEPS + 64):
         if not todo.size:
             break
@@ -415,6 +435,18 @@ def _full_count(block: _WangBlock, j: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+def _certified(block: _WangBlock, r: int, d, c2, x: np.ndarray, pivmin: float) -> np.ndarray:
+    """Which blocks provably have exactly r levels below x: (d, c2) hold a
+    cut's c rows and the two after it, one block per column (see the
+    comment above SPECTRUM_CUT).  A False is no verdict."""
+    c = len(d) - 2
+    if block.ratio <= block.half_is or c < 2:
+        return np.zeros(x.size, dtype=bool)
+    q, _, n = _pivots(d[:c], c2[:c], x, pivmin)
+    e = np.sqrt(c2[c:])
+    return (n == r) & (q > e[0]) & (d[c] - x - e[0] - e[1] > 1e-12 * np.abs(x))
+
+
 def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
     """Level r (0 the lowest) of the block at each j in ``j`` (ascending, all
     with at least r + 1 rows), its residue weight, and which j needed more
@@ -425,14 +457,21 @@ def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
     todo, cut = np.arange(j.size), r + SPECTRUM_CUT
     while todo.size:
         jt = j[todo].astype(float)
-        vals[todo], weight[todo] = _cut_levels(block, r, jt, min(cut, int(nrows[todo[-1]])))
-        # a complete block is exact; a cut one must count exactly r levels
-        # of the whole block just below its root
+        c = min(cut, int(nrows[todo[-1]]))
+        d, c2 = block.rows(jt, 0, c + 2)
+        pivmin = block.pivmin(jt[-1])
+        vals[todo], weight[todo] = _cut_levels(d[:c], c2[:c], r, pivmin)
+        # a complete block is exact; a cut one must have exactly r levels of
+        # the whole block just below its root, which the O(1) certificate
+        # shows for most j and the streamed count decides for the rest
         partial = nrows[todo] > cut
         todo, jt = todo[partial], jt[partial]
         if todo.size:
             x = vals[todo] - CERTIFY_ULPS * np.spacing(np.abs(vals[todo]))
-            todo = todo[_full_count(block, jt, x) != r]
+            left = ~_certified(block, r, d[:, partial], c2[:, partial], x, pivmin)
+            todo = todo[left]
+            if todo.size:
+                todo = todo[_full_count(block, jt[left], x[left]) != r]
         widened[todo] = True
         cut *= 2
     return vals, weight, widened

@@ -24,8 +24,9 @@ t = 0) and an ensemble of such runs, the event loop without its per-pass
 phase memo (each free flight computes its own phase vector), the exact pulse
 twice over: the polar-angle grid path the library used before (synthesize,
 multiply, project back) and a dense eigendecomposition of the cos^2 band;
-and the time grid built one refinement window at a time with
-``np.linspace``.
+the time grid built one refinement window at a time with
+``np.linspace``; and the asymmetric block solver that certifies every
+partial cut with the streamed full-block Sturm count.
 """
 
 import math
@@ -680,6 +681,27 @@ def lapack_energies(jmax: int, kmax: int, model) -> SpectrumModel:
             coeffs[j, k] = float(np.mean(levels[k]))
             weights[j, k] = wmin[k]
     return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
+
+
+def block_levels_counted(block, r: int, j: np.ndarray):
+    """``rotor._block_levels`` without the O(1) certificate: every partial
+    cut is certified by the streamed full-block Sturm count."""
+    vals, weight = np.empty(j.size), np.empty(j.size)
+    nrows = (j - block.start) // 2 + 1
+    widened = np.zeros(j.size, dtype=bool)
+    todo, cut = np.arange(j.size), r + rotor.SPECTRUM_CUT
+    while todo.size:
+        jt = j[todo].astype(float)
+        d, c2 = block.rows(jt, 0, min(cut, int(nrows[todo[-1]])))
+        vals[todo], weight[todo] = rotor._cut_levels(d, c2, r, block.pivmin(jt[-1]))
+        partial = nrows[todo] > cut
+        todo, jt = todo[partial], jt[partial]
+        if todo.size:
+            x = vals[todo] - rotor.CERTIFY_ULPS * np.spacing(np.abs(vals[todo]))
+            todo = todo[rotor._full_count(block, jt, x) != r]
+        widened[todo] = True
+        cut *= 2
+    return vals, weight, widened
 
 
 def dense_rotor_hamiltonian(model, j: int) -> np.ndarray:

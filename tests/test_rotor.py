@@ -116,10 +116,15 @@ def lapack_spectra():
 
 @pytest.mark.parametrize("kmax", [0, 2, 4])
 @pytest.mark.parametrize("b", [0.0, 1e-6, 2.3e-5, 1e-4])
-def test_asymmetric_matches_lapack_oracle(lapack_spectra, b, kmax):
+def test_asymmetric_matches_lapack_oracle(monkeypatch, lapack_spectra, b, kmax):
     # the fig2b range of b up to the preset's jmax.  Levels to 1e-14 relative:
     # LAPACK's default bisection tolerance leaves its own levels up to 4.2e-15
-    # (25 ulps at j = 1,173) off.  Weights to 1e-12.
+    # (25 ulps at j = 1,173) off.  Weights to 1e-12.  The O(1) certificate
+    # settles every cut here, so no block is streamed.
+    def full_count(*args):
+        raise AssertionError("streamed a full block")
+
+    monkeypatch.setattr(rotor, "_full_count", full_count)
     sp = rotor.rotational_energies(1173, kmax, rotor.inertia_from_parameters(41.8, b),
                                    "asymmetric")
     ref = lapack_spectra[b]
@@ -154,6 +159,89 @@ def test_widened_cut_matches_dense_oracle():
         if j >= 2:
             want.append(0.5 * (blocks[(0, 0)][1] + blocks[(2, 0)][0]))
         assert sp.phase_coeffs[j, :len(want)] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+@pytest.mark.parametrize("b", [1e-6, 1e-4, 1e-2, 0.3, 0.9])
+def test_certificate_implies_the_full_count(b, sign):
+    # wherever the O(1) certificate holds on a first cut, the streamed count
+    # of the whole block finds exactly r levels below x.  sign = -1 flips the
+    # Delta k = 2 coupling, as swapping I_a and I_b does, which swaps the two
+    # odd blocks.
+    ratio, half_is, quarter_id = oracles._asymmetric_coefficients(
+        rotor.inertia_from_parameters(41.8, b))
+    certified = 0
+    for start, wang_sign in ((0, 0), (2, 0), (1, +1), (1, -1)):
+        block = rotor._WangBlock(start, wang_sign, half_is, ratio, sign * quarter_id)
+        for r in (0, 1, 2):
+            cut = r + rotor.SPECTRUM_CUT
+            j = np.arange(start + 2 * cut, 601, dtype=float)
+            d, c2 = block.rows(j, 0, cut + 2)
+            pivmin = block.pivmin(j[-1])
+            vals = rotor._cut_levels(d[:cut], c2[:cut], r, pivmin)[0]
+            x = vals - rotor.CERTIFY_ULPS * np.spacing(np.abs(vals))
+            sure = rotor._certified(block, r, d, c2, x, pivmin)
+            if sure.any():
+                assert np.all(rotor._full_count(block, j[sure], x[sure]) == r)
+            certified += sure.sum()
+    assert certified > 0
+
+
+def test_certificate_checks_each_condition():
+    # two-row cuts (rows 0-1) and their rows 2-3 at x = 0, with d = 10 on
+    # every row: with c2 = (0, 1, 1, 1) all pivots stay near 10, so the cut
+    # certifies level 0 but not level 1, (o) failing; with c2 = (0, 1, 81, 64)
+    # (o) and (i) hold but row 2 fails (ii), 10 < 9 + 8, and the pivot of
+    # row 3 turns negative; a flat diagonal (ratio = half_is) voids the test
+    rising = rotor._WangBlock(0, 0, 1.0, 2.0, 0.0)
+    d, x = np.full((4, 1), 10.0), np.zeros(1)
+    calm = np.array([[0.0], [1.0], [1.0], [1.0]])
+    assert rotor._certified(rising, 0, d, calm, x, 0.0).all()
+    assert not rotor._certified(rising, 1, d, calm, x, 0.0).any()
+    flat = rotor._WangBlock(0, 0, 1.0, 1.0, 0.0)
+    assert not rotor._certified(flat, 0, d, calm, x, 0.0).any()
+    steep = np.array([[0.0], [1.0], [81.0], [64.0]])
+    assert rotor._pivots(d[:2], steep[:2], x, 0.0)[2] == 0
+    assert rotor._pivots(d, steep, x, 0.0)[2] == 1
+    assert not rotor._certified(rising, 0, d, steep, x, 0.0).any()
+
+
+def test_certificate_needs_a_rising_diagonal(monkeypatch):
+    # an ellipsoid accepted within 1e-12 of a sphere has ratio <= half_is:
+    # the rows' d - e_i - e_{i+1} need not rise, so every partial cut is
+    # counted in full
+    m = rotor.inertia_from_ellipsoid((1e-9, 1e-9 * (1.0 + 1e-13), 1e-9),
+                                     rotor.SILICON_DENSITY)
+    ratio, half_is, quarter_id = oracles._asymmetric_coefficients(m)
+    assert ratio <= half_is
+    block = rotor._WangBlock(0, 0, half_is, ratio, quarter_id)
+    j = np.arange(81)
+    counted = []
+    full_count = rotor._full_count
+
+    def counting(block, j, x):
+        counted.append(j.size)
+        return full_count(block, j, x)
+
+    monkeypatch.setattr(rotor, "_full_count", counting)
+    got = rotor._block_levels(block, 0, j)
+    # the first cut has 16 rows; j >= 32 have more
+    assert counted[0] == np.count_nonzero(j >= 32)
+    want = oracles.block_levels_counted(block, 0, j)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("b", [1e-6, 1e-4, 1e-2, 0.3, 0.9])
+def test_certified_spectrum_equals_the_counted_one(monkeypatch, b):
+    # the certificate only skips counts that would find r: every level,
+    # weight and widened j keeps its bits, widened cuts included
+    m = rotor.inertia_from_parameters(41.8, b)
+    sp = rotor.rotational_energies(400, 4, m, "asymmetric")
+    monkeypatch.setattr(rotor, "_block_levels", oracles.block_levels_counted)
+    ref = rotor.rotational_energies(400, 4, m, "asymmetric")
+    assert np.array_equal(sp.phase_coeffs, ref.phase_coeffs)
+    assert np.array_equal(sp.dominant_weight, ref.dominant_weight)
+    assert sp.widened_j == ref.widened_j
 
 
 def test_spectrum_rejects_bad_kmax():
