@@ -9,7 +9,9 @@ subprocess with ``PYTHONPATH`` set to one tree, one run at a time: the six
 packaged presets and every gated workload of ``perfbench/workloads.py`` (its
 ``cli_args()``), then two ``decohere`` k0 mixtures, one with jumps and one at
 gamma = 0, whose per-trajectory files record the component each trajectory
-picked; or only the runs ``--only`` names.  For each run it prints
+picked, then two ``fractional`` runs, a gaussian_j state and a sigma_k = 1
+mixture, the CLI's path through ``synthesize_beta`` and ``wigner_d_table``;
+or only the runs ``--only`` names.  For each run it prints
 both exit codes, how many CSVs are byte-identical, the largest absolute
 difference in each CSV body (from its second line on), whether the manifests
 are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
@@ -28,13 +30,15 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PRESETS = ["params", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"]
-MIXTURE = ["decohere", "--rotor.inertia_ratio", "41.8", "--state.mode", "gaussian_beta",
-           "--state.sigma_beta", "0.05", "--state.sigma_k", "1.0", "--ensemble.n", "8"]
+ROTOR = ["--rotor.inertia_ratio", "41.8"]
+MIXTURE_STATE = ["--state.mode", "gaussian_beta", "--state.sigma_beta", "0.05",
+                 "--state.sigma_k", "1.0"]
+MIXTURE = ["decohere", *ROTOR, *MIXTURE_STATE, "--ensemble.n", "8"]
 
 
 def _runs() -> dict:
-    """Run name -> simulate arguments: the presets, the gated workloads, then
-    the two mixtures."""
+    """Run name -> simulate arguments: the presets, the gated workloads, the
+    two decohere mixtures, then the two fractional runs."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -43,6 +47,8 @@ def _runs() -> dict:
     runs.update((w.name, w.cli_args()) for w in workloads.WORKLOADS.values() if w.gated)
     runs["decohere_mixture"] = MIXTURE + ["--gamma.dimensionless", "0.5"]
     runs["decohere_mixture_vacuum"] = MIXTURE + ["--gamma.dimensionless", "0"]
+    runs["fractional_gaussian_j"] = ["fractional", *ROTOR, "--state.sigma_j_sq", "800"]
+    runs["fractional_mixture"] = ["fractional", *ROTOR, *MIXTURE_STATE]
     return runs
 
 

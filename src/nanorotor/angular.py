@@ -144,10 +144,6 @@ def _d_start(m: int, k: int) -> tuple[float, float, int, int]:
     return (-1.0 if odd else 1.0), lbin, p, q
 
 
-def _recurrence_r(j: int, m: int, k: int) -> float:
-    return math.sqrt(float(j * j - m * m) * float(j * j - k * k))
-
-
 def _d_first(m: int, k: int, betas: np.ndarray) -> np.ndarray:
     """d^{j0}_{mk}(betas), j0 = max(|m|,|k|): the row the recurrence starts from."""
     if m == k == 0:
@@ -158,68 +154,60 @@ def _d_first(m: int, k: int, betas: np.ndarray) -> np.ndarray:
 
 
 def wigner_d_table(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
-    """Array of d^j_{mk}(betas) with rows j = max(|m|,|k|) .. jmax.
-
-    The three-term recurrence in j, vectorized over beta, in plain float64;
-    intended for the modest |m|, |k| carried by rotor sectors.
-    """
+    """Array of d^j_{mk}(betas) with rows j = max(|m|,|k|) .. jmax: the
+    one-pair case of ``_d_blocks``, in plain float64; intended for the modest
+    |m|, |k| carried by rotor sectors."""
     betas = np.asarray(betas, dtype=float)
     j0 = max(abs(m), abs(k))
     if jmax < j0:
         raise DomainError(f"jmax={jmax} below max(|m|,|k|)={j0}")
     out = np.empty((jmax - j0 + 1, betas.size))
-    cosb = np.cos(betas)
-    # rows j0 and j0 + 1; the slice out[1:2] is empty where jmax = j0
-    out[0] = _d_first(m, k, betas)
-    if j0 == 0:
-        out[1:2] = cosb
-    else:
-        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
-        out[1:2] = num * out[0] / (j0 * _recurrence_r(j0 + 1, m, k))
-    for jc in range(j0 + 1, jmax):
-        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
-        out[jc - j0 + 1] = (num * out[jc - j0] - (jc + 1) * _recurrence_r(jc, m, k)
-                            * out[jc - j0 - 1]) / (jc * _recurrence_r(jc + 1, m, k))
+    for first, rows in _d_blocks([(m, k)], betas, jmax):
+        out[first - j0:first - j0 + len(rows)] = rows[:, 0]
     return out
 
 
-_D_BLOCK = 64  # j rows of the diagonal recurrence held at once
+_D_BLOCK = 64  # j rows of the recurrence held at once
 
 
-def _diagonal_blocks(ks: list[int], betas: np.ndarray, jmax: int):
-    """d^j_{kk}(betas) for every k of ``ks`` (ascending, >= 0) from one
-    recurrence in j, a block of up to _D_BLOCK rows j at a time.
+def _d_blocks(pairs: list[tuple[int, int]], betas: np.ndarray, jmax: int):
+    """d^j_{mk}(betas) for every (m, k) of ``pairs`` from one recurrence in
+    j, a block of up to _D_BLOCK rows j at a time.
 
-    Yields (j_first, rows) for j_first = ks[0], ks[0] + _D_BLOCK, ... up to
-    jmax, with rows[t, i] = d^{j_first + t}_{k_i k_i} where j_first + t >=
-    k_i (the rows below k_i are scratch).  ``rows`` is a view of one buffer
-    that the next block overwrites.  Every step is the step of
-    ``wigner_d_table(k, k, betas, jmax)``, elementwise over the (k, beta)
-    array, so each row has its bits whichever k share the pass.
+    With jlo the least j0 = max(|m|, |k|) of the pairs, yields (j_first,
+    rows) for j_first = jlo, jlo + _D_BLOCK, ... up to jmax, with rows[t, i]
+    = d^{j_first + t}_{m_i k_i} where j_first + t >= j0_i (the rows below
+    j0_i are scratch).  ``rows`` is a view of one buffer that the next block
+    overwrites.  Every step is elementwise over the (pair, beta) array, so
+    each row has its bits whichever pairs share the pass.
     """
-    betas = np.asarray(betas, dtype=float)
     cosb = np.cos(betas)
-    jlo, kcol = ks[0], np.array(ks)[:, None]
-    k2 = (kcol * kcol).astype(float)
-    # the step jc -> jc + 1 as in wigner_d_table, with r(j, k) = |j^2 - k^2|
-    # (the square root of a square is exact); its divisor jc r(jc + 1, k) is
-    # zero only at jc = 0 (row 1 of k = 0 is cos(beta)) and for the row that
-    # starts at jc + 1, and reads 1 there, so the scratch rows stay finite
+    mcol, kcol = (np.array(col)[:, None] for col in zip(*pairs))
+    mk = (mcol * kcol).astype(float)
+    starts: dict[int, list[int]] = {}  # j0 -> the pairs that start there
+    for i, (m, k) in enumerate(pairs):
+        starts.setdefault(max(abs(m), abs(k)), []).append(i)
+    jlo = min(starts)
+    # the step jc -> jc + 1 divides by jc r(jc + 1), with r(j) =
+    # sqrt(|j^2 - m^2| |j^2 - k^2|); the divisor is zero only where jc = 0
+    # or jc + 1 <= j0 (row 1 of m = k = 0 is cos(beta), row j0 is the start
+    # value, the rows below are scratch) and reads 1 there, so the scratch
+    # rows stay finite
     js = np.arange(jlo - 1, jmax)[:, None, None]
-    r0, r1 = (np.abs(j * j - kcol * kcol).astype(float) for j in (js, js + 1))
+    r0, r1 = (np.sqrt(np.abs(j * j - mcol * mcol).astype(float)
+                      * np.abs(j * j - kcol * kcol).astype(float)) for j in (js, js + 1))
     c1, c2 = (js + 1) * r0, js * r1
     c2[c2 == 0.0] = 1.0
     steps = zip(c1, c2)
-    starts = {k: i for i, k in enumerate(ks)}
     special = starts.keys() | ({1} if jlo == 0 else set())
-    buf = np.zeros((_D_BLOCK + 2, len(ks), betas.size))
+    buf = np.zeros((_D_BLOCK + 2, len(pairs), betas.size))
     rows = list(buf)  # rows[t] holds row j_first + t - 2
     for first in range(jlo, jmax + 1, _D_BLOCK):
         stop = min(first + _D_BLOCK, jmax + 1)
-        # each new row first holds its step's (2jc + 1) (jc (jc + 1) cos b - k^2)
+        # each new row first holds its step's (2jc + 1) (jc (jc + 1) cos b - m k)
         jc = np.arange(first - 1, stop - 1, dtype=float)[:, None, None]
         block = buf[2:stop - first + 2]
-        np.subtract(jc * (jc + 1) * cosb, k2, out=block)
+        np.subtract(jc * (jc + 1) * cosb, mk, out=block)
         block *= 2 * jc + 1
         for j, (a1, a2), prev, cur, new in zip(range(first, stop), steps,
                                                rows, rows[1:], rows[2:]):
@@ -228,10 +216,10 @@ def _diagonal_blocks(ks: list[int], betas: np.ndarray, jmax: int):
             new /= a2
             if j in special:
                 if j == 1 and jlo == 0:
-                    new[0] = cosb
-                if j in starts:
-                    new[starts[j]] = _d_first(j, j, betas)
-                    cur[starts[j]] = 0.0  # so the first step reads +0.0
+                    new[starts[0]] = cosb
+                for i in starts.get(j, ()):
+                    new[i] = _d_first(*pairs[i], betas)
+                    cur[i] = 0.0  # so the first step reads +0.0
         yield first, block
         buf[:2] = buf[stop - first:stop - first + 2]
 
@@ -461,7 +449,7 @@ def _project_general(psi: np.ndarray, m: int, k: int, jmax: int,
 def project_beta(psi: np.ndarray, k0s, jmax: int, grid: AngularGrid) -> list[np.ndarray]:
     """Expand psi(beta) over |j k0 k0>, j = |k0| .. jmax, for each k0 of ``k0s``.
 
-    One recurrence over j serves every |k0| (``_diagonal_blocks``), and each
+    One recurrence over j serves every |k0| (``_d_blocks``), and each
     block of rows is summed over the nodes as it comes, so no table is held;
     each (k0, j) coefficient is a sum along its own row, with the same bits
     whichever k0 share the pass (d^j_{-k,-k} = d^j_{kk}).  Real psi gives
@@ -475,7 +463,7 @@ def project_beta(psi: np.ndarray, k0s, jmax: int, grid: AngularGrid) -> list[np.
     wpsi = grid.weights * np.asarray(psi)
     sums = np.empty((jmax - ks[0] + 1, len(ks)), dtype=wpsi.dtype)
     terms = np.empty((min(_D_BLOCK, len(sums)), len(ks), wpsi.size), dtype=wpsi.dtype)
-    for first, rows in _diagonal_blocks(ks, grid.nodes, jmax):
+    for first, rows in _d_blocks([(k, k) for k in ks], grid.nodes, jmax):
         block = np.multiply(rows, wpsi, out=terms[:len(rows)])
         sums[first - ks[0]:first - ks[0] + len(rows)] = block.sum(axis=-1)
     scale = np.sqrt(np.arange(ks[0], jmax + 1) + 0.5)

@@ -276,23 +276,27 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
     if not report.ok:
         return _report_problems(report)
     t_start = _time.time()
-    writer = OutputWriter(cfg.output.prefix)
     diagnostics: dict = {}
-    try:
+    try:  # the writer's files are the only ones a run opens
+        writer = OutputWriter(cfg.output.prefix)
         code = SCENARIO_RUNNERS[cfg.scenario](cfg, report, writer, diagnostics)
+        writer.write_manifest({
+            "config": cfg.to_dict(),
+            "version": __version__,
+            "seed": cfg.ensemble.seed,
+            "diagnostics": diagnostics,
+            "wall_time_s": _time.time() - t_start,
+        })
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"config error: output.prefix: cannot write {cfg.output.prefix!r}: {exc}",
+              file=sys.stderr)
         return 2
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    writer.write_manifest({
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "seed": cfg.ensemble.seed,
-        "diagnostics": diagnostics,
-        "wall_time_s": _time.time() - t_start,
-    })
     return code
 
 
@@ -358,8 +362,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["ensemble.seed"] = args.seed
         cfg = cfgmod.apply_overrides(cfg, overrides)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"config error: scenario: cannot read {args.scenario!r}: {exc}", file=sys.stderr)
         return 2
     if not args.validate_only:
         return run(cfg)

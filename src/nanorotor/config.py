@@ -190,7 +190,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
 
 

@@ -114,11 +114,9 @@ def sample_jump_times(gamma: float, t_end: float,
     return np.sort(rng.random(n)) * t_end
 
 
-def jump_probabilities(state: RotorState,
-                       total: float | None = None) -> tuple[float, float, float]:
+def jump_probabilities(state: RotorState, total: float) -> tuple[float, float, float]:
     """Channel probabilities (<c_x^2>, <c_y^2>, <c_z^2>) of a pure component,
-    formed without applying any channel; ``total`` is the squared norm where
-    the caller holds it.
+    formed without applying any channel; ``total`` is its squared norm.
 
     <c_z^2> is the alignment <cos^2 beta>, and <c_x^2> + <c_y^2> is the
     norm less <c_z^2>, since sum_l c_l^2 = 1.  The split is
@@ -127,8 +125,6 @@ def jump_probabilities(state: RotorState,
     squared norms of the truncated products c_l psi only by terms in the
     amplitudes at jmax, which the jump guard keeps below 1e-6 in weight.
     """
-    if total is None:
-        total = sum(float(np.sum(np.abs(vec) ** 2)) for vec in state.sectors.values())
     p_z = observables.alignment(state)
     p_xy = total - p_z
     split = angular.cosine_xy_difference(state.sectors, state.jmax, state.k0)

@@ -16,8 +16,10 @@ library's operator elements, which apply an operator to unit states, so the
 tests check the ``apply`` that every run takes; the asymptotic d-function
 and the ``SingularityError`` it raises at the poles, the fractional-revival
 resummation, the scalar Wigner-d recurrence (it starts from the library's
-``_d_start`` and steps with its ``_recurrence_r``, and is checked against
-the sum), state overlaps, the quantum-jump path the library ran before (a
+``_d_start``, steps with the factor ``_recurrence_r`` defined here, and is
+checked against the sum), the row-by-row Wigner-d table the library built
+before its blocked recurrence (it starts from the library's ``_d_first`` and
+is the bit-for-bit reference of ``wigner_d_table``), state overlaps, the quantum-jump path the library ran before (a
 generator per trajectory that picks each jump's channel as the jump happens,
 all three channels applied to keep one, each trajectory run on its own from
 t = 0) and an ensemble of such runs, the event loop without its per-pass
@@ -41,7 +43,7 @@ from scipy.sparse import csr_array
 from scipy.special import jv
 
 from nanorotor import angular, decoherence, observables, pulse, rotor
-from nanorotor.angular import _d_start, _recurrence_r
+from nanorotor.angular import _d_first, _d_start
 from nanorotor.config import EIGHTH, TIME_DECIMALS
 from nanorotor.errors import (DomainError, LevelAssignmentError, ResolutionError,
                               TruncationError)
@@ -510,6 +512,32 @@ def resum_check(t_fraction: float, damping: float,
 # ---------------------------------------------------------------------------
 # reference Wigner-d recurrence
 # ---------------------------------------------------------------------------
+
+def _recurrence_r(j: int, m: int, k: int) -> float:
+    return math.sqrt(float(j * j - m * m) * float(j * j - k * k))
+
+
+def wigner_d_rows(m: int, k: int, betas: np.ndarray, jmax: int) -> np.ndarray:
+    """``angular.wigner_d_table`` as the library computed it before its
+    blocked recurrence: one row j at a time, each step in plain float64 with
+    the scalar factors of ``_recurrence_r``."""
+    betas = np.asarray(betas, dtype=float)
+    j0 = max(abs(m), abs(k))
+    out = np.empty((jmax - j0 + 1, betas.size))
+    cosb = np.cos(betas)
+    # rows j0 and j0 + 1; the slice out[1:2] is empty where jmax = j0
+    out[0] = _d_first(m, k, betas)
+    if j0 == 0:
+        out[1:2] = cosb
+    else:
+        num = (2 * j0 + 1) * (j0 * (j0 + 1) * cosb - m * k)
+        out[1:2] = num * out[0] / (j0 * _recurrence_r(j0 + 1, m, k))
+    for jc in range(j0 + 1, jmax):
+        num = (2 * jc + 1) * (jc * (jc + 1) * cosb - m * k)
+        out[jc - j0 + 1] = (num * out[jc - j0] - (jc + 1) * _recurrence_r(jc, m, k)
+                            * out[jc - j0 - 1]) / (jc * _recurrence_r(jc + 1, m, k))
+    return out
+
 
 def _check_jmk(j: int, m: int, k: int) -> None:
     if j < 0:

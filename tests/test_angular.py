@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -58,6 +59,26 @@ def test_large_mk_underflow_regime():
     assert expected == pytest.approx(-0.028662178387592, rel=1e-12)
     assert val == pytest.approx(expected, rel=1e-10)
     assert angular.wigner_d_table(500, -490, np.array([0.9]), 1500)[-1, 0] == 0.0
+
+
+@pytest.mark.parametrize("jmax", [0, 150, 1300])
+def test_table_has_the_row_by_row_references_bits(jmax):
+    # the one-pair blocked recurrence against the row-by-row loop it
+    # replaced: jmax 0 stands for jmax = j0, 150 fits in a few blocks and
+    # 1,300 crosses many; every column is its own beta's, so one array
+    # serves the grid's nodes and a lone angle
+    betas = np.append(angular.AngularGrid.for_jmax(150).nodes, 0.9)
+    mks = range(-6, 7) if jmax < 1300 else (-6, -2, 0, 1, 5)
+    for m, k in itertools.product(mks, repeat=2):
+        top = max(jmax, abs(m), abs(k))
+        table = angular.wigner_d_table(m, k, betas, top)
+        assert table.tobytes() == oracles.wigner_d_rows(m, k, betas, top).tobytes(), (m, k)
+
+
+def test_underflowing_table_has_the_row_by_row_references_bits():
+    betas = angular.AngularGrid.for_jmax(150).nodes
+    table = angular.wigner_d_table(500, -490, betas, 1500)
+    assert table.tobytes() == oracles.wigner_d_rows(500, -490, betas, 1500).tobytes()
 
 
 def test_invalid_quantum_numbers():
@@ -530,20 +551,21 @@ def _profile_grid(sigma, ks):
 
 @pytest.mark.parametrize("sigma", [0.003, 0.01, 0.1])
 def test_diagonal_recurrence_rows_are_the_tables_bit_for_bit(sigma):
-    # one pass for every |k0| of a row, in blocks: each row has the bits of
-    # the k0's own table, so it does not depend on which k0 share the pass
-    ks = [0, 1, 3, 8, 16]
-    jmax, grid, _ = _profile_grid(sigma, ks)
+    # one pass for every (m, k) of a list, in blocks: each row has the bits
+    # of the pair's own table, so it does not depend on which pairs share
+    # the pass; the diagonal pairs are those of project_beta's |k0|
+    pairs = [(0, 0), (2, -1), (-3, 3), (5, 5), (8, 8), (16, 16)]
+    jmax, grid, _ = _profile_grid(sigma, [0, 1, 3, 8, 16])
     rows, js = [], []
-    for first, block in angular._diagonal_blocks(ks, grid.nodes, jmax):
+    for first, block in angular._d_blocks(pairs, grid.nodes, jmax):
         assert len(block) <= angular._D_BLOCK
         rows.append(block.copy())
         js.extend(range(first, first + len(block)))
-    assert js == list(range(ks[0], jmax + 1))
+    assert js == list(range(jmax + 1))
     rows = np.concatenate(rows)
-    for i, k in enumerate(ks):
-        table = angular.wigner_d_table(k, k, grid.nodes, jmax)
-        assert rows[k - ks[0]:, i].tobytes() == table.tobytes(), k
+    for i, (m, k) in enumerate(pairs):
+        table = oracles.wigner_d_rows(m, k, grid.nodes, jmax)
+        assert rows[max(abs(m), abs(k)):, i].tobytes() == table.tobytes(), (m, k)
 
 
 @pytest.mark.parametrize("sigma", [0.003, 0.01, 0.1])

@@ -216,6 +216,15 @@ def test_validate_only_names_the_same_key(capsys, argv, key):
     assert key in captured.err and captured.out == ""
 
 
+def _simulate(argv):
+    """``simulate`` in a subprocess on this checkout's src, output captured."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "nanorotor.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 # inputs that ended in tracebacks before they had a rule: an ensemble.n
 # beyond float range (OverflowError in the time forecast), a subnormal t_end
 # (ZeroDivisionError in the time grid), a billion b points (np.logspace of
@@ -237,11 +246,7 @@ BREAK_CASES = [
 @pytest.mark.parametrize("extra", [[], ["--validate-only"]], ids=["run", "validate-only"])
 @pytest.mark.parametrize("argv,key", BREAK_CASES)
 def test_break_inputs_exit_2_without_traceback(tmp_path, argv, key, extra):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "nanorotor.cli", *argv, *extra,
-                           "--out", str(tmp_path / "x")], capture_output=True, text=True, env=env)
+    proc = _simulate(argv + extra + ["--out", str(tmp_path / "x")])
     assert proc.returncode == 2
     assert key in proc.stderr and "Traceback" not in proc.stderr
 
@@ -410,6 +415,35 @@ def test_a_run_validates_once(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cfgmod, "validate", counted)
     assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 0
     assert len(calls) == 1
+
+
+# inputs the files behind them make unreadable or unwritable: all but the
+# one that is not JSON (whose message named no key) ended in tracebacks from
+# load_config or from the output directory's makedirs
+IO_CASES = [
+    pytest.param(lambda d: [str(d)], "scenario", id="scenario-is-a-directory"),
+    pytest.param(lambda d: [_write(d / "c.json", b'{"scenario": "\xff"}')], "scenario",
+                 id="scenario-not-utf8"),
+    pytest.param(lambda d: [_write(d / "c.json", b"not json")], "scenario",
+                 id="scenario-not-json"),
+    pytest.param(lambda d: ["params", "--out", _write(d / "f", b"") + "/x"], "output.prefix",
+                 id="out-below-a-regular-file"),
+    pytest.param(lambda d: ["params", "--out", _write(d / "f", b"") + "/sub/x"], "output.prefix",
+                 id="out-two-below-a-regular-file"),
+]
+
+
+def _write(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,key", IO_CASES)
+def test_io_failures_exit_2_without_traceback(tmp_path, argv, key):
+    proc = _simulate(argv(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {key}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_every_scenario_has_a_runner():

@@ -69,8 +69,14 @@ def test_times_sorted_within_range():
 # jump application
 # ---------------------------------------------------------------------------
 
+def _probabilities(state):
+    """``jump_probabilities`` with the squared norm that ``apply_jump`` sums."""
+    return dec.jump_probabilities(
+        state, sum(float(np.sum(np.abs(v) ** 2)) for v in state.sectors.values()))
+
+
 def test_channel_probabilities_sum_to_one(small_state):
-    probs = dec.jump_probabilities(small_state)
+    probs = _probabilities(small_state)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     # z-channel probability is the alignment itself
     assert probs[2] == pytest.approx(observables.alignment(small_state), abs=1e-10)
@@ -126,7 +132,7 @@ def test_probabilities_equal_the_applied_norms(k0):
     for ms in ([0], [-1, 1], [-2, 0, 2], [-2, -1, 0, 1, 2], [1, 3, 4]):
         state = _random_state(rng, k0, ms)
         applied, _ = oracles.jump_probabilities_applied(state)
-        probs = dec.jump_probabilities(state)
+        probs = _probabilities(state)
         assert np.max(np.abs(probs - applied)) <= 1e-14, ms
         assert applied.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -138,7 +144,7 @@ def test_xy_split_needs_sectors_two_apart():
     for ms in ([0], [0, 1], [-3, -2]):
         state = _random_state(rng, 1, ms)
         assert angular.cosine_xy_difference(state.sectors, state.jmax, 1) == 0.0
-        p_x, p_y, _ = dec.jump_probabilities(state)
+        p_x, p_y, _ = _probabilities(state)
         assert p_x == p_y
 
 
@@ -174,7 +180,7 @@ def test_jump_picks_the_searchsorted_channel(monkeypatch):
     states += [_random_state(rng, k0, ms) for k0 in (0, 2) for ms in ([-2, 0, 2], [1, 3])]
     tied = set()
     for state in states:
-        probs = np.array(dec.jump_probabilities(state))
+        probs = np.array(_probabilities(state))
         ties = _ties(probs)
         for u in ties + [0.0, 1.0 - 2.0 ** -53, *rng.random(20)]:
             dec.apply_jump(state, u)
