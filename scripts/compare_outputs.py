@@ -10,8 +10,11 @@ packaged presets and every gated workload of ``perfbench/workloads.py`` (its
 ``cli_args()``), then two ``decohere`` k0 mixtures, one with jumps and one at
 gamma = 0, whose per-trajectory files record the component each trajectory
 picked, then two ``fractional`` runs, a gaussian_j state and a sigma_k = 1
-mixture, the CLI's path through ``synthesize_beta`` and ``wigner_d_table``;
-or only the runs ``--only`` names.  For each run it prints
+mixture, the CLI's path through ``synthesize_beta`` and ``wigner_d_table``,
+then an ``evolve`` sigma_k = 1 mixture at b = 0.3 on the asymmetric
+spectrum, whose cuts the O(1) test leaves to the pivot sweep down the block
+and whose pulse takes the semiclassical m k != 0 correction; or only the
+runs ``--only`` names.  For each run it prints
 both exit codes, how many CSVs are byte-identical, the largest absolute
 difference in each CSV body (from its second line on), whether the manifests
 are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
@@ -38,7 +41,8 @@ MIXTURE = ["decohere", *ROTOR, *MIXTURE_STATE, "--ensemble.n", "8"]
 
 def _runs() -> dict:
     """Run name -> simulate arguments: the presets, the gated workloads, the
-    two decohere mixtures, then the two fractional runs."""
+    two decohere mixtures, the two fractional runs, then the asymmetric
+    mixture."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -49,6 +53,9 @@ def _runs() -> dict:
     runs["decohere_mixture_vacuum"] = MIXTURE + ["--gamma.dimensionless", "0"]
     runs["fractional_gaussian_j"] = ["fractional", *ROTOR, "--state.sigma_j_sq", "800"]
     runs["fractional_mixture"] = ["fractional", *ROTOR, *MIXTURE_STATE]
+    runs["asymmetric_mixture"] = ["evolve", *ROTOR, "--rotor.b_asym", "0.3",
+                                  "--spectrum.method", "asymmetric", *MIXTURE_STATE,
+                                  "--pulse.phi", "3.141592653589793", "--times.n_points", "64"]
     return runs
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.resources
 import json
@@ -56,11 +57,11 @@ class OutputWriter:
     def write_csv(self, suffix: str, header: list[str], columns: list[np.ndarray]) -> str:
         path = f"{self.prefix}{suffix}.csv"
         with open(path, "w") as fh:
+            self.files.append(path)
             fh.write(f"# manifest: {os.path.basename(self.manifest_path)}\n")
             fh.write(",".join(header) + "\n")
             for row in zip(*columns):
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        self.files.append(path)
         return path
 
     def write_manifest(self, payload: dict) -> str:
@@ -277,6 +278,7 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
         return _report_problems(report)
     t_start = _time.time()
     diagnostics: dict = {}
+    writer = None
     try:  # the writer's files are the only ones a run opens
         writer = OutputWriter(cfg.output.prefix)
         code = SCENARIO_RUNNERS[cfg.scenario](cfg, report, writer, diagnostics)
@@ -287,16 +289,21 @@ def run(cfg: cfgmod.ExperimentConfig) -> int:
             "diagnostics": diagnostics,
             "wall_time_s": _time.time() - t_start,
         })
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:
         print(f"config error: output.prefix: cannot write {cfg.output.prefix!r}: {exc}",
               file=sys.stderr)
-        return 2
+        code = 2
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    # a failed run leaves no CSV without its manifest
+    for path in writer.files if writer else ():
+        with contextlib.suppress(OSError):
+            os.remove(path)
     return code
 
 

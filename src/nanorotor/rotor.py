@@ -123,22 +123,19 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
         t_rev=t_rev, degenerate=degenerate)
 
 
-def inertia_from_parameters(ratio: float, b_asym: float, inertia: float | None = None,
+def inertia_from_parameters(ratio: float, b_asym: float,
                             t_rev: float | None = None) -> InertiaModel:
     """Inertia model from the dimensionless pair (I/I_c, b).
 
-    Used for parameter sweeps where no geometry is given.  ``inertia`` or
-    ``t_rev`` fixes physical units; with neither, I = 1 kg m^2 is used and only
-    dimensionless results are meaningful.
+    Used for parameter sweeps where no geometry is given.  ``t_rev`` fixes
+    physical units; without it, I = 1 kg m^2 is used and only dimensionless
+    results are meaningful.
     """
     if ratio <= 1.0:
         raise DomainError(f"prolate rotor needs I/I_c > 1, got {ratio}")
     if not abs(b_asym) <= 1.0:  # |b| = 1 where I_b = I_c
         raise DomainError(f"prolate moments give |b| <= 1, got b = {b_asym}")
-    if t_rev is not None:
-        inertia = t_rev * HBAR / (2.0 * math.pi)
-    if inertia is None:
-        inertia = 1.0
+    inertia = 1.0 if t_rev is None else t_rev * HBAR / (2.0 * math.pi)
     i_c = inertia / ratio
     # (I_a, I_b) with arithmetic mean I and asymmetry b: u = (1/I_a + 1/I_b)/2 and
     # d = (1/I_b - 1/I_a)/2 = b (1/I_c - u), so I (u^2 - d^2) = u, and u is the
@@ -205,14 +202,11 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     limit even where the eigenvectors are strongly k-mixed;
     ``dominant_weight`` records the mixing so callers can decide how far to
     trust the labels.  Each level is solved for every j at once on a cut of
-    c rows of its block (``_block_levels``) and certified in O(1) per j, a
-    little below the root x: if the cut's LDL^T pivots count the level's
-    index there, the last one exceeds the next coupling e_c and
-    d_c - x > e_c + e_{c+1}, then every later pivot q_i > e_{i+1} >= 0 by
-    induction, so the whole block has no further level below x.  Checking
-    row c alone needs the diagonal to rise with k (I/I_c above the mean of
-    I/I_a and I/I_b); where it does not, or the test fails, a streamed
-    full-block Sturm count decides.
+    its block (``_block_levels``).  One sweep of LDL^T pivots a little below
+    the root decides whether the cut holds: it runs from the cut down the
+    block until the count passes the level's index, the block ends, or an
+    O(1) test proves that no later pivot is negative.  That test needs the
+    diagonal to rise with k (I/I_c above the mean of I/I_a and I/I_b).
     """
     if kmax > jmax:
         raise DomainError("kmax must not exceed jmax")
@@ -262,30 +256,31 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
 # twisted pivot gamma_idx(lambda) polishes it, with bisection whenever a step
 # leaves the bracket.  By Cauchy interlacing the cut's root lies at or above
 # the block's, so the cut is right if the whole block has exactly idx levels
-# just below it, at x = root - CERTIFY_ULPS ulps.  With e_i = sqrt(c2_i), the
-# pivots q_i of the cut at x certify that in O(1) per j when
-#   (o) the cut has idx negative pivots,
-#   (i) q_{c-1} > e_c, and
-#   (ii) d_i - x > e_i + e_{i+1} on every row i >= c,
-# since then, by induction, q_i = d_i - x - e_i^2 / q_{i-1} > e_{i+1} >= 0
+# just below it, at x = root - CERTIFY_ULPS ulps.  One sweep of the pivots
+# q_i at x decides that: it runs on from the cut, _ROWS_PER_PASS rows at a
+# time, and settles a j when its count passes idx (no later row lowers it),
+# when its block ends, or when, after rows 0..i-1, with e_i = sqrt(c2_i),
+#   (o) the count is idx,
+#   (i) q_{i-1} > e_i, and
+#   (ii) d_l - x > e_l + e_{l+1} on every row l >= i,
+# since then, by induction, q_l = d_l - x - e_l^2 / q_{l-1} > e_{l+1} >= 0
 # down the rest of the block (Sylvester's law of inertia).  Condition (ii) is
-# checked on row c alone, with a margin of 1e-12 |x| for rounding: that
-# suffices when d_i - e_i - e_{i+1} rises with the row, which holds when the
+# checked on row i alone, with a margin of 1e-12 |x| for rounding: that
+# suffices when d_l - e_l - e_{l+1} rises with the row, which holds when the
 # k^2 coefficient of the diagonal, ratio - half_is, is positive (1/I_c above
-# the mean of 1/I_a and 1/I_b) and c >= 2 (both factors of c2 fall with k
+# the mean of 1/I_a and 1/I_b) and i >= 2 (both factors of c2 fall with k
 # from k = 2 on, and rows 0 and 1 carry the Wang terms).  Where the premise
-# fails, as for a near-sphere that inertia_from_ellipsoid accepts, or the
-# test does not hold, one streamed Sturm count of the whole block decides.
-# The j values that fail it are solved again on twice the cut, until their
-# block is complete.  The weight of row idx in the eigenvector is the residue
-# 1/|gamma_idx'| at the root (the fact behind Golub-Welsch quadrature
-# weights, Math. Comp. 23, 221 (1969)).
+# fails, as for a near-sphere that inertia_from_ellipsoid accepts, only a
+# count past idx or the block's end stops the sweep.  The j values whose cut fails are solved again on
+# twice the cut, until their block is complete.  The weight of row idx in the
+# eigenvector is the residue 1/|gamma_idx'| at the root (the fact behind
+# Golub-Welsch quadrature weights, Math. Comp. 23, 221 (1969)).
 
 SPECTRUM_CUT = 16       # rows past the labelling row in a block's first cut
 CERTIFY_ULPS = 64       # a cut is certified this many ulps below its root
 _SECTIONS = 15          # Sturm counts per bracketing step
 _NEWTON_STEPS = 40      # Newton iterations before pure bisection takes over
-_ROWS_PER_PASS = 64     # block rows built at once by the streamed full count
+_ROWS_PER_PASS = 64     # block rows a sweep past a cut builds at once
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -400,13 +395,15 @@ def _cut_levels(d, c2, r: int, pivmin: float):
         if not todo.size:
             break
         xt = x[todo]
-        g, dg, n = _twisted(d[:, todo], c2[:, todo], r, xt, pivmin)
+        with np.errstate(over="ignore"):  # see the non-finite slope below
+            g, dg, n = _twisted(d[:, todo], c2[:, todo], r, xt, pivmin)
         lo[todo] = np.where(n <= r, xt, lo[todo])
         hi[todo] = np.where(n <= r, hi[todo], xt)
         weight[todo] = 1.0 / np.abs(dg)
         mid = 0.5 * (lo[todo] + hi[todo])
         xn = xt - g / dg if step < _NEWTON_STEPS else mid
-        xn = np.where((xn >= lo[todo]) & (xn <= hi[todo]), xn, mid)
+        # the slope overflows where levels nearly coincide: no Newton step
+        xn = np.where((xn >= lo[todo]) & (xn <= hi[todo]) & np.isfinite(dg), xn, mid)
         tol = 2 * _EPS * np.maximum(np.abs(xn), 1.0)
         done = (np.abs(xn - xt) <= tol) | (hi[todo] - lo[todo] <= 2 * tol)
         x[todo] = xn
@@ -415,36 +412,37 @@ def _cut_levels(d, c2, r: int, pivmin: float):
     return x, weight
 
 
-def _full_count(block: _WangBlock, j: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of levels below x in each j's complete block (j ascending).
-    Rows come from the closed form a pass at a time, for the j still inside
-    the block, so no array of a whole block for every j is ever held."""
-    pivmin = block.pivmin(j[-1])
-    count = np.zeros(j.size, dtype=int)
-    nrows = (int(j[-1]) - block.start) // 2 + 1
-    q, lo = 1.0, 0
-    for first in range(0, nrows, _ROWS_PER_PASS):
-        # the j whose block ends before this row drop out
-        a = int(np.searchsorted(j, block.start + 2 * first))
-        if first:
-            q = q[a - lo:]
-        lo = a
-        d, c2 = block.rows(j[lo:], first, min(first + _ROWS_PER_PASS, nrows))
-        q, _, n = _pivots(d, c2, x[lo:], pivmin, q)
-        count[lo:] += n
-    return count
-
-
-def _certified(block: _WangBlock, r: int, d, c2, x: np.ndarray, pivmin: float) -> np.ndarray:
-    """Which blocks provably have exactly r levels below x: (d, c2) hold a
-    cut's c rows and the two after it, one block per column (see the
-    comment above SPECTRUM_CUT).  A False is no verdict."""
-    c = len(d) - 2
-    if block.ratio <= block.half_is or c < 2:
+def _certificate_holds(block: _WangBlock, r: int, row: int, q, count, d, c2, x):
+    """Whether each block provably has exactly r levels below x: q and count
+    are the last pivot and the negative pivots of rows 0..row-1, and (d, c2)
+    hold rows row and row + 1.  A False is no verdict."""
+    if block.ratio <= block.half_is or row < 2:
         return np.zeros(x.size, dtype=bool)
-    q, _, n = _pivots(d[:c], c2[:c], x, pivmin)
-    e = np.sqrt(c2[c:])
-    return (n == r) & (q > e[0]) & (d[c] - x - e[0] - e[1] > 1e-12 * np.abs(x))
+    e = np.sqrt(c2)
+    return (count == r) & (q > e[0]) & (d[0] - x - e[0] - e[1] > 1e-12 * np.abs(x))
+
+
+def _cut_holds(block: _WangBlock, r: int, j: np.ndarray, x: np.ndarray, d, c2,
+               pivmin: float) -> np.ndarray:
+    """Whether each block has exactly r levels below x: (d, c2) hold a cut's
+    rows and the two after it, one block per column (j ascending).  Only the
+    rows of unsettled j are built past the cut, a pass at a time (see the
+    comment above SPECTRUM_CUT)."""
+    holds = np.zeros(j.size, dtype=bool)
+    todo, q, count, row = np.arange(j.size), 1.0, 0, len(d) - 2
+    while True:
+        xt = x[todo]
+        q, _, n = _pivots(d[:-2], c2[:-2], xt, pivmin, q)
+        count = count + n
+        sure = _certificate_holds(block, r, row, q, count, d[-2:], c2[-2:], xt)
+        ended = block.start + 2 * row > j[todo]
+        holds[todo] = sure | (ended & (count == r))
+        more = ~(sure | ended) & (count <= r)
+        todo, q, count = todo[more], q[more], count[more]
+        if not todo.size:
+            return holds
+        d, c2 = block.rows(j[todo], row, row + _ROWS_PER_PASS + 2)
+        row += _ROWS_PER_PASS
 
 
 def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
@@ -462,16 +460,13 @@ def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
         pivmin = block.pivmin(jt[-1])
         vals[todo], weight[todo] = _cut_levels(d[:c], c2[:c], r, pivmin)
         # a complete block is exact; a cut one must have exactly r levels of
-        # the whole block just below its root, which the O(1) certificate
-        # shows for most j and the streamed count decides for the rest
+        # the whole block just below its root, which the sweep from the cut
+        # decides (at the cut itself, for most j)
         partial = nrows[todo] > cut
         todo, jt = todo[partial], jt[partial]
         if todo.size:
             x = vals[todo] - CERTIFY_ULPS * np.spacing(np.abs(vals[todo]))
-            left = ~_certified(block, r, d[:, partial], c2[:, partial], x, pivmin)
-            todo = todo[left]
-            if todo.size:
-                todo = todo[_full_count(block, jt[left], x[left]) != r]
+            todo = todo[~_cut_holds(block, r, jt, x, d[:, partial], c2[:, partial], pivmin)]
         widened[todo] = True
         cut *= 2
     return vals, weight, widened

@@ -27,8 +27,9 @@ phase memo (each free flight computes its own phase vector), the exact pulse
 twice over: the polar-angle grid path the library used before (synthesize,
 multiply, project back) and a dense eigendecomposition of the cos^2 band;
 the time grid built one refinement window at a time with
-``np.linspace``; and the asymmetric block solver that certifies every
-partial cut with the streamed full-block Sturm count.
+``np.linspace``; and the asymmetric block solver that decides every
+partial cut with a streamed Sturm count of the whole block from row 0 (the
+count the library ran before its cut's pivots went on down the block).
 """
 
 import math
@@ -711,9 +712,30 @@ def lapack_energies(jmax: int, kmax: int, model) -> SpectrumModel:
     return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
 
 
+def full_count(block, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of levels below x in each j's complete block (j ascending).
+    Rows come from the closed form a pass at a time, for the j still inside
+    the block, so no array of a whole block for every j is ever held."""
+    pivmin = block.pivmin(j[-1])
+    count = np.zeros(j.size, dtype=int)
+    nrows = (int(j[-1]) - block.start) // 2 + 1
+    q, lo = 1.0, 0
+    for first in range(0, nrows, rotor._ROWS_PER_PASS):
+        # the j whose block ends before this row drop out
+        a = int(np.searchsorted(j, block.start + 2 * first))
+        if first:
+            q = q[a - lo:]
+        lo = a
+        d, c2 = block.rows(j[lo:], first, min(first + rotor._ROWS_PER_PASS, nrows))
+        q, _, n = rotor._pivots(d, c2, x[lo:], pivmin, q)
+        count[lo:] += n
+    return count
+
+
 def block_levels_counted(block, r: int, j: np.ndarray):
     """``rotor._block_levels`` without the O(1) certificate: every partial
-    cut is certified by the streamed full-block Sturm count."""
+    cut is decided by ``full_count``, a Sturm count of the whole block that
+    starts at row 0."""
     vals, weight = np.empty(j.size), np.empty(j.size)
     nrows = (j - block.start) // 2 + 1
     widened = np.zeros(j.size, dtype=bool)
@@ -726,7 +748,7 @@ def block_levels_counted(block, r: int, j: np.ndarray):
         todo, jt = todo[partial], jt[partial]
         if todo.size:
             x = vals[todo] - rotor.CERTIFY_ULPS * np.spacing(np.abs(vals[todo]))
-            todo = todo[rotor._full_count(block, jt, x) != r]
+            todo = todo[full_count(block, jt, x) != r]
         widened[todo] = True
         cut *= 2
     return vals, weight, widened

@@ -446,6 +446,18 @@ def test_io_failures_exit_2_without_traceback(tmp_path, argv, key):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_a_failed_run_leaves_no_csv_without_a_manifest(tmp_path):
+    # the second phi's CSV cannot be written, after the first one was
+    (tmp_path / "x_phi3p14159.csv").mkdir()
+    proc = _simulate(["evolve", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "800",
+                      "--pulse.phi", "[0.0,3.14159]", "--times.n_points", "16",
+                      "--out", str(tmp_path / "x")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: output.prefix: ")
+    assert proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_phi3p14159.csv"]
+
+
 def test_every_scenario_has_a_runner():
     assert sorted(cli.SCENARIO_RUNNERS) == sorted(cfgmod.SCENARIOS)
 
