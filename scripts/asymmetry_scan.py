@@ -39,8 +39,7 @@ def run(argv=None):
         center, halfwidth = observables.revival_window(float(b))
         ts = np.linspace(center - halfwidth, center + halfwidth,
                          int(2.0 * halfwidth / 4e-5) + 1)
-        tc = decoherence.TrajectoryConfig(gamma=0.0, t_end=float(ts[-1]),
-                                          observation_times=tuple(ts))
+        tc = decoherence.TrajectoryConfig(gamma=0.0, observation_times=tuple(ts))
         vals = decoherence.run_ensemble(rotor.Mixture.pure(state), sp, tc, 1).mean_alignment
         series = observables.TimeSeries(ts, vals)
         t_peak, a_peak = observables.find_revival_peak(series, center, halfwidth)

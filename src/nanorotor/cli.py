@@ -85,8 +85,7 @@ def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point
     spec = pulse.PulseSpec(phi=phi, schedule=tuple(cfg.pulse.schedule_t),
                            method=cfg.pulse.method)
     prepared = state.map(lambda c: pulse.prepare_for_pulses(c, spec))
-    tc = decoherence.TrajectoryConfig(gamma=gamma, t_end=float(tgrid[-1]),
-                                      observation_times=tuple(tgrid),
+    tc = decoherence.TrajectoryConfig(gamma=gamma, observation_times=tuple(tgrid),
                                       seed=cfg.ensemble.seed, pulse=spec)
     res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n)
     if gamma > 0:
@@ -138,7 +137,7 @@ def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
     for phi in phis:
         res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics)
         suffix = f"_phi{_phi_tag(phi)}" if multi else ""
-        cols = [res.times, res.mean_alignment]
+        cols = [tgrid, res.mean_alignment]
         header = ["t_over_Trev", "value"]
         if gamma > 0 and cfg.ensemble.n > 1:
             cols.append(res.stderr)
@@ -239,7 +238,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
         for phi in phis:
             res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
                                    f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
-            series = observables.TimeSeries(res.times, res.mean_alignment)
+            series = observables.TimeSeries(tgrid, res.mean_alignment)
             t_peak, value = observables.find_revival_peak(series, *observables.revival_window(b))
             peak_rows[phi].append(value)
             if phi == phis[0]:

@@ -60,10 +60,10 @@ def gamma_dimensionless(gamma_hz: float, t_rev: float) -> float:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Monte Carlo run description; gamma is the jump rate in units of 1/T_rev."""
+    """Monte Carlo run description; gamma is the jump rate in units of 1/T_rev.
+    A trajectory ends at its last observation time."""
 
     gamma: float
-    t_end: float
     observation_times: tuple[float, ...]
     seed: int = 0
     pulse: PulseSpec | None = None
@@ -72,19 +72,17 @@ class TrajectoryConfig:
         if self.gamma < 0:
             raise DomainError("gamma must be >= 0")
         times = np.asarray(self.observation_times)
-        if times.size and (np.any(np.diff(times) < 0) or times[0] < 0
-                           or times[-1] > self.t_end):
-            raise DomainError("observation times must be sorted within [0, t_end]")
+        if not times.size or np.any(np.diff(times) < 0) or times[0] < 0:
+            raise DomainError("observation times must be given, sorted and >= 0")
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Trajectory-averaged alignment with standard errors, each trajectory's
     series in index order, and the weighted sum of each component's
-    jump-free series.  ``trajectories`` is made by ``make_trajectories`` on
-    first read."""
+    jump-free series, all over the config's observation times.
+    ``trajectories`` is made by ``make_trajectories`` on first read."""
 
-    times: np.ndarray
     mean_alignment: np.ndarray
     stderr: np.ndarray
     jump_count_histogram: dict[int, int]
@@ -156,7 +154,7 @@ def apply_jump(state: RotorState, u: float) -> RotorState:
     norm = math.sqrt(sum(weights.values()))
     return RotorState(k0=state.k0, sectors={m: v / norm for m, v in new_sectors.items()
                                             if weights[m] > 1e-32 * norm ** 2},
-                      jmax=state.jmax, time=state.time, diagnostics=dict(state.diagnostics))
+                      time=state.time, diagnostics=dict(state.diagnostics))
 
 
 def _merge(jumps, events: list) -> list:
@@ -237,8 +235,8 @@ def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tup
 def _is_mirror(state: RotorState, twin: RotorState) -> bool:
     """Whether ``state`` is the mirror of ``twin`` bit for bit."""
     mirrored = mirror_state(twin)
-    return (state.k0 == mirrored.k0 and state.jmax == mirrored.jmax
-            and state.time == mirrored.time and state.sectors.keys() == mirrored.sectors.keys()
+    return (state.k0 == mirrored.k0 and state.time == mirrored.time
+            and state.sectors.keys() == mirrored.sectors.keys()
             and all(vec.tobytes() == mirrored.sectors[m].tobytes()
                     for m, vec in state.sectors.items()))
 
@@ -247,8 +245,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
                  config: TrajectoryConfig, n: int) -> EnsembleResult:
     """Average n trajectories (mixture weights included), in one pass.
 
-    The random draws are made once for the last (seed, gamma, t_end,
-    weights, n).  Each component runs one jump-free pass, except one that is
+    Trajectories end at the last observation time, t_end.  The random
+    draws are made once for the last (seed, gamma, t_end, weights, n).  Each component runs one jump-free pass, except one that is
     the mirror of an earlier one (``rotor.mirror_state``): every kernel gives
     a mirrored state the bits it gives the original, so it reads its twin's
     pass.  Until its first jump a trajectory is a function of its component
@@ -264,7 +262,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
 
     def draws():
         return [(initial.components[c], jumps, uniforms) for c, jumps, uniforms in _draws(
-            config.seed, config.gamma, config.t_end, tuple(initial.weights), n)]
+            config.seed, config.gamma, float(config.observation_times[-1]),
+            tuple(initial.weights), n)]
 
     taken = draws() if config.gamma != 0.0 else []
     events = _schedule(config)
@@ -309,6 +308,5 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
 
         def trajectories():
             return rows
-    return EnsembleResult(times=np.asarray(config.observation_times), mean_alignment=mean,
-                          stderr=stderr, jump_count_histogram=hist, jump_free=jump_free,
-                          make_trajectories=trajectories)
+    return EnsembleResult(mean_alignment=mean, stderr=stderr, jump_count_histogram=hist,
+                          jump_free=jump_free, make_trajectories=trajectories)

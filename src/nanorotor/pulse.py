@@ -281,7 +281,7 @@ def apply_pulse(state: RotorState, spec: PulseSpec) -> RotorState:
             new_sec = _cached_matrix(j0, state.jmax, m, k0, phi).apply(vec[j0:])
         sectors[m] = np.zeros_like(vec)
         sectors[m][j0:] = new_sec
-    out = RotorState(k0=k0, sectors=sectors, jmax=state.jmax, time=state.time,
+    out = RotorState(k0=k0, sectors=sectors, time=state.time,
                      diagnostics=dict(state.diagnostics))
     norm = out.norm()
     defect = abs(1.0 - norm)

@@ -73,7 +73,6 @@ class InertiaModel:
     i_c: float
     b_asym: float
     t_rev: float
-    degenerate: bool = False
 
     @property
     def inertia(self) -> float:
@@ -90,14 +89,14 @@ class InertiaModel:
         return self.mass / ATOMIC_MASS
 
 
-def _asymmetry_parameter(i_a: float, i_b: float, i_c: float) -> tuple[float, bool]:
+def _asymmetry_parameter(i_a: float, i_b: float, i_c: float) -> float:
     if not all(0.0 < i < math.inf for i in (i_a, i_b, i_c)):
         raise DomainError("the principal moments must be finite and positive")
     num = 1.0 / i_a - 1.0 / i_b
     den = 2.0 / i_c - 1.0 / i_a - 1.0 / i_b
     if abs(den) < 1e-12 * (2.0 / i_c):
-        return 0.0, True
-    return num / den, False
+        return 0.0
+    return num / den
 
 
 def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float) -> InertiaModel:
@@ -113,14 +112,12 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
     i_a, i_b = max(i_about_a, i_about_b), min(i_about_a, i_about_b)
     if i_c > i_b * (1 + 1e-12):
         raise DomainError("symmetry axis must be the long axis (prolate ordering)")
-    b_asym, degenerate = _asymmetry_parameter(i_a, i_b, i_c)
     inertia = 0.5 * (i_a + i_b)
     t_rev = 2.0 * math.pi * inertia / HBAR
     if t_rev == math.inf:
         raise DomainError("the revival time 2 pi I / hbar is beyond float range")
-    return InertiaModel(
-        mass=mass, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym,
-        t_rev=t_rev, degenerate=degenerate)
+    return InertiaModel(mass=mass, i_a=i_a, i_b=i_b, i_c=i_c,
+                        b_asym=_asymmetry_parameter(i_a, i_b, i_c), t_rev=t_rev)
 
 
 def inertia_from_parameters(ratio: float, b_asym: float,
@@ -152,13 +149,12 @@ def inertia_from_parameters(ratio: float, b_asym: float,
         raise DomainError("the principal moments must be finite and positive") from None
     if i_a < i_b:
         i_a, i_b = i_b, i_a
-    b_check, degenerate = _asymmetry_parameter(i_a, i_b, i_c)
+    b_check = _asymmetry_parameter(i_a, i_b, i_c)
     # b_check carries rounding of about eps / (r - 1) from 1/I_a - 1/I_b
     if abs(abs(b_check) - abs(b_asym)) > 1e-10 * abs(b_asym) + 1e-14 / (ratio - 1.0):
         raise DomainError("asymmetry parameter reconstruction failed")
-    return InertiaModel(
-        mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_check,
-        t_rev=2.0 * math.pi * inertia / HBAR, degenerate=degenerate)
+    return InertiaModel(mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_check,
+                        t_rev=2.0 * math.pi * inertia / HBAR)
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +165,18 @@ def inertia_from_parameters(ratio: float, b_asym: float,
 class SpectrumModel:
     """Dimensionless phase coefficients eps(j, k) for free propagation.
 
-    ``phase_coeffs[j, |k|]`` multiplies -i pi t/T_rev in the propagator.
-    ``dominant_weight[j, |k|]`` records, for the asymmetric method, the weight
-    of the labeling |k| component in the corresponding eigenvector (symmetric
-    method: 1 everywhere).  ``widened_j`` counts the j values whose asymmetric
-    levels needed more than the first cut of their Wang blocks.
+    ``phase_coeffs[j, |k|]``, over j <= jmax and |k| <= kmax (the table's
+    shape is the extent the spectrum covers), multiplies -i pi t/T_rev in the
+    propagator.  ``dominant_weight[j, |k|]`` records, for the asymmetric
+    method, the weight of the labeling |k| component in the corresponding
+    eigenvector (symmetric method: 1 everywhere).  ``widened_j`` counts the j
+    values whose asymmetric levels needed more than the first cut of their
+    Wang blocks.
     """
 
-    ratio: float
-    b_asym: float
-    jmax: int
-    kmax: int
     phase_coeffs: np.ndarray
     dominant_weight: np.ndarray
     widened_j: int = 0
-
-    def covers(self, jmax: int, kmax: int) -> bool:
-        return self.jmax >= jmax and self.kmax >= kmax
 
 
 def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
@@ -217,7 +208,7 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     for k in range(kmax + 1):
         coeffs[:, k] = js * (js + 1.0) + (ratio - 1.0) * k * k
     if method == "symmetric":
-        return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
+        return SpectrumModel(coeffs, weights)
     if method != "asymmetric":
         raise DomainError(f"unknown spectrum method {method!r}")
 
@@ -241,8 +232,7 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     bad = np.argwhere(~np.isfinite(coeffs))
     if bad.size:
         raise LevelAssignmentError(f"no level attributed to (j={bad[0][0]}, k={bad[0][1]})")
-    return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights,
-                         int(widened.sum()))
+    return SpectrumModel(coeffs, weights, int(widened.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +471,20 @@ class RotorState:
     """One pure rotor component: fixed k0, amplitudes over (m, j).
 
     ``sectors[m]`` is a complex amplitude vector over j = 0..jmax (entries
-    below max(|m|, |k0|) are zero); together the sectors form a normalized
-    pure state.  ``time`` is t / T_rev.  Values are treated as immutable;
-    operations return copies.
+    below max(|m|, |k0|) are zero); together the sectors, at least one, form
+    a normalized pure state, and ``jmax`` is read from their length.
+    ``time`` is t / T_rev.  Values are treated as immutable; operations
+    return copies.
     """
 
     k0: int
     sectors: dict[int, np.ndarray]
-    jmax: int
     time: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def jmax(self) -> int:
+        return len(next(iter(self.sectors.values()))) - 1
 
     def copy(self) -> "RotorState":
         return replace(self, sectors={m: vec.copy() for m, vec in self.sectors.items()},
@@ -607,7 +601,7 @@ def _state(k0: int, amps: np.ndarray, jmax: int) -> RotorState:
     normalised."""
     full = np.zeros(jmax + 1, dtype=complex)
     full[abs(k0):] = amps / np.linalg.norm(amps)
-    return RotorState(k0=k0, sectors={k0: full}, jmax=jmax)
+    return RotorState(k0=k0, sectors={k0: full})
 
 
 def _gaussian_beta_states(sigma: float, ks, jmax: int) -> list[RotorState]:
@@ -699,9 +693,10 @@ def prepare_mixture(sigma_beta: float, sigma_k: float,
 def free_phase(spectrum: SpectrumModel, k: int, jmax: int, dt: float) -> np.ndarray:
     """The spectral phases exp(-i pi mod(eps_j dt, 2)), j <= jmax, of a
     component at |k0| = k over dt = t/T_rev (read-only)."""
-    if not spectrum.covers(jmax, k):
+    rows, cols = spectrum.phase_coeffs.shape
+    if rows <= jmax or cols <= k:
         raise CoverageError(
-            f"spectrum (jmax={spectrum.jmax}, kmax={spectrum.kmax}) does not cover "
+            f"spectrum (jmax={rows - 1}, kmax={cols - 1}) does not cover "
             f"state (jmax={jmax}, |k0|={k})")
     eps = spectrum.phase_coeffs[: jmax + 1, k]
     ph = np.exp(-1j * math.pi * np.mod(eps * dt, 2.0))
@@ -717,14 +712,13 @@ def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel,
     if phase is None:
         phase = free_phase(spectrum, abs(state.k0), state.jmax, dt)
     return RotorState(k0=state.k0, sectors={m: vec * phase for m, vec in state.sectors.items()},
-                      jmax=state.jmax, time=state.time + dt,
-                      diagnostics=dict(state.diagnostics))
+                      time=state.time + dt, diagnostics=dict(state.diagnostics))
 
 
 def extend_state(state: RotorState, new_jmax: int) -> RotorState:
     """Zero-pad every sector up to new_jmax (headroom for pulses and jumps)."""
-    if new_jmax < state.jmax:
+    pad = new_jmax - state.jmax
+    if pad < 0:
         raise DomainError("cannot shrink a state")
-    return replace(state, sectors={m: np.pad(vec, (0, new_jmax - state.jmax))
-                                   for m, vec in state.sectors.items()},
-                   jmax=new_jmax, diagnostics=dict(state.diagnostics))
+    return replace(state, sectors={m: np.pad(vec, (0, pad)) for m, vec in state.sectors.items()},
+                   diagnostics=dict(state.diagnostics))

@@ -405,8 +405,9 @@ def draw(initial, config, index: int):
     if len(initial.components) > 1:
         w = np.array(initial.weights)
         pick = int(rng.choice(len(w), p=w / w.sum()))
+    t_end = float(config.observation_times[-1])
     return (initial.components[pick],
-            decoherence.sample_jump_times(config.gamma, config.t_end, rng), rng)
+            decoherence.sample_jump_times(config.gamma, t_end, rng), rng)
 
 
 def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
@@ -709,7 +710,7 @@ def lapack_energies(jmax: int, kmax: int, model) -> SpectrumModel:
                 raise LevelAssignmentError(f"no level attributed to (j={j}, k={k})")
             coeffs[j, k] = float(np.mean(levels[k]))
             weights[j, k] = wmin[k]
-    return SpectrumModel(ratio, model.b_asym, jmax, kmax, coeffs, weights)
+    return SpectrumModel(coeffs, weights)
 
 
 def full_count(block, j: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -262,8 +262,7 @@ def test_criterion_8_decoherence(fig1_state, nanorod):
     align, trace, min_eig = oracles.lindblad_oracle(small, sp, gamma, 1.0, tobs)
     assert np.max(np.abs(trace - 1.0)) < 1e-8
     assert min_eig > -1e-8
-    cfg = decoherence.TrajectoryConfig(gamma=gamma, t_end=1.0,
-                                       observation_times=tobs, seed=404)
+    cfg = decoherence.TrajectoryConfig(gamma=gamma, observation_times=tobs, seed=404)
     ens = decoherence.run_ensemble(rotor.Mixture.pure(small), sp, cfg, 2000)
     z = np.abs((ens.mean_alignment[1:] - align[1:]) / ens.stderr[1:])
     # jump counts Poisson with mean gamma * t_end, from the same ensemble
@@ -282,8 +281,7 @@ def test_criterion_8_decoherence(fig1_state, nanorod):
     g_op = decoherence.gamma_dimensionless(decoherence.GAMMA_GAS_PRESET_HZ,
                                            nanorod.t_rev)
     sp1 = rotor.rotational_energies(fig1_state.jmax, 0, nanorod, "symmetric")
-    cfg_op = decoherence.TrajectoryConfig(gamma=g_op, t_end=1.0,
-                                          observation_times=(0.0, 1.0), seed=7)
+    cfg_op = decoherence.TrajectoryConfig(gamma=g_op, observation_times=(0.0, 1.0), seed=7)
     ens_op = decoherence.run_ensemble(rotor.Mixture.pure(fig1_state), sp1, cfg_op, 400)
     a_vacuum = observables.alignment(fig1_state)  # phi=0, exact revival
     reduction = a_vacuum - ens_op.mean_alignment[-1]
@@ -337,8 +335,7 @@ def test_criterion_9_property_suite(fig1_state, nanorod):
     small = rotor.Mixture.pure(rotor.prepare_aligned_state("gaussian_j", 3.0, jmax=16))
     sps_ = rotor.rotational_energies(16, 0, rotor.inertia_from_parameters(41.8, 0.0),
                                      "symmetric")
-    cfg = decoherence.TrajectoryConfig(gamma=0.6, t_end=1.0,
-                                       observation_times=tuple(np.linspace(0, 1, 7)),
+    cfg = decoherence.TrajectoryConfig(gamma=0.6, observation_times=tuple(np.linspace(0, 1, 7)),
                                        seed=3)
     ens = decoherence.run_ensemble(small, sps_, cfg, 16)
     rows = np.vstack([oracles.run_trajectory(small, sps_, cfg, i) for i in range(16)])

@@ -119,8 +119,7 @@ def _random_state(rng, k0: int, ms, jmax: int = 24) -> rotor.RotorState:
         vec[j0:jmax - 1] = rng.normal(size=jmax - 1 - j0) + 1j * rng.normal(size=jmax - 1 - j0)
         sectors[m] = vec
     norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in sectors.values()))
-    return rotor.RotorState(k0=k0, sectors={m: v / norm for m, v in sectors.items()},
-                            jmax=jmax)
+    return rotor.RotorState(k0=k0, sectors={m: v / norm for m, v in sectors.items()})
 
 
 @pytest.mark.parametrize("k0", [-3, -1, 0, 2])
@@ -194,8 +193,8 @@ def test_channel_uniforms_are_the_scalar_draws():
     # the stream order: component (when there are several), jump times, then
     # one uniform per jump; rng.random(n) gives the bits of n scalar draws
     mix = rotor.prepare_mixture(0.3, 1.0)
-    cfg = dec.TrajectoryConfig(gamma=3.0, t_end=1.0, observation_times=(1.0,), seed=12)
-    draws = dec._draws(cfg.seed, cfg.gamma, cfg.t_end, tuple(mix.weights), 60)
+    cfg = dec.TrajectoryConfig(gamma=3.0, observation_times=(1.0,), seed=12)
+    draws = dec._draws(cfg.seed, cfg.gamma, cfg.observation_times[-1], tuple(mix.weights), 60)
     assert len({pick for pick, _, _ in draws}) > 2
     assert max(len(jumps) for _, jumps, _ in draws) >= 5
     for index, (pick, jumps, uniforms) in enumerate(draws):
@@ -213,7 +212,7 @@ def test_channel_uniforms_are_the_scalar_draws():
 
 def test_gamma_zero_matches_deterministic(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 11))
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs,
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=tobs,
                                seed=5, pulse=pulse.PulseSpec(phi=math.pi))
     tr = oracles.run_trajectory(small_mixture, small_spectrum, cfg)
     ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 7)
@@ -223,7 +222,7 @@ def test_gamma_zero_matches_deterministic(small_mixture, small_spectrum):
 
 def test_trajectory_deterministic_per_index(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 9))
-    cfg = dec.TrajectoryConfig(gamma=0.7, t_end=1.0, observation_times=tobs, seed=9)
+    cfg = dec.TrajectoryConfig(gamma=0.7, observation_times=tobs, seed=9)
     a = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
     b = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=5)
     assert np.array_equal(a, b)
@@ -231,11 +230,11 @@ def test_trajectory_deterministic_per_index(small_mixture, small_spectrum):
 
 def test_jumped_trajectory_degrades_revival(small_mixture, small_spectrum):
     tobs = (0.0, 1.0)
-    cfg0 = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=tobs, seed=1)
+    cfg0 = dec.TrajectoryConfig(gamma=0.0, observation_times=tobs, seed=1)
     clean = oracles.run_trajectory(small_mixture, small_spectrum, cfg0)
     assert clean[1] == pytest.approx(clean[0], abs=1e-10)
     # find a seed whose trajectory has at least one mid-flight jump
-    cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=tobs, seed=2)
+    cfg = dec.TrajectoryConfig(gamma=1.0, observation_times=tobs, seed=2)
     for idx in range(20):
         rng = dec._trajectory_rng(2, idx)
         jumps = dec.sample_jump_times(1.0, 1.0, rng)
@@ -274,7 +273,7 @@ def test_resumed_run_equals_full_pass(case, method, monkeypatch):
     k0 = 2 if mixture else 0
     spectrum = rotor.rotational_energies(
         state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=1.0, t_end=1.0, observation_times=_RESUME_TOBS,
+    cfg = dec.TrajectoryConfig(gamma=1.0, observation_times=_RESUME_TOBS,
                                pulse=spec)
     # the full pass from t = 0 on the pure k0 component, events ordered by
     # (time, kind) with jumps, then pulses, then observations at equal times
@@ -306,8 +305,7 @@ def test_ensemble_is_index_ordered_mean_of_trajectories():
     state = rotor.prepare_mixture(0.3, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
         state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+    cfg = dec.TrajectoryConfig(gamma=1.5, observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=31, pulse=spec)
     n = 16
     rows = np.vstack([oracles.run_trajectory(state, spectrum, cfg, i) for i in range(n)])
@@ -336,9 +334,9 @@ def test_jump_free_series_is_the_gamma_zero_mean():
         state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
     tobs = tuple(np.linspace(0.0, 1.0, 6))
     free = dec.run_ensemble(state, spectrum, dec.TrajectoryConfig(
-        gamma=0.0, t_end=1.0, observation_times=tobs, seed=8, pulse=spec), 2)
+        gamma=0.0, observation_times=tobs, seed=8, pulse=spec), 2)
     jumpy = dec.run_ensemble(state, spectrum, dec.TrajectoryConfig(
-        gamma=1.2, t_end=1.0, observation_times=tobs, seed=8, pulse=spec), 2)
+        gamma=1.2, observation_times=tobs, seed=8, pulse=spec), 2)
     assert len(state.components) > 2  # two trajectories cannot draw every component
     assert jumpy.jump_free.tobytes() == free.mean_alignment.tobytes()
     assert free.jump_free.tobytes() == free.mean_alignment.tobytes()
@@ -348,8 +346,7 @@ def test_jump_free_series_is_the_gamma_zero_mean():
 def test_rows_without_jumps_share_the_skeleton_series(small_mixture, small_spectrum):
     # a trajectory without jumps is its component's jump-free series itself,
     # read-only, so a gamma = 0 ensemble holds one array per component
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 5)))
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=tuple(np.linspace(0.0, 1.0, 5)))
     res = dec.run_ensemble(small_mixture, small_spectrum, cfg, 4)
     first = res.trajectories[0]
     assert all(row is first for row in res.trajectories)
@@ -369,8 +366,7 @@ def test_folded_ensemble_equals_unfolded_oracle(method, monkeypatch):
     state = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
         state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+    cfg = dec.TrajectoryConfig(gamma=1.5, observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=17, pulse=spec)
     n = 24
     draws = [oracles.draw(state, cfg, i) for i in range(n)]
@@ -399,8 +395,7 @@ def test_ensemble_with_many_jumps_equals_the_generator_path(monkeypatch):
                                      spec)
     spectrum = rotor.rotational_energies(
         state.jmax, 0, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=4.0, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 6)),
+    cfg = dec.TrajectoryConfig(gamma=4.0, observation_times=tuple(np.linspace(0.0, 1.0, 6)),
                                seed=23, pulse=spec)
     mixture, n = rotor.Mixture.pure(state), 12
     seen, real = [], dec.apply_jump
@@ -454,7 +449,7 @@ def test_a_component_that_is_no_mirror_runs_its_own_pass(monkeypatch):
     mix = rotor.Mixture((other, *mix.components[1:]), mix.weights)
     spectrum = rotor.rotational_energies(
         mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.0, 0.5, 1.0),
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=(0.0, 0.5, 1.0),
                                pulse=spec)
     passes, real = [], dec._run_events
 
@@ -479,8 +474,7 @@ def test_mixture_is_weighted_sum_of_components(method):
     mix = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
         mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 9)),
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=tuple(np.linspace(0.0, 1.0, 9)),
                                pulse=spec)
     k0s = [c.k0 for c in mix.components]
     assert len(k0s) > 1 and k0s == sorted(k0s)
@@ -505,7 +499,7 @@ def _revival_pass():
         state.jmax, 0, rotor.inertia_from_parameters(41.8, 1e-4), "asymmetric")
     times = tuple(config.revival_time_grid(1e-4))
     return state, spectrum, dec.TrajectoryConfig(
-        gamma=0.0, t_end=times[-1], observation_times=times, pulse=spec)
+        gamma=0.0, observation_times=times, pulse=spec)
 
 
 def _refined_pass():
@@ -518,7 +512,7 @@ def _refined_pass():
     times = tuple(config.build_time_grid(config.TimesConfig(
         t_end=1.05, n_points=512, refine_factor=8, refine_halfwidth=0.02)))
     return state, spectrum, dec.TrajectoryConfig(
-        gamma=0.0, t_end=times[-1], observation_times=times, pulse=spec)
+        gamma=0.0, observation_times=times, pulse=spec)
 
 
 def _count_phases(monkeypatch) -> list:
@@ -550,8 +544,7 @@ def test_memo_ensemble_equals_the_per_step_ensemble(monkeypatch):
     state = rotor.prepare_mixture(0.1, 1.0).map(lambda c: pulse.prepare_for_pulses(c, spec))
     spectrum = rotor.rotational_energies(
         state.jmax, state.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=1.5, t_end=1.0,
-                               observation_times=tuple(np.linspace(0.0, 1.0, 41)),
+    cfg = dec.TrajectoryConfig(gamma=1.5, observation_times=tuple(np.linspace(0.0, 1.0, 41)),
                                seed=17, pulse=spec)
     n = 24
     assert any(c.k0 < 0 and len(jumps) for c, jumps, _ in
@@ -583,7 +576,7 @@ def test_memo_holds_at_most_its_bound_and_lives_one_pass(small_state, small_spec
     # are those its memo holds, and none outlives the pass
     rng = np.random.default_rng(5)
     times = tuple(np.cumsum(rng.permutation(np.arange(1, 101)) * 1e-4))
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=times[-1], observation_times=times)
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=times)
     alive, held, real = [], [], rotor.free_phase
 
     def tracked(sp, *key):
@@ -614,7 +607,7 @@ def test_gamma_zero_pure_state_makes_no_stream(monkeypatch, small_mixture, small
     tobs = (0.0, 0.5, 1.0)
     for gamma, streams in ((0.0, []), (0.5, [0, 1, 2, 3])):
         dec._draws.cache_clear()
-        cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0, observation_times=tobs, seed=5)
+        cfg = dec.TrajectoryConfig(gamma=gamma, observation_times=tobs, seed=5)
         dec.run_ensemble(small_mixture, small_spectrum, cfg, 4)
         assert made == streams
     dec._draws.cache_clear()
@@ -636,7 +629,7 @@ def test_gamma_zero_mixture_draws_only_when_trajectories_are_read(monkeypatch):
     mix = rotor.prepare_mixture(0.1, 1.0)
     spectrum = rotor.rotational_energies(
         mix.jmax, mix.kmax, rotor.inertia_from_parameters(41.8, 0.0), "symmetric")
-    cfg = dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.0, 0.3, 1.0),
+    cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=(0.0, 0.3, 1.0),
                                seed=9)
     n = 12
     dec._draws.cache_clear()
@@ -645,7 +638,7 @@ def test_gamma_zero_mixture_draws_only_when_trajectories_are_read(monkeypatch):
     assert res.mean_alignment.tobytes() == res.jump_free.tobytes()
     rows = res.trajectories
     assert made == list(range(n)) and res.trajectories is rows
-    picks = [pick for pick, _, _ in dec._draws(cfg.seed, cfg.gamma, cfg.t_end,
+    picks = [pick for pick, _, _ in dec._draws(cfg.seed, cfg.gamma, cfg.observation_times[-1],
                                                  tuple(mix.weights), n)]
     assert len(set(picks)) >= 2
     for row, pick in zip(rows, picks):
@@ -676,7 +669,7 @@ def test_unraveling_matches_oracle(small_state, small_mixture, small_spectrum):
                                                     gamma, 1.0, tobs)
     assert np.max(np.abs(trace - 1.0)) < 1e-8
     assert min_eig > -1e-8
-    cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0, observation_times=tobs, seed=77)
+    cfg = dec.TrajectoryConfig(gamma=gamma, observation_times=tobs, seed=77)
     ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 500)
     z = (ens.mean_alignment[1:] - align[1:]) / ens.stderr[1:]
     assert np.max(np.abs(z)) < 3.5
@@ -691,8 +684,7 @@ def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_mixture, sma
     align, _, _ = oracles.lindblad_oracle(small_state, small_spectrum, gamma, 1.0, tobs)
 
     def rms(n, seed):
-        cfg = dec.TrajectoryConfig(gamma=gamma, t_end=1.0,
-                                   observation_times=tobs, seed=seed)
+        cfg = dec.TrajectoryConfig(gamma=gamma, observation_times=tobs, seed=seed)
         ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, n)
         return float(np.sqrt(np.mean((ens.mean_alignment[1:] - align[1:]) ** 2)))
 
@@ -705,9 +697,11 @@ def test_monte_carlo_error_scales_inverse_sqrt_n(small_state, small_mixture, sma
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        dec.TrajectoryConfig(gamma=-1.0, t_end=1.0, observation_times=(0.0,))
+        dec.TrajectoryConfig(gamma=-1.0, observation_times=(0.0,))
     with pytest.raises(DomainError):
-        dec.TrajectoryConfig(gamma=0.0, t_end=1.0, observation_times=(0.5, 0.2))
+        dec.TrajectoryConfig(gamma=0.0, observation_times=(0.5, 0.2))
+    with pytest.raises(DomainError):  # a trajectory ends at its last observation
+        dec.TrajectoryConfig(gamma=0.0, observation_times=())
 
 
 def test_gamma_conversion_preset():
@@ -719,7 +713,7 @@ def test_gamma_conversion_preset():
 
 def test_ensemble_n1_equals_first_trajectory(small_mixture, small_spectrum):
     tobs = tuple(np.linspace(0.0, 1.0, 7))
-    cfg = dec.TrajectoryConfig(gamma=0.8, t_end=1.0, observation_times=tobs, seed=13)
+    cfg = dec.TrajectoryConfig(gamma=0.8, observation_times=tobs, seed=13)
     single = oracles.run_trajectory(small_mixture, small_spectrum, cfg, index=0)
     ens = dec.run_ensemble(small_mixture, small_spectrum, cfg, 1)
     assert np.array_equal(single, ens.mean_alignment)

@@ -10,7 +10,7 @@ from nanorotor.errors import DomainError, PeakError
 
 
 def test_isotropic_alignment_is_one_third():
-    state = rotor.RotorState(k0=0, sectors={0: np.array([1.0 + 0j])}, jmax=0)
+    state = rotor.RotorState(k0=0, sectors={0: np.array([1.0 + 0j])})
     assert observables.alignment(state) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
@@ -32,7 +32,7 @@ def test_alignment_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=31) + 1j * rng.normal(size=31)
     vec /= np.linalg.norm(vec)
-    state = rotor.RotorState(k0=0, sectors={0: vec}, jmax=30)
+    state = rotor.RotorState(k0=0, sectors={0: vec})
     a = observables.alignment(state)
     assert -1e-12 <= a <= 1.0 + 1e-12
 

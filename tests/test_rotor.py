@@ -36,7 +36,6 @@ def test_asymmetric_variant_b():
 def test_sphere_is_degenerate():
     m = rotor.inertia_from_ellipsoid((1e-9, 1e-9, 1e-9), 2000.0)
     assert m.b_asym == 0.0
-    assert m.degenerate
 
 
 def test_prolate_ordering_invariant():
@@ -471,7 +470,7 @@ def test_mirror_state_is_the_symmetry_of_the_basis():
         vec = np.zeros(jmax + 1, dtype=complex)
         vec[max(abs(m), k0):] = rng.normal(size=jmax + 1 - max(abs(m), k0))
         sectors[m] = vec
-    state = rotor.RotorState(k0=k0, sectors=sectors, jmax=jmax)
+    state = rotor.RotorState(k0=k0, sectors=sectors)
     mirror = rotor.mirror_state(state)
     assert mirror.k0 == -k0 and sorted(mirror.sectors) == [-3, -2, -1]
     assert np.array_equal(mirror.sectors[-3], -sectors[3])
@@ -602,7 +601,7 @@ def test_asymmetry_delays_revival(fig1_state):
 def test_spectrum_coverage_error(fig1_state):
     m = rotor.inertia_from_parameters(41.8, 0.0)
     small = rotor.rotational_energies(10, 0, m, "symmetric")
-    with pytest.raises(CoverageError):
+    with pytest.raises(CoverageError, match=r"spectrum \(jmax=10, kmax=0\) does not cover"):
         rotor.free_propagate(fig1_state, 0.1, small)
 
 
