@@ -14,7 +14,8 @@ mixture, the CLI's path through ``synthesize_beta`` and ``wigner_d_table``,
 then an ``evolve`` sigma_k = 1 mixture at b = 0.3 on the asymmetric
 spectrum, whose cuts the O(1) test leaves to the pivot sweep down the block
 and whose pulse takes the semiclassical m k != 0 correction; or only the
-runs ``--only`` names.  For each run it prints
+runs ``--only`` names.  It first prints the line count of each tree's
+``nanorotor`` modules, in total and by module.  For each run it prints
 both exit codes, how many CSVs are byte-identical, the largest absolute
 difference in each CSV body (from its second line on), whether the manifests
 are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
@@ -57,6 +58,19 @@ def _runs() -> dict:
                                   "--spectrum.method", "asymmetric", *MIXTURE_STATE,
                                   "--pulse.phi", "3.141592653589793", "--times.n_points", "64"]
     return runs
+
+
+def _line_counts(src: str) -> dict:
+    """Module file name -> line count of the ``nanorotor`` package in src."""
+    return {path.name: len(path.read_text().splitlines())
+            for path in Path(src, "nanorotor").glob("*.py")}
+
+
+def print_line_counts(old_src: str, new_src: str) -> None:
+    old, new = _line_counts(old_src), _line_counts(new_src)
+    print(f"src lines: {sum(old.values())} / {sum(new.values())}")
+    for name in sorted(old.keys() | new.keys()):
+        print(f"  {name}: {old.get(name, 0)} / {new.get(name, 0)}")
 
 
 def _simulate(src: str, args: list, out_dir: Path) -> int:
@@ -116,6 +130,7 @@ def run(argv=None) -> int:
     parser.add_argument("--only", nargs="+", choices=sorted(runs), metavar="NAME",
                         help=f"runs to compare, of: {', '.join(runs)}")
     args = parser.parse_args(argv)
+    print_line_counts(args.old_src, args.new_src)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.only or runs:

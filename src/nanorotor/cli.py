@@ -41,10 +41,6 @@ def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.Mixture:
     return rotor.Mixture.pure(rotor.prepare_aligned_state(s.mode, param, s.k0, jmax=s.jmax))
 
 
-def _phi_tag(phi: float) -> str:
-    return f"{phi:.6g}".replace("-", "m").replace(".", "p")
-
-
 class OutputWriter:
     def __init__(self, prefix: str):
         self.prefix = prefix
@@ -89,7 +85,7 @@ def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point
                                       seed=cfg.ensemble.seed, pulse=spec)
     res = decoherence.run_ensemble(prepared, spectrum, tc, cfg.ensemble.n)
     if gamma > 0:
-        diagnostics.setdefault("jump_histograms", {})[point or _phi_tag(phi)] = \
+        diagnostics.setdefault("jump_histograms", {})[point or cfgmod.value_tag(phi)] = \
             {str(k): v for k, v in sorted(res.jump_count_histogram.items())}
     return res
 
@@ -136,7 +132,7 @@ def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
     multi = len(phis) > 1
     for phi in phis:
         res = _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics)
-        suffix = f"_phi{_phi_tag(phi)}" if multi else ""
+        suffix = f"_phi{cfgmod.value_tag(phi)}" if multi else ""
         cols = [tgrid, res.mean_alignment]
         header = ["t_over_Trev", "value"]
         if gamma > 0 and cfg.ensemble.n > 1:
@@ -159,7 +155,7 @@ def scenario_fractional(cfg, report, writer, diagnostics):
     for frac in fractions:
         evolved = state.map(lambda c: rotor.free_propagate(c, frac, spectrum))
         prob = evolved.mean(lambda c: observables.beta_distribution(c, grid))
-        writer.write_csv(f"_beta_t{_phi_tag(frac)}", ["beta", "prob"],
+        writer.write_csv(f"_beta_t{cfgmod.value_tag(frac)}", ["beta", "prob"],
                          [grid.nodes, prob])
         centers = {0.125: [1, 3, 5, 7], 0.25: [2, 6], 0.5: [4]}[frac]
         hw = halfwidths[frac]
@@ -212,9 +208,9 @@ def scenario_sweep_sigma(cfg, report, writer, diagnostics):
                 "state.sigma_beta": sb, "state.sigma_k": sk})
             state, spectrum = _state_and_spectrum(sub, report.model, [phi])
             res = _ensemble_series(state, spectrum, sub, report.gamma, phi, tgrid, diagnostics,
-                                   f"sb{_phi_tag(sb)}_sk{_phi_tag(sk)}")
+                                   f"sb{cfgmod.value_tag(sb)}_sk{cfgmod.value_tag(sk)}")
             values.append(res.mean_alignment[-1])
-        writer.write_csv(f"_sb{_phi_tag(sb)}", ["sigma_k", "value"],
+        writer.write_csv(f"_sb{cfgmod.value_tag(sb)}", ["sigma_k", "value"],
                          [np.array(sigma_ks, dtype=float), np.array(values)])
     return 0
 
@@ -237,7 +233,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
         tgrid = cfgmod.revival_time_grid(b)
         for phi in phis:
             res = _ensemble_series(base_state, spectrum, cfg, 0.0, phi, tgrid, diagnostics,
-                                   f"b{_phi_tag(b)}_phi{_phi_tag(phi)}")
+                                   f"b{cfgmod.value_tag(b)}_phi{cfgmod.value_tag(phi)}")
             series = observables.TimeSeries(tgrid, res.mean_alignment)
             t_peak, value = observables.find_revival_peak(series, *observables.revival_window(b))
             peak_rows[phi].append(value)
@@ -245,7 +241,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
                 tpeaks.append(t_peak)
     bs_arr = np.array(bs)
     for phi in phis:
-        writer.write_csv(f"_phi{_phi_tag(phi)}", ["b_asym", "value"],
+        writer.write_csv(f"_phi{cfgmod.value_tag(phi)}", ["b_asym", "value"],
                          [bs_arr, np.array(peak_rows[phi])])
     writer.write_csv("_tpeak", ["b_asym", "t_peak"], [bs_arr, np.array(tpeaks)])
     diagnostics["min_dominant_weight"] = min_dominant

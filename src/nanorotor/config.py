@@ -215,6 +215,12 @@ def sweep_values(cfg: ExperimentConfig, name: str) -> list[float]:
     return SWEEP_DEFAULTS[name] if values is None else values
 
 
+def value_tag(value: float) -> str:
+    """The label of a swept value in output file names and manifest keys:
+    6 significant digits, with '-' as 'm' and '.' as 'p'."""
+    return f"{value:.6g}".replace("-", "m").replace(".", "p")
+
+
 def build_time_grid(times: TimesConfig) -> np.ndarray:
     """Uniform sampling plus dense refinement around multiples of 1/8.
 
@@ -475,21 +481,23 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
         problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
     elif cfg.scenario == "sweep_asymmetry" and sw.b_points >= 0:
-        # the ends of the b sweep have the widest revival windows; a log grid
-        # end is capped at b = 1e3, whose window is already past the ceiling
-        ends = [("sweep.b_include", b) for b in sw.b_include]
+        # prolate moments give |b| <= 1, whose revival grid is far below the ceiling
+        if not all(abs(b) <= 1.0 for b in sw.b_include):
+            problems.append("sweep.b_include: prolate moments give |b| <= 1")
         log_ends = [("sweep.b_log10_min", sw.b_log10_min), ("sweep.b_log10_max", sw.b_log10_max)]
-        ends += [(key, 10.0 ** min(x, 3.0)) for key, x in log_ends[:sw.b_points]]
-        for key, b in ends:
-            try:
-                revival_time_grid(b)
-            except DomainError as exc:
-                problems.append(f"{key}: {exc}")
-                break
+        for key, x in log_ends[:sw.b_points]:
+            if not x <= 0.0:
+                problems.append(f"{key}: must be <= 0, since prolate moments give |b| <= 1")
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")
     if any(v < 0 for v in sw.sigma_k or ()):
         problems.append("sweep.sigma_k: every entry must be >= 0")
+    # each value's tag names its output file or manifest entry
+    for key, values in (("pulse.phi", p.phi), ("sweep.phi", sw.phi),
+                        ("sweep.sigma_beta", sw.sigma_beta), ("sweep.sigma_k", sw.sigma_k)):
+        tags = [value_tag(v) for v in values] if isinstance(values, list) else []
+        if len(set(tags)) < len(tags):
+            problems.append(f"{key}: two entries share an output tag (6 significant digits)")
     if cfg.spectrum.method not in ("symmetric", "asymmetric"):
         problems.append(f"spectrum.method: unknown value {cfg.spectrum.method!r}")
     elif cfg.scenario == "sweep_asymmetry" and cfg.spectrum.method != "asymmetric":

@@ -246,12 +246,13 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     """Average n trajectories (mixture weights included), in one pass.
 
     Trajectories end at the last observation time, t_end.  The random
-    draws are made once for the last (seed, gamma, t_end, weights, n).  Each component runs one jump-free pass, except one that is
-    the mirror of an earlier one (``rotor.mirror_state``): every kernel gives
-    a mirrored state the bits it gives the original, so it reads its twin's
-    pass.  Until its first jump a trajectory is a function of its component
-    alone, so it runs, in index order, from the state its pass reached before
-    the first event at or after that jump (mirrored for a twin); a trajectory
+    draws are made once for the last (seed, gamma, t_end, weights, n).
+    Each component runs one jump-free pass, except one that is the mirror of
+    an earlier one (``rotor.mirror_state``): every kernel gives a mirrored
+    state the bits it gives the original, so it reads its twin's pass.
+    Until its first jump a trajectory is a function of its component alone,
+    so it runs, in index order, from the state its pass reached before the
+    first event at or after that jump (mirrored for a twin); a trajectory
     that makes no jump is its pass's series itself, read-only.
     With gamma = 0 no trajectory jumps: the mean is the weighted sum of each
     component's jump-free series, for any n, and the draws, which only pick

@@ -54,8 +54,9 @@ def beta_distribution(state: RotorState, grid: angular.AngularGrid) -> np.ndarra
 
 def revival_window(b: float) -> tuple[float, float]:
     """Centre and half-width of the window that holds the revival peak of a
-    rotor with asymmetry b: the peak moves later and spreads as b grows."""
-    return 1.0 + 10.0 * b, 0.05 + 20.0 * b
+    rotor with asymmetry b: the peak moves later and spreads as |b| grows
+    (the moments of -b are those of b)."""
+    return 1.0 + 10.0 * abs(b), 0.05 + 20.0 * abs(b)
 
 
 def find_revival_peak(series: TimeSeries, window_center: float,

@@ -112,12 +112,12 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
     i_a, i_b = max(i_about_a, i_about_b), min(i_about_a, i_about_b)
     if i_c > i_b * (1 + 1e-12):
         raise DomainError("symmetry axis must be the long axis (prolate ordering)")
+    b_asym = _asymmetry_parameter(i_a, i_b, i_c)
     inertia = 0.5 * (i_a + i_b)
     t_rev = 2.0 * math.pi * inertia / HBAR
     if t_rev == math.inf:
         raise DomainError("the revival time 2 pi I / hbar is beyond float range")
-    return InertiaModel(mass=mass, i_a=i_a, i_b=i_b, i_c=i_c,
-                        b_asym=_asymmetry_parameter(i_a, i_b, i_c), t_rev=t_rev)
+    return InertiaModel(mass=mass, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym, t_rev=t_rev)
 
 
 def inertia_from_parameters(ratio: float, b_asym: float,
@@ -165,13 +165,12 @@ def inertia_from_parameters(ratio: float, b_asym: float,
 class SpectrumModel:
     """Dimensionless phase coefficients eps(j, k) for free propagation.
 
-    ``phase_coeffs[j, |k|]``, over j <= jmax and |k| <= kmax (the table's
-    shape is the extent the spectrum covers), multiplies -i pi t/T_rev in the
-    propagator.  ``dominant_weight[j, |k|]`` records, for the asymmetric
-    method, the weight of the labeling |k| component in the corresponding
-    eigenvector (symmetric method: 1 everywhere).  ``widened_j`` counts the j
-    values whose asymmetric levels needed more than the first cut of their
-    Wang blocks.
+    ``phase_coeffs[j, |k|]`` multiplies -i pi t/T_rev in the propagator; its
+    shape, (jmax + 1, kmax + 1), is the extent the spectrum covers.
+    ``dominant_weight[j, |k|]`` records, for the asymmetric method, the weight
+    of the labeling |k| component in the corresponding eigenvector (symmetric
+    method: 1 everywhere).  ``widened_j`` counts the j values whose asymmetric
+    levels needed more than the first cut of their Wang blocks.
     """
 
     phase_coeffs: np.ndarray
@@ -717,8 +716,8 @@ def free_propagate(state: RotorState, dt: float, spectrum: SpectrumModel,
 
 def extend_state(state: RotorState, new_jmax: int) -> RotorState:
     """Zero-pad every sector up to new_jmax (headroom for pulses and jumps)."""
-    pad = new_jmax - state.jmax
-    if pad < 0:
+    if new_jmax < state.jmax:
         raise DomainError("cannot shrink a state")
-    return replace(state, sectors={m: np.pad(vec, (0, pad)) for m, vec in state.sectors.items()},
+    return replace(state, sectors={m: np.pad(vec, (0, new_jmax - state.jmax))
+                                   for m, vec in state.sectors.items()},
                    diagnostics=dict(state.diagnostics))

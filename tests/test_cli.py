@@ -163,9 +163,28 @@ EXIT2_CASES = [
     _exit2("times.n_points", "1000000000"),
     _exit2("times.refine_factor", "1000000000"),
     _exit2("times.t_end", "1e6"),
-    # ... and a revival window that would take as many
+    # a swept asymmetry no prolate set of moments gives, |b| > 1, is rejected
+    # before any b is computed
     _exit2("sweep.b_log10_max", "3", "fig2b"),
     _exit2("sweep.b_include", "[20.0]", "fig2b"),
+    _exit2("sweep.b_include", "[2.0]", "fig2b", "--sweep.b_points", "0",
+           "--state.sigma_beta", "0.03"),
+    _exit2("sweep.b_include", "[-1.5]", "fig2b", "--sweep.b_points", "0",
+           "--state.sigma_beta", "0.03"),
+    _exit2("sweep.b_log10_max", "0.5", "fig2b", "--sweep.b_points", "2",
+           "--sweep.b_log10_min", "-5", "--state.sigma_beta", "0.03"),
+    _exit2("sweep.b_log10_min", "0.5", "fig2b", "--sweep.b_points", "1",
+           "--state.sigma_beta", "0.03"),
+    # values whose 6-digit tags repeat would name one output twice
+    _exit2("pulse.phi", "[1.0000001,1.0000002]", "evolve", "--rotor.inertia_ratio", "41.8",
+           "--state.sigma_j_sq", "20", "--times.n_points", "8", "--gamma.dimensionless", "0.5",
+           "--ensemble.n", "2", id="pulse.phi-shared-tag"),
+    _exit2("sweep.phi", "[1.0,1.0000001]", "fig2c", "--ensemble.n", "2",
+           id="sweep.phi-shared-tag"),
+    _exit2("sweep.sigma_beta", "[0.1,0.1000000001]", "fig2a", "--sweep.sigma_k", "[0.0]",
+           id="sweep.sigma_beta-shared-tag"),
+    _exit2("sweep.sigma_k", "[1.0,1.0]", "fig2a", "--sweep.sigma_beta", "[0.1]",
+           id="sweep.sigma_k-shared-tag"),
     # a revival time of zero or below; moments beyond float range, from a huge
     # asymmetry or an ellipsoid whose mass underflows or overflows
     _exit2("rotor.t_rev_s", "0", "evolve", *SMALL_RUN),
@@ -354,9 +373,9 @@ RUN_VALUES = {
     "sweep.sigma_k": [None, [], [0.0], [0.0, 0.5], [-1.0]],
     "sweep.sigma_beta": [None, [], [0.1], [0.1, 0.3], [0.0]],
     "sweep.b_log10_min": [-6.0, -4.0, -3.0],
-    "sweep.b_log10_max": [-6.0, -4.0, -3.0],
+    "sweep.b_log10_max": [-6.0, -4.0, -3.0, 0.5],
     "sweep.b_points": [0, 1, 2],
-    "sweep.b_include": [[], [1e-4]],
+    "sweep.b_include": [[], [1e-4], [-3e-3], [2.0]],
     "spectrum.method": ["symmetric", "asymmetric", "other"],
     "spectrum.kmax": [None, 3],
     "output.format": ["csv", "other"],
@@ -628,6 +647,19 @@ def test_fig2b_preset_reduced_grid(tmp_path):
     assert np.all(np.diff(phi0[:, 1]) < 0)   # alignment degrades with b
 
 
+def test_fig2b_negative_b_gives_the_values_of_positive_b(tmp_path):
+    # -b has the moments and the revival window of b
+    base = ["fig2b", "--state.sigma_beta", "0.03", "--sweep.b_points", "0"]
+    for name, b in (("minus", "[-3e-3]"), ("plus", "[3e-3]")):
+        assert cli.main([*base, "--sweep.b_include", b, "--out", str(tmp_path / name)]) == 0
+    minus, plus = _csv_bodies(str(tmp_path / "minus")), _csv_bodies(str(tmp_path / "plus"))
+    assert sorted(minus) == ["_phi0.csv", "_phi3p14159.csv", "_tpeak.csv"]
+    for suffix, lines in minus.items():
+        header, row = lines
+        assert row.startswith("-0.003,")
+        assert [header, row[1:]] == plus[suffix]
+
+
 def test_fig2b_samples_the_whole_revival_window(tmp_path):
     # at b = 1e-2 the revival window reaches past 1.08, and the peak lies there
     code = cli.main(["fig2b", "--out", str(tmp_path / "b"), "--state.sigma_beta", "0.03",
@@ -687,8 +719,10 @@ def test_revival_grid_count_bounds_the_grid(b):
     # the lattice keeps the old samples; windows inside [0.95, 1.08] add none
     old = np.concatenate([[0.0], np.round(np.linspace(0.95, 1.08, 521), 12)])
     assert np.isin(old, grid).all()
-    if b in (1e-6, 2.3e-5, -0.5):
+    if b in (1e-6, 2.3e-5):
         assert grid.tobytes() == old.tobytes()
+    if b < 0:  # the moments of -b are those of b
+        assert grid.tobytes() == cfgmod.revival_time_grid(-b).tobytes()
 
 
 def test_asymmetric_mixture_run_matches_lapack_oracle(tmp_path, monkeypatch):

@@ -25,6 +25,12 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
     assert compare.run([src, src, "--only", "params", "fig2d"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    modules = sorted(f for f in os.listdir(os.path.join(src, "nanorotor")) if f.endswith(".py"))
+    counts = {f: sum(1 for _ in open(os.path.join(src, "nanorotor", f))) for f in modules}
+    assert lines[:len(modules) + 1] == [
+        f"src lines: {sum(counts.values())} / {sum(counts.values())}",
+        *(f"  {f}: {counts[f]} / {counts[f]}" for f in modules)]
+    lines = lines[len(modules) + 1:]
     assert [line for line in lines if not line.startswith(" ")] == [
         "params: exit 0 / 0; 0/0 CSVs byte-identical",
         "fig2d: exit 0 / 0; 4/4 CSVs byte-identical"]
