@@ -38,47 +38,91 @@ __all__ = [
 # quadrature grid
 # ---------------------------------------------------------------------------
 
+# j_{0,k}, the zeros of the Bessel function J_0, for k = 1 .. 20 (mpmath's
+# besseljzero); McMahon's expansion gives the rest to rounding
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+             14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+             27.493479132040253, 30.634606468431976, 33.77582021357357, 36.917098353664045,
+             40.05842576462824, 43.19979171317673, 46.341188371661815, 49.482609897397815,
+             52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166)
+# the lowest order whose pole nodes start from the Bessel zeros
+BESSEL_START_ORDER = 600
+
+
+def _j0_zeros(count: int) -> np.ndarray:
+    """The first ``count`` zeros j_{0,k} of J_0."""
+    b = (np.arange(len(_J0_ZEROS) + 1, count + 1) - 0.25) * np.pi
+    mcmahon = (b + 1 / (8 * b) - 31 / (384 * b**3) + 3779 / (15360 * b**5)
+               - 6277237 / (3440640 * b**7))
+    return np.concatenate([_J0_ZEROS, mcmahon])[:count]
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's ``legval(x, c)`` step for step, so bit for bit, for len(c) >= 2."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def _leggauss(order: int, x_min: float = -1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes x >= x_min and their weights on [-1, 1], ascending.
 
     numpy's ``leggauss`` with its dense O(n^3) eigensolve of the Legendre
-    companion matrix replaced by O(n^2) Newton iteration on the three-term
-    recurrence, started from Tricomi's asymptotic roots (as in Hale &
-    Townsend, SIAM J. Sci. Comput. 35, A652 (2013)) for the lower half and
-    mirrored.  Three passes reach rounding level at every order checked (all
-    to 400, a sample to 3,000): the largest steps, all at order 2, are
-    1.2e-3, 1.4e-6 and 1.6e-12, and a fourth pass would move no root by more
-    than 1.2e-16.  The final Newton step is numpy's.  Every step is
-    elementwise, so only the roots that may reach x_min are iterated (two to
-    spare), and each kept node has the bits it has in the full rule.  The
-    weights are 2 / (n P_{n-1}(x) P'_n(x)), which is 2 / ((1 - x^2) P'_n(x)^2)
-    at a root, in place of numpy's rescaling to sum 2 over every node; at
-    order 2,294 they are 8.4e-14 (relative) above numpy's.  (scipy's
-    ``roots_legendre`` has better weights near x = +-1, which moves
-    high-order results by a few 1e-9.)  ``numpy.polynomial`` is imported
-    here, so a run that builds no grid does not load it.
+    companion matrix replaced by asymptotic starts and Newton steps, for the
+    lower half, mirrored (Hale & Townsend, SIAM J. Sci. Comput. 35, A652
+    (2013)).  A node whose Tricomi start has |x| < 1/2, and every node below
+    ``BESSEL_START_ORDER``, takes three Newton steps on the three-term
+    recurrence from that start: they reach rounding level at every order
+    checked (all to 400, a sample to 3,000; the largest steps, all at order
+    2, are 1.2e-3, 1.4e-6 and 1.6e-12).  From that order on, a node whose
+    Tricomi start has |x| >= 1/2 starts instead from its Bessel-zero
+    expansion theta_k = a + (a cot a - 1) / (8 a nu^2), a = j_{0,k} / nu,
+    nu = n + 1/2, and takes no recurrence step.  Then every node takes
+    numpy's finishing Newton step, with P_n and P'_n from one Clenshaw sweep
+    that repeats numpy's ``legval`` step for step.  Which nodes iterate
+    depends only on (n, i) and every step is elementwise, so only the roots
+    that may reach x_min are built (two to spare), and each kept node has the
+    bits it has in the full rule.  The weights are 2 / (n P_{n-1}(x)
+    P'_n(x_pre)), with x_pre the node before the finishing step, which is
+    2 / ((1 - x^2) P'_n(x)^2) at a root, in place of numpy's rescaling to
+    sum 2 over every node.  Weights accurate to rounding would move
+    high-order results by about 1e-9, so the formula and its arithmetic stay.
     """
-    from numpy.polynomial.legendre import legder, legval
-
     n = order
     i = np.arange(1, (n + 1) // 2 + 1)
     x = -(1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
     x = x[: np.count_nonzero(np.abs(x) >= x_min) + 2]
-    for _ in range(3):
-        p0, p1 = np.ones_like(x), x
+    poles = np.count_nonzero(np.abs(x) >= 0.5) if n >= BESSEL_START_ORDER else 0
+    nu = n + 0.5
+    a = _j0_zeros(poles) / nu
+    x[:poles] = -np.cos(a + (a / np.tan(a) - 1.0) / (8.0 * a * nu**2))
+    t = x[poles:]
+    for _ in range(3 if t.size else 0):  # no sweep of n steps over no nodes
+        p0, p1 = np.ones_like(t), t
         for k in range(1, n):
-            p0, p1 = p1, (2 * k + 1) / (k + 1) * x * p1 - k / (k + 1) * p0
-        x = x - p1 * (x * x - 1.0) / (n * (x * p1 - p0))
+            p0, p1 = p1, (2 * k + 1) / (k + 1) * t * p1 - k / (k + 1) * p0
+        t = t - p1 * (t * t - 1.0) / (n * (t * p1 - p0))
+    x[poles:] = t
+    # the finishing step may carry the node next below the cap across it
     x = np.concatenate([x, -x[: n // 2][::-1]])
-    x = x[x >= x_min]
+    x = x[max(np.count_nonzero(x < x_min) - 1, 0):]
 
-    c = np.zeros(order + 1)
-    c[-1] = 1.0
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    w = 2.0 / (n * legval(x, c[1:]) * df)
-    return x, w
+    # columns e_n, legder(e_n) (2k + 1 at k = n-1, n-3, ...) and e_{n-1}, each
+    # padded to n + 1 terms: a top zero leaves legval's steps as they were
+    c = np.zeros((n + 1, 3, 1))
+    c[n, 0] = c[n - 1, 2] = 1.0
+    k = np.arange(n - 1, -1, -2)
+    c[k, 1, 0] = 2 * k + 1
+    dy, df = _legval(x, c[:, :2])
+    x = x - dy / df
+    w = 2.0 / (n * _legval(x, c[:, 2:])[0] * df)
+    keep = x >= x_min
+    return x[keep], w[keep]
 
 
 @dataclass(frozen=True)

@@ -481,13 +481,24 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
         problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
     elif cfg.scenario == "sweep_asymmetry" and sw.b_points >= 0:
-        # prolate moments give |b| <= 1, whose revival grid is far below the ceiling
+        # prolate moments give |b| <= 1, whose revival grid is far below the
+        # ceiling; a revival window that reaches t = 0 holds the unevolved
+        # state, whose alignment is the series' maximum
         if not all(abs(b) <= 1.0 for b in sw.b_include):
             problems.append("sweep.b_include: prolate moments give |b| <= 1")
+        swept = [("sweep.b_include", b) for b in sw.b_include if abs(b) <= 1.0]
         log_ends = [("sweep.b_log10_min", sw.b_log10_min), ("sweep.b_log10_max", sw.b_log10_max)]
         for key, x in log_ends[:sw.b_points]:
             if not x <= 0.0:
                 problems.append(f"{key}: must be <= 0, since prolate moments give |b| <= 1")
+            else:
+                swept.append((key, 10.0 ** x))
+        for key, b in swept:
+            centre, halfwidth = observables.revival_window(b)
+            if centre - halfwidth <= 0.0:
+                problems.append(f"{key}: the revival window of b = {b:.6g} reaches "
+                                f"t = {centre - halfwidth:.6g} <= 0")
+                break
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")
     if any(v < 0 for v in sw.sigma_k or ()):

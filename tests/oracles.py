@@ -27,9 +27,12 @@ phase memo (each free flight computes its own phase vector), the exact pulse
 twice over: the polar-angle grid path the library used before (synthesize,
 multiply, project back) and a dense eigendecomposition of the cos^2 band;
 the time grid built one refinement window at a time with
-``np.linspace``; and the asymmetric block solver that decides every
-partial cut with a streamed Sturm count of the whole block from row 0 (the
-count the library ran before its cut's pivots went on down the block).
+``np.linspace``; the Gauss-Legendre routine that iterated every node on
+the three-term recurrence and finished with numpy's ``legval`` (the
+reference of the library's routine); and the asymmetric block solver that
+decides every partial cut with a streamed Sturm count of the whole block
+from row 0 (the count the library ran before its cut's pivots went on down
+the block).
 """
 
 import math
@@ -38,6 +41,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
@@ -606,6 +610,33 @@ def wigner_d_exact(j: int, m: int, k: int, beta: float) -> float:
     if scale < -1100 and abs(curr) < 1.0:
         return 0.0
     return math.ldexp(curr, scale)
+
+
+def leggauss_recurrence(order: int, x_min: float = -1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre routine the library used before its pole nodes
+    started from Bessel zeros: every node of the lower half starts at
+    Tricomi's root and takes three Newton steps on the three-term recurrence,
+    then numpy's ``legval``/``legder`` give the finishing step and the weights
+    2 / (n P_{n-1}(x) P'_n(x_pre))."""
+    n = order
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = -(1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
+    x = x[: np.count_nonzero(np.abs(x) >= x_min) + 2]
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, (2 * k + 1) / (k + 1) * x * p1 - k / (k + 1) * p0
+        x = x - p1 * (x * x - 1.0) / (n * (x * p1 - p0))
+    x = np.concatenate([x, -x[: n // 2][::-1]])
+    x = x[x >= x_min]
+
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    w = 2.0 / (n * legval(x, c[1:]) * df)
+    return x, w
 
 
 def legendre_root(n: int, x0: float, dps: int = 40) -> mp.mpf:

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -223,14 +224,63 @@ def test_grid_matches_numpy_leggauss(order):
     assert np.max(np.abs(grid.weights - w[::-1])) <= 1e-12
 
 
-@pytest.mark.parametrize("order", [760, 1200])
-def test_grid_nodes_within_3_ulps_of_the_roots(order):
-    # both ends and the middle, where cos(beta) is smallest and its ulp finest
-    x, _ = angular._leggauss(order)
+# the x_min of the two gated workloads' grids: sigma_beta 0.01 at order 710
+# and 0.003 at order 2,294
+WORKLOAD_CAPS = [math.cos(rotor.profile_cap(sigma)) for sigma in (0.01, 0.003)]
+
+
+@pytest.mark.parametrize("order,x_min", [(760, -1.0), (1200, -1.0),
+                                         (710, WORKLOAD_CAPS[0]), (2294, WORKLOAD_CAPS[1])],
+                         ids=["760", "1200", "710-capped", "2294-capped"])
+def test_grid_nodes_within_3_ulps_of_the_roots(order, x_min):
+    # both ends of the kept nodes, and on a full rule the middle, where
+    # cos(beta) is smallest and its ulp finest
+    x, _ = angular._leggauss(order, x_min)
     half = order // 2
-    for i in [*range(4), *range(half - 4, half + 4), *range(order - 4, order)]:
+    middle = range(half - 4, half + 4) if x_min == -1.0 else []
+    for i in [*range(4), *middle, *range(len(x) - 4, len(x))]:
         root = oracles.legendre_root(order, x[i])
         assert abs(x[i] - root) <= 3 * np.spacing(abs(float(root))), i
+
+
+@pytest.mark.parametrize("order", [100, 250, *range(590, 620), 700, 710, 760, 761, 1200,
+                                   1541, 1906, 2294, 2401, 2731, 3000])
+def test_grid_matches_the_recurrence_routine(order):
+    x_ref, w_ref = oracles.leggauss_recurrence(order)
+    x_full, w_full = angular._leggauss(order)
+    dx = np.abs(x_full - x_ref)
+    assert np.all(dx <= np.spacing(np.abs(x_ref)))
+    # below BESSEL_START_ORDER, and off the poles above it, the same path
+    same = (np.abs(x_ref) < 0.49) | (order < angular.BESSEL_START_ORDER)
+    assert np.array_equal(x_full[same], x_ref[same])
+    assert np.array_equal(w_full[same], w_ref[same])
+    # a pole weight reads P'_n at the Bessel start, not at rounding level:
+    # 1e-9 relative covers that.  A node that moved by dx also moves
+    # P_{n-1}(x) by n x dx / (1 - x^2) relative, since (1 - x^2) P'_{n-1} =
+    # n x P_{n-1} at a root; one ulp at the first node of order 1,541 moves
+    # its weight by 7.0e-8.  Twice that allows for the sweep's rounding.
+    bound = 1e-9 + 2 * order * dx / (1.0 - x_ref**2)
+    assert np.all(np.abs(w_full / w_ref - 1.0) <= bound)
+    # a capped grid keeps the full rule's bits
+    for x_min in (-1.0, 0.0, 0.5, math.cos(1e-3), *WORKLOAD_CAPS):
+        x, w = angular._leggauss(order, x_min)
+        kept = x_full >= x_min
+        assert np.array_equal(x, x_full[kept]) and np.array_equal(w, w_full[kept])
+
+
+@pytest.mark.parametrize("order", [17, 761, 2401])
+def test_middle_node_of_an_odd_order_is_the_equator(order):
+    assert angular.AngularGrid.gauss_legendre(order).nodes[order // 2] == math.pi / 2
+
+
+def test_bessel_zeros_match_mpmath():
+    zeros = angular._j0_zeros(400)
+    for k, literal in enumerate(angular._J0_ZEROS, 1):
+        assert literal == float(mp.besseljzero(0, k)), k
+    # McMahon's expansion beyond the table
+    for k in (21, 22, 40, 100, 400):
+        exact = float(mp.besseljzero(0, k))
+        assert abs(zeros[k - 1] - exact) <= 2 * np.spacing(exact), k
 
 
 def test_grid_for_jmax_is_shared_and_read_only():

@@ -175,6 +175,13 @@ EXIT2_CASES = [
            "--sweep.b_log10_min", "-5", "--state.sigma_beta", "0.03"),
     _exit2("sweep.b_log10_min", "0.5", "fig2b", "--sweep.b_points", "1",
            "--state.sigma_beta", "0.03"),
+    # a swept b whose revival window reaches t <= 0 (|b| >= 0.095), where the
+    # unevolved state would be the maximum
+    *(_exit2("sweep.b_include", f"[{b}]", "fig2b", "--sweep.b_points", "0",
+             "--state.sigma_beta", "0.03", id=f"sweep.b_include-{b}-window-reaches-0")
+      for b in ("0.1", "0.3", "1.0")),
+    _exit2("sweep.b_log10_max", "-0.5", "fig2b", "--sweep.b_points", "2",
+           "--state.sigma_beta", "0.03", id="sweep.b_log10_max-window-reaches-0"),
     # values whose 6-digit tags repeat would name one output twice
     _exit2("pulse.phi", "[1.0000001,1.0000002]", "evolve", "--rotor.inertia_ratio", "41.8",
            "--state.sigma_j_sq", "20", "--times.n_points", "8", "--gamma.dimensionless", "0.5",
@@ -660,6 +667,16 @@ def test_fig2b_negative_b_gives_the_values_of_positive_b(tmp_path):
         assert [header, row[1:]] == plus[suffix]
 
 
+def test_fig2b_runs_a_window_that_stays_above_zero(tmp_path):
+    # b = 0.09 is just below the 0.095 where the revival window reaches t = 0
+    code = cli.main(["fig2b", "--out", str(tmp_path / "b"), "--state.sigma_beta", "0.03",
+                     "--sweep.b_points", "0", "--sweep.b_include", "[0.09]"])
+    assert code == 0
+    _, tpeak = read_csv(str(tmp_path / "b_tpeak.csv"))
+    centre, halfwidth = observables.revival_window(0.09)
+    assert 0.0 < centre - halfwidth < tpeak[0, 1] < centre + halfwidth
+
+
 def test_fig2b_samples_the_whole_revival_window(tmp_path):
     # at b = 1e-2 the revival window reaches past 1.08, and the peak lies there
     code = cli.main(["fig2b", "--out", str(tmp_path / "b"), "--state.sigma_beta", "0.03",
@@ -795,6 +812,19 @@ def test_gamma_zero_mixture_sweep_imports_no_random(tmp_path):
             "--out", str(tmp_path / "x")]
     probe = ("import sys; from nanorotor import cli; "
              f"code = cli.main({argv!r}); print(code, 'numpy.random' in sys.modules)")
+    assert run_probe(probe).splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2a", "--sweep.sigma_beta", "[0.01]", "--sweep.sigma_k", "[2.0]"],
+    ["fig2b", "--sweep.b_points", "1"],
+], ids=lambda argv: argv[0])
+def test_grid_runs_import_no_numpy_polynomial(tmp_path, argv):
+    # the quadrature grid evaluates its Legendre series itself: runs that
+    # build grids of orders 710-2,294 leave numpy.polynomial out
+    probe = ("import sys; from nanorotor import cli; "
+             f"code = cli.main({[*argv, '--out', str(tmp_path / 'x')]!r}); "
+             "print(code, 'numpy.polynomial' in sys.modules)")
     assert run_probe(probe).splitlines()[-1] == "0 False"
 
 

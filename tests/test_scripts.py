@@ -37,4 +37,6 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
     details = [line for line in lines if line.startswith(" ")]
     assert sum("largest |difference| 0" in line for line in details) == 4
     assert sum("manifests equal; jump histograms equal" in line for line in details) == 2
-    assert len(details) == 6
+    walls = [line.split() for line in details if line.startswith("  wall time: ")]
+    assert len(walls) == 2 and all(float(w[2]) > 0 and float(w[5]) > 0 for w in walls)
+    assert len(details) == 8
