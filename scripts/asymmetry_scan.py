@@ -17,6 +17,7 @@ import argparse
 import numpy as np
 
 from nanorotor import decoherence, observables, rotor
+from nanorotor.errors import DomainError
 
 
 def run(argv=None):
@@ -26,6 +27,11 @@ def run(argv=None):
     parser.add_argument("--b-min", type=float, default=1e-6)
     parser.add_argument("--b-max", type=float, default=1e-4)
     args = parser.parse_args(argv)
+    for flag, b in (("--b-min", args.b_min), ("--b-max", args.b_max)):
+        try:
+            observables.revival_window(b)
+        except DomainError as exc:
+            parser.error(f"{flag}: {exc}")
 
     state = rotor.prepare_aligned_state("gaussian_beta", args.sigma_beta)
     base = rotor.inertia_from_ellipsoid(rotor.SILICON_NANOROD_SEMI_AXES,

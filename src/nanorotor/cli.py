@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import importlib.resources
 import json
@@ -33,8 +34,7 @@ from .errors import ConfigError, SimulationError
 # helpers
 # ---------------------------------------------------------------------------
 
-def prepare_state(cfg: cfgmod.ExperimentConfig) -> rotor.Mixture:
-    s = cfg.state
+def prepare_state(s: cfgmod.StateConfig) -> rotor.Mixture:
     if s.sigma_k > 0:
         return rotor.prepare_mixture(s.sigma_beta, s.sigma_k, jmax=s.jmax)
     param = s.sigma_j_sq if s.mode == "gaussian_j" else s.sigma_beta
@@ -90,16 +90,16 @@ def _ensemble_series(state, spectrum, cfg, gamma, phi, tgrid, diagnostics, point
     return res
 
 
-def _state_and_extent(cfg, phis):
-    """The prepared mixture, and the jmax and kmax its spectrum must cover
-    to take the scheduled pulses at every phi."""
-    state = prepare_state(cfg)
+def _state_and_extent(cfg, s, phis):
+    """The mixture the state section ``s`` prepares, and the jmax and kmax
+    its spectrum must cover to take the scheduled pulses at every phi."""
+    state = prepare_state(s)
     jmax = state.jmax + pulse.pulse_headroom(phis, len(cfg.pulse.schedule_t))
     return state, jmax, state.kmax
 
 
-def _state_and_spectrum(cfg, model, phis):
-    state, jmax, kmax = _state_and_extent(cfg, phis)
+def _state_and_spectrum(cfg, s, model, phis):
+    state, jmax, kmax = _state_and_extent(cfg, s, phis)
     return state, rotor.rotational_energies(jmax, kmax, model, cfg.spectrum.method)
 
 
@@ -127,7 +127,7 @@ def scenario_params(cfg, report, writer, diagnostics):
 
 def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
     gamma, phis = report.gamma, report.phis
-    state, spectrum = _state_and_spectrum(cfg, report.model, phis)
+    state, spectrum = _state_and_spectrum(cfg, cfg.state, report.model, phis)
     tgrid = cfgmod.build_time_grid(cfg.times)
     multi = len(phis) > 1
     for phi in phis:
@@ -147,7 +147,7 @@ def scenario_evolve(cfg, report, writer, diagnostics, per_trajectory=False):
 
 
 def scenario_fractional(cfg, report, writer, diagnostics):
-    state, spectrum = _state_and_spectrum(cfg, report.model, [])
+    state, spectrum = _state_and_spectrum(cfg, cfg.state, report.model, [])
     grid = AngularGrid.gauss_legendre(report.grid_order)  # >= FRACTIONAL_GRID_ORDER
     fractions = (0.125, 0.25, 0.5)
     halfwidths = {0.125: math.pi / 16, 0.25: math.pi / 8, 0.5: math.pi / 4}
@@ -173,7 +173,7 @@ def scenario_fractional(cfg, report, writer, diagnostics):
 def scenario_sweep_phi(cfg, report, writer, diagnostics):
     gamma = report.gamma
     phis = cfgmod.sweep_values(cfg, "phi")
-    state, spectrum = _state_and_spectrum(cfg, report.model, phis)
+    state, spectrum = _state_and_spectrum(cfg, cfg.state, report.model, phis)
     tgrid = np.array([0.0, 1.0])
     values, errors, vacuum = [], [], []
     for phi in phis:
@@ -203,11 +203,10 @@ def scenario_sweep_sigma(cfg, report, writer, diagnostics):
     for sb in cfgmod.sweep_values(cfg, "sigma_beta"):
         values = []
         for sk in sigma_ks:
-            sub = cfgmod.apply_overrides(cfg, {
-                "state.mode": "gaussian_beta",
-                "state.sigma_beta": sb, "state.sigma_k": sk})
-            state, spectrum = _state_and_spectrum(sub, report.model, [phi])
-            res = _ensemble_series(state, spectrum, sub, report.gamma, phi, tgrid, diagnostics,
+            point = dataclasses.replace(cfg.state, mode="gaussian_beta",
+                                        sigma_beta=sb, sigma_k=sk)
+            state, spectrum = _state_and_spectrum(cfg, point, report.model, [phi])
+            res = _ensemble_series(state, spectrum, cfg, report.gamma, phi, tgrid, diagnostics,
                                    f"sb{cfgmod.value_tag(sb)}_sk{cfgmod.value_tag(sk)}")
             values.append(res.mean_alignment[-1])
         writer.write_csv(f"_sb{cfgmod.value_tag(sb)}", ["sigma_k", "value"],
@@ -221,7 +220,7 @@ def scenario_sweep_asymmetry(cfg, report, writer, diagnostics):
     bs = sorted(set(np.logspace(sw.b_log10_min, sw.b_log10_max, sw.b_points))
                 | set(sw.b_include))
     phis = report.phis
-    base_state, jmax_total, kmax = _state_and_extent(cfg, phis)
+    base_state, jmax_total, kmax = _state_and_extent(cfg, cfg.state, phis)
     peak_rows = {phi: [] for phi in phis}
     tpeaks = []
     min_dominant, widened = 1.0, 0

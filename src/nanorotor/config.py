@@ -268,20 +268,15 @@ def build_time_grid(times: TimesConfig) -> np.ndarray:
 
 def revival_time_grid(b: float) -> np.ndarray:
     """The sweep_asymmetry samples at asymmetry b: t = 0, then every point
-    0.95 + i REVIVAL_STEP (to 12 digits) above 0 with 0 <= i <= 520 or in
-    b's revival window.  Raises DomainError before it builds more than
-    MAX_TIME_SAMPLES samples."""
+    0.95 + i REVIVAL_STEP (to 12 digits) with 0 <= i <= 520 or in b's revival
+    window.  ``observables.revival_window`` admits |b| < 0.095 only, whose
+    window lies inside (0, 3.9), so the grid holds at most 15,600 samples."""
     centre, halfwidth = observables.revival_window(b)
     lo, hi = centre - halfwidth, centre + halfwidth
-    # the lattice indices, as floats: a b near float range makes them inf or nan
-    first = min((max(lo, 0.0) - 0.95) / REVIVAL_STEP, 0.0)
-    last = max((hi - 0.95) / REVIVAL_STEP, 520.0)
-    if not last - first + 2 <= MAX_TIME_SAMPLES:
-        raise DomainError(f"the revival window of this b would take more than "
-                          f"{MAX_TIME_SAMPLES:,} time samples")
-    i = np.arange(math.floor(first), math.ceil(last) + 1)
+    i = np.arange(math.floor(min((lo - 0.95) / REVIVAL_STEP, 0.0)),
+                  math.ceil(max((hi - 0.95) / REVIVAL_STEP, 520.0)) + 1)
     t = np.round(i * REVIVAL_STEP + 0.95, TIME_DECIMALS)
-    keep = (t > 0) & ((i >= 0) & (i <= 520) | (t >= lo) & (t <= hi))
+    keep = (i >= 0) & (i <= 520) | (t >= lo) & (t <= hi)
     return np.concatenate([[0.0], t[keep]])
 
 
@@ -481,23 +476,15 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.scenario == "sweep_asymmetry" and sw.b_points == 0 and not sw.b_include:
         problems.append("sweep.b_points: 0 with an empty sweep.b_include sweeps no b")
     elif cfg.scenario == "sweep_asymmetry" and sw.b_points >= 0:
-        # prolate moments give |b| <= 1, whose revival grid is far below the
-        # ceiling; a revival window that reaches t = 0 holds the unevolved
-        # state, whose alignment is the series' maximum
-        if not all(abs(b) <= 1.0 for b in sw.b_include):
-            problems.append("sweep.b_include: prolate moments give |b| <= 1")
-        swept = [("sweep.b_include", b) for b in sw.b_include if abs(b) <= 1.0]
         log_ends = [("sweep.b_log10_min", sw.b_log10_min), ("sweep.b_log10_max", sw.b_log10_max)]
-        for key, x in log_ends[:sw.b_points]:
-            if not x <= 0.0:
-                problems.append(f"{key}: must be <= 0, since prolate moments give |b| <= 1")
-            else:
-                swept.append((key, 10.0 ** x))
+        # the b values that bound the sweep's |b|, 10^x capped to stay in float range
+        swept = [("sweep.b_include", b) for b in sw.b_include] + [
+            (key, 10.0 ** min(x, 308.0)) for key, x in log_ends[:sw.b_points]]
         for key, b in swept:
-            centre, halfwidth = observables.revival_window(b)
-            if centre - halfwidth <= 0.0:
-                problems.append(f"{key}: the revival window of b = {b:.6g} reaches "
-                                f"t = {centre - halfwidth:.6g} <= 0")
+            try:
+                observables.revival_window(b)
+            except DomainError as exc:
+                problems.append(f"{key}: {exc}")
                 break
     if any(v <= 0 for v in sw.sigma_beta or ()):
         problems.append("sweep.sigma_beta: every entry must be positive")

@@ -55,8 +55,13 @@ def beta_distribution(state: RotorState, grid: angular.AngularGrid) -> np.ndarra
 def revival_window(b: float) -> tuple[float, float]:
     """Centre and half-width of the window that holds the revival peak of a
     rotor with asymmetry b: the peak moves later and spreads as |b| grows
-    (the moments of -b are those of b)."""
-    return 1.0 + 10.0 * abs(b), 0.05 + 20.0 * abs(b)
+    (the moments of -b are those of b).  DomainError from |b| = 0.095 on, where
+    it reaches t = 0, the unevolved state's maximum alignment."""
+    centre, halfwidth = 1.0 + 10.0 * abs(b), 0.05 + 20.0 * abs(b)
+    if not centre - halfwidth > 0.0:
+        raise DomainError(f"the revival window of b = {b:.6g} reaches t <= 0; "
+                          f"it stays above 0 for |b| < 0.095")
+    return centre, halfwidth
 
 
 def find_revival_peak(series: TimeSeries, window_center: float,

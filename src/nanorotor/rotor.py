@@ -65,14 +65,35 @@ J_SPAN_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class InertiaModel:
-    """Principal moments of a rigid ellipsoid, with I_c about the symmetry axis."""
+    """Principal moments of a rigid prolate rotor, I_c about the symmetry axis.
+
+    The one statement of the prolateness rule: finite, positive moments with
+    2/I_c - 1/I_a - 1/I_b above 1e-12 of 2/I_c (I/I_c above the mean of I/I_a
+    and I/I_b, as the asymmetric solver's certificate needs) and |b| <= 1."""
 
     mass: float
     i_a: float
     i_b: float
     i_c: float
-    b_asym: float
     t_rev: float
+
+    def __post_init__(self):
+        if not all(0.0 < i < math.inf for i in (self.i_a, self.i_b, self.i_c)):
+            raise DomainError("the principal moments must be finite and positive")
+        if not self._b_denominator > 1e-12 * (2.0 / self.i_c):
+            raise DomainError("prolate moments need 2/I_c - 1/I_a - 1/I_b above "
+                              "1e-12 of 2/I_c (the symmetry axis the long one)")
+        if not abs(self.b_asym) <= 1.0:  # |b| = 1 where I_b = I_c
+            raise DomainError(f"prolate moments give |b| <= 1, got b = {self.b_asym}")
+
+    @property
+    def _b_denominator(self) -> float:
+        return 2.0 / self.i_c - 1.0 / self.i_a - 1.0 / self.i_b
+
+    @property
+    def b_asym(self) -> float:
+        """The asymmetry b = (1/I_a - 1/I_b) / (2/I_c - 1/I_a - 1/I_b)."""
+        return (1.0 / self.i_a - 1.0 / self.i_b) / self._b_denominator
 
     @property
     def inertia(self) -> float:
@@ -89,16 +110,6 @@ class InertiaModel:
         return self.mass / ATOMIC_MASS
 
 
-def _asymmetry_parameter(i_a: float, i_b: float, i_c: float) -> float:
-    if not all(0.0 < i < math.inf for i in (i_a, i_b, i_c)):
-        raise DomainError("the principal moments must be finite and positive")
-    num = 1.0 / i_a - 1.0 / i_b
-    den = 2.0 / i_c - 1.0 / i_a - 1.0 / i_b
-    if abs(den) < 1e-12 * (2.0 / i_c):
-        return 0.0
-    return num / den
-
-
 def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float) -> InertiaModel:
     """Uniform-ellipsoid inertia model; ``semi_axes = (a, b, c)`` in meters with
     c the symmetry (long) axis."""
@@ -110,14 +121,11 @@ def inertia_from_ellipsoid(semi_axes: tuple[float, float, float], density: float
     i_about_b = mass * (a * a + c * c) / 5.0
     i_c = mass * (a * a + b * b) / 5.0
     i_a, i_b = max(i_about_a, i_about_b), min(i_about_a, i_about_b)
-    if i_c > i_b * (1 + 1e-12):
-        raise DomainError("symmetry axis must be the long axis (prolate ordering)")
-    b_asym = _asymmetry_parameter(i_a, i_b, i_c)
-    inertia = 0.5 * (i_a + i_b)
-    t_rev = 2.0 * math.pi * inertia / HBAR
-    if t_rev == math.inf:
+    model = InertiaModel(mass=mass, i_a=i_a, i_b=i_b, i_c=i_c,
+                         t_rev=2.0 * math.pi * (0.5 * (i_a + i_b)) / HBAR)
+    if model.t_rev == math.inf:
         raise DomainError("the revival time 2 pi I / hbar is beyond float range")
-    return InertiaModel(mass=mass, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_asym, t_rev=t_rev)
+    return model
 
 
 def inertia_from_parameters(ratio: float, b_asym: float,
@@ -149,12 +157,11 @@ def inertia_from_parameters(ratio: float, b_asym: float,
         raise DomainError("the principal moments must be finite and positive") from None
     if i_a < i_b:
         i_a, i_b = i_b, i_a
-    b_check = _asymmetry_parameter(i_a, i_b, i_c)
-    # b_check carries rounding of about eps / (r - 1) from 1/I_a - 1/I_b
-    if abs(abs(b_check) - abs(b_asym)) > 1e-10 * abs(b_asym) + 1e-14 / (ratio - 1.0):
+    model = InertiaModel(mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, t_rev=2.0 * math.pi * inertia / HBAR)
+    # the model's b carries rounding of about eps / (r - 1) from 1/I_a - 1/I_b
+    if abs(abs(model.b_asym) - abs(b_asym)) > 1e-10 * abs(b_asym) + 1e-14 / (ratio - 1.0):
         raise DomainError("asymmetry parameter reconstruction failed")
-    return InertiaModel(mass=0.0, i_a=i_a, i_b=i_b, i_c=i_c, b_asym=b_check,
-                        t_rev=2.0 * math.pi * inertia / HBAR)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
     the root decides whether the cut holds: it runs from the cut down the
     block until the count passes the level's index, the block ends, or an
     O(1) test proves that no later pivot is negative.  That test needs the
-    diagonal to rise with k (I/I_c above the mean of I/I_a and I/I_b).
+    diagonal to rise with k, which ``InertiaModel``'s prolateness rule gives.
     """
     if kmax > jmax:
         raise DomainError("kmax must not exceed jmax")
@@ -257,13 +264,12 @@ def rotational_energies(jmax: int, kmax: int, model: InertiaModel,
 # checked on row i alone, with a margin of 1e-12 |x| for rounding: that
 # suffices when d_l - e_l - e_{l+1} rises with the row, which holds when the
 # k^2 coefficient of the diagonal, ratio - half_is, is positive (1/I_c above
-# the mean of 1/I_a and 1/I_b) and i >= 2 (both factors of c2 fall with k
-# from k = 2 on, and rows 0 and 1 carry the Wang terms).  Where the premise
-# fails, as for a near-sphere that inertia_from_ellipsoid accepts, only a
-# count past idx or the block's end stops the sweep.  The j values whose cut fails are solved again on
-# twice the cut, until their block is complete.  The weight of row idx in the
-# eigenvector is the residue 1/|gamma_idx'| at the root (the fact behind
-# Golub-Welsch quadrature weights, Math. Comp. 23, 221 (1969)).
+# the mean of 1/I_a and 1/I_b, as InertiaModel requires) and i >= 2 (both
+# factors of c2 fall with k from k = 2 on, and rows 0 and 1 carry the Wang
+# terms).  The j values whose cut fails are solved again on twice the cut,
+# until their block is complete.  The weight of row idx in the eigenvector is
+# the residue 1/|gamma_idx'| at the root (the fact behind Golub-Welsch
+# quadrature weights, Math. Comp. 23, 221 (1969)).
 
 SPECTRUM_CUT = 16       # rows past the labelling row in a block's first cut
 CERTIFY_ULPS = 64       # a cut is certified this many ulps below its root
@@ -401,11 +407,11 @@ def _cut_levels(d, c2, r: int, pivmin: float):
     return x, weight
 
 
-def _certificate_holds(block: _WangBlock, r: int, row: int, q, count, d, c2, x):
+def _certificate_holds(r: int, row: int, q, count, d, c2, x):
     """Whether each block provably has exactly r levels below x: q and count
     are the last pivot and the negative pivots of rows 0..row-1, and (d, c2)
     hold rows row and row + 1.  A False is no verdict."""
-    if block.ratio <= block.half_is or row < 2:
+    if row < 2:
         return np.zeros(x.size, dtype=bool)
     e = np.sqrt(c2)
     return (count == r) & (q > e[0]) & (d[0] - x - e[0] - e[1] > 1e-12 * np.abs(x))
@@ -423,7 +429,7 @@ def _cut_holds(block: _WangBlock, r: int, j: np.ndarray, x: np.ndarray, d, c2,
         xt = x[todo]
         q, _, n = _pivots(d[:-2], c2[:-2], xt, pivmin, q)
         count = count + n
-        sure = _certificate_holds(block, r, row, q, count, d[-2:], c2[-2:], xt)
+        sure = _certificate_holds(r, row, q, count, d[-2:], c2[-2:], xt)
         ended = block.start + 2 * row > j[todo]
         holds[todo] = sure | (ended & (count == r))
         more = ~(sure | ended) & (count <= r)

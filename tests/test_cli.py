@@ -163,9 +163,11 @@ EXIT2_CASES = [
     _exit2("times.n_points", "1000000000"),
     _exit2("times.refine_factor", "1000000000"),
     _exit2("times.t_end", "1e6"),
-    # a swept asymmetry no prolate set of moments gives, |b| > 1, is rejected
-    # before any b is computed
+    # a swept b whose revival window reaches t <= 0 (|b| >= 0.095), where the
+    # unevolved state would be the maximum, is rejected before any b is
+    # computed: far beyond the window's limit, up to 10^x beyond float range
     _exit2("sweep.b_log10_max", "3", "fig2b"),
+    _exit2("sweep.b_log10_max", "400", "fig2b", id="sweep.b_log10_max-beyond-float-range"),
     _exit2("sweep.b_include", "[20.0]", "fig2b"),
     _exit2("sweep.b_include", "[2.0]", "fig2b", "--sweep.b_points", "0",
            "--state.sigma_beta", "0.03"),
@@ -175,8 +177,7 @@ EXIT2_CASES = [
            "--sweep.b_log10_min", "-5", "--state.sigma_beta", "0.03"),
     _exit2("sweep.b_log10_min", "0.5", "fig2b", "--sweep.b_points", "1",
            "--state.sigma_beta", "0.03"),
-    # a swept b whose revival window reaches t <= 0 (|b| >= 0.095), where the
-    # unevolved state would be the maximum
+    # ... and just past it
     *(_exit2("sweep.b_include", f"[{b}]", "fig2b", "--sweep.b_points", "0",
              "--state.sigma_beta", "0.03", id=f"sweep.b_include-{b}-window-reaches-0")
       for b in ("0.1", "0.3", "1.0")),
@@ -219,6 +220,14 @@ EXIT2_CASES = [
     # an asymmetry no prolate set of moments gives (|b| = 1 where I_b = I_c)
     pytest.param(["evolve", *SMALL_RUN, "--rotor.b_asym", "1.01"], "rotor",
                  id="rotor.b_asym-1.01"),
+    # moments off the prolateness rule: a near-sphere within 1e-12 of prolate
+    # ordering, a sphere, and I/I_c = 1 + 1 ulp, whose b was read as 0
+    pytest.param(["evolve", *SMALL_RUN[2:], "--rotor.semi_axes_nm", "[1,1.0000000000001,1]",
+                  "--rotor.density_kg_m3", "2329"], "rotor.semi_axes_nm", id="rotor-near-sphere"),
+    pytest.param(["evolve", *SMALL_RUN[2:], "--rotor.semi_axes_nm", "[1,1,1]",
+                  "--rotor.density_kg_m3", "2329"], "rotor.semi_axes_nm", id="rotor-sphere"),
+    pytest.param(["evolve", *SMALL_RUN, "--rotor.inertia_ratio", "1.0000000000000002",
+                  "--rotor.b_asym", "0.05"], "rotor", id="rotor.inertia_ratio-1-ulp-above-1"),
     # a revival time beyond float range, which JSON cannot hold
     pytest.param(["params", "--rotor.semi_axes_nm", "[1e69,1e69,1e70]",
                   "--rotor.density_kg_m3", "1"], "rotor.semi_axes_nm", id="rotor-t_rev-overflow"),
@@ -353,9 +362,9 @@ RUN_BASES = {
 # (at most 57 time samples, ensemble.n <= 4, jmax in the tens), unlike the
 # +-1e300 of JSON_VALUES; sweep_asymmetry keeps its fixed revival grid
 RUN_VALUES = {
-    "rotor.semi_axes_nm": [None, [2.75, 2.75, 25.0], [-1.0, 1.0, 2.0]],
+    "rotor.semi_axes_nm": [None, [2.75, 2.75, 25.0], [-1.0, 1.0, 2.0], [1.0, 1.0, 1.0]],
     "rotor.density_kg_m3": [None, 2329.0, 0.0],
-    "rotor.inertia_ratio": [None, 41.8, 1.0, 2.0],
+    "rotor.inertia_ratio": [None, 41.8, 1.0, 2.0, 1.0000000000000002],
     "rotor.b_asym": [None, 0.0, 1e-4, -1e-3],
     "rotor.t_rev_s": [None, 1e-3, 0.0],
     "state.mode": ["gaussian_j", "gaussian_beta", "other"],
@@ -403,6 +412,11 @@ def test_run_values_are_schema_keys():
        overrides=st.lists(st.sampled_from(sorted(RUN_VALUES)).flatmap(
            lambda key: st.tuples(st.just(key), st.sampled_from(RUN_VALUES[key]))),
            max_size=3))
+@example(base="evolve", overrides=[("rotor.inertia_ratio", 1.0000000000000002),
+                                   ("rotor.b_asym", 1e-4)])
+@example(base="evolve", overrides=[("rotor.inertia_ratio", None),
+                                   ("rotor.semi_axes_nm", [1.0, 1.0, 1.0]),
+                                   ("rotor.density_kg_m3", 2329.0)])
 def test_runs_exit_0_2_or_3_and_replay(base, overrides):
     # the CLI contract on real runs: any of these values exits 0, 2 or 3,
     # raises nothing, names a key in each config error, and every run that
@@ -623,7 +637,8 @@ def test_grid_order_is_the_largest_grid_the_run_builds(tmp_path, capsys, monkeyp
 def test_params_grid_order_is_the_grid_its_state_takes(capsys, monkeypatch):
     reported = _validated_grid_order(["params"], capsys)
     orders = _record_grids(monkeypatch)
-    cli.prepare_state(cfgmod.config_from_dict(json.loads(cli._preset_path("params").read_text())))
+    cli.prepare_state(cfgmod.config_from_dict(
+        json.loads(cli._preset_path("params").read_text())).state)
     assert reported == max(orders) == 2294
 
 
@@ -701,11 +716,12 @@ MAX = cfgmod.MAX_TIME_SAMPLES
      "times.refine_factor"),
     (cfgmod.build_time_grid, None, cfgmod.TimesConfig(t_end=cfgmod.EIGHTH * MAX / 3),
      "times.t_end"),
-    (cfgmod.revival_time_grid, 8.29, 8.3, "revival window"),
+    # a b beyond float range: revival_window refuses it, as it does every
+    # b whose window reaches t <= 0, and the grid needs no ceiling of its own
     (cfgmod.revival_time_grid, None, math.inf, "revival window"),
     (cfgmod.revival_time_grid, None, math.nan, "revival window"),
 ], ids=["n_points", "refine_factor", "refine_factor-beyond-float-range", "t_end",
-        "revival", "revival-inf", "revival-nan"])
+        "revival-inf", "revival-nan"])
 def test_time_grid_builders_stop_at_the_ceiling(build, below, above, key):
     # each builder refuses a grid past MAX_TIME_SAMPLES before it allocates
     # it, naming what drives it, and builds one just below
@@ -729,7 +745,28 @@ def test_time_grid_matches_the_window_loop():
         assert cfgmod.build_time_grid(times).tobytes() == oracles.time_grid_loop(times).tobytes()
 
 
-@pytest.mark.parametrize("b", [1e-6, 2.3e-5, 4.64e-5, 1e-4, 1e-2, 0.1, -0.5])
+def test_revival_grid_is_bounded_where_its_window_is_admitted():
+    # revival_window refuses every b whose window reaches t <= 0, so the
+    # grid needs no ceiling: at the largest |b| it admits, just below 0.095,
+    # the window spans (0, 3.9) and the grid holds 15,600 samples
+    largest = 0.095
+    while largest > 0.0:
+        try:
+            observables.revival_window(largest)
+            break
+        except DomainError:
+            largest = math.nextafter(largest, 0.0)
+    assert 0.0949 < largest < 0.095
+    for b in (largest, -largest):
+        grid = cfgmod.revival_time_grid(b)
+        assert len(grid) == 15_600 and np.all(np.diff(grid) > 0)
+        assert grid[0] == 0.0 and 0.0 < grid[1] and grid[-1] < 3.9
+    for b in (0.095, -0.1, 1.0, 8.3):
+        with pytest.raises(DomainError, match="revival window"):
+            cfgmod.revival_time_grid(b)
+
+
+@pytest.mark.parametrize("b", [1e-6, 2.3e-5, 4.64e-5, 1e-4, 1e-2, 0.09, -0.05])
 def test_revival_grid_count_bounds_the_grid(b):
     grid = cfgmod.revival_time_grid(b)
     assert np.all(np.diff(grid) > 0)

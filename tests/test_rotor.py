@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from nanorotor import angular, observables, rotor
@@ -34,8 +34,61 @@ def test_asymmetric_variant_b():
 
 
 def test_sphere_is_degenerate():
-    m = rotor.inertia_from_ellipsoid((1e-9, 1e-9, 1e-9), 2000.0)
-    assert m.b_asym == 0.0
+    # a sphere has no symmetry axis, and a near-sphere whose I_c exceeds I_b
+    # by 2e-13 was admitted with b read as 0: the prolateness rule refuses both
+    for axes in ((1.0, 1.0, 1.0), (1.0, 1.0 + 1e-13, 1.0)):
+        with pytest.raises(DomainError, match="prolate"):
+            rotor.inertia_from_ellipsoid(tuple(a * 1e-9 for a in axes), 2000.0)
+
+
+def test_model_derives_b_from_its_moments():
+    m = rotor.inertia_from_parameters(41.8, 0.3)
+    i_a, i_b, i_c = m.i_a, m.i_b, m.i_c
+    assert m.b_asym == (1.0 / i_a - 1.0 / i_b) / (2.0 / i_c - 1.0 / i_a - 1.0 / i_b)
+    with pytest.raises(DomainError, match="prolate"):
+        rotor.InertiaModel(mass=0.0, i_a=i_a, i_b=i_c, i_c=i_b, t_rev=m.t_rev)
+    with pytest.raises(DomainError, match="finite and positive"):
+        rotor.InertiaModel(mass=0.0, i_a=math.inf, i_b=i_b, i_c=i_c, t_rev=m.t_rev)
+
+
+def _holds_the_rule(m):
+    ratio, half_is, _ = oracles._asymmetric_coefficients(m)
+    assert ratio > half_is
+    assert abs(m.b_asym) <= 1.0 and m.i_c <= m.i_b <= m.i_a
+
+
+# within 1e-12 of each other, far apart, and beyond float range either way
+_SEMI_AXIS = st.one_of(st.floats(0.5, 2.0), st.floats(1e-3, 1e3),
+                       st.sampled_from([1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1e-300, 1e300]))
+
+
+@given(a=_SEMI_AXIS, b=_SEMI_AXIS, c=_SEMI_AXIS,
+       density=st.sampled_from([1.0, 2329.0, 1e-300, 1e300]))
+def test_every_ellipsoid_model_holds_the_prolateness_rule(a, b, c, density):
+    # the builder returns a model that holds the rule, or refuses with a
+    # DomainError; no other exception escapes it
+    try:
+        m = rotor.inertia_from_ellipsoid((a * 1e-9, b * 1e-9, c * 1e-9), density)
+    except DomainError:
+        return
+    _holds_the_rule(m)
+
+
+@given(ratio=st.one_of(st.floats(1.0, 1e300), st.sampled_from(
+           [1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 + 1e-12, 1.0 + 1e-11, 41.8])),
+       b=st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, 1e-300, 1.0, -1.0, 0.05])),
+       t_rev=st.sampled_from([None, 14e-3, 1e-300, 1e300]))
+@example(ratio=1.0 + 2.0 ** -52, b=1e-4, t_rev=None)  # was admitted with ratio = half_is
+def test_every_parameter_model_holds_the_prolateness_rule(ratio, b, t_rev):
+    # a model it returns holds the rule and reads back the b it was given,
+    # within the reconstruction tolerance; a refusal is a DomainError, never
+    # a ZeroDivisionError or ValueError
+    try:
+        m = rotor.inertia_from_parameters(ratio, b, t_rev=t_rev)
+    except DomainError:
+        return
+    _holds_the_rule(m)
+    assert abs(abs(m.b_asym) - abs(b)) <= 1e-10 * abs(b) + 1e-14 / (ratio - 1.0)
 
 
 def test_prolate_ordering_invariant():
@@ -193,59 +246,47 @@ def test_certificate_checks_each_condition():
     # every row: with c2 = (0, 1, 1, 1) all pivots stay near 10, so the cut
     # certifies level 0 but not level 1, (o) failing; with c2 = (0, 1, 81, 64)
     # (o) and (i) hold but row 2 fails (ii), 10 < 9 + 8, and the pivot of
-    # row 3 turns negative; a flat diagonal (ratio = half_is) voids the test
-    rising = rotor._WangBlock(0, 0, 1.0, 2.0, 0.0)
+    # row 3 turns negative
     d, x = np.full((4, 1), 10.0), np.zeros(1)
     calm = np.array([[0.0], [1.0], [1.0], [1.0]])
     q, _, n = rotor._pivots(d[:2], calm[:2], x, 0.0)
-    assert rotor._certificate_holds(rising, 0, 2, q, n, d[2:], calm[2:], x).all()
-    assert not rotor._certificate_holds(rising, 1, 2, q, n, d[2:], calm[2:], x).any()
-    flat = rotor._WangBlock(0, 0, 1.0, 1.0, 0.0)
-    assert not rotor._certificate_holds(flat, 0, 2, q, n, d[2:], calm[2:], x).any()
+    assert rotor._certificate_holds(0, 2, q, n, d[2:], calm[2:], x).all()
+    assert not rotor._certificate_holds(1, 2, q, n, d[2:], calm[2:], x).any()
     steep = np.array([[0.0], [1.0], [81.0], [64.0]])
     q, _, n = rotor._pivots(d[:2], steep[:2], x, 0.0)
     assert n == 0
     assert rotor._pivots(d, steep, x, 0.0)[2] == 1
-    assert not rotor._certificate_holds(rising, 0, 2, q, n, d[2:], steep[2:], x).any()
+    assert not rotor._certificate_holds(0, 2, q, n, d[2:], steep[2:], x).any()
 
 
-def test_certificate_needs_a_rising_diagonal(monkeypatch):
-    # an ellipsoid accepted within 1e-12 of a sphere has ratio <= half_is:
-    # the rows' d - e_i - e_{i+1} need not rise, so the sweep of every
-    # partial cut runs to its block's end
-    m = rotor.inertia_from_ellipsoid((1e-9, 1e-9 * (1.0 + 1e-13), 1e-9),
-                                     rotor.SILICON_DENSITY)
-    ratio, half_is, quarter_id = oracles._asymmetric_coefficients(m)
-    assert ratio <= half_is
-    block = rotor._WangBlock(0, 0, half_is, ratio, quarter_id)
-    j = np.arange(81)
-    reached = {}
-    rows = rotor._WangBlock.rows
+def test_near_sphere_levels_take_no_step_on_an_overflowed_slope(monkeypatch):
+    # hand-built Wang blocks with a flat diagonal (ratio = half_is, a
+    # near-sphere no InertiaModel admits) and tiny couplings: levels a few
+    # ulps apart overflow the twisted pivot's slope (no warning leaks under
+    # the suite's error::RuntimeWarning), the step bisects, and a weight
+    # 1/|slope| is finite, never inf or nan
+    twisted, finite = rotor._twisted, []
 
-    def passes(block, j, first, stop):
-        if first > 0:  # a pass past the cut pivots rows first..stop-3
-            reached.update((int(jj), stop - 2) for jj in j)
-        return rows(block, j, first, stop)
+    def recorded(*args):
+        g, dg, n = twisted(*args)
+        finite.append(np.isfinite(dg))
+        return g, dg, n
 
-    monkeypatch.setattr(rotor._WangBlock, "rows", passes)
-    got = rotor._block_levels(block, 0, j)
-    # the first cut has 16 rows; j >= 32 have more, and (j + 2) // 2 in all
-    assert sorted(reached) == list(range(32, 81))
-    assert all(end >= (jj + 2) // 2 for jj, end in reached.items())
-    want = oracles.block_levels_counted(block, 0, j)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_near_sphere_levels_take_no_step_on_an_overflowed_slope():
-    # near-degenerate levels overflow the twisted pivot's slope (no warning
-    # leaks under the suite's error::RuntimeWarning): the step bisects, and a
-    # weight 1/|slope| reads 0, never inf or nan
-    m = rotor.inertia_from_ellipsoid((1e-9, 1e-9 * (1.0 + 1e-13), 1e-9),
-                                     rotor.SILICON_DENSITY)
-    sp = rotor.rotational_energies(40, 4, m, "asymmetric")
-    want = oracles.lapack_energies(40, 4, m).phase_coeffs
-    assert np.max(np.abs(sp.phase_coeffs - want) / np.maximum(np.abs(want), 1.0)) < 1e-14
-    assert np.all((sp.dominant_weight >= 0.0) & (sp.dominant_weight <= 1.0))
+    monkeypatch.setattr(rotor, "_twisted", recorded)
+    for start in (0, 2):
+        block = rotor._WangBlock(start, 0, 1.0, 1.0, 1e-13)
+        for r in range(3):
+            j = np.arange(start + 2 * r, 41, dtype=float)
+            d, c2 = block.rows(j, 0, r + rotor.SPECTRUM_CUT)
+            finite.clear()
+            x, w = rotor._cut_levels(d, c2, r, block.pivmin(j[-1]))
+            assert not np.concatenate(finite).all()
+            assert np.all((w >= 0.0) & (w <= 1.0))
+            for col in range(j.size):
+                inside = np.isfinite(d[:, col])
+                e = np.sqrt(c2[inside, col][1:])
+                tri = np.diag(d[inside, col]) + np.diag(e, 1) + np.diag(e, -1)
+                assert x[col] == pytest.approx(np.linalg.eigvalsh(tri)[r], rel=1e-14)
 
 
 @pytest.mark.parametrize("b", [1e-6, 1e-4, 1e-2, 0.3, 0.9])

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -18,6 +20,17 @@ def test_asymmetry_scan_finds_the_peak_at_strong_asymmetry(capsys):
                      "--b-min", "1e-4", "--b-max", "1e-2"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [float(r.split(",")[0]) for r in rows] == [1e-4, 1e-3, 1e-2]
+
+
+@pytest.mark.parametrize("flag", ["--b-min", "--b-max"])
+def test_asymmetry_scan_refuses_a_window_that_reaches_zero(capsys, flag):
+    # at |b| >= 0.095 the revival window reaches t <= 0: exit 2 naming the
+    # flag, before any state is prepared, rather than a traceback
+    scan = load_script("asymmetry_scan")
+    with pytest.raises(SystemExit) as exc:
+        scan.run(["--sigma-beta", "0.1", flag, "0.2"])
+    assert exc.value.code == 2
+    assert f"{flag}: the revival window of b = 0.2" in capsys.readouterr().err
 
 
 def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
