@@ -14,10 +14,11 @@ Usage: python scripts/asymmetry_scan.py [--sigma-beta 0.003] [--points 12]
 
 import argparse
 
-import numpy as np
-
+# nanorotor before numpy, so that numpy's OpenBLAS starts with one thread (nanorotor/__init__.py)
 from nanorotor import decoherence, observables, rotor
 from nanorotor.errors import DomainError
+
+import numpy as np
 
 
 def run(argv=None):
@@ -27,7 +28,11 @@ def run(argv=None):
     parser.add_argument("--b-min", type=float, default=1e-6)
     parser.add_argument("--b-max", type=float, default=1e-4)
     args = parser.parse_args(argv)
+    if args.points < 1:
+        parser.error(f"--points: must be at least 1, got {args.points}")
     for flag, b in (("--b-min", args.b_min), ("--b-max", args.b_max)):
+        if b <= 0:
+            parser.error(f"{flag}: must be positive (b is log-spaced), got {b}")
         try:
             observables.revival_window(b)
         except DomainError as exc:

@@ -16,12 +16,14 @@ spectrum, whose cuts the O(1) test leaves to the pivot sweep down the block
 and whose pulse takes the semiclassical m k != 0 correction; or only the
 runs ``--only`` names.  It first prints the line count of each tree's
 ``nanorotor`` modules, in total and by module.  For each run it prints
-both exit codes, each side's wall time (one process each, so one sample,
-not a speed claim), how many CSVs are byte-identical, the largest absolute
-difference in each CSV body (from its second line on), whether the manifests
-are equal apart from ``wall_time_s`` and ``config.output.prefix``, and whether
-the jump histograms are equal.  It exits 1 if the exit codes of a run differ or
-a file is missing on one side, else 0: moved numbers are reported, not judged.
+both exit codes, each side's wall time and CPU time (user + system time of
+the child, from ``os.wait4``, so a start-up change shows run by run; still
+one process each, so one sample, not a speed claim), how many CSVs are
+byte-identical, the largest absolute difference in each CSV body (from its
+second line on), whether the manifests are equal apart from ``wall_time_s``
+and ``config.output.prefix``, and whether the jump histograms are equal.
+It exits 1 if the exit codes of a run differ or a file is missing on one
+side, else 0: moved numbers are reported, not judged.
 """
 
 import argparse
@@ -75,15 +77,18 @@ def print_line_counts(old_src: str, new_src: str) -> None:
         print(f"  {name}: {old.get(name, 0)} / {new.get(name, 0)}")
 
 
-def _simulate(src: str, args: list, out_dir: Path) -> tuple[int, float]:
-    """The exit code and wall time of one ``simulate`` process on src."""
+def _simulate(src: str, args: list, out_dir: Path) -> tuple[int, float, float]:
+    """The exit code, wall time and CPU time of one ``simulate`` process on src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out_dir.mkdir()
     start = time.perf_counter()
-    code = subprocess.run([sys.executable, "-m", "nanorotor.cli", *args,
-                           "--out", str(out_dir / "out")], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    return code, time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "nanorotor.cli", *args,
+                             "--out", str(out_dir / "out")], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_utime + usage.ru_stime
 
 
 def _max_diff(old: list, new: list) -> str:
@@ -104,8 +109,8 @@ def _manifest(path: Path) -> dict:
 def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bool:
     """Print one run's comparison; whether both sides exited alike and wrote
     the same files."""
-    codes, walls = zip(*[_simulate(src, args, work / side)
-                         for side, src in (("old", old_src), ("new", new_src))])
+    codes, walls, cpus = zip(*[_simulate(src, args, work / side)
+                               for side, src in (("old", old_src), ("new", new_src))])
     old_files = {p.name for p in (work / "old").iterdir()}
     new_files = {p.name for p in (work / "new").iterdir()}
     missing = sorted(old_files ^ new_files)
@@ -114,7 +119,8 @@ def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bo
               for f in csvs}
     same = sum(old == new for old, new in bodies.values())
     print(f"{name}: exit {codes[0]} / {codes[1]}; {same}/{len(csvs)} CSVs byte-identical")
-    print(f"  wall time: {walls[0]:.3f} s / {walls[1]:.3f} s (one sample each, not a benchmark)")
+    print(f"  wall time: {walls[0]:.3f} s / {walls[1]:.3f} s, cpu time: {cpus[0]:.3f} s / "
+          f"{cpus[1]:.3f} s (one sample each, not a benchmark)")
     for f, (old, new) in bodies.items():
         print(f"  {f}: largest |difference| {_max_diff(old, new)}")
     manifests = sorted(f for f in old_files & new_files if f.endswith("_manifest.json"))

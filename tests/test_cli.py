@@ -823,9 +823,15 @@ def test_sweep_sigma_keeps_one_histogram_per_point(tmp_path):
     assert all(sum(h.values()) == n for h in hists.values())
 
 
-def run_probe(probe: str) -> str:
-    """Standard output of ``probe`` run in a fresh interpreter on this tree."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_probe(probe: str, blas_env: dict | None = None) -> str:
+    """Standard output of ``probe`` run in a fresh interpreter on this tree;
+    with ``blas_env``, the BLAS thread variables are exactly those it sets."""
     env = dict(os.environ)
+    if blas_env is not None:
+        env = {k: v for k, v in env.items() if k not in BLAS_THREAD_VARS} | blas_env
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -840,6 +846,46 @@ def run_probe(probe: str) -> str:
 ])
 def test_cli_import_leaves_out(module):
     assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
+
+
+def _counts_blas_threads() -> bool:
+    """Whether a process's tasks show numpy's OpenBLAS worker threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return os.path.isdir("/proc/self/task") and "openblas" in blas.lower()
+
+
+TASKS_AND_BLAS_VARS = f"""
+import os, nanorotor.cli
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+print(tasks, [os.environ.get(k) for k in {BLAS_THREAD_VARS!r}])
+"""
+
+
+def test_cli_import_asks_blas_for_one_thread():
+    # a run is single-threaded: OpenBLAS would otherwise start a spinning
+    # worker for every further core as numpy loads
+    tasks, blas_vars = run_probe(TASKS_AND_BLAS_VARS, blas_env={}).split(" ", 1)
+    assert blas_vars == "['1', None, None]"
+    if _counts_blas_threads():
+        assert tasks == "1"
+
+
+def test_cli_import_keeps_a_callers_thread_setting():
+    tasks, blas_vars = run_probe(TASKS_AND_BLAS_VARS,
+                                 blas_env={"OMP_NUM_THREADS": "2"}).split(" ", 1)
+    assert blas_vars == "[None, None, '2']"
+    if _counts_blas_threads() and min(os.cpu_count(), len(os.sched_getaffinity(0))) >= 2:
+        assert tasks == "2"
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    # there the setting could no longer reach OpenBLAS
+    probe = ("import os; before = dict(os.environ); import numpy, nanorotor; "
+             "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_probe(probe, blas_env={}) == "True False"
 
 
 def test_gamma_zero_mixture_sweep_imports_no_random(tmp_path):

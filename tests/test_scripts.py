@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,24 @@ def test_asymmetry_scan_refuses_a_window_that_reaches_zero(capsys, flag):
     assert f"{flag}: the revival window of b = 0.2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--b-min", "0", "--b-max", "1e-3"], "--b-min: must be positive"),
+    (["--b-min=-1e-3", "--b-max", "1e-3"], "--b-min: must be positive"),
+    (["--b-min", "1e-4", "--b-max", "0"], "--b-max: must be positive"),
+    (["--points", "0"], "--points: must be at least 1"),
+    (["--points", "-1"], "--points: must be at least 1"),
+])
+def test_asymmetry_scan_refuses_a_grid_it_cannot_log_space(capsys, argv, message):
+    # b <= 0 made np.log10 give nan (a DomainError traceback on b = nan),
+    # --points -1 a numpy ValueError and --points 0 a header without rows
+    scan = load_script("asymmetry_scan")
+    with pytest.raises(SystemExit) as exc:
+        scan.run(["--sigma-beta", "0.1", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
     compare = load_script("compare_outputs")
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
@@ -50,6 +69,8 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
     details = [line for line in lines if line.startswith(" ")]
     assert sum("largest |difference| 0" in line for line in details) == 4
     assert sum("manifests equal; jump histograms equal" in line for line in details) == 2
-    walls = [line.split() for line in details if line.startswith("  wall time: ")]
-    assert len(walls) == 2 and all(float(w[2]) > 0 and float(w[5]) > 0 for w in walls)
+    times = [re.fullmatch(r"  wall time: (\S+) s / (\S+) s, cpu time: (\S+) s / (\S+) s "
+                          r"\(one sample each, not a benchmark\)", line)
+             for line in details if line.startswith("  wall time: ")]
+    assert len(times) == 2 and all(t and all(float(x) > 0 for x in t.groups()) for t in times)
     assert len(details) == 8
