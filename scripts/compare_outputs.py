@@ -22,8 +22,10 @@ one process each, so one sample, not a speed claim), how many CSVs are
 byte-identical, the largest absolute difference in each CSV body (from its
 second line on), whether the manifests are equal apart from ``wall_time_s``
 and ``config.output.prefix``, and whether the jump histograms are equal.
-It exits 1 if the exit codes of a run differ or a file is missing on one
-side, else 0: moved numbers are reported, not judged.
+It exits 1 if the exit codes of a run differ, a file is missing on one
+side or a run's jump histograms differ (a flipped channel pick moves a
+trajectory far more than rounding can), else 0: other moved numbers are
+reported, not judged.
 """
 
 import argparse
@@ -107,8 +109,8 @@ def _manifest(path: Path) -> dict:
 
 
 def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bool:
-    """Print one run's comparison; whether both sides exited alike and wrote
-    the same files."""
+    """Print one run's comparison; whether both sides exited alike, wrote
+    the same files and drew the same jump histograms."""
     codes, walls, cpus = zip(*[_simulate(src, args, work / side)
                                for side, src in (("old", old_src), ("new", new_src))])
     old_files = {p.name for p in (work / "old").iterdir()}
@@ -124,14 +126,17 @@ def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bo
     for f, (old, new) in bodies.items():
         print(f"  {f}: largest |difference| {_max_diff(old, new)}")
     manifests = sorted(f for f in old_files & new_files if f.endswith("_manifest.json"))
+    same_hists = True
     for f in manifests:
         old, new = (_manifest(work / side / f) for side in ("old", "new"))
         hists = [m["diagnostics"].get("jump_histograms") for m in (old, new)]
+        hists_equal = hists[0] == hists[1]
+        same_hists &= hists_equal
         print(f"  {f}: manifests {'equal' if old == new else 'DIFFER'}; "
-              f"jump histograms {'equal' if hists[0] == hists[1] else 'DIFFER'}")
+              f"jump histograms {'equal' if hists_equal else 'DIFFER'}")
     for f in missing:
         print(f"  {f}: MISSING on the {'new' if f in old_files else 'old'} side")
-    return codes[0] == codes[1] and not missing
+    return codes[0] == codes[1] and not missing and same_hists
 
 
 def run(argv=None) -> int:

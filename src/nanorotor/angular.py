@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -316,8 +316,38 @@ class BandedOperator:
                 out[-d:] += diag * vec[:d]
         return out
 
+    @cached_property
+    def _doubled(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(d, w_d a_d with each entry repeated twice) for every stored
+        d >= 0, w_0 = 1 and w_d = 2: the terms of ``expectation``, built on
+        its first call.  DomainError unless the band is real and symmetric."""
+        terms = []
+        for d, diag in self.diagonals.items():
+            if diag.dtype.kind != "f" or (d and not np.array_equal(diag, self.diagonals.get(-d))):
+                raise DomainError("expectation needs a real symmetric band")
+            if d >= 0:
+                doubled = np.repeat(diag * (2.0 if d else 1.0), 2)
+                doubled.flags.writeable = False
+                terms.append((d, doubled))
+        return tuple(terms)
+
     def expectation(self, vec: np.ndarray) -> float:
-        return float(np.real(np.vdot(vec, self.apply(vec))))
+        """<vec| A |vec> of a real symmetric band, the only kind it serves,
+        without forming A vec.
+
+        With A_{j,j+d} = A_{j+d,j} = a_d[j] real, the form is
+        sum_{d >= 0} w_d sum_j a_d[j] Re(conj(v_j) v_{j+d}), w_0 = 1 and
+        w_d = 2.  On the float view x = (Re v_jmin, Im v_jmin, ...) of vec,
+        Re(conj(v_j) v_{j+d}) = x_{2j} x_{2j+2d} + x_{2j+1} x_{2j+1+2d}, so
+        each stored d >= 0 is one product x[:-2d] * x[2d:] and one dot with
+        w_d a_d repeated twice (``_doubled``).  A strided or real vec is read
+        as its contiguous complex copy.
+        """
+        x = np.ascontiguousarray(vec, dtype=complex).view(float)
+        total = 0.0
+        for d, doubled in self._doubled:
+            total += doubled.dot(x[:doubled.size] * x[2 * d:])
+        return float(total)
 
 
 def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -163,13 +164,19 @@ def _is_a(value, tp) -> bool:
     return isinstance(value, tp)
 
 
+@functools.lru_cache(maxsize=None)
+def _hints(cls: type) -> dict:
+    """The field annotations of a config class, resolved once (read-only use)."""
+    return typing.get_type_hints(cls)
+
+
 def _typed(key: str, value, hint):
     """``value`` checked against the field annotation ``hint``; a JSON object
     given for a config section becomes that section."""
     for tp in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
         if dataclasses.is_dataclass(tp) and isinstance(value, dict):
             section = tp()
-            hints = typing.get_type_hints(tp)
+            hints = _hints(tp)
             for sub, subval in value.items():
                 path = f"{key}.{sub}" if key else sub
                 if sub not in hints:
@@ -202,7 +209,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, Any]) -> Experim
         target = cfg
         for part in parents:
             target = getattr(target, part, None)
-        hints = typing.get_type_hints(type(target)) if dataclasses.is_dataclass(target) else {}
+        hints = _hints(type(target)) if dataclasses.is_dataclass(target) else {}
         if name not in hints:
             raise ConfigError(f"{path}: unknown key")
         setattr(target, name, _typed(path, value, hints[name]))

@@ -47,7 +47,7 @@ GAMMA_GAS_PRESET_HZ = 20.7
 GAMMA_GAS_PRESET_PRESSURE_MBAR = 5e-9
 
 _BOUNDARY_TOL = 1e-6
-# free-flight phase vectors one pass keeps, least recently used out
+# free-flight phase vectors one ensemble keeps, least recently used out
 _PHASE_MEMO = 16
 # draw sets kept across ensembles: the phases of a sweep share the last one
 _DRAW_MEMO = 1
@@ -177,17 +177,25 @@ def _schedule(config: TrajectoryConfig) -> list:
     return _merge((), events)
 
 
+def _phase_memo(spectrum: SpectrumModel) -> Callable[[int, int, float], np.ndarray]:
+    """``rotor.free_phase`` over ``spectrum`` keeping the phase vectors of
+    its last ``_PHASE_MEMO`` distinct (|k0|, jmax, dt) steps, so a step that
+    repeats multiplies by the vector its first occurrence computed."""
+    return functools.lru_cache(maxsize=_PHASE_MEMO)(
+        functools.partial(rotor.free_phase, spectrum))
+
+
 def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
-                events: list, out: np.ndarray, keep: dict | None = None) -> np.ndarray:
+                events: list, out: np.ndarray, keep: dict | None = None,
+                phase: Callable[[int, int, float], np.ndarray] | None = None) -> np.ndarray:
     """Run time-ordered events from state: free flight up to each event, then
     the jump (with the uniform it carries), pulse or observation (written to
     ``out[arg]``).  ``keep`` maps event positions to the state reached
     before them (before the free flight; position ``len(events)`` is the
-    final state) and is filled in place.  The pass keeps the phase vector of
-    its last ``_PHASE_MEMO`` distinct (|k0|, jmax, dt) steps, so a step that
-    repeats multiplies by the vector its first occurrence computed."""
-    phase = functools.lru_cache(maxsize=_PHASE_MEMO)(
-        functools.partial(rotor.free_phase, spectrum))
+    final state) and is filled in place.  Free flight multiplies by
+    ``phase(|k0|, jmax, dt)``, the ``_phase_memo`` of ``spectrum`` that the
+    caller shares between its passes, or one of this pass's own."""
+    phase = phase or _phase_memo(spectrum)
     for n, (t, kind, arg) in enumerate(events):
         if keep is not None and n in keep:
             keep[n] = state
@@ -253,7 +261,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     Until its first jump a trajectory is a function of its component alone,
     so it runs, in index order, from the state its pass reached before the
     first event at or after that jump (mirrored for a twin); a trajectory
-    that makes no jump is its pass's series itself, read-only.
+    that makes no jump is its pass's series itself, read-only.  Every pass
+    and every resumed trajectory shares one ``_phase_memo``.
     With gamma = 0 no trajectory jumps: the mean is the weighted sum of each
     component's jump-free series, for any n, and the draws, which only pick
     each trajectory's component, are made when ``trajectories`` is first read.
@@ -268,6 +277,7 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
 
     taken = draws() if config.gamma != 0.0 else []
     events = _schedule(config)
+    phase = _phase_memo(spectrum)
     times = [t for t, _, _ in events]
     passes, source = {}, {}  # k0 of a pass -> component; k0 -> k0 of the pass it reads
     for c in initial.components:
@@ -281,7 +291,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     series = {}
     for k0, c in passes.items():
         series[k0] = _run_events(c, spectrum, config, events,
-                                 np.empty(len(config.observation_times)), keep=starts[k0])
+                                 np.empty(len(config.observation_times)), keep=starts[k0],
+                                 phase=phase)
         series[k0].flags.writeable = False
     rows = []
     for component, jumps, uniforms in taken:
@@ -293,7 +304,8 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
             if k0_pass != component.k0:
                 state = mirror_state(state)
             out = _run_events(state, spectrum, config,
-                              _merge(zip(jumps, uniforms), events[start:]), out.copy())
+                              _merge(zip(jumps, uniforms), events[start:]), out.copy(),
+                              phase=phase)
         rows.append(out)
     jump_free = initial.mean(lambda c: series[source[c.k0]])
     if config.gamma == 0.0:

@@ -425,10 +425,12 @@ def run_trajectory(initial, spectrum, config, index: int = 0) -> np.ndarray:
                                jump=lambda state, _: apply_jump_rng(state, rng))
 
 
-def run_events_per_step(state, spectrum, config, events, out, keep=None, jump=None):
+def run_events_per_step(state, spectrum, config, events, out, keep=None, phase=None,
+                        jump=None):
     """``decoherence._run_events`` without its phase memo: every free flight
-    computes its own phase vector inside ``rotor.free_propagate``.  A jump
-    event runs ``jump(state, arg)`` (default ``decoherence.apply_jump``)."""
+    computes its own phase vector inside ``rotor.free_propagate``, and a
+    ``phase`` memo passed in is not read.  A jump event runs
+    ``jump(state, arg)`` (default ``decoherence.apply_jump``)."""
     jump = jump or decoherence.apply_jump
     for n, (t, kind, arg) in enumerate(events):
         if keep is not None and n in keep:

@@ -372,6 +372,41 @@ def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
         assert mat.expectation(vec) == full.expectation(vec)
 
 
+# (jmin, jmax, m, k): m k = 0 with jmin = 0 and jmin > 0, m k < 0 (the +-1
+# band), a two-row band, and a ladder as long as a fig2b state's
+@pytest.mark.parametrize("jmin,jmax,m,k", [(0, 60, 0, 0), (3, 40, 3, 0), (2, 30, 2, -2),
+                                           (4, 5, 0, 4), (0, 1139, 0, 0)])
+def test_expectation_is_the_dense_quadratic_form(jmin, jmax, m, k):
+    # the quadratic form on the float view is psi^dagger A psi of the dense
+    # band, here for normalised random complex states
+    mat = angular.cos2_band(jmin, jmax, m, k)
+    dense = oracles.to_dense(mat)
+    rng = np.random.default_rng(jmax)
+    for _ in range(3):
+        vec = rng.normal(size=mat.size) + 1j * rng.normal(size=mat.size)
+        vec /= np.linalg.norm(vec)
+        assert abs(mat.expectation(vec) - np.vdot(vec, dense @ vec).real) <= 1e-14
+
+
+def test_expectation_reads_a_strided_or_real_vector_as_its_complex_copy():
+    mat = angular.cos2_band(2, 30, 2, -2)
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=2 * mat.size) + 1j * rng.normal(size=2 * mat.size)
+    for vec in (wide[::2], wide[:mat.size][::-1], wide.real[:mat.size]):
+        assert not vec.flags.c_contiguous or vec.dtype != complex
+        assert mat.expectation(vec) == mat.expectation(np.array(vec, dtype=complex))
+
+
+def test_expectation_refuses_a_band_that_is_not_real_symmetric():
+    # the form pairs offset d with -d: c_z's ladder has distinct +-1
+    # diagonals, and a complex diagonal (a pulse matrix) has no real form
+    cz = angular._cosine_block("z", 10, 2, 1, 0)
+    pulse_like = angular.BandedOperator(0, 3, {0: np.ones(4, dtype=complex)})
+    for op in (cz, pulse_like):
+        with pytest.raises(DomainError, match="real symmetric"):
+            op.expectation(np.ones(op.size, dtype=complex))
+
+
 def test_cos2beta_trivial_cases():
     one = angular.cos2beta_matrix(0, 0, 0, 0)
     assert oracles.banded_element(one, 0, 0) == pytest.approx(1.0 / 3.0)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import re
 
@@ -74,3 +75,26 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
              for line in details if line.startswith("  wall time: ")]
     assert len(times) == 2 and all(t and all(float(x) > 0 for x in t.groups()) for t in times)
     assert len(details) == 8
+
+
+@pytest.mark.parametrize("new_hist,code", [({"0": 5, "1": 3}, 0), ({"0": 4, "1": 4}, 1)])
+def test_compare_outputs_fails_a_run_whose_jump_histograms_differ(capsys, monkeypatch,
+                                                                 new_hist, code):
+    # equal exits, files and CSVs, but one trajectory's jump count moved: a
+    # flipped channel pick, which the exit code must report
+    compare = load_script("compare_outputs")
+
+    def simulate(src, args, out_dir):
+        out_dir.mkdir()
+        hist = {"0": 5, "1": 3} if out_dir.name == "old" else new_hist
+        (out_dir / "out_manifest.json").write_text(json.dumps({
+            "wall_time_s": 1.0, "config": {"output": {"prefix": str(out_dir)}},
+            "diagnostics": {"jump_histograms": {"3p14159": hist}}}))
+        return 0, 0.1, 0.1
+
+    monkeypatch.setattr(compare, "_simulate", simulate)
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert compare.run([src, src, "--only", "fig2c"]) == code
+    verdict = "equal" if code == 0 else "DIFFER"
+    assert (f"  out_manifest.json: manifests {verdict}; jump histograms {verdict}"
+            in capsys.readouterr().out.splitlines())
