@@ -21,7 +21,9 @@ the child, from ``os.wait4``, so a start-up change shows run by run; still
 one process each, so one sample, not a speed claim), how many CSVs are
 byte-identical, the largest absolute difference in each CSV body (from its
 second line on), whether the manifests are equal apart from ``wall_time_s``
-and ``config.output.prefix``, and whether the jump histograms are equal.
+and ``config.output.prefix``, each key that differs between them as a dotted
+path with the size of its move (the absolute difference of two numbers, else
+"changed"), and whether the jump histograms are equal.
 It exits 1 if the exit codes of a run differ, a file is missing on one
 side or a run's jump histograms differ (a flipped channel pick moves a
 trajectory far more than rounding can), else 0: other moved numbers are
@@ -108,6 +110,26 @@ def _manifest(path: Path) -> dict:
     return manifest
 
 
+_ABSENT = object()  # stands for a key that one manifest lacks
+
+
+def _moves(old, new, path: str = "") -> list[tuple[str, str]]:
+    """(dotted path, size of the move) of each manifest value that differs:
+    the absolute difference of two numbers, else "changed"."""
+    if old == new:
+        return []
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(key, old.get(key, _ABSENT), new.get(key, _ABSENT))
+                 for key in sorted(old.keys() | new.keys())]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = list(zip(range(len(old)), old, new))
+    else:
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new))
+        return [(path, f"{abs(new - old):.3g}" if numbers else "changed")]
+    return [move for key, a, b in pairs
+            for move in _moves(a, b, f"{path}.{key}" if path else str(key))]
+
+
 def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bool:
     """Print one run's comparison; whether both sides exited alike, wrote
     the same files and drew the same jump histograms."""
@@ -134,6 +156,8 @@ def compare(name: str, args: list, old_src: str, new_src: str, work: Path) -> bo
         same_hists &= hists_equal
         print(f"  {f}: manifests {'equal' if old == new else 'DIFFER'}; "
               f"jump histograms {'equal' if hists_equal else 'DIFFER'}")
+        for path, size in _moves(old, new):
+            print(f"    {path}: {size}")
     for f in missing:
         print(f"  {f}: MISSING on the {'new' if f in old_files else 'old'} side")
     return codes[0] == codes[1] and not missing and same_hists

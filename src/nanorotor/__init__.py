@@ -18,7 +18,8 @@ if "numpy" not in sys.modules and not _BLAS_THREAD_VARS & os.environ.keys():
 
 __version__ = "0.1.0"
 
-from . import angular, decoherence, eightstate, observables, pulse, rotor
+# eightstate, the paper's packet model, is left to load on first use: no CLI run reaches it.
+from . import angular, decoherence, observables, pulse, rotor
 from .angular import AngularGrid, BandedOperator
 from .observables import TimeSeries, alignment
 from .pulse import PulseSpec

@@ -125,7 +125,7 @@ def _leggauss(order: int, x_min: float = -1.0) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], w[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class AngularGrid:
     """Gauss-Legendre grid in cos(beta) for integrals against sin(beta) d(beta).
 
@@ -272,7 +272,7 @@ def _d_blocks(pairs: list[tuple[int, int]], betas: np.ndarray, jmax: int):
 # banded operators over the j ladder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class BandedOperator:
     """Square operator over j = jmin..jmax, banded in j.
 

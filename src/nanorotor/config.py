@@ -55,7 +55,9 @@ SWEEP_DEFAULTS = {
 }
 
 
-@dataclass
+# No config class is compared, hashed or printed, so none generates __eq__ or __repr__:
+# building those methods is start-up time that every process pays.
+@dataclass(repr=False, eq=False)
 class RotorConfig:
     semi_axes_nm: list[float] | None = None
     density_kg_m3: float | None = None
@@ -67,7 +69,7 @@ class RotorConfig:
     variant_minor_axis_nm: float | None = None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class StateConfig:
     mode: str = "gaussian_j"
     sigma_j_sq: float | None = None
@@ -77,7 +79,7 @@ class StateConfig:
     jmax: int | None = None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class LaserConfig:
     power_w: float = 0.0
     waist_m: float = 0.0
@@ -85,7 +87,7 @@ class LaserConfig:
     delta_alpha: float = 0.0
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class PulseConfig:
     phi: float | list[float] | None = None
     laser: LaserConfig | None = None
@@ -93,13 +95,13 @@ class PulseConfig:
     method: str = "semiclassical"
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class GammaConfig:
     hz: float | None = None
     dimensionless: float | None = None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class TimesConfig:
     t_end: float = 1.05
     n_points: int = 512
@@ -107,14 +109,14 @@ class TimesConfig:
     refine_halfwidth: float = 0.02
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class EnsembleConfig:
     n: int = 1
     seed: int = 12345
     threads: int | None = None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SweepConfig:
     phi: list[float] | None = None
     sigma_k: list[float] | None = None
@@ -125,19 +127,19 @@ class SweepConfig:
     b_include: list[float] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SpectrumConfig:
     method: str = "symmetric"
     kmax: int | None = None  # no reader: old manifests carry null, validate rejects a value
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class OutputConfig:
     prefix: str = "run"
     format: str = "csv"
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ExperimentConfig:
     scenario: str = "evolve"
     rotor: RotorConfig = field(default_factory=RotorConfig)
@@ -359,7 +361,7 @@ def resolve_gamma(cfg: ExperimentConfig, model: rotor_mod.InertiaModel) -> float
     return gamma
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ValidationReport:
     """Problems found, and for a valid config what the run needs: the rotor
     models, the pulse phases, the jump rate and the resource estimates."""

@@ -58,7 +58,7 @@ def gamma_dimensionless(gamma_hz: float, t_rev: float) -> float:
     return gamma_hz * t_rev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TrajectoryConfig:
     """Monte Carlo run description; gamma is the jump rate in units of 1/T_rev.
     A trajectory ends at its last observation time."""
@@ -76,7 +76,7 @@ class TrajectoryConfig:
             raise DomainError("observation times must be given, sorted and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class EnsembleResult:
     """Trajectory-averaged alignment with standard errors, each trajectory's
     series in index order, and the weighted sum of each component's

@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TimeSeries:
     """Sampled observable over dimensionless time t / T_rev."""
 

@@ -45,7 +45,7 @@ _X_FLOOR = 1e-280
 _BLOCK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class PulseSpec:
     """Phase pulse description: strength phi, schedule, and application method."""
 

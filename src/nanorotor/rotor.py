@@ -63,7 +63,7 @@ J_SPAN_LIMIT = 100_000
 # geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class InertiaModel:
     """Principal moments of a rigid prolate rotor, I_c about the symmetry axis.
 
@@ -168,7 +168,7 @@ def inertia_from_parameters(ratio: float, b_asym: float,
 # rotational spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SpectrumModel:
     """Dimensionless phase coefficients eps(j, k) for free propagation.
 
@@ -280,7 +280,7 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class _WangBlock:
     """One Wang symmetry block at any j: rows k = start, start + 2, ..., <= j.
 
@@ -471,7 +471,7 @@ def _block_levels(block: _WangBlock, r: int, j: np.ndarray):
 # rotor states
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class RotorState:
     """One pure rotor component: fixed k0, amplitudes over (m, j).
 
@@ -499,7 +499,7 @@ class RotorState:
         return math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in self.sectors.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Mixture:
     """Classical mixture over k0 of pure components, in ascending k0.
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -542,6 +543,35 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     assert a == b
 
 
+def _manifest_without_run_fields(path):
+    manifest = json.loads(path.read_text())
+    del manifest["wall_time_s"], manifest["config"]["output"]["prefix"]
+    return manifest
+
+
+def test_a_fresh_process_writes_what_main_writes(tmp_path):
+    # the CLI freezes the collector as its interpreter exits, so nothing the
+    # run writes may wait for a shutdown collection to be closed
+    assert _simulate(["fig2d", "--out", str(tmp_path / "fresh" / "run")]).returncode == 0
+    assert cli.main(["fig2d", "--out", str(tmp_path / "main" / "run")]) == 0
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == names
+    assert sum(name.endswith(".csv") for name in names) == 4
+    for name in names:
+        if name.endswith(".csv"):
+            assert ((tmp_path / "fresh" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes()), name
+    assert (_manifest_without_run_fields(tmp_path / "fresh" / "run_manifest.json")
+            == _manifest_without_run_fields(tmp_path / "main" / "run_manifest.json"))
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # the heap is frozen only as the interpreter exits: a frozen heap is
+    # never collected, and tests and scripts call main many times
+    assert cli.main(["fig2d", "--out", str(tmp_path / "x")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     # --threads is accepted for old command lines and has no effect
     base = ["evolve", "--rotor.inertia_ratio", "41.8",
@@ -843,9 +873,18 @@ def run_probe(probe: str, blas_env: dict | None = None) -> str:
     "scipy",            # about 0.4 s of every run's start-up
     "scipy.integrate",  # about a quarter second of every run's start-up
     "multiprocessing",  # ensembles run in one process
+    "nanorotor.eightstate",  # the packet model, which no run reaches
 ])
 def test_cli_import_leaves_out(module):
     assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
+
+
+def test_cli_import_freezes_the_collector_at_exit():
+    # atexit runs its handlers last in, first out, so a handler registered
+    # before the import sees the heap after the CLI's exit hook has run
+    probe = ("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+             "print(gc.get_freeze_count() > 0); import nanorotor.cli")
+    assert run_probe(probe).split() == ["False", "True"]
 
 
 def _counts_blas_threads() -> bool:

@@ -77,24 +77,49 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(capsys):
     assert len(details) == 8
 
 
+def fake_manifests(compare, monkeypatch, old_diagnostics, new_diagnostics):
+    """Make compare's runs write only a manifest with the given diagnostics."""
+    def simulate(src, args, out_dir):
+        out_dir.mkdir()
+        diagnostics = old_diagnostics if out_dir.name == "old" else new_diagnostics
+        (out_dir / "out_manifest.json").write_text(json.dumps({
+            "wall_time_s": 1.0, "config": {"output": {"prefix": str(out_dir)}},
+            "diagnostics": diagnostics}))
+        return 0, 0.1, 0.1
+
+    monkeypatch.setattr(compare, "_simulate", simulate)
+
+
 @pytest.mark.parametrize("new_hist,code", [({"0": 5, "1": 3}, 0), ({"0": 4, "1": 4}, 1)])
 def test_compare_outputs_fails_a_run_whose_jump_histograms_differ(capsys, monkeypatch,
                                                                  new_hist, code):
     # equal exits, files and CSVs, but one trajectory's jump count moved: a
     # flipped channel pick, which the exit code must report
     compare = load_script("compare_outputs")
-
-    def simulate(src, args, out_dir):
-        out_dir.mkdir()
-        hist = {"0": 5, "1": 3} if out_dir.name == "old" else new_hist
-        (out_dir / "out_manifest.json").write_text(json.dumps({
-            "wall_time_s": 1.0, "config": {"output": {"prefix": str(out_dir)}},
-            "diagnostics": {"jump_histograms": {"3p14159": hist}}}))
-        return 0, 0.1, 0.1
-
-    monkeypatch.setattr(compare, "_simulate", simulate)
+    fake_manifests(compare, monkeypatch, {"jump_histograms": {"3p14159": {"0": 5, "1": 3}}},
+                   {"jump_histograms": {"3p14159": new_hist}})
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
     assert compare.run([src, src, "--only", "fig2c"]) == code
     verdict = "equal" if code == 0 else "DIFFER"
     assert (f"  out_manifest.json: manifests {verdict}; jump histograms {verdict}"
             in capsys.readouterr().out.splitlines())
+
+
+def test_compare_outputs_names_each_manifest_value_that_moves(capsys, monkeypatch):
+    # a float diagnostic moved by rounding, a list entry and a string changed
+    # and a key appeared: each is named, and none of them fails the run
+    compare = load_script("compare_outputs")
+    old = {"interference_fit": {"offset": 0.5, "rms_residual": 0.125}, "b": [1.0, 2.0],
+           "status": "ok"}
+    new = {"interference_fit": {"offset": 0.5000000000000001, "rms_residual": 0.125},
+           "b": [1.0, 2.5], "status": "widened", "widened_j": 3}
+    fake_manifests(compare, monkeypatch, old, new)
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert compare.run([src, src, "--only", "fig2a"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("  out_manifest.json: manifests DIFFER; jump histograms equal")
+    assert lines[at + 1:] == [
+        "    diagnostics.b.1: 0.5",
+        "    diagnostics.interference_fit.offset: 1.11e-16",
+        "    diagnostics.status: changed",
+        "    diagnostics.widened_j: changed"]
