@@ -7,9 +7,11 @@ OLD_SRC and NEW_SRC are directories that hold the ``nanorotor`` package
 (``src/`` of two checkouts).  Each run is ``python -m nanorotor.cli`` in a
 subprocess with ``PYTHONPATH`` set to one tree, one run at a time: the six
 packaged presets and every gated workload of ``perfbench/workloads.py`` (its
-``cli_args()``), then two ``decohere`` k0 mixtures, one with jumps and one at
-gamma = 0, whose per-trajectory files record the component each trajectory
-picked, then two ``fractional`` runs, a gaussian_j state and a sigma_k = 1
+``cli_args()``), then three ``decohere`` k0 mixtures, whose per-trajectory
+files record the component each trajectory picked: one with jumps, one at
+gamma = 0, and one at gamma = 12 over t_end = 1.05, whose 12.6 expected jumps
+a trajectory draws on the Poisson sampler's rejection branch (a mean of 10
+or more), then two ``fractional`` runs, a gaussian_j state and a sigma_k = 1
 mixture, the CLI's path through ``synthesize_beta`` and ``wigner_d_table``,
 then an ``evolve`` sigma_k = 1 mixture at b = 0.3 on the asymmetric
 spectrum, whose cuts the O(1) test leaves to the pivot sweep down the block
@@ -45,12 +47,12 @@ PRESETS = ["params", "fig1", "fig2a", "fig2b", "fig2c", "fig2d"]
 ROTOR = ["--rotor.inertia_ratio", "41.8"]
 MIXTURE_STATE = ["--state.mode", "gaussian_beta", "--state.sigma_beta", "0.05",
                  "--state.sigma_k", "1.0"]
-MIXTURE = ["decohere", *ROTOR, *MIXTURE_STATE, "--ensemble.n", "8"]
+MIXTURE = ["decohere", *ROTOR, *MIXTURE_STATE]
 
 
 def _runs() -> dict:
     """Run name -> simulate arguments: the presets, the gated workloads, the
-    two decohere mixtures, the two fractional runs, then the asymmetric
+    three decohere mixtures, the two fractional runs, then the asymmetric
     mixture."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
@@ -58,8 +60,11 @@ def _runs() -> dict:
     spec.loader.exec_module(workloads)
     runs = {name: [name] for name in PRESETS}
     runs.update((w.name, w.cli_args()) for w in workloads.WORKLOADS.values() if w.gated)
-    runs["decohere_mixture"] = MIXTURE + ["--gamma.dimensionless", "0.5"]
-    runs["decohere_mixture_vacuum"] = MIXTURE + ["--gamma.dimensionless", "0"]
+    runs["decohere_mixture"] = MIXTURE + ["--ensemble.n", "8", "--gamma.dimensionless", "0.5"]
+    runs["decohere_mixture_vacuum"] = MIXTURE + ["--ensemble.n", "8",
+                                                 "--gamma.dimensionless", "0"]
+    runs["decohere_mixture_ptrs"] = MIXTURE + ["--ensemble.n", "4",
+                                               "--gamma.dimensionless", "12"]
     runs["fractional_gaussian_j"] = ["fractional", *ROTOR, "--state.sigma_j_sq", "800"]
     runs["fractional_mixture"] = ["fractional", *ROTOR, *MIXTURE_STATE]
     runs["asymmetric_mixture"] = ["evolve", *ROTOR, "--rotor.b_asym", "0.3",

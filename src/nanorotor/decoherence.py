@@ -9,9 +9,12 @@ process, and between jumps the normalized state evolves freely.
 Per-trajectory randomness comes from counter-based Philox streams keyed by
 (seed, trajectory index), so a trajectory's result does not depend on when it
 runs; an ensemble is one loop over the trajectories in index order, and is
-reproducible bit for bit.  The generator choice (numpy Philox via
-``SeedSequence(seed, spawn_key=(index,))``) and the order of the draws from
-each stream are part of the output contract and fixed per release.
+reproducible bit for bit.  The generator and the order of the draws from each
+stream are part of the output contract and fixed per release: a stream draws
+what numpy's Philox4x64-10 under ``SeedSequence(seed, spawn_key=(index,))``
+draws, with numpy's Poisson and weighted-choice algorithms, all reproduced in
+``nanorotor.philox`` so that the draws are fixed by this package, not by the
+installed numpy.  That module loads with the first stream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from . import angular, observables, rotor
 from .errors import DomainError, TruncationError
 from .pulse import PulseSpec, apply_pulse
 from .rotor import Mixture, RotorState, SpectrumModel, free_propagate, mirror_state
+
+if TYPE_CHECKING:
+    from .philox import Stream
 
 __all__ = [
     "TrajectoryConfig",
@@ -94,21 +101,26 @@ class EnsembleResult:
         return self.make_trajectories()
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+def _trajectory_rng(seed: int, index: int) -> Stream:
+    from .philox import Stream  # loaded here: a gamma = 0 run that reads no trajectory makes none
+    return Stream(seed, index)
 
 
-def sample_jump_times(gamma: float, t_end: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson process of rate gamma on [0, t_end].
+def sample_jump_times(gamma: float, t_end: float, rng: Stream) -> np.ndarray:
+    """Homogeneous Poisson process of rate gamma on [0, t_end], drawn from
+    ``rng`` (a ``philox.Stream``, or anything with its ``poisson`` and
+    ``random``).
 
     Valid because the no-jump weight is state independent (sum_l c_l^2 = 1):
     the normalized state between jumps is exactly the freely evolved one.
     """
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
-    n = rng.poisson(gamma * t_end)
+    lam = gamma * t_end
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"expected jump count gamma * t_end must be finite and >= 0, "
+                          f"got {lam}")
+    n = rng.poisson(lam)
     return np.sort(rng.random(n)) * t_end
 
 

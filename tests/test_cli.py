@@ -874,6 +874,7 @@ def run_probe(probe: str, blas_env: dict | None = None) -> str:
     "scipy.integrate",  # about a quarter second of every run's start-up
     "multiprocessing",  # ensembles run in one process
     "nanorotor.eightstate",  # the packet model, which no run reaches
+    "nanorotor.philox",  # the Monte Carlo streams, loaded with the first one
 ])
 def test_cli_import_leaves_out(module):
     assert run_probe(f"import sys, nanorotor.cli; print({module!r} in sys.modules)") == "False"
@@ -927,14 +928,32 @@ def test_import_after_numpy_leaves_the_environment_alone():
     assert run_probe(probe, blas_env={}) == "True False"
 
 
+RANDOM_MODULES = ("nanorotor.philox", "numpy.random", "secrets", "_hashlib")
+
+
+def _modules_after_run(argv: list) -> str:
+    """The exit code of ``cli.main(argv)`` in a fresh interpreter, and which
+    of ``RANDOM_MODULES`` it loaded."""
+    probe = ("import sys; from nanorotor import cli; "
+             f"code = cli.main({argv!r}); "
+             f"print(code, [m for m in {RANDOM_MODULES!r} if m in sys.modules])")
+    return run_probe(probe).splitlines()[-1]
+
+
 def test_gamma_zero_mixture_sweep_imports_no_random(tmp_path):
     # a gamma = 0 sigma_k mixture reads no trajectory, so it makes no Philox
-    # stream, and numpy.random (imported by the first one) stays out
+    # stream and loads no module that draws one
     argv = ["fig2a", "--sweep.sigma_beta", "[0.1]", "--sweep.sigma_k", "[1.0]",
             "--out", str(tmp_path / "x")]
-    probe = ("import sys; from nanorotor import cli; "
-             f"code = cli.main({argv!r}); print(code, 'numpy.random' in sys.modules)")
-    assert run_probe(probe).splitlines()[-1] == "0 False"
+    assert _modules_after_run(argv) == "0 []"
+
+
+def test_jump_run_imports_no_numpy_random(tmp_path):
+    # the benchmark's fig2c cut draws its jumps from nanorotor.philox; numpy.random
+    # would add about 6 MiB, 3.5 of them OpenSSL's, through secrets and _hashlib
+    argv = ["fig2c", "--threads", "1", "--sweep.phi",
+            "[0.0,0.78539816,1.57079633,2.35619449,3.14159265]", "--out", str(tmp_path / "x")]
+    assert _modules_after_run(argv) == "0 ['nanorotor.philox']"
 
 
 @pytest.mark.parametrize("argv", [

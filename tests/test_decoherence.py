@@ -8,7 +8,7 @@ from scipy import stats as sps
 
 import oracles
 from nanorotor import decoherence as dec
-from nanorotor import angular, cli, config, observables, pulse, rotor
+from nanorotor import angular, cli, config, observables, philox, pulse, rotor
 from nanorotor.errors import DomainError
 
 
@@ -63,6 +63,82 @@ def test_times_sorted_within_range():
     t = dec.sample_jump_times(5.0, 2.0, rng)
     assert np.all(np.diff(t) >= 0)
     assert t[0] >= 0 and t[-1] <= 2.0
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_jump_times_refuse_a_count_that_is_negative_or_not_finite(lam):
+    # numpy's poisson raised ValueError at nan; the multiplication method
+    # would return 0 jumps at nan or below 0
+    with pytest.raises(DomainError, match="gamma \\* t_end"):
+        dec.sample_jump_times(1.0, lam, dec._trajectory_rng(0, 0))
+
+
+def _numpy_stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+
+
+def _every_draw(rng) -> dict:
+    """Each kind of draw the Monte Carlo makes, through both Poisson branches."""
+    draws = {"doubles": [rng.random() for _ in range(9)]}  # 9 doubles span 3 Philox blocks
+    draws["after lam = 0"] = [rng.poisson(0.0), rng.random()]  # lam = 0 draws nothing
+    for lam in (1e-3, 0.33, 9.999999, 10.0, 17.3, config.MAX_EXPECTED_JUMPS):
+        draws[lam] = [rng.poisson(lam) for _ in range(20)]
+    draws["choice"] = [int(rng.choice(3, p=np.array([0.0, 0.3, 0.7]))) for _ in range(40)]
+    draws["arrays"] = [rng.random(5).tobytes(), rng.random(0).tobytes()]
+    draws["jump times"] = [dec.sample_jump_times(gamma, t_end, rng).tobytes() for gamma, t_end
+                           in ((0.4, 1.0), (17.3 / 2, 2.0), (config.MAX_EXPECTED_JUMPS / 2, 2.0))]
+    return draws
+
+
+@pytest.mark.parametrize("index", [0, 1, 2 ** 32 + 1])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 7],
+                         ids=["0", "2^32-1", "2^32", "2^128+7"])
+def test_stream_draws_what_numpy_draws(seed, index):
+    # the streams reproduce numpy's Philox4x64-10 under SeedSequence and its
+    # Poisson and choice algorithms; 2^128 + 7 has more words than the pool
+    ours, reference = dec._trajectory_rng(seed, index), _numpy_stream(seed, index)
+    draws = _every_draw(ours)
+    assert draws == _every_draw(reference)
+    assert set(draws["choice"]) == {1, 2}  # the zero weight is never picked
+    assert type(ours.random()) is float
+    none = ours.random(0)
+    assert none.dtype == np.float64 and none.shape == (0,)
+
+
+class _Doubles(philox.Stream):
+    """A stream whose doubles are the given ones, in order."""
+
+    __slots__ = ("_doubles",)
+
+    def __init__(self, doubles):
+        self._doubles = iter(doubles)
+
+    def random(self, size=None):
+        return next(self._doubles)
+
+
+def test_ptrs_rejects_a_zero_us_and_takes_log_of_zero_as_minus_infinity():
+    # PTRS at lam >= 10 draws pairs (U + 0.5, V).  U = -0.5 makes us = 0,
+    # where C's floor(-inf) gives k < 0: rejected, not a ZeroDivisionError.
+    # V = 0 with us < 0.07 reaches log(V), which C takes as -inf: accepted.
+    lam, u = 17.3, 0.95 - 0.5
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    us = 0.5 - u
+    k = math.floor((2 * a / us + b) * u + lam + 0.43)
+    assert k >= 0 and us < 0.07
+    assert _Doubles([0.95, 0.0]).poisson(lam) == k
+    doubles = _Doubles([0.0, 0.3, 0.95, 0.0, 0.5])
+    assert doubles.poisson(lam) == k
+    assert next(doubles._doubles) == 0.5  # two pairs drawn: the rejected one, then k's
+
+
+def test_ptrs_log_gamma_is_log_gamma():
+    # a wrong series coefficient flips a PTRS draw only where its comparison
+    # falls within that error, which the parity test's draws may never meet
+    for x in (1.0, 2.0, 3.0, 6.5, 7.0, 18.0, 10_001.0):
+        assert philox._loggam(x) == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
