@@ -13,9 +13,11 @@ All angular momenta are integers; half-integer spins are out of scope.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, is_dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -32,6 +34,96 @@ __all__ = [
     "synthesize_beta",
     "project_beta",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the process-wide memo
+# ---------------------------------------------------------------------------
+
+# bytes that every memo together may hold; the largest preset, fig2c, holds 3.0 MiB
+MEMO_BUDGET = 256 << 20
+
+
+class MemoStats:
+    """One memo kind's hits, misses and evictions, and the bytes its entries hold."""
+
+    __slots__ = ("hits", "misses", "evictions", "bytes")
+
+    def __init__(self):
+        self.hits = self.misses = self.evictions = self.bytes = 0
+
+
+MEMO_STATS: dict[str, MemoStats] = {}
+# (kind, args) -> (value, bytes charged), least recent first
+_MEMO: OrderedDict = OrderedDict()
+
+
+def _owned_bytes(value) -> int:
+    """Bytes of the arrays that ``value`` owns through its tuples, lists,
+    dicts and dataclass fields (a cached_property's value included), each
+    array once; a view owns none."""
+    arrays, stack = {}, [value]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, np.ndarray):
+            if part.base is None:
+                arrays[id(part)] = part.nbytes
+        elif isinstance(part, (tuple, list)):
+            stack.extend(part)
+        elif isinstance(part, dict):
+            stack.extend(part.values())
+        elif is_dataclass(part) and not isinstance(part, type):
+            stack.extend(vars(part).values())
+    return sum(arrays.values())
+
+
+def memo(kind: str):
+    """Decorator: memoise a function of positional arguments in the one
+    process-wide store, as ``kind``.
+
+    Arguments compare as ``functools.lru_cache`` keys do (1 == 1.0).  An
+    entry is charged the bytes of the arrays its value owns plus the shallow
+    sizes of its key and value; while the store holds more than MEMO_BUDGET
+    its least recently used entries, of any kind, are evicted.  A miss may
+    call another memoised function.  Every caller gets the same value, so
+    its arrays must be read-only.
+    """
+    stats = MEMO_STATS.setdefault(kind, MemoStats())
+    get, touch = _MEMO.get, _MEMO.move_to_end
+
+    def decorate(fn):
+        @wraps(fn)
+        def cached(*args):
+            key = (kind, args)
+            entry = get(key)
+            if entry is not None:
+                touch(key)
+                stats.hits += 1
+                return entry[0]
+            stats.misses += 1
+            value = fn(*args)
+            size = _owned_bytes(value) + sys.getsizeof(key) + sys.getsizeof(value)
+            _MEMO[key] = (value, size)
+            stats.bytes += size
+            held = sum(s.bytes for s in MEMO_STATS.values())
+            while held > MEMO_BUDGET:
+                (old, _), (_, size) = _MEMO.popitem(last=False)
+                owner = MEMO_STATS[old]
+                owner.bytes -= size
+                owner.evictions += 1
+                held -= size
+            return value
+
+        return cached
+
+    return decorate
+
+
+def memo_clear() -> None:
+    """Empty the store and zero every kind's counters."""
+    _MEMO.clear()
+    for stats in MEMO_STATS.values():
+        stats.__init__()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +252,7 @@ class AngularGrid:
         return 2 * jmax + 16
 
     @classmethod
-    @lru_cache(maxsize=32)
+    @memo("for_jmax")
     def for_jmax(cls, jmax: int, beta_max: float = math.pi) -> "AngularGrid":
         return cls.gauss_legendre(cls.order_for(jmax), beta_max)
 
@@ -279,7 +371,7 @@ class BandedOperator:
     ``diagonals[d]`` holds <j| A |j+d> for j = jmin..jmax-d when d >= 0 and
     <j-d| A |j> for j = jmin..jmax+d when d < 0; offsets that are absent are
     zero.  A symmetric operator binds d and -d to the same array.  The arrays
-    are read-only: the memo caches hand one operator to every caller.
+    are read-only: the memo hands one operator to every caller.
     """
 
     jmin: int
@@ -376,11 +468,14 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
     return BandedOperator.symmetric(jmin, jmax, upper)
 
 
-@lru_cache(maxsize=512)
+@memo("cos2_band")
 def cos2_band(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
-    """The memoised ``cos2beta_matrix``: the one cos^2 cache, read by the
-    alignment and by the exact pulse."""
-    return cos2beta_matrix(jmin, jmax, m, k)
+    """The memoised ``cos2beta_matrix``, read by the alignment and by the
+    exact pulse, with the doubled diagonals of its ``expectation`` built
+    before it is stored, so the memo charges their bytes."""
+    band = cos2beta_matrix(jmin, jmax, m, k)
+    band._doubled
+    return band
 
 
 def _cg_rank1(j: np.ndarray, mu: int, q: int, dj: int) -> np.ndarray:
@@ -409,7 +504,7 @@ _AXIS_COEF = {"x": {1: -math.sqrt(0.5), -1: math.sqrt(0.5)},
 _COSINE_CAPACITY = 256  # the j rows of a cosine build are a multiple of this
 
 
-@lru_cache(maxsize=1024)
+@memo("_cosine_elements")
 def _cosine_elements(axis: str, size: int, k: int, m: int,
                      dm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``<j', m+dm, k| c_axis |j m k>`` for j' = j - 1, j, j + 1 (down, same,
@@ -426,7 +521,7 @@ def _cosine_elements(axis: str, size: int, k: int, m: int,
     return elements
 
 
-@lru_cache(maxsize=1024)
+@memo("_cosine_block")
 def _cosine_block(axis: str, jmax: int, k: int, m: int, dm: int) -> BandedOperator:
     """``<j', m+dm, k| c_axis |j m k>`` over j, j' = 0..jmax (offsets
     j - j' = -1, 0, +1): a slice of the build over jmax + 1 rows rounded up

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -166,7 +165,7 @@ def _is_a(value, tp) -> bool:
     return isinstance(value, tp)
 
 
-@functools.lru_cache(maxsize=None)
+@angular.memo("_hints")
 def _hints(cls: type) -> dict:
     """The field annotations of a config class, resolved once (read-only use)."""
     return typing.get_type_hints(cls)

@@ -198,16 +198,15 @@ def _phase_memo(spectrum: SpectrumModel) -> Callable[[int, int, float], np.ndarr
 
 
 def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryConfig,
-                events: list, out: np.ndarray, keep: dict | None = None,
-                phase: Callable[[int, int, float], np.ndarray] | None = None) -> np.ndarray:
+                events: list, out: np.ndarray, keep: dict | None = None, *,
+                phase: Callable[[int, int, float], np.ndarray]) -> np.ndarray:
     """Run time-ordered events from state: free flight up to each event, then
     the jump (with the uniform it carries), pulse or observation (written to
     ``out[arg]``).  ``keep`` maps event positions to the state reached
     before them (before the free flight; position ``len(events)`` is the
     final state) and is filled in place.  Free flight multiplies by
     ``phase(|k0|, jmax, dt)``, the ``_phase_memo`` of ``spectrum`` that the
-    caller shares between its passes, or one of this pass's own."""
-    phase = phase or _phase_memo(spectrum)
+    caller shares between its passes."""
     for n, (t, kind, arg) in enumerate(events):
         if keep is not None and n in keep:
             keep[n] = state

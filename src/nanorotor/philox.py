@@ -17,10 +17,11 @@ C code computes from the same bits.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
+
+from .angular import memo
 
 __all__ = ["Stream"]
 
@@ -84,7 +85,7 @@ def _mix_in(pool: list[int], words: list[int], hash_const: int) -> int:
     return hash_const
 
 
-@functools.lru_cache(maxsize=1)
+@memo("_seed_pool")
 def _seed_pool(entropy: int) -> tuple[tuple[int, ...], int]:
     """The pool of ``SeedSequence(entropy, spawn_key=...)`` before the spawn
     key's words, and the hash constant reached, which every stream of one

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,7 @@ def _bessel_table(x, n: int) -> np.ndarray:
     return np.ldexp(np.array(rows[::-1]), np.array(exps[::-1]) - exp) / norm
 
 
-@lru_cache(maxsize=256)
+@angular.memo("pulse_bandwidth")
 def pulse_bandwidth(phi: float) -> int:
     """j-bandwidth at which the stationary-phase elements fall below 1e-14.
 
@@ -211,7 +210,7 @@ def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
     return float(np.sum(np.abs(tail) ** 2))
 
 
-@lru_cache(maxsize=256)
+@angular.memo("_chebyshev_coefficients")
 def _chebyshev_coefficients(phi: float) -> np.ndarray:
     """e^{ia} (2 - delta_n0) i^n J_n(a) at a = phi / sqrt(2), n = 0 .. K - 1,
     with K the first order above |a| where |J_n(a)| < 1e-17 (read-only).
@@ -253,7 +252,7 @@ def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float) -> np.ndarray
     return out
 
 
-@lru_cache(maxsize=256)
+@angular.memo("_cached_matrix")
 def _cached_matrix(jmin: int, jmax: int, m: int, k: int, phi: float) -> PulseMatrix:
     return phase_matrix_semiclassical(jmin, jmax, m, k, phi)
 

@@ -512,8 +512,9 @@ def test_direction_cosine_apply_matches_dense_oracle(k):
 
 
 def _direct_block(axis, jmax, k, m, dm):
-    """The cosine block built over exactly j = 0..jmax, not sliced."""
-    down, same, up = angular._cosine_elements.__wrapped__(axis, jmax + 1, k, m, dm)
+    """The cosine block built over exactly j = 0..jmax, not sliced: the memo
+    keys a build by its row count, so this is a build of jmax + 1 rows."""
+    down, same, up = angular._cosine_elements(axis, jmax + 1, k, m, dm)
     return angular.BandedOperator(0, jmax, {0: same, 1: down[1:], -1: up[:-1]})
 
 
@@ -549,13 +550,12 @@ def test_cos2_band_reads_the_block_past_jmax_bit_for_bit(monkeypatch, jmax, m, k
 
 
 def test_cosine_blocks_of_one_capacity_share_one_build():
-    angular._cosine_block.cache_clear()
-    angular._cosine_elements.cache_clear()
+    angular.memo_clear()
     for jmax in range(145, 256):
         angular._cosine_block("x", jmax, 0, 1, -1)
-    assert angular._cosine_elements.cache_info().misses == 1
+    assert angular.MEMO_STATS["_cosine_elements"].misses == 1
     angular._cosine_block("x", 256, 0, 1, -1)  # j = 0..256 needs the next capacity
-    assert angular._cosine_elements.cache_info().misses == 2
+    assert angular.MEMO_STATS["_cosine_elements"].misses == 2
 
 
 def test_direction_cosine_trivial_elements():

@@ -359,9 +359,10 @@ def test_resumed_run_equals_full_pass(case, method, monkeypatch):
                     + [(t, 1, None) for t in schedule]
                     + [(t, 2, i) for i, t in enumerate(_RESUME_TOBS)],
                     key=lambda e: (e[0], e[1]))
-    full = dec._run_events(component, spectrum, cfg, events, np.empty(len(_RESUME_TOBS)))
+    full = dec._run_events(component, spectrum, cfg, events, np.empty(len(_RESUME_TOBS)),
+                           phase=dec._phase_memo(spectrum))
     jump_free = dec._run_events(component, spectrum, cfg, [e for e in events if e[1]],
-                                np.empty(len(_RESUME_TOBS)))
+                                np.empty(len(_RESUME_TOBS)), phase=dec._phase_memo(spectrum))
 
     # the ensemble of that one component, given its one read-only draw
     draw = (0, np.array(jumps), uniforms)
@@ -607,7 +608,8 @@ def test_memo_pass_equals_the_per_step_pass(make, monkeypatch):
     events, n = dec._schedule(cfg), len(cfg.observation_times)
     steps = len({t for t, _, _ in events if t > 0.0})
     calls = _count_phases(monkeypatch)
-    memo = dec._run_events(state, spectrum, cfg, events, np.empty(n))
+    memo = dec._run_events(state, spectrum, cfg, events, np.empty(n),
+                           phase=dec._phase_memo(spectrum))
     assert 0 < len(calls) < steps / 4  # the memo is hit
     per_step = oracles.run_events_per_step(state, spectrum, cfg, events, np.empty(n))
     assert memo.tobytes() == per_step.tobytes()
@@ -641,7 +643,7 @@ def test_revival_pass_computes_few_phase_vectors(monkeypatch):
     assert len(cfg.observation_times) >= 500
     calls = _count_phases(monkeypatch)
     dec._run_events(state, spectrum, cfg, dec._schedule(cfg),
-                    np.empty(len(cfg.observation_times)))
+                    np.empty(len(cfg.observation_times)), phase=dec._phase_memo(spectrum))
     assert 0 < len(calls) <= 8
     assert len(set(calls)) == len(calls)
 
@@ -663,7 +665,8 @@ def test_memo_holds_at_most_its_bound_and_lives_one_pass(small_state, small_spec
         return vec
 
     monkeypatch.setattr(rotor, "free_phase", tracked)
-    dec._run_events(small_state, small_spectrum, cfg, dec._schedule(cfg), np.empty(100))
+    dec._run_events(small_state, small_spectrum, cfg, dec._schedule(cfg), np.empty(100),
+                    phase=dec._phase_memo(small_spectrum))
     assert len(held) == 100
     assert max(held) == dec._PHASE_MEMO
     assert all(ref() is None for ref in alive)

@@ -456,7 +456,7 @@ def test_mixture_builds_one_grid(monkeypatch):
         built.append(args)
         return real(cls, *args)
 
-    angular.AngularGrid.for_jmax.cache_clear()
+    angular.memo_clear()
     monkeypatch.setattr(angular.AngularGrid, "gauss_legendre", classmethod(counting))
     mix = rotor.prepare_mixture(0.01, 2.0)
     assert len(mix.components) == 17
