@@ -17,7 +17,7 @@ import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, is_dataclass
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "wigner_d_table",
     "cos2beta_matrix",
     "cos2_band",
+    "cos2_expectation",
     "cosine_xy_difference",
     "synthesize_beta",
     "project_beta",
@@ -60,12 +61,13 @@ _MEMO: OrderedDict = OrderedDict()
 
 def _owned_bytes(value) -> int:
     """Bytes of the arrays that ``value`` owns through its tuples, lists,
-    dicts and dataclass fields (a cached_property's value included), each
-    array once; a view owns none."""
+    dicts and dataclass fields, each array once; a view owns none.  Every
+    array reached, a view included, is made read-only on the way."""
     arrays, stack = {}, [value]
     while stack:
         part = stack.pop()
         if isinstance(part, np.ndarray):
+            part.flags.writeable = False
             if part.base is None:
                 arrays[id(part)] = part.nbytes
         elif isinstance(part, (tuple, list)):
@@ -86,7 +88,8 @@ def memo(kind: str):
     sizes of its key and value; while the store holds more than MEMO_BUDGET
     its least recently used entries, of any kind, are evicted.  A miss may
     call another memoised function.  Every caller gets the same value, so
-    its arrays must be read-only.
+    the walk that charges the arrays also makes each one read-only: no
+    memoised function freezes its own.
     """
     stats = MEMO_STATS.setdefault(kind, MemoStats())
     get, touch = _MEMO.get, _MEMO.move_to_end
@@ -225,8 +228,8 @@ class AngularGrid:
     exact for f polynomial in cos(b) up to degree ``2*order - 1``.  A grid
     capped at ``beta_max`` holds only the rule's nodes with
     cos(b) >= cos(beta_max), so its sums are those of the full rule for an f
-    that is zero beyond.  The arrays are read-only: ``for_jmax`` hands the
-    same grid to every caller.
+    that is zero beyond.  A grid from ``for_jmax`` is the memo's, so its
+    arrays are read-only.
     """
 
     nodes: np.ndarray
@@ -240,11 +243,7 @@ class AngularGrid:
         if not 0.0 < beta_max <= math.pi:
             raise DomainError(f"grid cap must be in (0, pi], got {beta_max}")
         x, w = _leggauss(order, math.cos(beta_max))
-        beta = np.arccos(x)[::-1].copy()
-        weights = w[::-1].copy()
-        beta.flags.writeable = False
-        weights.flags.writeable = False
-        return cls(nodes=beta, weights=weights, order=order)
+        return cls(nodes=np.arccos(x)[::-1].copy(), weights=w[::-1].copy(), order=order)
 
     @staticmethod
     def order_for(jmax: int) -> int:
@@ -370,8 +369,8 @@ class BandedOperator:
 
     ``diagonals[d]`` holds <j| A |j+d> for j = jmin..jmax-d when d >= 0 and
     <j-d| A |j> for j = jmin..jmax+d when d < 0; offsets that are absent are
-    zero.  A symmetric operator binds d and -d to the same array.  The arrays
-    are read-only: the memo hands one operator to every caller.
+    zero.  A symmetric operator binds d and -d to the same array, and
+    ``apply`` is its one reader.
     """
 
     jmin: int
@@ -382,7 +381,6 @@ class BandedOperator:
         for d, arr in self.diagonals.items():
             if arr.shape != (max(self.size - abs(d), 0),):
                 raise DomainError(f"diagonal {d} has wrong length")
-            arr.flags.writeable = False
 
     @classmethod
     def symmetric(cls, jmin: int, jmax: int, upper: dict[int, np.ndarray]) -> "BandedOperator":
@@ -407,39 +405,6 @@ class BandedOperator:
             elif d < 0:
                 out[-d:] += diag * vec[:d]
         return out
-
-    @cached_property
-    def _doubled(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """(d, w_d a_d with each entry repeated twice) for every stored
-        d >= 0, w_0 = 1 and w_d = 2: the terms of ``expectation``, built on
-        its first call.  DomainError unless the band is real and symmetric."""
-        terms = []
-        for d, diag in self.diagonals.items():
-            if diag.dtype.kind != "f" or (d and not np.array_equal(diag, self.diagonals.get(-d))):
-                raise DomainError("expectation needs a real symmetric band")
-            if d >= 0:
-                doubled = np.repeat(diag * (2.0 if d else 1.0), 2)
-                doubled.flags.writeable = False
-                terms.append((d, doubled))
-        return tuple(terms)
-
-    def expectation(self, vec: np.ndarray) -> float:
-        """<vec| A |vec> of a real symmetric band, the only kind it serves,
-        without forming A vec.
-
-        With A_{j,j+d} = A_{j+d,j} = a_d[j] real, the form is
-        sum_{d >= 0} w_d sum_j a_d[j] Re(conj(v_j) v_{j+d}), w_0 = 1 and
-        w_d = 2.  On the float view x = (Re v_jmin, Im v_jmin, ...) of vec,
-        Re(conj(v_j) v_{j+d}) = x_{2j} x_{2j+2d} + x_{2j+1} x_{2j+1+2d}, so
-        each stored d >= 0 is one product x[:-2d] * x[2d:] and one dot with
-        w_d a_d repeated twice (``_doubled``).  A strided or real vec is read
-        as its contiguous complex copy.
-        """
-        x = np.ascontiguousarray(vec, dtype=complex).view(float)
-        total = 0.0
-        for d, doubled in self._doubled:
-            total += doubled.dot(x[:doubled.size] * x[2 * d:])
-        return float(total)
 
 
 def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
@@ -470,12 +435,35 @@ def cos2beta_matrix(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
 
 @memo("cos2_band")
 def cos2_band(jmin: int, jmax: int, m: int, k: int) -> BandedOperator:
-    """The memoised ``cos2beta_matrix``, read by the alignment and by the
-    exact pulse, with the doubled diagonals of its ``expectation`` built
-    before it is stored, so the memo charges their bytes."""
-    band = cos2beta_matrix(jmin, jmax, m, k)
-    band._doubled
-    return band
+    """The memoised ``cos2beta_matrix``: the band the exact pulse applies and
+    the alignment's quadratic form is built from."""
+    return cos2beta_matrix(jmin, jmax, m, k)
+
+
+@memo("_cos2_form")
+def _cos2_form(jmin: int, jmax: int, m: int, k: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(d, w_d a_d with each entry repeated twice) for every stored d >= 0
+    of ``cos2_band``, w_0 = 1 and w_d = 2: the terms of ``cos2_expectation``."""
+    return tuple((d, np.repeat(diag * (2.0 if d else 1.0), 2))
+                 for d, diag in cos2_band(jmin, jmax, m, k).diagonals.items() if d >= 0)
+
+
+def cos2_expectation(vec: np.ndarray, jmin: int, jmax: int, m: int, k: int) -> float:
+    """<vec| cos^2 beta |vec> over |j m k>, j = jmin..jmax, without A vec.
+
+    With A_{j,j+d} = A_{j+d,j} = a_d[j] the real symmetric cos^2 band, the
+    form is sum_{d >= 0} w_d sum_j a_d[j] Re(conj(v_j) v_{j+d}), w_0 = 1 and
+    w_d = 2.  On the float view x = (Re v_jmin, Im v_jmin, ...) of vec,
+    Re(conj(v_j) v_{j+d}) = x_{2j} x_{2j+2d} + x_{2j+1} x_{2j+1+2d}, so
+    each stored d >= 0 is one product x[:-2d] * x[2d:] and one dot with
+    w_d a_d repeated twice (``_cos2_form``).  A strided or real vec is read
+    as its contiguous complex copy.
+    """
+    x = np.ascontiguousarray(vec, dtype=complex).view(float)
+    total = 0.0
+    for d, doubled in _cos2_form(jmin, jmax, m, k):
+        total += doubled.dot(x[:doubled.size] * x[2 * d:])
+    return float(total)
 
 
 def _cg_rank1(j: np.ndarray, mu: int, q: int, dj: int) -> np.ndarray:
@@ -513,12 +501,9 @@ def _cosine_elements(axis: str, size: int, k: int, m: int,
     has the bits of a build of that length."""
     j = np.arange(size, dtype=float)
     coef = _AXIS_COEF[axis][dm]
-    elements = tuple(coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
-                     * _cg_rank1(j, k, 0, dj) * _cg_rank1(j, m, dm, dj)
-                     for dj in (-1, 0, 1))
-    for arr in elements:
-        arr.flags.writeable = False
-    return elements
+    return tuple(coef * np.sqrt((2 * j + 1) / (2 * np.maximum(j + dj, 0) + 1))
+                 * _cg_rank1(j, k, 0, dj) * _cg_rank1(j, m, dm, dj)
+                 for dj in (-1, 0, 1))
 
 
 @memo("_cosine_block")

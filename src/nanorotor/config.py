@@ -135,7 +135,7 @@ class SpectrumConfig:
 @dataclass(repr=False, eq=False)
 class OutputConfig:
     prefix: str = "run"
-    format: str = "csv"
+    format: str = "csv"  # no reader: old manifests carry "csv", validate rejects another
 
 
 @dataclass(repr=False, eq=False)
@@ -447,13 +447,19 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
                 problems.append(f"{key}: must be >= 0 with the semiclassical pulse")
     if cfg.scenario == "sweep_sigma" and isinstance(p.phi, list) and len(p.phi) > 1:
         problems.append("pulse.phi: sweep_sigma runs one phase, not a list of several")
+    if cfg.scenario in ("fractional", "sweep_phi"):
+        unread = ("fractional applies no pulse" if cfg.scenario == "fractional"
+                  else "sweep_phi takes its phases from sweep.phi")
+        for key, val in (("pulse.phi", p.phi), ("pulse.laser", p.laser)):
+            if val is not None:
+                problems.append(f"{key}: {unread}; must be null")
 
     g = cfg.gamma
     for name, val in (("gamma.hz", g.hz), ("gamma.dimensionless", g.dimensionless)):
         if val is not None and val < 0:
             problems.append(f"{name}: must be >= 0")
-        elif val and cfg.scenario == "sweep_asymmetry":
-            problems.append(f"{name}: sweep_asymmetry runs without jumps; must be 0 or null")
+        elif val and cfg.scenario in ("sweep_asymmetry", "fractional"):
+            problems.append(f"{name}: {cfg.scenario} runs without jumps; must be 0 or null")
 
     t = cfg.times
     if t.t_end <= 0:
@@ -512,6 +518,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.spectrum.kmax is not None:
         problems.append("spectrum.kmax: must be null; the spectrum covers the state's "
                         "largest |k0|")
+    if cfg.output.format != "csv":
+        problems.append(f"output.format: must be 'csv', the one format written; "
+                        f"got {cfg.output.format!r}")
 
     report = ValidationReport(problems=problems)
     if problems:

@@ -54,10 +54,11 @@ GAMMA_GAS_PRESET_HZ = 20.7
 GAMMA_GAS_PRESET_PRESSURE_MBAR = 5e-9
 
 _BOUNDARY_TOL = 1e-6
-# free-flight phase vectors one ensemble keeps, least recently used out
+# free-flight phase vectors one ensemble keeps, least recently used out; per
+# ensemble, not in the memo, as most keys are steps to random jump times: fig2c
+# at 5 phi makes 1,248 vectors over 1,232 keys, 3.05 MiB (9 % of its peak RSS)
+# that a process-lifetime store would keep; fig2b's 2,086 free flights need 18
 _PHASE_MEMO = 16
-# draw sets kept across ensembles: the phases of a sweep share the last one
-_DRAW_MEMO = 1
 
 
 def gamma_dimensionless(gamma_hz: float, t_rev: float) -> float:
@@ -224,19 +225,17 @@ def _run_events(state: RotorState, spectrum: SpectrumModel, config: TrajectoryCo
     return out
 
 
-@functools.lru_cache(maxsize=_DRAW_MEMO)
+@angular.memo("_draws")
 def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tuple:
     """The random inputs of trajectories 0..n-1 as (component index, jump
-    times, channel uniforms), read-only, each in its stream's order: the
-    component (drawn by weight only when there are several), the jump times,
-    then one uniform per jump (``rng.random(n)`` gives the bits of n scalar
-    draws).  Deterministic given the arguments, so the phases of a sweep,
-    which differ only in padding and pulse, share one set.  With gamma = 0
-    and one component every draw is (0, no jump, no uniform), and no stream
-    is made."""
+    times, channel uniforms), each in its stream's order: the component
+    (drawn by weight only when there are several), the jump times, then one
+    uniform per jump (``rng.random(n)`` gives the bits of n scalar draws).
+    Deterministic given the arguments, so the phases of a sweep, which
+    differ only in padding and pulse, share one set.  With gamma = 0 and one
+    component every draw is (0, no jump, no uniform), and no stream is made."""
     if gamma == 0.0 and len(weights) == 1:
         none = np.empty(0)
-        none.flags.writeable = False
         return ((0, none, none),) * n
     w = np.array(weights)
     p = w / w.sum()
@@ -246,7 +245,6 @@ def _draws(seed: int, gamma: float, t_end: float, weights: tuple, n: int) -> tup
         pick = int(rng.choice(len(w), p=p)) if len(w) > 1 else 0
         jumps = sample_jump_times(gamma, t_end, rng)
         uniforms = rng.random(jumps.size)
-        jumps.flags.writeable = uniforms.flags.writeable = False
         draws.append((pick, jumps, uniforms))
     return tuple(draws)
 
@@ -265,7 +263,7 @@ def run_ensemble(initial: Mixture, spectrum: SpectrumModel,
     """Average n trajectories (mixture weights included), in one pass.
 
     Trajectories end at the last observation time, t_end.  The random
-    draws are made once for the last (seed, gamma, t_end, weights, n).
+    draws are memoised per (seed, gamma, t_end, weights, n).
     Each component runs one jump-free pass, except one that is the mirror of
     an earlier one (``rotor.mirror_state``): every kernel gives a mirrored
     state the bits it gives the original, so it reads its twin's pass.

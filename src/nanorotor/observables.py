@@ -39,7 +39,7 @@ def alignment(state: RotorState) -> float:
     total = 0.0
     for m, vec in state.sectors.items():
         j0 = max(abs(m), abs(state.k0))
-        total += angular.cos2_band(j0, state.jmax, m, state.k0).expectation(vec[j0:])
+        total += angular.cos2_expectation(vec[j0:], j0, state.jmax, m, state.k0)
     return total
 
 

@@ -213,7 +213,7 @@ def boundary_weight(vec: np.ndarray, bandwidth: int) -> float:
 @angular.memo("_chebyshev_coefficients")
 def _chebyshev_coefficients(phi: float) -> np.ndarray:
     """e^{ia} (2 - delta_n0) i^n J_n(a) at a = phi / sqrt(2), n = 0 .. K - 1,
-    with K the first order above |a| where |J_n(a)| < 1e-17 (read-only).
+    with K the first order above |a| where |J_n(a)| < 1e-17.
     For phi < 0, J_n(-a) = (-1)^n J_n(|a|)."""
     a = phi / math.sqrt(2.0)
     x = abs(a)
@@ -222,9 +222,7 @@ def _chebyshev_coefficients(phi: float) -> np.ndarray:
     n = np.arange(past[0] if past.size else table.size)
     coeffs = (1j * math.copysign(1.0, a)) ** n * table[:n.size]
     coeffs[1:] *= 2.0
-    coeffs = np.exp(1j * a) * coeffs
-    coeffs.flags.writeable = False
-    return coeffs
+    return np.exp(1j * a) * coeffs
 
 
 def phase_apply_exact(vec: np.ndarray, m: int, k: int, phi: float) -> np.ndarray:

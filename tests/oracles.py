@@ -13,7 +13,8 @@ mpmath, and the semiclassical pulse's Bessel functions come from scipy's
 
 Reference code that only the tests call lives here too: the readers of the
 library's operator elements, which apply an operator to unit states, so the
-tests check the ``apply`` that every run takes; the asymptotic d-function
+tests check the ``apply`` that every run takes; the float-view quadratic
+form of the library's ``cos2_expectation`` over any real symmetric band; the asymptotic d-function
 and the ``SingularityError`` it raises at the poles, the fractional-revival
 resummation, the scalar Wigner-d recurrence (it starts from the library's
 ``_d_start``, steps with the factor ``_recurrence_r`` defined here, and is
@@ -134,6 +135,20 @@ def banded_element(op: angular.BandedOperator, j1: int, j2: int) -> complex:
     unit = np.zeros(op.size, dtype=complex)
     unit[j2 - op.jmin] = 1.0
     return complex(op.apply(unit)[j1 - op.jmin])
+
+
+def float_view_form(op: angular.BandedOperator, vec: np.ndarray) -> float:
+    """<vec| A |vec> of a real symmetric band by the library's float-view
+    arithmetic (``angular.cos2_expectation``), over every stored offset
+    d >= 0 of ``op``: one dot of w_d a_d, each entry repeated twice, with
+    x[:-2d] * x[2d:], x the float view of vec, summed from 0.0."""
+    x = np.ascontiguousarray(vec, dtype=complex).view(float)
+    total = 0.0
+    for d, diag in op.diagonals.items():
+        if d >= 0:
+            doubled = np.repeat(diag * (2.0 if d else 1.0), 2)
+            total += doubled.dot(x[:doubled.size] * x[2 * d:])
+    return float(total)
 
 
 def cosine_applied(op: angular.DirectionCosineOperator, jp: int, mp: int,

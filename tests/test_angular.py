@@ -358,7 +358,8 @@ def test_cos2beta_matrix_vs_racah_oracle(jmin, jmax, m, k):
                                            (0, 1, 0, 0), (4, 5, 0, 4)])
 def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
     # where m k = 0 the +-1 diagonals are zero: the band keeps offsets 0 and
-    # +-2 only, and applies to the bits of the full three-offset band
+    # +-2 only, and applies to the bits of the full five-offset band; its
+    # quadratic form has the bits of the float-view form over the full band
     mat = angular.cos2beta_matrix(jmin, jmax, m, k)
     assert sorted(mat.diagonals) == [-2, 0, 2]
     size = jmax - jmin + 1
@@ -369,7 +370,8 @@ def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
     for _ in range(5):
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         assert mat.apply(vec).tobytes() == full.apply(vec).tobytes()
-        assert mat.expectation(vec) == full.expectation(vec)
+        assert angular.cos2_expectation(vec, jmin, jmax, m, k) == oracles.float_view_form(
+            full, vec)
 
 
 # (jmin, jmax, m, k): m k = 0 with jmin = 0 and jmin > 0, m k < 0 (the +-1
@@ -379,32 +381,24 @@ def test_cos2_band_at_mk_zero_drops_the_zero_diagonals(jmin, jmax, m, k):
 def test_expectation_is_the_dense_quadratic_form(jmin, jmax, m, k):
     # the quadratic form on the float view is psi^dagger A psi of the dense
     # band, here for normalised random complex states
-    mat = angular.cos2_band(jmin, jmax, m, k)
-    dense = oracles.to_dense(mat)
+    dense = oracles.to_dense(angular.cos2_band(jmin, jmax, m, k))
+    size = jmax - jmin + 1
     rng = np.random.default_rng(jmax)
     for _ in range(3):
-        vec = rng.normal(size=mat.size) + 1j * rng.normal(size=mat.size)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         vec /= np.linalg.norm(vec)
-        assert abs(mat.expectation(vec) - np.vdot(vec, dense @ vec).real) <= 1e-14
+        got = angular.cos2_expectation(vec, jmin, jmax, m, k)
+        assert abs(got - np.vdot(vec, dense @ vec).real) <= 1e-14
 
 
 def test_expectation_reads_a_strided_or_real_vector_as_its_complex_copy():
-    mat = angular.cos2_band(2, 30, 2, -2)
+    size = 29
     rng = np.random.default_rng(3)
-    wide = rng.normal(size=2 * mat.size) + 1j * rng.normal(size=2 * mat.size)
-    for vec in (wide[::2], wide[:mat.size][::-1], wide.real[:mat.size]):
+    wide = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+    for vec in (wide[::2], wide[:size][::-1], wide.real[:size]):
         assert not vec.flags.c_contiguous or vec.dtype != complex
-        assert mat.expectation(vec) == mat.expectation(np.array(vec, dtype=complex))
-
-
-def test_expectation_refuses_a_band_that_is_not_real_symmetric():
-    # the form pairs offset d with -d: c_z's ladder has distinct +-1
-    # diagonals, and a complex diagonal (a pulse matrix) has no real form
-    cz = angular._cosine_block("z", 10, 2, 1, 0)
-    pulse_like = angular.BandedOperator(0, 3, {0: np.ones(4, dtype=complex)})
-    for op in (cz, pulse_like):
-        with pytest.raises(DomainError, match="real symmetric"):
-            op.expectation(np.ones(op.size, dtype=complex))
+        assert angular.cos2_expectation(vec, 2, 30, 2, -2) == angular.cos2_expectation(
+            np.array(vec, dtype=complex), 2, 30, 2, -2)
 
 
 def test_cos2beta_trivial_cases():

@@ -102,6 +102,8 @@ def _exit2(key, value, preset="fig1", *extra, id=None):
 DIRECT_ROTOR = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "100")
 SMALL_RUN = ("--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60", "--times.n_points", "8")
 BIG_INT = "1" + "0" * 400
+# a laser whose phase is valid
+LASER = '{"power_w": 1e-3, "waist_m": 3e-5, "duration_s": 1e-7, "delta_alpha": 1e-35}'
 
 EXIT2_CASES = [
     _exit2("state.sigma_j_sq", "abc"),
@@ -145,6 +147,8 @@ EXIT2_CASES = [
     # spectrum.kmax has no reader: any value but null is rejected
     _exit2("spectrum.kmax", "100000", "fig1", "--times.n_points", "8"),
     _exit2("spectrum.kmax", "-5", "fig1", "--times.n_points", "8"),
+    # nor has output.format: every table is written as CSV
+    _exit2("output.format", "parquet", "fig1", "--times.n_points", "8"),
     # a jmax beyond the state-width ceiling would not fit in memory
     _exit2("state.jmax", "1000000000000", "fig1", "--times.n_points", "8"),
     # sweep_sigma runs one phase; a list would silently drop all but the first
@@ -160,6 +164,18 @@ EXIT2_CASES = [
     _exit2("spectrum.method", "symmetric", "fig2b", "--sweep.b_points", "1"),
     _exit2("gamma.hz", "20.7", "fig2b", "--sweep.b_points", "1"),
     _exit2("gamma.dimensionless", "1.0", "fig2b", "--sweep.b_points", "1"),
+    # fractional runs without jumps and without a pulse, and sweep_phi takes its
+    # phases from sweep.phi: a value they would record but never apply is rejected
+    _exit2("gamma.dimensionless", "5", "fractional", *DIRECT_ROTOR,
+           id="gamma.dimensionless-fractional"),
+    _exit2("gamma.hz", "20.7", "fractional", *DIRECT_ROTOR, "--rotor.t_rev_s", "1e-3",
+           id="gamma.hz-fractional"),
+    _exit2("pulse.phi", "3.0", "fractional", *DIRECT_ROTOR, id="pulse.phi-fractional"),
+    _exit2("pulse.laser", LASER, "fractional", *DIRECT_ROTOR, id="pulse.laser-fractional"),
+    _exit2("pulse.phi", "2.0", "sweep_phi", *DIRECT_ROTOR, "--sweep.phi", "[1.0]",
+           id="pulse.phi-sweep_phi"),
+    _exit2("pulse.laser", LASER, "fig2c", "--ensemble.n", "2", "--sweep.phi", "[1.0]",
+           id="pulse.laser-sweep_phi"),
     # a time grid of more than a million samples, named by the key that drives it
     _exit2("times.n_points", "1000000000"),
     _exit2("times.refine_factor", "1000000000"),

@@ -495,7 +495,7 @@ def test_a_phase_sweep_draws_each_trajectory_once(tmp_path, monkeypatch):
     n, made, real = 6, [], dec._trajectory_rng
     monkeypatch.setattr(dec, "_trajectory_rng", lambda seed, index: (made.append(index),
                                                                      real(seed, index))[1])
-    dec._draws.cache_clear()
+    angular.memo_clear()
     code = cli.main(["sweep_phi", "--rotor.inertia_ratio", "41.8", "--state.sigma_j_sq", "60",
                      "--sweep.phi", "[0.0,0.5,1.0,2.0,3.0]", "--ensemble.n", str(n),
                      "--gamma.dimensionless", "1.0", "--out", str(tmp_path / "run")])
@@ -503,16 +503,24 @@ def test_a_phase_sweep_draws_each_trajectory_once(tmp_path, monkeypatch):
     assert made == list(range(n))
 
 
-def test_the_draws_memo_is_bounded_and_read_only():
-    dec._draws.cache_clear()
+def test_the_draws_memo_is_bounded_and_read_only(monkeypatch):
+    angular.memo_clear()
+    stats = angular.MEMO_STATS["_draws"]
     for seed in range(3):
         draws = dec._draws(seed, 2.0, 1.0, (0.5, 0.5), 4)
-        assert dec._draws.cache_info().currsize <= dec._DRAW_MEMO
         for _, jumps, uniforms in draws:
             assert not jumps.flags.writeable and not uniforms.flags.writeable
             with pytest.raises(ValueError):
                 uniforms[...] = 0.0
     assert dec._draws(2, 2.0, 1.0, (0.5, 0.5), 4) is draws  # the last one is kept
+    assert (stats.hits, stats.misses, stats.evictions) == (1, 3, 0)
+    # the byte budget bounds the draw sets: under a zero budget one is evicted at once
+    angular.memo_clear()
+    monkeypatch.setattr(angular, "MEMO_BUDGET", 0)
+    evicted = dec._draws(2, 2.0, 1.0, (0.5, 0.5), 4)
+    assert (stats.misses, stats.evictions, stats.bytes) == (1, 1, 0)
+    assert dec._draws(2, 2.0, 1.0, (0.5, 0.5), 4) is not evicted
+    assert stats.misses == 2
 
 
 def test_a_component_that_is_no_mirror_runs_its_own_pass(monkeypatch):
@@ -685,11 +693,11 @@ def test_gamma_zero_pure_state_makes_no_stream(monkeypatch, small_mixture, small
     monkeypatch.setattr(dec, "_trajectory_rng", recording)
     tobs = (0.0, 0.5, 1.0)
     for gamma, streams in ((0.0, []), (0.5, [0, 1, 2, 3])):
-        dec._draws.cache_clear()
+        angular.memo_clear()
         cfg = dec.TrajectoryConfig(gamma=gamma, observation_times=tobs, seed=5)
         dec.run_ensemble(small_mixture, small_spectrum, cfg, 4)
         assert made == streams
-    dec._draws.cache_clear()
+    angular.memo_clear()
     rng = real(5, 0)
     no_jump, no_uniform = dec.sample_jump_times(0.0, 1.0, rng), rng.random(0)
     for pick, jumps, uniforms in dec._draws(5, 0.0, 1.0, (1.0,), 4):
@@ -711,7 +719,7 @@ def test_gamma_zero_mixture_draws_only_when_trajectories_are_read(monkeypatch):
     cfg = dec.TrajectoryConfig(gamma=0.0, observation_times=(0.0, 0.3, 1.0),
                                seed=9)
     n = 12
-    dec._draws.cache_clear()
+    angular.memo_clear()
     res = dec.run_ensemble(mix, spectrum, cfg, n)
     assert made == [] and res.jump_count_histogram == {0: n}
     assert res.mean_alignment.tobytes() == res.jump_free.tobytes()

@@ -6,6 +6,7 @@ import ast
 import glob
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from nanorotor import angular, cli
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
                    "nanorotor")
 
-# the caches that keep another scope: one ensemble's phase vectors, the last
-# ensemble's draws, one result's trajectories and one band's doubled diagonals
-ALLOWED = {"decoherence._phase_memo", "decoherence._draws",
-           "decoherence.EnsembleResult.trajectories", "angular.BandedOperator._doubled"}
+# the caches that keep another scope: one ensemble's phase vectors and one
+# result's trajectories
+ALLOWED = {"decoherence._phase_memo", "decoherence.EnsembleResult.trajectories"}
 CACHES = {"lru_cache", "cache", "cached_property"}  # as functools.<name>; bare, all but cache
 
 
@@ -60,18 +60,71 @@ def test_the_package_keeps_one_process_lifetime_memo():
             tree = ast.parse(fh.read())
         sites |= _cache_sites(tree, os.path.basename(path)[:-3])
     assert sites <= ALLOWED, sorted(sites - ALLOWED)
-    assert "angular.BandedOperator._doubled" in sites  # the walk finds decorators
+    assert "decoherence.EnsembleResult.trajectories" in sites  # the walk finds decorators
+
+
+def _memoised_functions(tree: ast.Module):
+    """Each def of ``tree`` whose decorators call a ``memo``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id == "memo") or (
+                        isinstance(func, ast.Attribute) and func.attr == "memo"):
+                    yield node
+
+
+def test_no_memoised_function_freezes_its_own_arrays():
+    # the memo makes every array it stores read-only, so that rule is stated once
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for fn in _memoised_functions(tree):
+            found.append(fn.name)
+            for node in ast.walk(fn):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "writeable"
+                            and isinstance(node.ctx, ast.Store)), (path, fn.name)
+    assert {"for_jmax", "cos2_band", "_cos2_form", "_draws"} <= set(found)
+
+
+@dataclass
+class _Holder:
+    values: dict
+
+
+def test_the_memo_hands_back_read_only_arrays():
+    # arrays in a tuple, a dict and a dataclass field, a view among them
+    @angular.memo("_sealing_probe")
+    def probe(n):
+        return (np.arange(n, dtype=float)[1:], {"a": np.ones(n)}, _Holder({"b": np.zeros(n)}))
+
+    try:
+        view, named, holder = probe(3)
+        for arr in (view, named["a"], holder.values["b"]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        assert probe(3)[0] is view
+    finally:
+        angular.memo_clear()
+        del angular.MEMO_STATS["_sealing_probe"]
 
 
 def test_an_entry_is_charged_the_arrays_it_owns():
     angular.memo_clear()
     band = angular.cos2_band(3, 40, 1, 2)
-    # the stored band has its doubled diagonals; d and -d share one array
-    assert "_doubled" in vars(band)
+    # the band is charged its diagonals; d and -d share one array
     owned = sum(band.diagonals[d].nbytes for d in (0, 1, 2))
-    owned += sum(doubled.nbytes for _, doubled in band._doubled)
     assert angular.MEMO_STATS["cos2_band"].bytes > owned
     assert angular.MEMO_STATS["cos2_band"].bytes < owned + 2048
+    # the quadratic form is charged its doubled arrays, on its first read
+    assert angular.MEMO_STATS["_cos2_form"].bytes == 0
+    angular.cos2_expectation(np.ones(band.size, dtype=complex), 3, 40, 1, 2)
+    doubled = sum(2 * band.diagonals[d].nbytes for d in (0, 1, 2))
+    assert angular.MEMO_STATS["_cos2_form"].bytes > doubled
+    assert angular.MEMO_STATS["_cos2_form"].bytes < doubled + 2048
+    assert angular.MEMO_STATS["cos2_band"].misses == 1  # the form read the stored band
     # a block is a view of its build, so it is charged its key and its object only
     built = angular.MEMO_STATS["_cosine_elements"].bytes
     assert built > 3 * 8 * 256
